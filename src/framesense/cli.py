@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -290,7 +291,9 @@ def parse_snr_range(text: str):
         raise ValueError(f"--snr-range must be LO:HI:STEP, got {text!r}")
     if step <= 0 or hi < lo:
         raise ValueError("need LO <= HI and STEP > 0")
-    count = int(round((hi - lo) / step)) + 1
+    # Floor, so the grid never passes HI; the epsilon keeps HI itself when
+    # (HI - LO) / STEP lands a rounding error below a whole number.
+    count = math.floor((hi - lo) / step + 1e-9) + 1
     return [lo + i * step for i in range(count)]
 
 

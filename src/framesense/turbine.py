@@ -4,12 +4,16 @@ Four engines each radiate 7 spectral lines (2 shafts, 2 blade passes, 3
 gears).  A nonnegative mixing matrix sets how loudly each engine registers
 at each of the 4 sensors, white Gaussian noise is added per time sample,
 failed sensors emit identically zero blocks, and every sensor block is
-pushed through an 8192-point DFT.  The health map keeps the magnitudes at
+seen through an 8192-point DFT.  The health map keeps the magnitudes at
 the 28 known line bins, giving one R^28 health image per sensor per block.
 
 All shaft frequencies are chosen so every derived line lands exactly on a
 DFT bin; blocks are then periodic and line magnitudes are time-independent
-at zero noise, which keeps the downstream detection contracts exact.
+at zero noise, which keeps the downstream detection contracts exact.  It
+also gives the noise-free spectrum in closed form (``line_spectrum``), so
+no tone is ever synthesized: a sensor spectrum is that closed form plus
+the real FFT of the sample's noise block.
+
 Dataset generation is deterministic: each sample's noise comes from a
 counter-based generator keyed on (seed, condition, sample), so parallel and
 serial runs agree byte for byte.
@@ -18,12 +22,12 @@ serial runs agree byte for byte.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._kernels import IMPLEMENTATION, synth_tones
 from .scenario import HealthMap, Scenario
 
 LINES_PER_ENGINE = 7
@@ -122,6 +126,8 @@ def validate_mixing(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (SENSORS, SENSORS):
         raise ValueError(f"mixing matrix must be {SENSORS}x{SENSORS}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("mixing entries must be finite")
     if np.any(a < 0):
         raise ValueError("mixing entries must be nonnegative")
     if not np.allclose(np.diag(a), 1.0):
@@ -146,6 +152,10 @@ class SimConfig:
             raise ValueError("dft_size must be a power of two")
         if self.noise_sigma < 0:
             raise ValueError("noise sigma must be nonnegative")
+        if not isinstance(self.samples_per_state, numbers.Integral):
+            raise ValueError("samples_per_state must be an integer")
+        if self.samples_per_state < 1:
+            raise ValueError("samples_per_state must be at least 1")
         object.__setattr__(
             self, "failed_sensors", frozenset(int(j) for j in self.failed_sensors)
         )
@@ -175,11 +185,18 @@ def resolve_sigma(cfg: SimConfig, fleet) -> float:
 
 
 def fleet_line_bins(fleet, cfg: SimConfig) -> np.ndarray:
-    """The 28 DFT bin indices, engine-major; all lines must be distinct and on-bin."""
+    """The 28 DFT bin indices, engine-major.
+
+    Every line must be distinct, on a bin, and strictly between 0 Hz and the
+    Nyquist frequency: ``line_spectrum``'s closed form holds only for the
+    interior bins ``0 < b < N/2``.
+    """
     bins = []
     nyquist = cfg.sample_rate / 2.0
     for model in fleet:
         for f in model.line_frequencies():
+            if f <= 0:
+                raise ValueError(f"line at {f} Hz is not above 0 Hz")
             if f >= nyquist:
                 raise ValueError(
                     f"line at {f} Hz exceeds the Nyquist frequency {nyquist} Hz"
@@ -200,55 +217,35 @@ def line_phases(seed: int, engine_id: int, n_lines: int = LINES_PER_ENGINE) -> n
     return rng.uniform(0.0, 2.0 * np.pi, n_lines)
 
 
-def engine_signal(
-    model: EngineModel,
-    fault: FaultState,
-    block_start: int,
-    cfg: SimConfig,
-    phases: np.ndarray | None = None,
-) -> np.ndarray:
-    """One engine's vibration block: the sum of its 7 fault-adjusted lines.
+def line_spectrum(fleet, states, mixing, cfg: SimConfig) -> np.ndarray:
+    """Noise-free sensor DFT values at the fleet's line bins, in closed form.
 
-    Phases run continuously across blocks (the block start enters the phase),
-    so consecutive blocks sample one ongoing waveform.
+    Engine h's line l, ``a_l sin(2 pi f_l t / fs + phi_l)`` with ``f_l`` on an
+    interior bin b, has the rectangular-window DFT ``a_l N/2 exp(i(phi_l -
+    pi/2))`` at bin b and exactly 0 at every other bin of ``0..N/2``
+    (Oppenheim & Schafer, Discrete-Time Signal Processing, ch. 8).  Blocks
+    start at whole multiples of N, so every block has this spectrum.  Sensor
+    j hears ``mixing[j, h]`` times engine h; failed sensors hear nothing.
+
+    Returns a (SENSORS, 28) complex array, columns ordered as
+    ``fleet_line_bins``.
     """
-    freqs = model.line_frequencies()
-    if np.any(freqs >= cfg.sample_rate / 2.0):
-        raise ValueError("line frequency exceeds Nyquist")
-    amps = fault.amplitudes(model)
-    if not np.any(amps):
-        return np.zeros(cfg.dft_size)
-    if phases is None:
-        phases = line_phases(cfg.rng_seed, model.engine_id)
-    # Reduce the block-start phase once so both kernel implementations see
-    # identical small arguments.
-    omega = 2.0 * np.pi * freqs / cfg.sample_rate
-    start_phase = np.mod(omega * block_start + phases, 2.0 * np.pi)
-    return synth_tones(freqs, amps, start_phase, 0, cfg.dft_size, cfg.sample_rate)
-
-
-def mix_and_sense(engine_blocks, mixing, cfg: SimConfig, sigma: float, rng) -> np.ndarray:
-    """Sensor blocks: mixed engine blocks plus per-sample Gaussian noise.
-
-    Failed sensors emit identically zero blocks (no signal, no noise).
-    """
-    engine_blocks = np.asarray(engine_blocks, dtype=np.float64)
-    if engine_blocks.shape[0] != mixing.shape[1]:
-        raise ValueError("one engine block per mixing column required")
-    sensors = mixing @ engine_blocks
-    if sigma > 0:
-        sensors = sensors + sigma * rng.standard_normal(sensors.shape)
-    for j in cfg.failed_sensors:
-        sensors[j] = 0.0
-    return sensors
-
-
-def dft_block(block, dft_size: int = 8192) -> np.ndarray:
-    """Unnormalized DFT of one rectangular-windowed block."""
-    block = np.asarray(block)
-    if block.shape[-1] != dft_size:
-        raise ValueError(f"block length {block.shape[-1]} != dft size {dft_size}")
-    return np.fft.fft(block, axis=-1)
+    mixing = validate_mixing(mixing)
+    fleet_line_bins(fleet, cfg)  # the closed form needs distinct interior bins
+    if len(fleet) != mixing.shape[1]:
+        raise ValueError("one engine per mixing column required")
+    if len(states) != len(fleet):
+        raise ValueError("one fault state per engine required")
+    lines = np.stack(
+        [
+            state.amplitudes(model)
+            * np.exp(1j * (line_phases(cfg.rng_seed, model.engine_id) - np.pi / 2))
+            for model, state in zip(fleet, states)
+        ]
+    ) * (cfg.dft_size / 2)
+    values = (mixing[:, :, None] * lines[None]).reshape(SENSORS, -1)
+    values[sorted(cfg.failed_sensors)] = 0.0
+    return values
 
 
 def health_project(spectrum, line_bins) -> np.ndarray:
@@ -279,9 +276,19 @@ class SampleRecord:
     condition: int
     condition_name: str
     sample: int
-    spectra: np.ndarray  # (SENSORS, dft_size) magnitude spectra
+    half_spectrum: np.ndarray  # (SENSORS, dft_size // 2 + 1) complex DFT, bins 0..N/2
     healths: np.ndarray  # (SENSORS, 28)
     states: tuple
+
+    @property
+    def spectra(self) -> np.ndarray:
+        """(SENSORS, dft_size) magnitude spectra.
+
+        The sensor blocks are real, so ``|X[N - k]| = |X[k]|`` and the upper
+        half mirrors bins ``N/2 - 1 .. 1``.
+        """
+        mag = np.abs(self.half_spectrum)
+        return np.concatenate([mag, mag[:, -2:0:-1]], axis=-1)
 
 
 def _sample_rng(seed: int, condition: int, sample: int) -> np.random.Generator:
@@ -293,27 +300,35 @@ def _sample_rng(seed: int, condition: int, sample: int) -> np.random.Generator:
 
 
 def iter_samples(fleet, mixing, cfg: SimConfig, conditions):
-    """Stream deterministic samples for each (condition, sample) pair."""
-    mixing = validate_mixing(mixing)
+    """Stream deterministic samples for each (condition, sample) pair.
+
+    A sample's sensor spectrum is the condition's closed-form line spectrum
+    (``line_spectrum``) plus the DFT of that sample's white-noise block;
+    failed sensors read exactly zero.  Only the 28 line magnitudes are
+    computed here; ``SampleRecord.spectra`` builds the full spectrum for a
+    caller that reads it.
+    """
     bins = fleet_line_bins(fleet, cfg)
     sigma = resolve_sigma(cfg, fleet)
-    phases = [line_phases(cfg.rng_seed, m.engine_id) for m in fleet]
+    failed = sorted(cfg.failed_sensors)
     for c, (name, states) in enumerate(conditions):
-        if len(states) != len(fleet):
-            raise ValueError("one fault state per engine required")
+        lines = line_spectrum(fleet, states, mixing, cfg)
+        clean = np.zeros((SENSORS, cfg.dft_size // 2 + 1), dtype=np.complex128)
+        clean[:, bins] = lines
+        clean_healths = health_project(clean, bins)
+        # Every noise-free record of this condition shares these arrays.
+        for arr in (clean, clean_healths):
+            arr.setflags(write=False)
         for m in range(cfg.samples_per_state):
-            t0 = m * cfg.dft_size
-            engine_blocks = np.stack(
-                [
-                    engine_signal(model, state, t0, cfg, phase)
-                    for model, state, phase in zip(fleet, states, phases)
-                ]
-            )
-            rng = _sample_rng(cfg.rng_seed, c, m)
-            sensors = mix_and_sense(engine_blocks, mixing, cfg, sigma, rng)
-            spectra = np.abs(dft_block(sensors, cfg.dft_size))
-            healths = health_project(spectra, bins)
-            yield SampleRecord(c, name, m, spectra, healths, states)
+            if sigma > 0:
+                rng = _sample_rng(cfg.rng_seed, c, m)
+                half = np.fft.rfft(rng.standard_normal((SENSORS, cfg.dft_size)), axis=-1)
+                half *= sigma
+                half[:, bins] += lines
+                half[failed] = 0.0
+                yield SampleRecord(c, name, m, half, health_project(half, bins), states)
+            else:
+                yield SampleRecord(c, name, m, clean, clean_healths, states)
 
 
 @dataclass
@@ -420,7 +435,6 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
             {"name": name, "states": [st.to_json() for st in states]}
             for name, states in ds.conditions
         ],
-        "kernel": IMPLEMENTATION,
         "files": {"health": "health.csv", "spectra": ds.spectra_files or None},
     }
     with open(out / "manifest.json", "w") as fh:
@@ -467,16 +481,28 @@ def load_dataset(path) -> Dataset:
         for doc in manifest["conditions"]
     )
     line_bins = np.array(manifest["line_bins"], dtype=int)
-    rows = (path / "health.csv").read_text().strip().split("\n")[1:]
-    healths = np.zeros(
-        (len(conditions), cfg.samples_per_state, SENSORS, line_bins.size)
-    )
+    csv_path = path / "health.csv"
+    rows = csv_path.read_text().strip().split("\n")[1:]
+    shape = (len(conditions), cfg.samples_per_state, SENSORS, line_bins.size)
+    if len(rows) != shape[0] * shape[1] * shape[2]:
+        raise ValueError(
+            f"{csv_path}: {len(rows)} rows, expected "
+            f"{shape[0]} states x {shape[1]} samples x {shape[2]} sensors"
+        )
+    # With the row count right, a repeated row leaves some cell unwritten:
+    # every cell must end up finite.
+    healths = np.full(shape, np.nan)
     name_to_c = {name: c for c, (name, _) in enumerate(conditions)}
     for row in rows:
         parts = row.split(",")
-        c = name_to_c[parts[0]]
-        m, j = int(parts[1]), int(parts[2])
+        if len(parts) != 3 + shape[3]:
+            raise ValueError(f"{csv_path}: row {parts[:3]} has {len(parts)} columns")
+        c, m, j = name_to_c.get(parts[0]), int(parts[1]), int(parts[2])
+        if c is None or not (0 <= m < shape[1] and 0 <= j < shape[2]):
+            raise ValueError(f"{csv_path}: unknown or out-of-range row {parts[:3]}")
         healths[c, m, j] = [float(x) for x in parts[3:]]
+    if not np.all(np.isfinite(healths)):
+        raise ValueError(f"{csv_path}: repeated row or non-finite health value")
     return Dataset(
         healths=healths,
         conditions=conditions,

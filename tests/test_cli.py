@@ -152,6 +152,18 @@ class TestGenerateDetectSweep:
         assert cli.main(["detect", "--config", cfg, "--out", str(outb)]) == 0
         assert (outa / "results.csv").read_bytes() == (outb / "results.csv").read_bytes()
 
+    def test_detect_rejects_truncated_data(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        gen = tmp_path / "gen"
+        assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+        csv = gen / "datasets" / "good_high" / "health.csv"
+        lines = csv.read_text().splitlines()
+        csv.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+        out = tmp_path / "det"
+        assert cli.main(["detect", "--config", cfg, "--out", str(out), "--data", str(gen)]) == 2
+        assert "rows" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_detect_results_contract(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
@@ -205,3 +217,7 @@ def test_module_entrypoint_smoke():
 
 def test_parse_snr_range_inclusive():
     assert cli.parse_snr_range("-20:0:1") == pytest.approx(list(range(-20, 1)))
+
+
+def test_parse_snr_range_stops_at_hi():
+    assert cli.parse_snr_range("-20:0:3") == pytest.approx([-20, -17, -14, -11, -8, -5, -2])

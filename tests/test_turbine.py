@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framesense import turbine
 from framesense.scenario import (
@@ -16,15 +20,13 @@ from framesense.turbine import (
     SimConfig,
     dataset_scenario,
     default_fleet,
-    dft_block,
-    engine_signal,
     fleet_line_bins,
     generate_dataset,
     health_project,
     iter_samples,
     line_phases,
+    line_spectrum,
     load_dataset,
-    mix_and_sense,
     mixing_matrix,
     normal_fleet_state,
     save_dataset,
@@ -64,53 +66,83 @@ class TestFleetGeometry:
         with pytest.raises(ValueError, match="Nyquist"):
             fleet_line_bins((bad,) + FLEET[1:], CFG)
 
+    def test_line_at_or_below_zero_hz_rejected(self):
+        # The closed-form spectrum holds for interior bins only; bin 0 is DC.
+        for shafts in ((0.0, 112.0), (-40.0, 112.0)):
+            bad = EngineModel(engine_id=1, turbine_shaft_freqs=shafts)
+            with pytest.raises(ValueError, match="above 0 Hz"):
+                fleet_line_bins((bad,) + FLEET[1:], CFG)
+
+
+def time_domain_spectrum(fleet, states, mixing, cfg, block=0, noise=None):
+    """Reference: DFT of the sensor blocks synthesised sample by sample.
+
+    Each engine radiates ``a sin(2 pi f t / fs + phi)`` per line, sampled over
+    block ``block`` (samples ``block*N .. block*N + N - 1``); sensors mix the
+    engines, add ``noise`` when given, and failed sensors read zero.
+    """
+    t = block * cfg.dft_size + np.arange(cfg.dft_size)
+    engines = np.stack(
+        [
+            sum(
+                a * np.sin(2 * np.pi * f * t / cfg.sample_rate + phi)
+                for f, a, phi in zip(
+                    model.line_frequencies(),
+                    state.amplitudes(model),
+                    line_phases(cfg.rng_seed, model.engine_id),
+                )
+            )
+            for model, state in zip(fleet, states)
+        ]
+    )
+    sensors = mixing @ engines
+    if noise is not None:
+        sensors = sensors + noise
+    sensors[sorted(cfg.failed_sensors)] = 0.0
+    return np.fft.fft(sensors, axis=-1)
+
 
 class TestEngineSignal:
+    """Each engine's line signal, seen through its closed-form spectrum."""
+
     def test_normal_block_peaks_at_line_bins(self):
         model = FLEET[0]
-        block = engine_signal(model, FaultState.normal(), 0, CFG)
-        spectrum = np.abs(dft_block(block, CFG.dft_size))
+        rec = next(iter_samples(FLEET, np.eye(4), CFG, [("normal", normal_fleet_state())]))
+        spectrum = rec.spectra[0]
         own_bins = BINS[:7]
         expected = np.array(model.line_amplitudes) * CFG.dft_size / 2
-        assert np.allclose(spectrum[own_bins], expected, rtol=1e-9, atol=1e-6)
+        assert np.allclose(spectrum[own_bins], expected, rtol=1e-12)
         rest = np.delete(spectrum[: CFG.dft_size // 2], own_bins)
-        assert np.max(rest) < 1e-6
+        assert np.all(rest == 0.0)
 
     def test_failure_is_silent(self):
-        assert np.array_equal(
-            engine_signal(FLEET[0], FaultState.failure(), 0, CFG),
-            np.zeros(CFG.dft_size),
-        )
+        states = (FaultState.failure(),) + normal_fleet_state()[1:]
+        values = line_spectrum(FLEET, states, mixing_matrix(0.1), CFG)
+        assert np.all(values[:, :7] == 0.0)
+        assert np.all(np.abs(values[:, 7:]) > 0.0)
 
     def test_gear_fault_scales_one_line(self):
-        model = FLEET[0]
-        normal = np.abs(
-            dft_block(engine_signal(model, FaultState.normal(), 0, CFG))
-        )[BINS[:7]]
-        faulty = np.abs(
-            dft_block(engine_signal(model, FaultState.gear_fault(2, 3.0), 0, CFG))
-        )[BINS[:7]]
-        ratio = faulty / normal
-        assert ratio[5] == pytest.approx(3.0, rel=1e-9)  # gear 2 is line index 5
-        assert np.allclose(np.delete(ratio, 5), 1.0, rtol=1e-9)
+        normal = np.abs(line_spectrum(FLEET, normal_fleet_state(), np.eye(4), CFG))
+        states = (FaultState.gear_fault(2, 3.0),) + normal_fleet_state()[1:]
+        faulty = np.abs(line_spectrum(FLEET, states, np.eye(4), CFG))
+        ratio = faulty[0, :7] / normal[0, :7]
+        assert ratio[5] == pytest.approx(3.0, rel=1e-12)  # gear 2 is line index 5
+        assert np.allclose(np.delete(ratio, 5), 1.0, rtol=1e-12)
 
     def test_nyquist_guard(self):
         model = EngineModel(engine_id=1, blade_counts=(20, 500))
         with pytest.raises(ValueError, match="Nyquist"):
-            engine_signal(model, FaultState.normal(), 0, CFG)
+            line_spectrum((model,) + FLEET[1:], normal_fleet_state(), np.eye(4), CFG)
 
     def test_running_phase_is_continuous(self):
-        model = FLEET[1]
-        full_cfg = SimConfig(dft_size=2048, sample_rate=CFG.sample_rate)
-        a = engine_signal(model, FaultState.normal(), 0, full_cfg)
-        b = engine_signal(model, FaultState.normal(), 2048, full_cfg)
-        joined = engine_signal(
-            model,
-            FaultState.normal(),
-            0,
-            SimConfig(dft_size=4096, sample_rate=CFG.sample_rate),
-        )
-        assert np.allclose(np.concatenate([a, b]), joined, atol=1e-9)
+        # Block starts are whole multiples of N and every line is on-bin, so
+        # the running waveform gives every block the same spectrum.
+        mixing = mixing_matrix(0.1)
+        states = normal_fleet_state()
+        closed = line_spectrum(FLEET, states, mixing, CFG)
+        for block in (0, 1, 7):
+            reference = time_domain_spectrum(FLEET, states, mixing, CFG, block)
+            assert np.allclose(closed, reference[:, BINS], rtol=0, atol=1e-8 * CFG.dft_size)
 
     def test_phases_fixed_by_seed(self):
         assert np.array_equal(line_phases(7, 1), line_phases(7, 1))
@@ -133,50 +165,38 @@ class TestFaultState:
 
 class TestMixing:
     def test_identity_mixing_isolates_engines(self):
-        blocks = np.stack(
-            [engine_signal(m, FaultState.normal(), 0, CFG) for m in FLEET]
-        )
-        rng = np.random.default_rng(0)
-        sensors = mix_and_sense(blocks, np.eye(4), CFG, 0.0, rng)
-        healths = health_project(np.abs(dft_block(sensors)), BINS)
+        healths = np.abs(line_spectrum(FLEET, normal_fleet_state(), np.eye(4), CFG))
         for j in range(4):
             own = slice(7 * j, 7 * (j + 1))
             assert np.all(healths[j, own] > 1.0)
             others = np.delete(healths[j], range(7 * j, 7 * (j + 1)))
-            assert np.max(others) < 1e-6
+            assert np.all(others == 0.0)
 
     def test_cross_volume_ratio(self):
-        blocks = np.stack(
-            [engine_signal(m, FaultState.normal(), 0, CFG) for m in FLEET]
-        )
-        rng = np.random.default_rng(0)
-        sensors = mix_and_sense(blocks, mixing_matrix(0.1), CFG, 0.0, rng)
-        healths = health_project(np.abs(dft_block(sensors)), BINS)
+        healths = np.abs(line_spectrum(FLEET, normal_fleet_state(), mixing_matrix(0.1), CFG))
         # engine 2's lines at sensor 0 sit at amplitude ratio 0.1 (10 dB down)
-        assert np.allclose(healths[0, 7:14] / healths[1, 7:14], 0.1, rtol=1e-9)
+        assert np.allclose(healths[0, 7:14] / healths[1, 7:14], 0.1, rtol=1e-12)
 
     def test_energy_scales_with_square_of_volume(self):
-        blocks = np.zeros((4, CFG.dft_size))
-        blocks[1] = engine_signal(FLEET[1], FaultState.normal(), 0, CFG)
-        rng = np.random.default_rng(0)
+        dead = FaultState.failure()
+        states = (dead, FaultState.normal(), dead, dead)
         for vol in (0.1, 0.5):
             a = np.eye(4)
             a[0, 1] = vol
-            sensors = mix_and_sense(blocks, a, CFG, 0.0, rng)
-            healths = health_project(np.abs(dft_block(sensors)), BINS)
-            ref = health_project(np.abs(dft_block(blocks[1])), BINS)
+            healths = np.abs(line_spectrum(FLEET, states, a, CFG))
             assert np.sum(healths[0] ** 2) == pytest.approx(
-                vol**2 * np.sum(ref**2), rel=1e-9
+                vol**2 * np.sum(healths[1] ** 2), rel=1e-12
             )
 
     def test_failed_sensor_emits_zero(self):
-        cfg = SimConfig(failed_sensors={1}, noise_sigma=3.0)
-        blocks = np.ones((4, cfg.dft_size))
-        sensors = mix_and_sense(
-            blocks, mixing_matrix(0.1), cfg, 3.0, np.random.default_rng(0)
-        )
-        assert np.array_equal(sensors[1], np.zeros(cfg.dft_size))
-        assert np.any(sensors[0] != 0)
+        cfg = SimConfig(failed_sensors={1}, noise_sigma=3.0, samples_per_state=1)
+        normal = [("normal", normal_fleet_state())]
+        rec = next(iter_samples(FLEET, mixing_matrix(0.1), cfg, normal))
+        assert np.all(rec.half_spectrum[1] == 0.0)
+        assert np.all(rec.healths[1] == 0.0)
+        assert np.all(rec.spectra[1] == 0.0)
+        assert np.all(rec.half_spectrum[0] != 0)
+        assert np.all(line_spectrum(FLEET, normal_fleet_state(), mixing_matrix(0.1), cfg)[1] == 0)
 
     def test_mixing_validation(self):
         with pytest.raises(ValueError):
@@ -186,33 +206,105 @@ class TestMixing:
         with pytest.raises(ValueError):
             turbine.validate_mixing(bad)
 
+    def test_non_finite_mixing_rejected(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                mixing_matrix(value)
+
 
 class TestDft:
-    def test_impulse_gives_flat_spectrum(self):
-        block = np.zeros(CFG.dft_size)
-        block[0] = 1.0
-        assert np.allclose(dft_block(block), np.ones(CFG.dft_size))
-
     def test_on_bin_cosine_magnitude(self):
-        t = np.arange(CFG.dft_size)
-        a, b = 0.7, 12
-        block = a * np.cos(2 * np.pi * b * t / CFG.dft_size)
-        spectrum = np.abs(dft_block(block))
-        assert spectrum[b] == pytest.approx(a * CFG.dft_size / 2, rel=1e-9)
-        assert spectrum[CFG.dft_size - b] == pytest.approx(a * CFG.dft_size / 2, rel=1e-9)
+        # One live line: engine 1's strongest, heard by sensor 0 alone.
+        model = EngineModel(engine_id=1, line_amplitudes=(0.7, 0, 0, 0, 0, 0, 0))
+        dead = FaultState.failure()
+        states = (FaultState.normal(), dead, dead, dead)
+        rec = next(iter_samples((model,) + FLEET[1:], np.eye(4), CFG, [("one", states)]))
+        spectrum = rec.spectra[0]
+        b = BINS[0]
+        assert spectrum.shape == (CFG.dft_size,)
+        assert spectrum[b] == pytest.approx(0.7 * CFG.dft_size / 2, rel=1e-12)
+        assert spectrum[CFG.dft_size - b] == spectrum[b]
         mask = np.ones(CFG.dft_size, bool)
         mask[[b, CFG.dft_size - b]] = False
-        assert np.max(spectrum[mask]) < 1e-6
+        assert np.all(spectrum[mask] == 0.0)
 
-    def test_roundtrip(self):
-        rng = np.random.default_rng(5)
-        block = rng.standard_normal(CFG.dft_size)
-        back = np.fft.ifft(dft_block(block)).real
-        assert np.allclose(back, block, rtol=1e-9, atol=1e-12)
 
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            dft_block(np.zeros(100))
+# Property test set-up: 4 Hz bins at N = 2048; random fleets keep every line
+# on a whole bin (shafts on multiples of 4 bins, gear ratios in quarters).
+PROP_CFG = SimConfig(dft_size=2048, sample_rate=4.0 * 2048)
+
+
+def random_on_bin_fleet(seed: int) -> tuple:
+    rng = np.random.default_rng(seed)
+    while True:
+        fleet = tuple(
+            EngineModel(
+                engine_id=e,
+                turbine_shaft_freqs=tuple(16.0 * rng.integers(1, 24, 2)),
+                blade_counts=tuple(int(b) for b in rng.integers(2, 10, 2)),
+                gear_ratios=tuple(rng.integers(5, 40, 3) / 4.0),
+                line_amplitudes=tuple(rng.uniform(0.1, 2.0, 7)),
+            )
+            for e in range(1, 5)
+        )
+        try:
+            fleet_line_bins(fleet, PROP_CFG)
+        except ValueError:  # two lines share a bin: draw again
+            continue
+        return fleet
+
+
+fault_states = st.one_of(
+    st.just(FaultState.normal()),
+    st.just(FaultState.failure()),
+    st.builds(
+        FaultState.gear_fault,
+        st.integers(1, 3),
+        st.floats(0.0, 20.0, allow_nan=False),
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fleet_seed=st.integers(0, 2**32 - 1),
+    rng_seed=st.integers(0, 2**32 - 1),
+    off_diagonal=st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12),
+    states=st.tuples(fault_states, fault_states, fault_states, fault_states),
+    failed=st.frozensets(st.integers(0, 3), max_size=3),
+    block=st.integers(0, 40),
+    sigma=st.sampled_from([0.0, 0.8]),
+)
+def test_closed_form_matches_time_domain(
+    fleet_seed, rng_seed, off_diagonal, states, failed, block, sigma
+):
+    """The sample spectra equal the DFT of the synthesised sensor blocks."""
+    fleet = random_on_bin_fleet(fleet_seed)
+    mixing = np.eye(4)
+    mixing[~np.eye(4, dtype=bool)] = off_diagonal
+    cfg = replace(
+        PROP_CFG,
+        rng_seed=rng_seed,
+        failed_sensors=failed,
+        noise_sigma=sigma,
+        samples_per_state=block + 1,
+    )
+    *_, rec = iter_samples(fleet, mixing, cfg, [("c", states)])
+    assert rec.sample == block
+    noise = None
+    if sigma > 0:
+        noise = sigma * turbine._sample_rng(rng_seed, 0, block).standard_normal((4, cfg.dft_size))
+    reference = time_domain_spectrum(fleet, states, mixing, cfg, block, noise)
+    tol = 1e-8 * cfg.dft_size
+    half = cfg.dft_size // 2 + 1
+    bins = fleet_line_bins(fleet, cfg)
+    assert np.allclose(rec.half_spectrum, reference[:, :half], rtol=0, atol=tol)
+    assert np.allclose(rec.spectra, np.abs(reference), rtol=0, atol=tol)
+    assert np.array_equal(rec.healths, np.abs(rec.half_spectrum[:, bins]))
+    assert np.all(rec.half_spectrum[sorted(failed)] == 0.0)
+    if sigma == 0:
+        off_bins = np.delete(rec.half_spectrum, bins, axis=-1)
+        assert np.all(off_bins == 0.0)
 
 
 class TestHealthProject:
@@ -265,6 +357,28 @@ class TestGeneration:
         assert np.array_equal(back.healths, ds.healths)
         assert back.condition_names == ds.condition_names
         assert back.cfg == ds.cfg
+
+    def test_zero_samples_per_state_rejected(self):
+        for bad in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="samples_per_state"):
+                SimConfig(samples_per_state=bad)
+
+    def test_incomplete_health_csv_rejected(self, tmp_path):
+        ds = generate_dataset(FLEET, mixing_matrix(0.1), CFG, turbine.engine1_conditions())
+        path = save_dataset(ds, tmp_path / "d")
+        csv = path / "health.csv"
+        lines = csv.read_text().splitlines()
+        cases = {
+            "rows": lines[: len(lines) // 2],  # truncated
+            "repeated": lines[:-1] + [lines[1]],
+            "non-finite": lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",nan"],
+            "columns": lines[:-1] + [lines[-1][:8]],  # cut mid-row
+            "out-of-range": lines[:-1] + ["normal,99," + lines[-1].split(",", 2)[2]],
+        }
+        for match, body in cases.items():
+            csv.write_text("\n".join(body) + "\n")
+            with pytest.raises(ValueError, match=match):
+                load_dataset(path)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         cfg = SimConfig(samples_per_state=2, snr_db=5.0)
