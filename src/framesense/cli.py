@@ -65,14 +65,47 @@ CONFIG_DEFAULTS = {
 }
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; ``abs(value) < inf`` also holds for any int."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) < math.inf
+    )
+
+
+def _has_default_type(value, default) -> bool:
+    """Whether a config value has the JSON type of its default."""
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(default, float):
+        return _is_number(value)
+    # noise_levels: a nonempty mapping of level names to SNRs in dB
+    return (
+        isinstance(value, dict)
+        and bool(value)
+        and all(_is_number(v) for v in value.values())
+    )
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
     cfg = dict(CONFIG_DEFAULTS)
     if path is not None:
         with open(path) as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ValueError("config must be a JSON object")
         unknown = set(user) - set(CONFIG_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in user.items():
+            if not _has_default_type(value, CONFIG_DEFAULTS[key]):
+                raise ValueError(
+                    f"config key {key!r}: {value!r} does not have the type of "
+                    f"its default {CONFIG_DEFAULTS[key]!r}"
+                )
         cfg.update(user)
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -195,14 +228,36 @@ def _sim_config(cfg: dict) -> turbine.SimConfig:
     )
 
 
-def _dataset_dir(out: Path, sensor_condition: str, noise_level: str) -> Path:
-    return out / "datasets" / f"{sensor_condition}_{noise_level}"
+def _dataset_dir(out: Path, *name: str) -> Path:
+    """``out/datasets/calibration`` or ``out/datasets/<sensor_condition>_<noise_level>``."""
+    return out / "datasets" / "_".join(name)
 
 
-def _grid_keys(cfg: dict):
-    for sensor_condition in ("good", "s1_failed"):
-        for noise_level in cfg["noise_levels"]:
-            yield sensor_condition, noise_level
+def _dataset(data_root, key, fleet, mixing, run_cfg, conditions) -> turbine.Dataset:
+    """The dataset ``generate`` writes for ``key`` under this run config.
+
+    With ``data_root`` set, it is read from that ``generate`` output when
+    there, and its config, mixing matrix, conditions and fleet must equal
+    what ``generate`` would have used; otherwise it is generated here.
+    """
+    if data_root is not None:
+        path = _dataset_dir(data_root, *key)
+        if path.exists():
+            ds = turbine.load_dataset(path)
+            found = {**vars(ds.cfg), "mixing": ds.mixing.tolist(),
+                     "conditions": ds.conditions, "fleet": ds.fleet}
+            expected = {**vars(run_cfg), "mixing": mixing.tolist(),
+                        "conditions": tuple(conditions), "fleet": tuple(fleet)}
+            for name, value in expected.items():
+                if found[name] != value:
+                    detail = (
+                        f"is {found[name]!r} but the run config gives {value!r}"
+                        if name in vars(run_cfg) else "does not match the run config"
+                    )
+                    raise ValueError(f"{path}: manifest {name} {detail}")
+            return ds
+        print(f"{path} not found: generating it from the run config")
+    return turbine.generate_dataset(fleet, mixing, run_cfg, conditions)
 
 
 def cmd_generate(args) -> int:
@@ -214,16 +269,10 @@ def cmd_generate(args) -> int:
     sim = _sim_config(cfg)
     conditions = turbine.engine1_conditions(cfg["fault_gear"], cfg["fault_multiplier"])
     calib = detector.calibration_dataset(fleet, mixing, sim)
-    turbine.save_dataset(calib, out / "datasets" / "calibration")
+    turbine.save_dataset(calib, _dataset_dir(out, "calibration"))
     total = 0
-    for sensor_condition, noise_level in _grid_keys(cfg):
-        failed = frozenset() if sensor_condition == "good" else frozenset({0})
-        run_cfg = replace(
-            sim,
-            snr_db=cfg["noise_levels"][noise_level],
-            failed_sensors=failed,
-        )
-        path = _dataset_dir(out, sensor_condition, noise_level)
+    for key, run_cfg in detector.grid_cells(sim, cfg["noise_levels"]):
+        path = _dataset_dir(out, *key)
         ds = turbine.generate_dataset(
             fleet,
             mixing,
@@ -241,39 +290,26 @@ def cmd_generate(args) -> int:
 def cmd_detect(args) -> int:
     cfg = load_config(args.config, {"rng_seed": args.seed})
     out = Path(args.out)
-    echo_config(cfg, out)
     fleet, th = _fleet_and_thresholds(cfg)
     mixing = turbine.mixing_matrix(cfg["mixing_off_diagonal"])
     sim = _sim_config(cfg)
+    conditions = turbine.engine1_conditions(cfg["fault_gear"], cfg["fault_multiplier"])
     data_root = Path(args.data) if args.data else None
-    datasets = {}
-    calib = None
-    if data_root is not None:
-        calib_path = data_root / "datasets" / "calibration"
-        if calib_path.exists():
-            calib = turbine.load_dataset(calib_path)
-        for key in _grid_keys(cfg):
-            path = _dataset_dir(data_root, *key)
-            if path.exists():
-                datasets[key] = turbine.load_dataset(path)
-    if calib is None:
-        calib = detector.calibration_dataset(fleet, mixing, sim)
-    missing = [key for key in _grid_keys(cfg) if key not in datasets]
-    if missing:
-        grid = detector.condition_grid_datasets(
-            fleet,
-            mixing,
-            sim,
-            fault_gear=cfg["fault_gear"],
-            fault_multiplier=cfg["fault_multiplier"],
-            noise_levels=cfg["noise_levels"],
-        )
-        for key in missing:
-            datasets[key] = grid[key]
+    if data_root is not None and not data_root.is_dir():
+        raise ValueError(f"--data {data_root}: no such directory")
+    calib = _dataset(
+        data_root, ("calibration",), fleet, mixing,
+        detector.calibration_config(sim), detector.NORMAL_ONLY,
+    )
+    datasets = {
+        key: _dataset(data_root, key, fleet, mixing, run_cfg, conditions)
+        for key, run_cfg in detector.grid_cells(sim, cfg["noise_levels"])
+    }
     baselines = {kind: detector.calibrate(calib, kind) for kind in detector.PIPELINES}
     report = detector.run_conditions(
         datasets, baselines, th, metadata={"config": cfg}
     )
+    echo_config(cfg, out)
     detector.write_results(report, out)
     for st in report.stats:
         print(
@@ -386,6 +422,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_normalize_argv(list(argv)))
     try:
         return args.func(args)
+    except detector.CalibrationError as err:
+        print(f"calibration error: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
     except json.JSONDecodeError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -24,6 +24,12 @@ from .scenario import HealthMap, IndexAssignment
 from .turbine import SENSORS, Dataset, SimConfig
 
 PIPELINES = ("basis", "frame")
+VERDICTS = ("normal", "fault", "failure")
+
+# Sensor condition of a grid cell -> the sensors that read exactly zero.
+SENSOR_CONDITIONS = {"good": frozenset(), "s1_failed": frozenset({0})}
+
+NORMAL_ONLY = (("normal", turbine.normal_fleet_state()),)
 
 # Noise levels of the fixed-condition runs, on the sweep's SNR scale.  Low
 # noise keeps every detection contract comfortably clean; high noise leaves
@@ -65,7 +71,7 @@ def _health_assignment(n_coords: int) -> IndexAssignment:
 
 
 def map_healths(healths: np.ndarray, kind: str) -> np.ndarray:
-    """Fuse per-sensor health images (SENSORS, n) into one detector input."""
+    """Fuse per-sensor health images ``(..., SENSORS, n)`` into detector inputs ``(..., n)``."""
     healths = np.asarray(healths)
     n = healths.shape[-1]
     identity = HealthMap.identity(n)
@@ -84,10 +90,7 @@ def calibrate(dataset: Dataset, kind: str) -> Baseline:
         c = dataset.condition_names.index("normal")
     except ValueError:
         raise CalibrationError("calibration requires a normal-state condition")
-    mapped = np.stack(
-        [map_healths(h, kind) for h in dataset.healths[c]]
-    )
-    mu = mapped.mean(axis=0)
+    mu = map_healths(dataset.healths[c], kind).mean(axis=0)
     dead = np.nonzero(mu <= 0)[0]
     if dead.size:
         raise CalibrationError(
@@ -97,23 +100,16 @@ def calibrate(dataset: Dataset, kind: str) -> Baseline:
     return Baseline(kind=kind, mu=mu)
 
 
-def detect(mapped, baseline: Baseline, th: DetectorThresholds) -> tuple:
-    """Per-engine verdicts for one mapped health vector."""
+def detect(mapped, baseline: Baseline, th: DetectorThresholds) -> np.ndarray:
+    """Per-engine verdicts ``(..., SENSORS)`` for mapped health vectors ``(..., n)``."""
     mapped = np.asarray(mapped, dtype=float)
-    if mapped.shape != baseline.mu.shape:
+    if mapped.shape[-1:] != baseline.mu.shape:
         raise ValueError("health vector and baseline dimensions differ")
-    per = mapped.shape[0] // SENSORS
-    verdicts = []
-    for h in range(SENSORS):
-        block = mapped[h * per : (h + 1) * per]
-        mu = baseline.mu[h * per : (h + 1) * per]
-        if np.all(block < th.dead_lo * mu):
-            verdicts.append("failure")
-        elif np.any(block > th.fault_hi * mu):
-            verdicts.append("fault")
-        else:
-            verdicts.append("normal")
-    return tuple(verdicts)
+    blocks = mapped.reshape(mapped.shape[:-1] + (SENSORS, -1))
+    mu = baseline.mu.reshape(SENSORS, -1)
+    failure = np.all(blocks < th.dead_lo * mu, axis=-1)
+    fault = np.any(blocks > th.fault_hi * mu, axis=-1)
+    return np.where(failure, "failure", np.where(fault, "fault", "normal"))
 
 
 @dataclass
@@ -155,15 +151,9 @@ def score_condition(
     truth = {"normal": "normal", "gear_fault": "fault", "failure": "failure"}[truth]
     out = []
     for kind in PIPELINES:
-        counts = {"normal": 0, "fault": 0, "failure": 0}
-        correct = combined = 0
-        for healths in dataset.healths[c]:
-            verdict = detect(map_healths(healths, kind), baselines[kind], th)[0]
-            counts[verdict] += 1
-            if verdict == truth:
-                correct += 1
-            if verdict == truth or (truth == "failure" and verdict == "fault"):
-                combined += 1
+        verdicts = detect(map_healths(dataset.healths[c], kind), baselines[kind], th)[:, 0]
+        counts = {v: int(np.count_nonzero(verdicts == v)) for v in VERDICTS}
+        combined = counts[truth] + (counts["fault"] if truth == "failure" else 0)
         out.append(
             ConditionStats(
                 engine_state=condition_name,
@@ -171,7 +161,7 @@ def score_condition(
                 noise_level=noise_level,
                 pipeline=kind,
                 samples=dataset.healths.shape[1],
-                correct=correct,
+                correct=counts[truth],
                 combined_correct=combined,
                 verdict_counts=counts,
             )
@@ -181,22 +171,25 @@ def score_condition(
 
 @dataclass
 class DetectionReport:
+    """Statistics of a grid run, in the grid's (sensor, noise level) order."""
+
     stats: list
     thresholds: DetectorThresholds
     metadata: dict
 
+    def __post_init__(self):
+        self._by_key = {
+            (st.engine_state, st.sensor_condition, st.noise_level, st.pipeline): st
+            for st in self.stats
+        }
+
     def lookup(self, engine_state, sensor_condition, noise_level, pipeline) -> ConditionStats:
-        for st in self.stats:
-            if (
-                st.engine_state == engine_state
-                and st.sensor_condition == sensor_condition
-                and st.noise_level == noise_level
-                and st.pipeline == pipeline
-            ):
-                return st
-        raise KeyError((engine_state, sensor_condition, noise_level, pipeline))
+        return self._by_key[(engine_state, sensor_condition, noise_level, pipeline)]
 
     def to_json_dict(self) -> dict:
+        # results.json lists the cells sorted by (sensor condition, noise level)
+        # name; the sort is stable, so states and pipelines keep their order.
+        stats = sorted(self.stats, key=lambda st: (st.sensor_condition, st.noise_level))
         return {
             "thresholds": {
                 "fault_hi": self.thresholds.fault_hi,
@@ -215,48 +208,46 @@ class DetectionReport:
                     "pct_false_alarm": st.pct_false_alarm,
                     "verdict_counts": st.verdict_counts,
                 }
-                for st in self.stats
+                for st in stats
             ],
         }
 
 
-def condition_grid_datasets(
-    fleet,
-    mixing,
-    cfg: SimConfig,
-    fault_gear: int = 1,
-    fault_multiplier: float = 12.0,
-    noise_levels: dict | None = None,
-):
-    """Generate the full grid: engine states x sensor conditions x noise levels."""
-    noise_levels = noise_levels or {
-        "low": LOW_NOISE_SNR_DB,
-        "high": HIGH_NOISE_SNR_DB,
-    }
-    conditions = turbine.engine1_conditions(fault_gear, fault_multiplier)
-    datasets = {}
-    for sensor_condition, failed in (("good", frozenset()), ("s1_failed", frozenset({0}))):
+def grid_cells(cfg: SimConfig, noise_levels: dict):
+    """Yield ``((sensor_condition, noise_level), run_cfg)`` for every grid cell.
+
+    Sensor conditions come from ``SENSOR_CONDITIONS``; ``noise_levels`` maps
+    each level's name to its SNR in dB.  Cells follow that order.
+    """
+    for sensor_condition, failed in SENSOR_CONDITIONS.items():
         for noise_level, snr_db in noise_levels.items():
-            run_cfg = replace(
-                cfg, snr_db=snr_db, noise_sigma=0.0, failed_sensors=failed
-            )
-            datasets[(sensor_condition, noise_level)] = turbine.generate_dataset(
-                fleet, mixing, run_cfg, conditions
-            )
-    return datasets
+            run_cfg = replace(cfg, snr_db=snr_db, noise_sigma=0.0, failed_sensors=failed)
+            yield (sensor_condition, noise_level), run_cfg
 
 
-def calibration_dataset(fleet, mixing, cfg: SimConfig, samples: int = 4) -> Dataset:
-    calib_cfg = replace(
+def condition_grid_datasets(fleet, mixing, cfg: SimConfig) -> dict:
+    """Generate the full grid: engine states x sensor conditions x noise levels."""
+    noise_levels = {"low": LOW_NOISE_SNR_DB, "high": HIGH_NOISE_SNR_DB}
+    conditions = turbine.engine1_conditions()
+    return {
+        key: turbine.generate_dataset(fleet, mixing, run_cfg, conditions)
+        for key, run_cfg in grid_cells(cfg, noise_levels)
+    }
+
+
+def calibration_config(cfg: SimConfig) -> SimConfig:
+    """The zero-noise, all-sensors-good run that calibrates both pipelines."""
+    return replace(
         cfg,
         snr_db=None,
         noise_sigma=0.0,
         failed_sensors=frozenset(),
-        samples_per_state=samples,
+        samples_per_state=4,
     )
-    return turbine.generate_dataset(
-        fleet, mixing, calib_cfg, (("normal", turbine.normal_fleet_state()),)
-    )
+
+
+def calibration_dataset(fleet, mixing, cfg: SimConfig) -> Dataset:
+    return turbine.generate_dataset(fleet, mixing, calibration_config(cfg), NORMAL_ONLY)
 
 
 def run_conditions(
@@ -264,7 +255,7 @@ def run_conditions(
 ) -> DetectionReport:
     """Score every engine state in every (sensor, noise) dataset of the grid."""
     stats = []
-    for (sensor_condition, noise_level), dataset in sorted(datasets.items()):
+    for (sensor_condition, noise_level), dataset in datasets.items():
         for name in dataset.condition_names:
             stats.extend(
                 score_condition(dataset, name, baselines, th, sensor_condition, noise_level)
@@ -273,40 +264,31 @@ def run_conditions(
 
 
 def write_results(report: DetectionReport, out_dir) -> Path:
-    """Write results.json plus the condition-table results.csv."""
+    """Write results.json plus the condition-table results.csv.
+
+    results.csv has one ``basis_<level>,frame_<level>`` column pair per noise
+    level, in the report's order, and one row per engine state and sensor
+    condition, plus a combined fault-or-failure row for the failure state.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "results.json", "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    rows = ["condition,basis_low,frame_low,basis_high,frame_high"]
-    engine_states = []
-    for st in report.stats:
-        if st.engine_state not in engine_states:
-            engine_states.append(st.engine_state)
-    for engine_state in engine_states:
-        for sensor_condition in ("good", "s1_failed"):
-            cells = []
-            for noise_level in ("low", "high"):
-                for pipeline in PIPELINES:
-                    st = report.lookup(engine_state, sensor_condition, noise_level, pipeline)
-                    cells.append(st.pct_correct)
-            # column order: basis_low, frame_low, basis_high, frame_high
+    levels = list(dict.fromkeys(st.noise_level for st in report.stats))
+    columns = [(level, pipeline) for level in levels for pipeline in PIPELINES]
+    rows = ["condition," + ",".join(f"{p}_{level}" for level, p in columns)]
+    for engine_state in dict.fromkeys(st.engine_state for st in report.stats):
+        for sensor_condition in SENSOR_CONDITIONS:
+            cells = [report.lookup(engine_state, sensor_condition, *col) for col in columns]
             rows.append(
                 f"{engine_state}_{sensor_condition},"
-                f"{cells[0]:.2f},{cells[1]:.2f},{cells[2]:.2f},{cells[3]:.2f}"
+                + ",".join(f"{st.pct_correct:.2f}" for st in cells)
             )
             if engine_state == "failure":
-                combos = []
-                for noise_level in ("low", "high"):
-                    for pipeline in PIPELINES:
-                        st = report.lookup(
-                            engine_state, sensor_condition, noise_level, pipeline
-                        )
-                        combos.append(st.pct_combined)
                 rows.append(
                     f"{engine_state}_{sensor_condition}_combined,"
-                    f"{combos[0]:.2f},{combos[1]:.2f},{combos[2]:.2f},{combos[3]:.2f}"
+                    + ",".join(f"{st.pct_combined:.2f}" for st in cells)
                 )
     (out / "results.csv").write_text("\n".join(rows) + "\n")
     return out
@@ -321,47 +303,31 @@ class SweepPoint:
     p_false_alarm: float
 
 
-def snr_sweep(
-    fleet,
-    mixing,
-    cfg: SimConfig,
-    snr_grid,
-    th: DetectorThresholds,
-    sensor_conditions=("good", "s1_failed"),
-) -> list:
+def snr_sweep(fleet, mixing, cfg: SimConfig, snr_grid, th: DetectorThresholds) -> list:
     """Detection and false-alarm rates on normal-state data across an SNR grid.
 
     Every non-normal verdict on normal data is a false alarm, so
     p_false_alarm = 1 - p_detect pointwise.
     """
-    snr_grid = list(snr_grid)
-    if not snr_grid:
+    levels = {f"{snr_db}dB": float(snr_db) for snr_db in snr_grid}
+    if not levels:
         raise ValueError("empty SNR grid")
     calib = calibration_dataset(fleet, mixing, cfg)
     baselines = {kind: calibrate(calib, kind) for kind in PIPELINES}
-    normal = (("normal", turbine.normal_fleet_state()),)
     points = []
-    for sensor_condition in sensor_conditions:
-        failed = frozenset() if sensor_condition == "good" else frozenset({0})
-        for snr_db in snr_grid:
-            run_cfg = replace(
-                cfg, snr_db=float(snr_db), noise_sigma=0.0, failed_sensors=failed
-            )
-            dataset = turbine.generate_dataset(fleet, mixing, run_cfg, normal)
-            stats = score_condition(
-                dataset, "normal", baselines, th, sensor_condition, f"{snr_db}dB"
-            )
-            for st in stats:
-                p = st.pct_correct / 100.0
-                points.append(
-                    SweepPoint(
-                        snr_db=float(snr_db),
-                        pipeline=st.pipeline,
-                        sensor_condition=sensor_condition,
-                        p_detect=p,
-                        p_false_alarm=1.0 - p,
-                    )
+    for (sensor_condition, level), run_cfg in grid_cells(cfg, levels):
+        dataset = turbine.generate_dataset(fleet, mixing, run_cfg, NORMAL_ONLY)
+        for st in score_condition(dataset, "normal", baselines, th, sensor_condition, level):
+            p = st.pct_correct / 100.0
+            points.append(
+                SweepPoint(
+                    snr_db=run_cfg.snr_db,
+                    pipeline=st.pipeline,
+                    sensor_condition=sensor_condition,
+                    p_detect=p,
+                    p_false_alarm=1.0 - p,
                 )
+            )
     return points
 
 

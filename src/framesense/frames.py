@@ -188,16 +188,6 @@ def canonical_dual(frame: VectorSet, tol: float = DEFAULT_TOL) -> VectorSet:
     return VectorSet(dual, frame.labels)
 
 
-def parsevalize(frame: VectorSet, tol: float = DEFAULT_TOL) -> VectorSet:
-    """The Parseval frame ``{F^(-1/2) x_h}`` via the Hermitian square root."""
-    op = frame_operator(frame)
-    eigs, vecs = np.linalg.eigh(op)
-    if eigs[0] <= tol:
-        raise NotAFrameError("set does not span; frame operator is singular")
-    inv_sqrt = (vecs * (1.0 / np.sqrt(eigs))) @ vecs.conj().T
-    return VectorSet(frame.matrix @ inv_sqrt.T, frame.labels)
-
-
 def reconstruct(x, frame: VectorSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Recover x as ``sum_h <x, x_h> F^-1 x_h``; equals x for any frame."""
     coeffs = analysis(x, frame)
@@ -263,19 +253,6 @@ def mf_bound_certificate(
         lower_linear=m_z * y_bounds.lower,
         min_modulus=m_z,
         witness_k=witness_k,
-    )
-
-
-def mf_bound_certificate_reversed(
-    pair: MultiplicativeFactorPair, z_bounds: FrameBounds, tol: float = DEFAULT_TOL
-) -> MultiplicativeBoundCertificate:
-    """Same certificate with the roles of Y and Z swapped.
-
-    Requires Z to be a frame with bounds ``z_bounds`` and some y_j with
-    strictly positive coordinate moduli.
-    """
-    return mf_bound_certificate(
-        MultiplicativeFactorPair(pair.Z, pair.Y), z_bounds, tol
     )
 
 

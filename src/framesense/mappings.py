@@ -36,49 +36,28 @@ from .scenario import (
 
 
 def basis_map(blocks, health: HealthMap, assign: IndexAssignment) -> np.ndarray:
-    """Fuse stacked blocks by reading each coordinate from its owning sensor."""
+    """Fuse stacked ``(..., N, M)`` blocks by reading each coordinate from its owner.
+
+    Coordinate i of the ``(..., n)`` output is sensor ``owners()[i]``'s health
+    image at i; every other sensor's block is ignored.
+    """
     blocks = np.asarray(blocks, dtype=np.complex128)
     if assign.n != health.n:
         raise ValueError(
             f"assignment covers {assign.n} coordinates, health space has {health.n}"
         )
     images = health.apply(blocks)
-    out = np.zeros(health.n, dtype=np.complex128)
-    for j, owned in enumerate(assign.I):
-        for i in owned:
-            out[i] = images[j, i]
-    return out
+    return images[..., assign.owners(), np.arange(health.n)]
 
 
-def basis_image(reading, health: HealthMap, assign: IndexAssignment, j: int) -> np.ndarray:
-    """Single-sensor basis image: the health image masked to the owned set I_j."""
-    image = health.apply(np.asarray(reading, dtype=np.complex128))
-    out = np.zeros(health.n, dtype=np.complex128)
-    owned = list(assign.I[j])
-    out[owned] = image[owned]
-    return out
+def frame_map(blocks, health: HealthMap) -> np.ndarray:
+    """Fuse stacked ``(..., N, M)`` blocks by summing magnitude images over sensors.
 
-
-def frame_map(blocks, health: HealthMap, sensor_weights=None) -> np.ndarray:
-    """Fuse stacked blocks by summing magnitude images over all sensors.
-
-    ``sensor_weights`` optionally rescales each sensor's contribution before
-    the sum (e.g. SNR-derived weights); default is the plain magnitude sum.
     Output is complex-typed with zero imaginary part so every mapping output
     shares one vector type.
     """
     blocks = np.asarray(blocks, dtype=np.complex128)
-    mags = np.abs(health.apply(blocks))
-    if sensor_weights is not None:
-        mags = mags * np.asarray(sensor_weights, dtype=np.float64)[:, None]
-    return mags.sum(axis=0).astype(np.complex128)
-
-
-def magnitude_image(reading, health: HealthMap) -> np.ndarray:
-    """Single-sensor magnitude image |H(v)| as a complex vector."""
-    return np.abs(health.apply(np.asarray(reading, dtype=np.complex128))).astype(
-        np.complex128
-    )
+    return np.abs(health.apply(blocks)).sum(axis=-2).astype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -393,15 +372,14 @@ def verify_projective_frame(
 def verify_strong_dominance_frame(
     fac: Factorization,
     tol: float = DEFAULT_TOL,
-    sensor_weights=None,
 ) -> TheoremReport:
     """Under strong dominance the NK magnitude images form a multiplicative frame.
 
     Extracts the candidate basis (per coordinate: the loudest sensor paired
-    with the loudest time, optionally reweighted by ``sensor_weights``),
-    certifies its independence, and certifies that the full magnitude image
-    set spans.  Needs more sensors than health dimensions; when that fails
-    the span check still runs but no conclusion is asserted.
+    with the loudest time), certifies its independence, and certifies that
+    the full magnitude image set spans.  Needs more sensors than health
+    dimensions; when that fails the span check still runs but no conclusion
+    is asserted.
     """
     gamma, alpha = fac.gamma, fac.alpha
     n_sensors, n = gamma.shape
@@ -423,10 +401,7 @@ def verify_strong_dominance_frame(
     )
     diag = _span_diagnostics(w_set, tol)
     diag["cardinality"] = w_set.count
-    weighted = np.abs(gamma)
-    if sensor_weights is not None:
-        weighted = weighted * np.asarray(sensor_weights, dtype=np.float64)[:, None]
-    j_star = np.argmax(weighted, axis=0)
+    j_star = np.argmax(np.abs(gamma), axis=0)
     k_star = np.argmax(np.abs(alpha), axis=0)
     candidate = np.array(
         [gamma[j_star[i]] * alpha[k_star[i]] for i in range(n)]

@@ -13,7 +13,6 @@ are being emitted, heard, and shared between sensors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -52,14 +51,12 @@ class HealthMap:
     kind = "selection_matrix": rows are scaled rows of the identity, given as
     ``rows[i] = (f_i, scale_i)`` meaning output i reads ``scale_i * v[f_i]``.
     kind = "general_linear": an explicit n-by-M matrix.
-    kind = "opaque": a caller-supplied callable (must satisfy H(0) = 0).
     """
 
     n: int
     kind: str
     rows: tuple | None = None
     matrix: np.ndarray | None = None
-    func: Callable | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -76,9 +73,6 @@ class HealthMap:
             if m.shape[0] != self.n:
                 raise ValueError("matrix row count must equal health dimension")
             object.__setattr__(self, "matrix", m)
-        elif self.kind == "opaque":
-            if self.func is None:
-                raise ValueError("opaque map needs a callable")
         else:
             raise ValueError(f"unknown health map kind {self.kind!r}")
 
@@ -95,13 +89,6 @@ class HealthMap:
         matrix = np.asarray(matrix, dtype=np.complex128)
         return cls(n=matrix.shape[0], kind="general_linear", matrix=matrix)
 
-    @classmethod
-    def opaque(cls, n, func) -> "HealthMap":
-        zero_image = np.asarray(func(np.zeros(1024, dtype=np.complex128)))
-        if not np.allclose(zero_image, 0.0):
-            raise ValueError("health map must send 0 to 0")
-        return cls(n=n, kind="opaque", func=func)
-
     def apply(self, v) -> np.ndarray:
         """Image of one vector; also accepts stacked (..., M) arrays."""
         v = np.asarray(v, dtype=np.complex128)
@@ -109,14 +96,7 @@ class HealthMap:
             f_idx = np.array([f for f, _ in self.rows])
             scales = np.array([s for _, s in self.rows])
             return v[..., f_idx] * scales
-        if self.kind == "general_linear":
-            return v @ self.matrix.T
-        if v.ndim == 1:
-            return np.asarray(self.func(v), dtype=np.complex128)
-        out = np.empty(v.shape[:-1] + (self.n,), dtype=np.complex128)
-        for idx in np.ndindex(v.shape[:-1]):
-            out[idx] = self.func(v[idx])
-        return out
+        return v @ self.matrix.T
 
 
 @dataclass(frozen=True)
@@ -250,12 +230,6 @@ class IndexAssignment:
     @property
     def n_j(self) -> tuple:
         return tuple(len(s) for s in self.I)
-
-    def owner(self, i: int) -> int:
-        for j, owned in enumerate(self.I):
-            if i in owned:
-                return j
-        raise KeyError(f"coordinate {i} is unassigned")
 
     def owners(self) -> np.ndarray:
         out = np.full(self.n, -1, dtype=int)
@@ -400,7 +374,7 @@ def separate(s: Scenario, fac: Factorization, tol: float = DEFAULT_TOL) -> Facto
         scales = np.array([sc for _, sc in h.rows])
         gamma = fac.gamma_hat[:, f_idx] * scales
         alpha = fac.alpha_hat[:, f_idx]
-    elif h.kind == "general_linear":
+    else:
         if not volume_factors_constant(fac, tol):
             regauged = constant_volume_regauge(fac, tol)
             if regauged is None:
@@ -412,10 +386,6 @@ def separate(s: Scenario, fac: Factorization, tol: float = DEFAULT_TOL) -> Facto
         gamma = fac.gamma_hat @ h.matrix.T
         const = fac.alpha_hat.mean(axis=1)
         alpha = np.repeat(const[:, None], h.n, axis=1)
-    else:
-        raise NotSeparableError(
-            f"cannot construct health-space factors for kind {h.kind!r}"
-        )
     result = Factorization(
         gamma_hat=fac.gamma_hat, alpha_hat=fac.alpha_hat, gamma=gamma, alpha=alpha
     )
@@ -518,24 +488,6 @@ def sensor_status(
     return SensorStatus(status="operational")
 
 
-def free_space_snr(
-    signal_power: float,
-    noise_power: float,
-    signal_distance: float,
-    noise_distance: float,
-    reference_distance: float = 1.0,
-) -> float:
-    """SNR at a sensor under inverse-square propagation.
-
-    ``signal_power`` and ``noise_power`` are measured at ``reference_distance``;
-    received power falls off as (reference / distance)**2, so doubling a
-    distance costs a factor of 4.
-    """
-    received_signal = signal_power * (reference_distance / signal_distance) ** 2
-    received_noise = noise_power * (reference_distance / noise_distance) ** 2
-    return received_signal / received_noise
-
-
 def _complex_out(z: complex):
     if z.imag == 0.0:
         return z.real
@@ -565,14 +517,12 @@ def scenario_to_json_dict(s: Scenario) -> dict:
                 for i, (f, scale) in enumerate(h.rows)
             ],
         }
-    elif h.kind == "general_linear":
+    else:
         doc["health"] = {
             "kind": "general_linear",
             "n": h.n,
             "matrix": [[_complex_out(complex(z)) for z in row] for row in h.matrix],
         }
-    else:
-        raise ValueError("opaque health maps cannot be serialized")
     return doc
 
 

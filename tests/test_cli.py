@@ -164,6 +164,81 @@ class TestGenerateDetectSweep:
         assert "rows" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    def test_detect_rejects_data_from_another_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        gen = tmp_path / "gen"
+        assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+        out = tmp_path / "det"
+        code = cli.main(
+            ["detect", "--config", cfg, "--out", str(out), "--data", str(gen), "--seed", "5"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "calibration" in err and "rng_seed" in err
+        assert not out.exists()
+        nowhere = str(tmp_path / "nowhere")
+        assert cli.main(["detect", "--config", cfg, "--out", str(out), "--data", nowhere]) == 2
+
+    def test_detect_all_zero_calibration_is_a_domain_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        gen = tmp_path / "gen"
+        assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+        csv = gen / "datasets" / "calibration" / "health.csv"
+        header, *rows = csv.read_text().splitlines()
+        zeroed = [",".join(r.split(",")[:3] + ["0.0"] * 28) for r in rows]
+        csv.write_text("\n".join([header] + zeroed) + "\n")
+        out = tmp_path / "det"
+        assert cli.main(["detect", "--config", cfg, "--out", str(out), "--data", str(gen)]) == 1
+        assert "calibration error" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_detect_generates_only_missing_cells(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        gen = tmp_path / "gen"
+        assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+        for name in ("good_high", "calibration"):
+            for f in (gen / "datasets" / name).iterdir():
+                f.unlink()
+            (gen / "datasets" / name).rmdir()
+        capsys.readouterr()
+        outa = tmp_path / "partial"
+        outb = tmp_path / "fused"
+        assert cli.main(["detect", "--config", cfg, "--out", str(outa), "--data", str(gen)]) == 0
+        generated = [l for l in capsys.readouterr().out.splitlines() if "not found" in l]
+        assert len(generated) == 2
+        assert cli.main(["detect", "--config", cfg, "--out", str(outb)]) == 0
+        for name in ("results.csv", "results.json"):
+            assert (outa / name).read_bytes() == (outb / name).read_bytes()
+
+    def test_results_columns_follow_noise_levels(self, tmp_path):
+        for levels in ({"low": 18.0}, {"low": 18.0, "mid": 13.0, "high": 8.0}):
+            cfg = write_config(tmp_path, {"noise_levels": levels})
+            out = tmp_path / "_".join(levels)
+            assert cli.main(["detect", "--config", cfg, "--out", str(out)]) == 0
+            rows = (out / "results.csv").read_text().strip().split("\n")
+            expected = ["condition"] + [f"{p}_{lvl}" for lvl in levels for p in ("basis", "frame")]
+            assert rows[0].split(",") == expected
+            assert all(len(r.split(",")) == len(expected) for r in rows)
+            doc = json.loads((out / "results.json").read_text())
+            assert {c["noise_level"] for c in doc["conditions"]} == set(levels)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("dft_size", 8192.0),
+            ("noise_levels", {"low": "x"}),
+            ("samples_per_state", True),
+            ("noise_levels", {}),
+            ("fault_hi", "2"),
+            ("write_spectra", 1),
+        ],
+    )
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}))
+        assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert repr(key) in capsys.readouterr().err
+
     def test_detect_results_contract(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
@@ -193,8 +268,9 @@ class TestGenerateDetectSweep:
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"sample_count": 4}))
-        assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        for doc in ({"sample_count": 4}, 5):
+            path.write_text(json.dumps(doc))
+            assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, {"rng_seed": 1})

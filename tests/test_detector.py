@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from framesense import detector, turbine
 from framesense.detector import (
@@ -99,27 +102,26 @@ class TestCalibration:
 class TestDetect:
     def test_baseline_itself_is_normal(self, baselines):
         base = baselines["basis"]
-        assert detect(base.mu, base, TH) == ("normal",) * 4
+        assert tuple(detect(base.mu, base, TH)) == ("normal",) * 4
 
     def test_dead_engine_block_is_failure(self, baselines):
         base = baselines["basis"]
         mapped = base.mu.copy()
         mapped[:7] = 0.0
-        assert detect(mapped, base, TH)[0] == "failure"
-        assert detect(mapped, base, TH)[1:] == ("normal",) * 3
+        assert tuple(detect(mapped, base, TH)) == ("failure",) + ("normal",) * 3
 
     def test_amplified_gear_line_is_fault(self, baselines):
         base = baselines["basis"]
         mapped = base.mu.copy()
         mapped[4] *= 3.0
-        assert detect(mapped, base, TH)[0] == "fault"
+        assert tuple(detect(mapped, base, TH))[0] == "fault"
 
     def test_multiple_engine_verdicts(self, baselines):
         base = baselines["basis"]
         mapped = base.mu.copy()
         mapped[:7] = 0.0
         mapped[11] *= 4.0
-        verdicts = detect(mapped, base, TH)
+        verdicts = tuple(detect(mapped, base, TH))
         assert verdicts[0] == "failure" and verdicts[1] == "fault"
 
     def test_dimension_mismatch(self, baselines):
@@ -192,3 +194,77 @@ class TestRunsAndReports:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             snr_sweep(FLEET, MIX, CFG, [], TH)
+
+
+def reference_verdicts(mapped, mu, th):
+    """The verdict rule applied to one mapped vector, engine by engine."""
+    verdicts = []
+    for h in range(4):
+        block, nominal = mapped[7 * h : 7 * (h + 1)], mu[7 * h : 7 * (h + 1)]
+        if np.all(block < th.dead_lo * nominal):
+            verdicts.append("failure")
+        elif np.any(block > th.fault_hi * nominal):
+            verdicts.append("fault")
+        else:
+            verdicts.append("normal")
+    return tuple(verdicts)
+
+
+def reference_map(healths, kind):
+    """One sample's (4, 28) health images fused coordinate by coordinate."""
+    if kind == "basis":
+        return np.array([healths[i // 7, i] for i in range(28)])
+    return np.array([sum(abs(healths[j, i]) for j in range(4)) for i in range(28)])
+
+
+@st.composite
+def relative_values(draw, shape):
+    """mu and values of ``shape`` on its scale: 0, exactly dead_lo*mu,
+    exactly fault_hi*mu, or a random multiple of mu."""
+    mu = draw(hnp.arrays(float, 28, elements=st.floats(0.5, 1e4)))
+    code = draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 3)))
+    scale = draw(hnp.arrays(float, shape, elements=st.floats(0.0, 3.0)))
+    levels = np.stack([np.zeros(28), TH.dead_lo * mu, TH.fault_hi * mu])
+    values = np.where(code < 3, levels[np.minimum(code, 2), np.arange(28)], scale * mu)
+    return mu, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_detect_matches_per_vector_rule(data):
+    lead = data.draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=6))
+    mu, mapped = data.draw(relative_values(lead + (28,)))
+    dead = data.draw(hnp.arrays(bool, lead + (4,)))  # zeroed engine blocks
+    mapped.reshape(lead + (4, 7))[dead] = 0.0
+    base = Baseline(kind="basis", mu=mu)
+    verdicts = detect(mapped, base, TH)
+    assert verdicts.shape == lead + (4,)
+    for idx in np.ndindex(lead):
+        assert tuple(verdicts[idx]) == reference_verdicts(mapped[idx], mu, TH)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_score_condition_counts_match_per_sample_rule(data):
+    samples = data.draw(st.integers(1, 12))
+    mu, healths = data.draw(relative_values((1, samples, 4, 28)))
+    dead = data.draw(hnp.arrays(bool, (1, samples, 4)))  # zeroed sensor blocks
+    healths[dead] = 0.0
+    name, states = data.draw(st.sampled_from(turbine.engine1_conditions()))
+    truth = {"normal": "normal", "gear_fault": "fault", "failure": "failure"}[states[0].kind]
+    ds = turbine.Dataset(
+        healths=healths, conditions=((name, states),), cfg=CFG, mixing=MIX,
+        fleet=FLEET, line_bins=np.arange(28), sigma=0.0,
+    )
+    bases = {kind: Baseline(kind=kind, mu=mu) for kind in detector.PIPELINES}
+    for stats in score_condition(ds, name, bases, TH, "good", "low"):
+        verdicts = [
+            reference_verdicts(reference_map(h, stats.pipeline), mu, TH)[0]
+            for h in healths[0]
+        ]
+        counts = {v: verdicts.count(v) for v in ("normal", "fault", "failure")}
+        combined = counts[truth] + (counts["fault"] if truth == "failure" else 0)
+        assert stats.verdict_counts == counts
+        assert stats.samples == samples
+        assert stats.correct == counts[truth]
+        assert stats.combined_correct == combined

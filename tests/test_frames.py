@@ -16,9 +16,7 @@ from framesense.frames import (
     frame_operator,
     is_frame,
     mf_bound_certificate,
-    mf_bound_certificate_reversed,
     multiplicative_product,
-    parsevalize,
     reconstruct,
     span_certificate,
     synthesis,
@@ -180,15 +178,6 @@ class TestDualAndReconstruction:
     def test_reconstruct_zero(self):
         assert np.allclose(reconstruct(np.zeros(2), SKEW3), 0.0)
 
-    def test_parsevalize_yields_parseval_frame(self):
-        rng = np.random.default_rng(11)
-        f = random_frame(rng)
-        p = parsevalize(f)
-        assert classify_frame(p) in ("parseval", "funtf")
-
-    def test_parsevalize_non_frame_raises(self):
-        with pytest.raises(NotAFrameError):
-            parsevalize(VectorSet.from_vectors([[1, 0], [2, 0]]))
 
 
 class TestMultiplicative:
@@ -238,8 +227,9 @@ class TestMultiplicative:
             mf_bound_certificate(pair, frame_bounds(ONB2))
 
     def test_reversed_roles(self):
+        # Z the frame, Y the nonvanishing factor: certify the swapped pair.
         pair = MultiplicativeFactorPair(VectorSet.from_vectors([[1, 1]]), ONB2)
-        cert = mf_bound_certificate_reversed(pair, frame_bounds(ONB2))
+        cert = mf_bound_certificate(MultiplicativeFactorPair(pair.Z, pair.Y), frame_bounds(ONB2))
         assert cert.interval == (1.0, 1.0)
 
     def test_containment_randomized(self):

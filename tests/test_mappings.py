@@ -6,11 +6,9 @@ import pytest
 from framesense.mappings import (
     apply_basis_selection,
     apply_magnitude_map,
-    basis_image,
     basis_map,
     frame_map,
     full_projection_set,
-    magnitude_image,
     radiative_projection_set,
     verify_basis_mapping,
     verify_frame_mapping,
@@ -67,20 +65,38 @@ class TestMaps:
         assert np.allclose(out, [4, 5j])
 
     def test_per_sensor_basis_images(self):
-        u1 = basis_image(STACK[0], IDENTITY2, TWO_SENSOR_ASSIGN, 0)
-        u2 = basis_image(STACK[1], IDENTITY2, TWO_SENSOR_ASSIGN, 1)
-        assert np.array_equal(u1, [10, 0])
-        assert np.array_equal(u2, [0, 7])
+        # One live sensor at a time: its image masked to the coordinates it owns.
+        only = np.zeros((2, 2, 2), dtype=complex)
+        only[0, 0], only[1, 1] = STACK[0], STACK[1]
+        out = basis_map(only, IDENTITY2, TWO_SENSOR_ASSIGN)
+        assert np.array_equal(out, [[10, 0], [0, 7]])
 
     def test_basis_image_of_failed_sensor_is_zero(self):
-        assert np.allclose(basis_image(np.zeros(2), IDENTITY2, TWO_SENSOR_ASSIGN, 0), 0)
+        failed = STACK.copy()
+        failed[0] = 0
+        assert np.array_equal(basis_map(failed, IDENTITY2, TWO_SENSOR_ASSIGN), [0, 7])
 
     def test_empty_owned_set_gives_zero_image(self):
+        # Sensor 1 owns nothing, so its block never reaches the output.
         assign = IndexAssignment(J=({0, 1}, {0, 1}), I=((0, 1), ()))
-        assert np.allclose(basis_image(STACK[1], IDENTITY2, assign, 1), 0)
+        other = STACK.copy()
+        other[1] = [123, -4j]
+        assert np.array_equal(basis_map(STACK, IDENTITY2, assign), [10, 2])
+        assert np.array_equal(basis_map(other, IDENTITY2, assign), [10, 2])
 
     def test_magnitude_image_single_block(self):
-        assert np.array_equal(magnitude_image(STACK[1], IDENTITY2), [1, 7])
+        assert np.array_equal(frame_map(STACK[1:], IDENTITY2), [1, 7])
+
+    def test_stacked_blocks_map_like_each_stack(self):
+        rng = np.random.default_rng(8)
+        stacks = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
+        stacks[0, 1, 0] = 0  # a failed sensor in one stack
+        b = basis_map(stacks, IDENTITY2, TWO_SENSOR_ASSIGN)
+        f = frame_map(stacks, IDENTITY2)
+        assert b.shape == f.shape == (3, 5, 2)
+        for idx in np.ndindex(3, 5):
+            assert np.array_equal(b[idx], [stacks[idx][0, 0], stacks[idx][1, 1]])
+            assert np.array_equal(f[idx], np.abs(stacks[idx]).sum(axis=0))
 
     def test_frame_dominates_selected_magnitudes(self):
         rng = np.random.default_rng(6)
@@ -104,10 +120,6 @@ class TestMaps:
         assert np.all(f2 <= f1 + 1e-12)
         b2 = basis_map(stack2, IDENTITY2, TWO_SENSOR_ASSIGN)
         assert b2[1] == 0
-
-    def test_sensor_weights_hook(self):
-        out = frame_map(STACK, IDENTITY2, sensor_weights=[1.0, 0.0])
-        assert np.array_equal(out, [10, 2])
 
     def test_assignment_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -273,12 +285,3 @@ class TestVerifiers:
         ):
             doc = report.to_json_dict()
             assert json.loads(json.dumps(doc)) == doc
-
-    def test_weight_hook_reorders_selection(self):
-        gamma = np.array([[3, 1], [1, 3], [1, 1]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
-        base = verify_strong_dominance_frame(fac)
-        reweighted = verify_strong_dominance_frame(fac, sensor_weights=[0.1, 0.1, 10])
-        assert base.diagnostics["candidate_basis_labels"] != (
-            reweighted.diagnostics["candidate_basis_labels"]
-        )

@@ -11,7 +11,6 @@ from framesense.scenario import (
     UncoverableIndexError,
     build_index_sets,
     factor_readings,
-    free_space_snr,
     is_harmonious,
     is_i_dominant,
     is_i_radiative,
@@ -227,10 +226,10 @@ class TestSeparate:
             separate(s, factor_readings(s))
 
     def test_opaque_health_map_rejected(self):
-        health = HealthMap.opaque(2, lambda v: np.asarray(v[:2]))
-        s = Scenario.from_factors(np.ones((1, 3)), np.ones((1, 3)), health)
-        with pytest.raises(NotSeparableError):
-            separate(s, factor_readings(s))
+        # Only selection and general linear maps exist, and separate() has a
+        # route for each; any other kind is refused when the map is built.
+        with pytest.raises(ValueError, match="unknown health map kind"):
+            HealthMap(n=2, kind="opaque")
 
     def test_product_identity_randomized(self):
         rng = np.random.default_rng(31)
@@ -394,13 +393,6 @@ class TestSensorStatus:
         assert sensor_status(fac, assign, 1).status == "undefined"
 
 
-def test_free_space_snr_geometry():
-    # Signal at twice the reference distance, noise at four times: the
-    # inverse-square losses give exactly 4x the reference SNR.
-    s, n, d = 3.7, 0.9, 2.0
-    assert free_space_snr(s, n, 2 * d, 4 * d, d) == pytest.approx(4 * s / n)
-
-
 class TestScenarioJson:
     def test_roundtrip_selection(self):
         s = three_sensor_projection_scenario()
@@ -422,8 +414,3 @@ class TestScenarioJson:
         doc["M"] = 7
         with pytest.raises(ValueError):
             scenario_from_json_dict(doc)
-
-
-def test_opaque_health_map_must_send_zero_to_zero():
-    with pytest.raises(ValueError):
-        HealthMap.opaque(2, lambda v: np.asarray(v[:2]) + 1.0)
