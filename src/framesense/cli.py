@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -106,6 +107,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
                     f"config key {key!r}: {value!r} does not have the type of "
                     f"its default {CONFIG_DEFAULTS[key]!r}"
                 )
+        # Level names become dataset directory names and results.csv columns.
+        for name in user.get("noise_levels", {}):
+            if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
+                raise ValueError(
+                    f"config key 'noise_levels': level name {name!r} must match "
+                    "[A-Za-z0-9_-]+"
+                )
         cfg.update(user)
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -152,10 +160,13 @@ def cmd_validate(args) -> int:
         owners = assign.owners()
         print("coordinate predicates (1-based):")
         print("  i  radiative  dominant  strongly_dominant  owner")
-        for i in range(s.n):
-            rad = "yes" if is_i_radiative(fac, i, args.tol) else "no"
-            dom = "yes" if is_i_dominant(fac, i, args.tol) else "no"
-            strong = "yes" if is_strongly_i_dominant(fac, i, s.N, args.tol) else "no"
+        predicates = zip(
+            is_i_radiative(fac, args.tol),
+            is_i_dominant(fac, args.tol),
+            is_strongly_i_dominant(fac, args.tol),
+        )
+        for i, flags in enumerate(predicates):
+            rad, dom, strong = ("yes" if flag else "no" for flag in flags)
             print(f"  {i + 1}  {rad}  {dom}  {strong}  {owners[i] + 1}")
         print("sensor harmony:")
         for j in range(s.N):

@@ -101,11 +101,24 @@ class VectorSet:
         return cls.from_json_dict(json.loads(text))
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def parse_complex(value):
-    """Accept ``{"re": a, "im": b}`` or a plain real number."""
+    """Accept ``{"re": a, "im": b}`` or a plain real number.
+
+    Anything else, a bool or a string included, is a TypeError.
+    """
+    if type(value) is float:  # most entries; a scenario file holds ~1e6 of them
+        return complex(value)
     if isinstance(value, dict):
-        return complex(value.get("re", 0.0), value.get("im", 0.0))
-    return complex(value)
+        re, im = value.get("re", 0.0), value.get("im", 0.0)
+    else:
+        re, im = value, 0.0
+    if not (_is_real(re) and _is_real(im)):
+        raise TypeError(f"expected a number or {{re, im}}, got {value!r}")
+    return complex(re, im)
 
 
 @dataclass(frozen=True)
@@ -274,8 +287,10 @@ def span_certificate(vectors: VectorSet, tol: float = DEFAULT_TOL) -> SpanCertif
     """Certify that a set spans, or produce a unit vector orthogonal to all of it."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    # A wide set needs the full vh for a null-space row; for a tall set the
+    # thin vh is already square, and its (count, count) U is never built.
     m = vectors.matrix
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
+    _, s, vh = np.linalg.svd(m, full_matrices=vectors.count < vectors.dim)
     sigma = np.zeros(vectors.dim)
     sigma[: s.shape[0]] = s
     smallest = float(sigma[-1])

@@ -61,85 +61,6 @@ def frame_map(blocks, health: HealthMap) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ProjectiveSet:
-    """Single-coordinate image vectors, one per label.
-
-    kind "Z_radiative": one vector per (coordinate, sensor) using, for each
-    coordinate, a time with maximal volume; cardinality n*N.
-    kind "X_full": one vector per (coordinate, sensor, time); cardinality n*N*K.
-    """
-
-    vectors: VectorSet
-    kind: str
-    times: tuple | None = None  # chosen time per coordinate (Z only)
-
-
-def radiative_projection_set(
-    fac: Factorization, tol: float = DEFAULT_TOL
-) -> ProjectiveSet:
-    """The nN single-coordinate vectors built from per-coordinate peak times.
-
-    For each coordinate i the time k_i maximizes |alpha_k(i)| (smallest k on
-    ties) and must be audible; a silent coordinate is a radiativity failure.
-    """
-    gamma, alpha = fac.gamma, fac.alpha
-    n = gamma.shape[1]
-    k_star = np.argmax(np.abs(alpha), axis=0)
-    dead = [i for i in range(n) if np.abs(alpha[k_star[i], i]) <= tol]
-    if dead:
-        raise ValueError(f"coordinates {dead} are not radiative at any time")
-    rows = []
-    labels = []
-    for i in range(n):
-        for j in range(gamma.shape[0]):
-            vec = np.zeros(n, dtype=np.complex128)
-            vec[i] = gamma[j, i] * alpha[k_star[i], i]
-            rows.append(vec)
-            labels.append((i, j))
-    return ProjectiveSet(
-        vectors=VectorSet(np.array(rows), tuple(labels)),
-        kind="Z_radiative",
-        times=tuple(int(k) for k in k_star),
-    )
-
-
-def full_projection_set(fac: Factorization) -> ProjectiveSet:
-    """All nNK single-coordinate image vectors, labeled (i, j, k)."""
-    gamma, alpha = fac.gamma, fac.alpha
-    n_sensors, n = gamma.shape
-    n_times = alpha.shape[0]
-    rows = []
-    labels = []
-    for i in range(n):
-        for j in range(n_sensors):
-            for k in range(n_times):
-                vec = np.zeros(n, dtype=np.complex128)
-                vec[i] = gamma[j, i] * alpha[k, i]
-                rows.append(vec)
-                labels.append((i, j, k))
-    return ProjectiveSet(vectors=VectorSet(np.array(rows), tuple(labels)), kind="X_full")
-
-
-def apply_basis_selection(pset: ProjectiveSet, assign: IndexAssignment) -> VectorSet:
-    """Keep each single-coordinate vector only if its sensor owns the coordinate."""
-    owners = assign.owners()
-    rows = np.array(
-        [
-            vec if owners[lab[0]] == lab[1] else np.zeros_like(vec)
-            for vec, lab in zip(pset.vectors.matrix, pset.vectors.labels)
-        ]
-    )
-    return VectorSet(rows, pset.vectors.labels)
-
-
-def apply_magnitude_map(pset: ProjectiveSet) -> VectorSet:
-    """Coordinatewise magnitudes of the single-coordinate vectors."""
-    return VectorSet(
-        np.abs(pset.vectors.matrix).astype(np.complex128), pset.vectors.labels
-    )
-
-
-@dataclass(frozen=True)
 class HypothesisCheck:
     name: str
     ok: bool
@@ -194,37 +115,55 @@ def _jsonable(value):
     return value
 
 
+def _coordinate_check(name: str, flags: np.ndarray) -> HypothesisCheck:
+    return HypothesisCheck(name, bool(flags.all()), tuple(flags.tolist()))
+
+
 def _radiative_dominant_checks(fac: Factorization, tol: float):
-    n = fac.gamma.shape[1]
-    rad = tuple(is_i_radiative(fac, i, tol) for i in range(n))
-    dom = tuple(is_i_dominant(fac, i, tol) for i in range(n))
     return (
-        HypothesisCheck("radiative", all(rad), rad),
-        HypothesisCheck("dominant", all(dom), dom),
+        _coordinate_check("radiative", is_i_radiative(fac, tol)),
+        _coordinate_check("dominant", is_i_dominant(fac, tol)),
     )
 
 
-def _with_failed_sensor(fac: Factorization, failed: int | None) -> Factorization:
-    if failed is None:
-        return fac
-    gamma = fac.gamma.copy()
-    gamma[failed] = 0.0
-    return Factorization(
-        gamma_hat=fac.gamma_hat, alpha_hat=fac.alpha_hat, gamma=gamma, alpha=fac.alpha
-    )
+def _image_values(fac: Factorization, failed: int | None) -> np.ndarray:
+    """Single-coordinate image values gamma_j(i) * alpha_k(i) as an (n, N, K) array.
+
+    A failed sensor's gamma row is zeroed.
+    """
+    gamma = fac.gamma.T.copy()  # (n, N)
+    if failed is not None:
+        gamma[:, failed] = 0.0
+    return gamma[:, :, None] * fac.alpha.T[:, None, :]
+
+
+def _peak_values(fac: Factorization, failed: int | None) -> np.ndarray:
+    """The (n, N) radiative-set values, at each coordinate's peak time.
+
+    The peak time of coordinate i maximizes |alpha_k(i)|, the smallest k on ties.
+    """
+    n = fac.alpha.shape[1]
+    peak = np.argmax(np.abs(fac.alpha), axis=0)
+    return _image_values(fac, failed)[np.arange(n), :, peak]
+
+
+def _single_coordinate_rows(values: np.ndarray) -> VectorSet:
+    """Rows ``e_i * values[i, ...]`` for every entry, coordinate-major."""
+    n = values.shape[0]
+    per = values.reshape(n, -1)
+    rows = np.zeros((n, per.shape[1], n), dtype=np.complex128)
+    rows[np.arange(n), :, np.arange(n)] = per
+    return VectorSet(rows.reshape(-1, n))
 
 
 def _span_diagnostics(vectors: VectorSet, tol: float) -> dict:
     cert = span_certificate(vectors, tol)
-    mags = np.abs(vectors.matrix)
-    missing = [
-        int(i) for i in range(vectors.dim) if not np.any(mags[:, i] > tol)
-    ]
+    heard = np.any(np.abs(vectors.matrix) > tol, axis=0)
     return {
         "spans": cert.spans,
         "smallest_singular_value": cert.smallest_singular_value,
         "largest_singular_value": cert.largest_singular_value,
-        "missing_coordinates": missing,
+        "missing_coordinates": np.flatnonzero(~heard).tolist(),
         "witness": cert.witness,
     }
 
@@ -237,37 +176,24 @@ def verify_basis_mapping(
 ) -> TheoremReport:
     """Selection images of the radiative set form a basis plus the zero vector.
 
-    With ``failed`` set, verifies the degradation instead: a non-operational
+    The selection keeps each coordinate's value from its owner only.  With
+    ``failed`` set, verifies the degradation instead: a non-operational
     owner with a nonempty owned set leaves the selection images short of
     spanning, missing exactly the owned coordinates.
     """
     hyps = _radiative_dominant_checks(fac, tol)
-    effective = _with_failed_sensor(fac, failed)
-    pset = radiative_projection_set(fac, tol) if all(h.ok for h in hyps) else None
-    if pset is None:
+    if not all(h.ok for h in hyps):
         return TheoremReport("basis_mapping", hyps, None, {"note": "hypotheses unmet"})
-    selected = apply_basis_selection(
-        ProjectiveSet(
-            VectorSet(
-                _rebuild_values(effective, pset), pset.vectors.labels
-            ),
-            pset.kind,
-            pset.times,
-        ),
-        assign,
-    )
-    diag = _span_diagnostics(selected, tol)
-    nonzero = [
-        int(np.argmax(np.abs(v))) for v in selected.matrix if np.any(np.abs(v) > tol)
-    ]
-    diag["nonzero_directions"] = sorted(nonzero)
+    values = _peak_values(fac, failed)
+    owned = assign.owners()[:, None] == np.arange(values.shape[1])
+    selected = np.where(owned, values, 0.0)
+    diag = _span_diagnostics(_single_coordinate_rows(selected), tol)
+    nonzero = np.nonzero(np.abs(selected) > tol)[0].tolist()  # ascending
+    diag["nonzero_directions"] = nonzero
     diag["distinct_nonzero"] = len(set(nonzero))
+    n = values.shape[0]
     if failed is None:
-        conclusion = (
-            len(nonzero) == selected.dim
-            and len(set(nonzero)) == selected.dim
-            and diag["spans"]
-        )
+        conclusion = len(nonzero) == n and len(set(nonzero)) == n and diag["spans"]
     else:
         hyps = hyps + (
             HypothesisCheck(
@@ -276,19 +202,18 @@ def verify_basis_mapping(
             ),
         )
         conclusion = (not diag["spans"]) if all(h.ok for h in hyps) else None
-    if not all(h.ok for h in hyps):
-        conclusion = None
     return TheoremReport("basis_mapping", hyps, conclusion, diag)
 
 
-def _rebuild_values(fac: Factorization, pset: ProjectiveSet) -> np.ndarray:
-    """Re-evaluate a projective set's values against (possibly edited) factors."""
-    rows = np.zeros_like(pset.vectors.matrix)
-    for row, lab in zip(rows, pset.vectors.labels):
-        i, j = lab[0], lab[1]
-        k = lab[2] if len(lab) > 2 else pset.times[i]
-        row[i] = fac.gamma[j, i] * fac.alpha[k, i]
-    return rows
+def _harmony_check(fac: Factorization, assign, failed: int, tol: float):
+    if assign is None:
+        raise ValueError("failure injection needs the index assignment")
+    return HypothesisCheck(
+        "harmonious_at_failed",
+        is_j_harmonious(fac, assign, failed, tol),
+        None,
+        f"sensor {failed} failed",
+    )
 
 
 def verify_frame_mapping(
@@ -304,30 +229,18 @@ def verify_frame_mapping(
     """
     hyps = _radiative_dominant_checks(fac, tol)
     if failed is not None:
-        hyps = hyps + (
-            HypothesisCheck(
-                "harmonious_at_failed",
-                is_j_harmonious(fac, assign, failed, tol),
-                None,
-                f"sensor {failed} failed",
-            ),
-        )
+        hyps = hyps + (_harmony_check(fac, assign, failed, tol),)
     if not all(h.ok for h in hyps[:2]):
         return TheoremReport("frame_mapping", hyps, None, {"note": "hypotheses unmet"})
-    pset = radiative_projection_set(fac, tol)
-    effective = _with_failed_sensor(fac, failed)
-    values = _rebuild_values(effective, pset)
-    mapped = VectorSet(np.abs(values).astype(np.complex128), pset.vectors.labels)
-    diag = _span_diagnostics(mapped, tol)
-    basis_rows = {}
-    for vec, lab in zip(mapped.matrix, mapped.labels):
-        i = lab[0]
-        mag = float(np.abs(vec[i]))
-        if mag > tol and mag > basis_rows.get(i, (0.0, None))[0]:
-            basis_rows[i] = (mag, lab)
+    mags = np.abs(_peak_values(fac, failed))  # (n, N)
+    diag = _span_diagnostics(_single_coordinate_rows(mags), tol)
+    loudest, loudest_j = mags.max(axis=1), mags.argmax(axis=1)  # smallest j on ties
+    heard = np.flatnonzero(loudest > tol)
     diag["per_coordinate_basis"] = [
-        {"coordinate": i, "magnitude": mag, "label": list(lab)}
-        for i, (mag, lab) in sorted(basis_rows.items())
+        {"coordinate": i, "magnitude": mag, "label": [i, j]}
+        for i, mag, j in zip(
+            heard.tolist(), loudest[heard].tolist(), loudest_j[heard].tolist()
+        )
     ]
     conclusion = diag["spans"] if all(h.ok for h in hyps) else None
     return TheoremReport("frame_mapping", hyps, conclusion, diag)
@@ -347,24 +260,14 @@ def verify_projective_frame(
     """
     hyps = _radiative_dominant_checks(fac, tol)
     if failed is not None:
-        if assign is None:
-            raise ValueError("failure injection needs the index assignment")
-        hyps = hyps + (
-            HypothesisCheck(
-                "harmonious_at_failed",
-                is_j_harmonious(fac, assign, failed, tol),
-                None,
-                f"sensor {failed} failed",
-            ),
-        )
+        hyps = hyps + (_harmony_check(fac, assign, failed, tol),)
     if not all(h.ok for h in hyps[:2]):
         return TheoremReport(
             "projective_frame", hyps, None, {"note": "hypotheses unmet"}
         )
-    effective = _with_failed_sensor(fac, failed)
-    pset = full_projection_set(effective)
-    diag = _span_diagnostics(pset.vectors, tol)
-    diag["cardinality"] = pset.vectors.count
+    rows = _single_coordinate_rows(_image_values(fac, failed))
+    diag = _span_diagnostics(rows, tol)
+    diag["cardinality"] = rows.count
     conclusion = diag["spans"] if all(h.ok for h in hyps) else None
     return TheoremReport("projective_frame", hyps, conclusion, diag)
 
@@ -383,44 +286,30 @@ def verify_strong_dominance_frame(
     """
     gamma, alpha = fac.gamma, fac.alpha
     n_sensors, n = gamma.shape
-    rad = tuple(is_i_radiative(fac, i, tol) for i in range(n))
-    strong = tuple(is_strongly_i_dominant(fac, i, n_sensors, tol) for i in range(n))
     hyps = (
         HypothesisCheck("multiple_sensors", n_sensors > 1),
         HypothesisCheck(
             "dimension_at_most_sensors", n <= n_sensors,
             note=f"n={n}, N={n_sensors}",
         ),
-        HypothesisCheck("radiative", all(rad), rad),
-        HypothesisCheck("strongly_dominant", all(strong), strong),
+        _coordinate_check("radiative", is_i_radiative(fac, tol)),
+        _coordinate_check("strongly_dominant", is_strongly_i_dominant(fac, tol)),
     )
     w_all = np.abs(gamma[:, None, :] * alpha[None, :, :])  # (N, K, n)
-    labels = tuple((j, k) for j in range(n_sensors) for k in range(alpha.shape[0]))
-    w_set = VectorSet(
-        w_all.reshape(-1, n).astype(np.complex128), labels
-    )
+    w_set = VectorSet(w_all.reshape(-1, n).astype(np.complex128))
     diag = _span_diagnostics(w_set, tol)
     diag["cardinality"] = w_set.count
     j_star = np.argmax(np.abs(gamma), axis=0)
     k_star = np.argmax(np.abs(alpha), axis=0)
-    candidate = np.array(
-        [gamma[j_star[i]] * alpha[k_star[i]] for i in range(n)]
-    )
-    diag["candidate_basis_labels"] = [
-        (int(j_star[i]), int(k_star[i])) for i in range(n)
-    ]
+    candidate = gamma[j_star] * alpha[k_star]
+    diag["candidate_basis_labels"] = list(zip(j_star.tolist(), k_star.tolist()))
+    ranked = np.sort(np.abs(gamma), axis=0)  # ascending per coordinate
+    runner_up = ranked[-2] if n_sensors > 1 else np.zeros(n)
     diag["dominance_margins"] = [
-        {
-            "coordinate": i,
-            "loudest": float(np.abs(gamma[j_star[i], i])),
-            "runner_up_bound": float(
-                (n_sensors - 1)
-                * np.max(np.abs(np.delete(gamma[:, i], j_star[i])))
-                if n_sensors > 1
-                else 0.0
-            ),
-        }
-        for i in range(n)
+        {"coordinate": i, "loudest": loud, "runner_up_bound": bound}
+        for i, (loud, bound) in enumerate(
+            zip(ranked[-1].tolist(), ((n_sensors - 1) * runner_up).tolist())
+        )
     ]
     cand_cert = span_certificate(VectorSet(candidate), tol)
     diag["candidate_basis_independent"] = cand_cert.spans

@@ -234,8 +234,7 @@ class IndexAssignment:
     def owners(self) -> np.ndarray:
         out = np.full(self.n, -1, dtype=int)
         for j, owned in enumerate(self.I):
-            for i in owned:
-                out[i] = j
+            out[list(owned)] = j
         return out
 
 
@@ -297,25 +296,22 @@ def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> Factorization:
     if tol <= 0:
         raise ValueError("tol must be positive")
     scale = max(1.0, float(np.max(np.abs(s.readings)))) if s.readings.size else 1.0
-    gamma_hat = np.zeros((s.N, s.M), dtype=np.complex128)
-    alpha_hat = np.zeros((s.K, s.M), dtype=np.complex128)
-    offending = []
-    for f in range(s.M):
-        vf = s.readings[:, :, f]
-        u, sv, vh = np.linalg.svd(vf)
-        if sv[0] <= tol * scale:
-            continue  # silent parameter: both factors stay zero
-        if sv.shape[0] > 1 and sv[1] > tol * sv[0]:
-            offending.append(f)
-            continue
-        top = int(np.argmax(np.abs(u[:, 0])))
-        phase = np.conj(u[top, 0]) / np.abs(u[top, 0])
-        root = np.sqrt(sv[0])
-        gamma_hat[:, f] = root * u[:, 0] * phase
-        alpha_hat[:, f] = root * vh[0, :] * np.conj(phase)
-    if offending:
-        raise NotPreSeparableError(offending)
-    return Factorization(gamma_hat=gamma_hat, alpha_hat=alpha_hat)
+    u, sv, vh = np.linalg.svd(s.readings.transpose(2, 0, 1), full_matrices=False)
+    u0, top_sv, vh0 = u[:, :, 0], sv[:, 0], vh[:, 0, :]  # (M, N), (M,), (M, K)
+    live = top_sv > tol * scale  # a silent parameter keeps both factors zero
+    if sv.shape[1] > 1:
+        offending = np.flatnonzero(live & (sv[:, 1] > tol * top_sv))
+        if offending.size:
+            raise NotPreSeparableError(offending)
+    top = np.take_along_axis(u0, np.argmax(np.abs(u0), axis=1)[:, None], axis=1)
+    phase = np.conj(top) / np.abs(top)  # (M, 1)
+    root = np.sqrt(top_sv)[:, None]
+    gamma_hat = np.where(live[:, None], root * u0 * phase, 0.0)
+    alpha_hat = np.where(live[:, None], root * vh0 * np.conj(phase), 0.0)
+    return Factorization(
+        gamma_hat=np.ascontiguousarray(gamma_hat.T),
+        alpha_hat=np.ascontiguousarray(alpha_hat.T),
+    )
 
 
 def volume_factors_constant(fac: Factorization, tol: float = DEFAULT_TOL) -> bool:
@@ -369,21 +365,17 @@ def separate(s: Scenario, fac: Factorization, tol: float = DEFAULT_TOL) -> Facto
     H(v_jk)(i) = gamma_j(i) * alpha_k(i) within tol.
     """
     h = s.health
+    if h.kind != "selection_matrix" and not volume_factors_constant(fac, tol):
+        fac = constant_volume_regauge(fac, tol)
+        if fac is None:
+            raise NotSeparableError(
+                "general linear health map requires a constant-volume "
+                "split of the factors, and none exists"
+            )
+    gamma = h.apply(fac.gamma_hat)
     if h.kind == "selection_matrix":
-        f_idx = np.array([f for f, _ in h.rows])
-        scales = np.array([sc for _, sc in h.rows])
-        gamma = fac.gamma_hat[:, f_idx] * scales
-        alpha = fac.alpha_hat[:, f_idx]
+        alpha = fac.alpha_hat[:, [f for f, _ in h.rows]]
     else:
-        if not volume_factors_constant(fac, tol):
-            regauged = constant_volume_regauge(fac, tol)
-            if regauged is None:
-                raise NotSeparableError(
-                    "general linear health map requires a constant-volume "
-                    "split of the factors, and none exists"
-                )
-            fac = regauged
-        gamma = fac.gamma_hat @ h.matrix.T
         const = fac.alpha_hat.mean(axis=1)
         alpha = np.repeat(const[:, None], h.n, axis=1)
     result = Factorization(
@@ -407,43 +399,37 @@ def build_index_sets(images: np.ndarray, tol: float = DEFAULT_TOL) -> IndexAssig
     Raises :class:`UncoverableIndexError` for coordinates in no J_j.
     """
     images = np.asarray(images)
-    n_sensors, _, n = images.shape
     peak = np.max(np.abs(images), axis=1)  # (N, n)
     audible = peak > tol
-    silent = [i for i in range(n) if not audible[:, i].any()]
-    if silent:
+    silent = np.flatnonzero(~audible.any(axis=0))
+    if silent.size:
         raise UncoverableIndexError(silent)
-    J = [frozenset(np.nonzero(audible[j])[0].tolist()) for j in range(n_sensors)]
     owners = np.argmax(peak, axis=0)  # argmax ties break to smallest j
-    owned = [[] for _ in range(n_sensors)]
-    for i in range(n):
-        owned[owners[i]].append(i)
-    return IndexAssignment(J=tuple(J), I=tuple(tuple(s) for s in owned))
+    return IndexAssignment(
+        J=tuple(frozenset(np.flatnonzero(heard).tolist()) for heard in audible),
+        I=tuple(np.flatnonzero(owners == j).tolist() for j in range(len(peak))),
+    )
 
 
-def is_i_radiative(fac: Factorization, i: int, tol: float = DEFAULT_TOL) -> bool:
-    """Some time emits coordinate i: exists k with |alpha_k(i)| > tol."""
-    return bool(np.any(np.abs(fac.alpha[:, i]) > tol))
+def is_i_radiative(fac: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per coordinate i: some time emits it, |alpha_k(i)| > tol for some k."""
+    return np.any(np.abs(fac.alpha) > tol, axis=0)
 
 
-def is_i_dominant(fac: Factorization, i: int, tol: float = DEFAULT_TOL) -> bool:
-    """Some sensor hears coordinate i: exists j with |gamma_j(i)| > tol."""
-    return bool(np.any(np.abs(fac.gamma[:, i]) > tol))
+def is_i_dominant(fac: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per coordinate i: some sensor hears it, |gamma_j(i)| > tol for some j."""
+    return np.any(np.abs(fac.gamma) > tol, axis=0)
 
 
-def is_strongly_i_dominant(
-    fac: Factorization, i: int, n_sensors: int | None = None, tol: float = DEFAULT_TOL
-) -> bool:
-    """One sensor out-hears every other by the factor (N - 1), strictly."""
-    mags = np.abs(fac.gamma[:, i])
-    n_sensors = n_sensors if n_sensors is not None else mags.shape[0]
-    for j in range(mags.shape[0]):
-        if mags[j] <= tol:
-            continue
-        others = np.delete(mags, j)
-        if others.size == 0 or np.all(mags[j] > (n_sensors - 1) * others):
-            return True
-    return False
+def is_strongly_i_dominant(fac: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per coordinate i: one audible sensor out-hears every other by (N - 1), strictly.
+
+    Only the loudest sensor can qualify, so it is compared with the runner-up.
+    """
+    mags = np.sort(np.abs(fac.gamma), axis=0)  # (N, n), ascending per coordinate
+    n_sensors = mags.shape[0]
+    runner_up = mags[-2] if n_sensors > 1 else 0.0
+    return (mags[-1] > tol) & (mags[-1] > (n_sensors - 1) * runner_up)
 
 
 def is_j_harmonious(
@@ -454,11 +440,8 @@ def is_j_harmonious(
     Vacuously true when I_j is empty.  The negation (some owned coordinate
     heard only by j) is the j-disjoint case.
     """
-    for i in assign.I[j]:
-        others = np.delete(np.abs(fac.gamma[:, i]), j)
-        if not np.any(others > tol):
-            return False
-    return True
+    others = np.delete(np.abs(fac.gamma[:, list(assign.I[j])]), j, axis=0)
+    return bool(np.all(np.any(others > tol, axis=0)))
 
 
 def is_harmonious(
@@ -480,10 +463,9 @@ def sensor_status(
     owned = assign.I[j]
     if not owned:
         return SensorStatus(status="undefined")
-    failed = tuple(
-        (ell, i) for ell, i in enumerate(owned) if np.abs(fac.gamma[j, i]) <= tol
-    )
-    if failed:
+    silent = np.flatnonzero(np.abs(fac.gamma[j, list(owned)]) <= tol)
+    if silent.size:
+        failed = tuple((int(ell), owned[ell]) for ell in silent)
         return SensorStatus(status="non_operational", failed=failed)
     return SensorStatus(status="operational")
 
@@ -526,30 +508,74 @@ def scenario_to_json_dict(s: Scenario) -> dict:
     return doc
 
 
+def _of_type(kind):
+    def check(value):
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+
+    return check
+
+
+_int = _of_type(int)
+
+
+def _index_sets(value) -> list:
+    return [frozenset(_int(f) - 1 for f in t) for t in value]
+
+
+def _complex_rows(value) -> list:
+    return [[parse_complex(z) for z in row] for row in value]
+
+
+def _selection_rows(value, n: int) -> list:
+    """1-based ``[i, f, scale]`` rows as one (f, scale) pair per output."""
+    rows = [None] * n
+    for i, f, scale in value:
+        if not 1 <= _int(i) <= n:
+            raise ValueError(f"row index {i} is outside 1..{n}")
+        rows[i - 1] = (_int(f) - 1, parse_complex(scale))
+    if None in rows:
+        raise ValueError(f"needs one row per output 1..{n}")
+    return rows
+
+
+def _read(doc, key: str, convert, name: str | None = None):
+    """``convert(doc[key])``; ValueError naming the key when absent or mistyped."""
+    name = name or key
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"scenario key {name!r} is missing")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"scenario key {name!r} has a bad value: {err}") from None
+
+
 def scenario_from_json_dict(doc: dict) -> Scenario:
-    readings = np.asarray(
-        [
-            [[parse_complex(z) for z in row] for row in sensor]
-            for sensor in doc["readings"]
-        ],
-        dtype=np.complex128,
+    """Parse the layout :func:`scenario_to_json_dict` writes.
+
+    A missing key or a value of the wrong type raises ValueError naming it.
+    """
+    shape = tuple(_read(doc, key, _int) for key in ("N", "K", "M"))
+    readings = _read(
+        doc, "readings",
+        lambda v: np.asarray([_complex_rows(sensor) for sensor in v], dtype=np.complex128),
     )
-    if readings.shape != (doc["N"], doc["K"], doc["M"]):
+    if readings.shape != shape:
         raise ValueError(
             f"readings shape {readings.shape} disagrees with declared "
-            f"(N, K, M) = {(doc['N'], doc['K'], doc['M'])}"
+            f"(N, K, M) = {shape}"
         )
-    covering = [frozenset(f - 1 for f in t) for t in doc["covering"]]
-    partition = [frozenset(f - 1 for f in t) for t in doc["partition"]]
-    hdoc = doc["health"]
-    if hdoc["kind"] == "selection_matrix":
-        rows = [None] * hdoc["n"]
-        for i, f, scale in hdoc["rows"]:
-            rows[i - 1] = (f - 1, parse_complex(scale))
-        health = HealthMap.selection(hdoc["n"], rows)
-    elif hdoc["kind"] == "general_linear":
-        matrix = [[parse_complex(z) for z in row] for row in hdoc["matrix"]]
-        health = HealthMap.linear(matrix)
+    covering = _read(doc, "covering", _index_sets)
+    partition = _read(doc, "partition", _index_sets)
+    hdoc = _read(doc, "health", _of_type(dict))
+    kind = _read(hdoc, "kind", _of_type(str), "health.kind")
+    n = _read(hdoc, "n", _int, "health.n")
+    if kind == "selection_matrix":
+        rows = _read(hdoc, "rows", lambda v: _selection_rows(v, n), "health.rows")
+        health = HealthMap.selection(n, rows)
+    elif kind == "general_linear":
+        health = HealthMap.linear(_read(hdoc, "matrix", _complex_rows, "health.matrix"))
     else:
-        raise ValueError(f"unknown health map kind {hdoc['kind']!r}")
+        raise ValueError(f"unknown health map kind {kind!r}")
     return Scenario(tuple(covering), tuple(partition), readings, health)

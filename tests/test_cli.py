@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from framesense import cli
+from framesense import cli, turbine
+from framesense.scenario import scenario_to_json_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HARMONIOUS = str(FIXTURES / "three_sensor_projection.json")
@@ -62,6 +63,27 @@ class TestValidate:
         assert "pre-separable: no" in out
         assert "[1]" in out
 
+    @pytest.mark.parametrize(
+        "edit,key",
+        [
+            (lambda doc: doc.pop("covering"), "'covering'"),
+            (lambda doc: doc["readings"][0][0].__setitem__(1, None), "'readings'"),
+            (lambda doc: doc["health"].pop("kind"), "'health.kind'"),
+            (lambda doc: doc["readings"][0][0].__setitem__(0, True), "'readings'"),
+        ],
+        ids=["covering_deleted", "null_reading", "health_without_kind", "bool_reading"],
+    )
+    def test_bad_scenario_document_exits_2(self, tmp_path, capsys, edit, key):
+        doc = json.loads(Path(ISOLATED).read_text())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "o")
+        for argv in (["validate", str(path)], ["theorems", str(path), "--out", out]):
+            assert cli.main(argv) == 2
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_scenario_exits_1(self, tmp_path, capsys):
         doc = json.loads(Path(HARMONIOUS).read_text())
         doc["partition"] = [[1, 2], [2], [3]]
@@ -111,6 +133,33 @@ class TestTheorems:
         assert frame["conclusion"] is None
         assert not frame["diagnostics"]["spans"]
         assert frame["diagnostics"]["missing_coordinates"] == [2]
+
+    def test_spectral_scenario_under_sensor_failure(self, tmp_path):
+        # The zero-noise fleet spectra, states cycling normal / fault / failure:
+        # after sensor 1 fails the selection images stop spanning, the
+        # magnitude and projective images keep spanning, and strong dominance
+        # (n = 28 > N = 4) asserts nothing.
+        cycle = [states for _, states in turbine.engine1_conditions()]
+        scenario = turbine.dataset_scenario(
+            turbine.default_fleet(), turbine.mixing_matrix(0.1), turbine.SimConfig(),
+            [cycle[k % len(cycle)] for k in range(6)],
+        )
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_to_json_dict(scenario)))
+        out_dir = tmp_path / "reports"
+        argv = ["theorems", str(path), "--out", str(out_dir), "--fail-sensor", "1",
+                "--tol", "1e-6"]
+        assert cli.main(argv) == 0
+        expected = {
+            "basis_mapping": (True, True, False),
+            "frame_mapping": (True, True, True),
+            "projective_frame": (True, True, True),
+            "strong_dominance_frame": (False, None, None),
+        }
+        for name, triple in expected.items():
+            doc = json.loads((out_dir / f"theorem_{name}.json").read_text())
+            spans = doc["diagnostics"]["spans"] if doc["applicable"] else None
+            assert (doc["applicable"], doc["conclusion"], spans) == triple, name
 
     def test_fail_sensor_out_of_range(self, tmp_path):
         assert (
@@ -238,6 +287,16 @@ class TestGenerateDetectSweep:
         path.write_text(json.dumps({key: value}))
         assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["a,b", "x/y", "..", ""])
+    def test_bad_noise_level_name_exits_2(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, {"noise_levels": {name: 18.0}})
+        for command in ("generate", "detect"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "'noise_levels'" in err and repr(name) in err
+            assert not out.exists()
 
     def test_detect_results_contract(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -290,6 +290,11 @@ class TestSerialization:
         vs = VectorSet.from_json_dict(doc)
         assert np.allclose(vs.matrix, [[1, 0], [1j, 2.5]])
 
+    @pytest.mark.parametrize("entry", [True, "1", None, {"re": "1"}, {"im": False}])
+    def test_non_numeric_entry_rejected(self, entry):
+        with pytest.raises(TypeError):
+            VectorSet.from_json_dict({"dim": 2, "vectors": [[1, entry]]})
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             VectorSet.from_json_dict({"dim": 3, "vectors": [[1, 0]]})
@@ -323,3 +328,43 @@ def test_scaled_onb_stays_tight(scale, dim):
     a, b = frame_bounds(vs)
     assert np.isclose(a, b)
     assert np.isclose(a, scale**2)
+
+
+def span_reference(matrix, tol):
+    """Spans iff the squared smallest of dim singular values exceeds tol; the
+    witness is the last right singular vector, both from a full SVD."""
+    _, s, vh = np.linalg.svd(matrix, full_matrices=True)
+    sigma = np.zeros(matrix.shape[1])
+    sigma[: s.shape[0]] = s
+    return sigma[-1] ** 2 > tol, sigma, vh[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    count=st.integers(1, 12),
+    dim=st.integers(1, 6),
+    rank=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_span_certificate_matches_full_svd(count, dim, rank, seed):
+    # Wide (count < dim) and tall sets of a chosen rank: the nonzero singular
+    # values are O(1) and the rest vanish, far from the tol boundary.
+    rng = np.random.default_rng(seed)
+    rank = min(rank, count, dim)
+
+    def cgauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    matrix = cgauss(count, rank) @ cgauss(rank, dim)
+    spans, sigma, last = span_reference(matrix, 1e-9)
+    cert = span_certificate(VectorSet(matrix), 1e-9)
+    assert cert.spans == spans == (rank == dim)
+    assert cert.smallest_singular_value == pytest.approx(sigma[-1], abs=1e-12)
+    assert cert.largest_singular_value == pytest.approx(sigma[0], rel=1e-12, abs=1e-12)
+    if spans:
+        assert cert.witness is None
+    else:
+        assert np.linalg.norm(cert.witness) == pytest.approx(1.0)
+        assert np.max(np.abs(matrix @ cert.witness.conj())) <= 1e-9 * max(1.0, sigma[0])
+        if rank == dim - 1:  # a one-dimensional null space: the same line
+            assert abs(np.vdot(last, cert.witness)) == pytest.approx(1.0)

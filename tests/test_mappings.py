@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from framesense.mappings import (
-    apply_basis_selection,
-    apply_magnitude_map,
     basis_map,
     frame_map,
-    full_projection_set,
-    radiative_projection_set,
     verify_basis_mapping,
     verify_frame_mapping,
     verify_projective_frame,
@@ -127,59 +123,78 @@ class TestMaps:
 
 
 class TestProjectionSets:
+    """The single-coordinate image sets, seen through the verifiers' diagnostics."""
+
     def test_radiative_set_cardinality(self):
-        _, fac, _ = separated_fixture()
-        pset = radiative_projection_set(fac)
-        assert pset.vectors.count == 2 * 3  # n * N
-        assert pset.times == (0, 0)  # single time available
+        # All N = 3 sensors' images of each coordinate at its one time: the
+        # frame operator is diagonal with entries 3^2 + 1^2 + 1^2 = 11.
+        _, fac, assign = separated_fixture()
+        diag = verify_frame_mapping(fac, assign).diagnostics
+        assert diag["smallest_singular_value"] == pytest.approx(np.sqrt(11))
+        assert diag["largest_singular_value"] == pytest.approx(np.sqrt(11))
+        basis = diag["per_coordinate_basis"]
+        assert [b["label"] for b in basis] == [[0, 0], [1, 1]]
 
     def test_radiative_set_values_are_single_coordinate(self):
-        _, fac, _ = separated_fixture()
-        pset = radiative_projection_set(fac)
-        for vec, (i, _) in zip(pset.vectors.matrix, pset.vectors.labels):
-            nz = np.nonzero(np.abs(vec) > 1e-12)[0]
-            assert len(nz) <= 1 and (len(nz) == 0 or nz[0] == i)
+        _, fac, assign = separated_fixture()
+        diag = verify_basis_mapping(fac, assign).diagnostics
+        assert diag["nonzero_directions"] == [0, 1]
+        assert diag["missing_coordinates"] == []
 
     def test_peak_time_selection(self):
+        # Coordinate 0 peaks at time 1 (|alpha| = 2), coordinate 1 at time 0 (3).
         gamma = np.ones((2, 2), dtype=complex)
         alpha = np.array([[1, 3], [2, 1]], dtype=complex)
         fac = Factorization.from_health_factors(gamma, alpha)
-        pset = radiative_projection_set(fac)
-        assert pset.times == (1, 0)
+        report = verify_frame_mapping(fac, TWO_SENSOR_ASSIGN)
+        basis = report.diagnostics["per_coordinate_basis"]
+        assert [b["magnitude"] for b in basis] == [2.0, 3.0]
+        assert report.diagnostics["largest_singular_value"] == pytest.approx(
+            np.sqrt(2) * 3
+        )
 
     def test_silent_coordinate_rejected(self):
         fac = Factorization.from_health_factors(
             np.ones((2, 2)), np.array([[1, 0], [2, 0]])
         )
-        with pytest.raises(ValueError, match=r"\[1\]"):
-            radiative_projection_set(fac)
+        report = verify_frame_mapping(fac, TWO_SENSOR_ASSIGN)
+        assert report.hypotheses[0].per_coordinate == (True, False)
+        assert report.conclusion is None
+        assert report.diagnostics == {"note": "hypotheses unmet"}
 
     def test_full_set_cardinality(self):
-        _, fac, _ = separated_fixture()
-        pset = full_projection_set(fac)
-        assert pset.vectors.count == 2 * 3 * 1  # n * N * K
+        _, fac, assign = separated_fixture()
+        two_times = Factorization.from_health_factors(
+            fac.gamma, np.vstack([fac.alpha, 2 * fac.alpha])
+        )
+        for f, times in ((fac, 1), (two_times, 2)):
+            report = verify_projective_frame(f, failed=0, assign=assign)
+            assert report.diagnostics["cardinality"] == 2 * 3 * times  # n * N * K
 
     def test_basis_selection_keeps_owner_vectors(self):
+        # n basis directions, one per owner; every other selected image is zero.
         _, fac, assign = separated_fixture()
-        selected = apply_basis_selection(radiative_projection_set(fac), assign)
-        distinct = {
-            tuple(np.round(np.abs(v), 9)) for v in selected.matrix
-        }
-        # n basis directions plus the zero vector
-        assert len(distinct) == 2 + 1
+        diag = verify_basis_mapping(fac, assign).diagnostics
+        assert diag["distinct_nonzero"] == 2
+        assert diag["smallest_singular_value"] == pytest.approx(3.0)
 
     def test_magnitude_map_values(self):
-        _, fac, _ = separated_fixture()
-        mapped = apply_magnitude_map(radiative_projection_set(fac))
-        assert np.all(mapped.matrix.imag == 0)
-        assert np.all(mapped.matrix.real >= 0)
+        _, fac, assign = separated_fixture()
+        basis = verify_frame_mapping(fac, assign).diagnostics["per_coordinate_basis"]
+        loudest = np.max(np.abs(fac.gamma * fac.alpha[0]), axis=0)
+        assert [b["magnitude"] for b in basis] == pytest.approx(loudest)
+        assert all(b["magnitude"] >= 0 for b in basis)
 
     def test_magnitude_of_silenced_sensor_vector_is_zero(self):
+        # Sensor 0 is silent at coordinate 0, so its image there is zero and
+        # sensor 1 supplies that coordinate's basis vector.
         gamma = np.array([[0, 1], [1, 1]], dtype=complex)
         fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
-        mapped = apply_magnitude_map(radiative_projection_set(fac))
-        row = dict(zip(mapped.labels, mapped.matrix))[(0, 0)]
-        assert np.allclose(row, 0)
+        report = verify_frame_mapping(fac, TWO_SENSOR_ASSIGN, failed=1)
+        assert report.diagnostics["missing_coordinates"] == [0]
+        healthy = verify_frame_mapping(fac, TWO_SENSOR_ASSIGN)
+        labels = [b["label"] for b in healthy.diagnostics["per_coordinate_basis"]]
+        assert labels == [[0, 1], [1, 0]]
 
 
 class TestVerifiers:

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from framesense.frames import DEFAULT_TOL
 from framesense.scenario import (
     Factorization,
     HealthMap,
@@ -297,40 +301,35 @@ class TestIndexSets:
 class TestPredicates:
     def test_radiative_all_ones(self):
         fac = Factorization.from_health_factors(np.ones((2, 3)), np.ones((2, 3)))
-        assert all(is_i_radiative(fac, i) for i in range(3))
+        assert is_i_radiative(fac).tolist() == [True] * 3
 
     def test_transmitter_off_not_radiative(self):
         alpha = np.array([[1, 0], [1, 0]], dtype=complex)
         fac = Factorization.from_health_factors(np.ones((2, 2)), alpha)
-        assert is_i_radiative(fac, 0)
-        assert not is_i_radiative(fac, 1)
+        assert is_i_radiative(fac).tolist() == [True, False]
 
     def test_dominant_and_not(self):
         gamma = np.array([[1, 0], [2, 0]], dtype=complex)
         fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
-        assert is_i_dominant(fac, 0)
-        assert not is_i_dominant(fac, 1)
+        assert is_i_dominant(fac).tolist() == [True, False]
 
     def test_strong_dominance_three_sensors(self):
         gamma = np.array([[3, 1], [1, 3], [1, 1]], dtype=complex)
         fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
-        assert is_strongly_i_dominant(fac, 0)
-        assert is_strongly_i_dominant(fac, 1)
+        assert is_strongly_i_dominant(fac).tolist() == [True, True]
 
     def test_tie_is_not_strong(self):
         gamma = np.array([[1, 1], [1, 1]], dtype=complex)
         fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
-        assert is_i_dominant(fac, 0)
-        assert not is_strongly_i_dominant(fac, 0)
+        assert is_i_dominant(fac)[0]
+        assert not is_strongly_i_dominant(fac)[0]
 
     def test_strong_implies_dominant_randomized(self):
         rng = np.random.default_rng(44)
         for _ in range(50):
             gamma = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
             fac = Factorization.from_health_factors(gamma, np.ones((1, 4)))
-            for i in range(4):
-                if is_strongly_i_dominant(fac, i):
-                    assert is_i_dominant(fac, i)
+            assert np.all(is_i_dominant(fac)[is_strongly_i_dominant(fac)])
 
     def test_everyone_hears_everything_is_harmonious(self):
         gamma = np.abs(np.random.default_rng(2).standard_normal((3, 4))) + 0.1
@@ -414,3 +413,94 @@ class TestScenarioJson:
         doc["M"] = 7
         with pytest.raises(ValueError):
             scenario_from_json_dict(doc)
+
+
+def factor_reference(readings, tol=DEFAULT_TOL):
+    """The per-parameter rule: one SVD per parameter, the loudest sensor's factor real."""
+    n_sensors, n_times, m = readings.shape
+    scale = max(1.0, float(np.max(np.abs(readings))))
+    gamma_hat = np.zeros((n_sensors, m), dtype=complex)
+    alpha_hat = np.zeros((n_times, m), dtype=complex)
+    offending = []
+    for f in range(m):
+        u, sv, vh = np.linalg.svd(readings[:, :, f])
+        if sv[0] <= tol * scale:
+            continue
+        if sv.shape[0] > 1 and sv[1] > tol * sv[0]:
+            offending.append(f)
+            continue
+        top = int(np.argmax(np.abs(u[:, 0])))
+        phase = np.conj(u[top, 0]) / np.abs(u[top, 0])
+        root = np.sqrt(sv[0])
+        gamma_hat[:, f] = root * u[:, 0] * phase
+        alpha_hat[:, f] = root * vh[0, :] * np.conj(phase)
+    return gamma_hat, alpha_hat, offending
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_sensors=st.integers(1, 5),
+    n_times=st.integers(1, 5),
+    kinds=st.lists(st.sampled_from(["rank1", "silent", "quiet", "rank2"]), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_readings_matches_per_parameter_svd(n_sensors, n_times, kinds, seed):
+    rng = np.random.default_rng(seed)
+
+    def outer():
+        g = rng.standard_normal(n_sensors) + 1j * rng.standard_normal(n_sensors)
+        a = rng.standard_normal(n_times) + 1j * rng.standard_normal(n_times)
+        return np.outer(g, a)
+
+    readings = np.zeros((n_sensors, n_times, len(kinds)), dtype=complex)
+    for f, kind in enumerate(kinds):
+        if kind == "rank1":
+            readings[:, :, f] = outer()
+        elif kind == "quiet":  # below the silence threshold, whatever its rank
+            readings[:, :, f] = 1e-12 * (outer() + outer())
+        elif kind == "rank2":  # rank 1 only when N = 1 or K = 1
+            readings[:, :, f] = outer() + outer()
+    everything = (range(len(kinds)),) * n_sensors
+    s = Scenario(everything, everything, readings, HealthMap.identity(1))
+    gamma_hat, alpha_hat, offending = factor_reference(readings)
+    if offending:
+        with pytest.raises(NotPreSeparableError) as err:
+            factor_readings(s)
+        assert list(err.value.offending) == offending
+    else:
+        fac = factor_readings(s)
+        assert np.array_equal(fac.gamma_hat, gamma_hat)
+        assert np.array_equal(fac.alpha_hat, alpha_hat)
+
+
+def predicates_reference(gamma, alpha, tol):
+    """The per-coordinate rules: radiative, dominant, strongly dominant."""
+    n_sensors, n = gamma.shape
+    rad = [bool(np.any(np.abs(alpha[:, i]) > tol)) for i in range(n)]
+    dom = [bool(np.any(np.abs(gamma[:, i]) > tol)) for i in range(n)]
+    strong = []
+    for i in range(n):
+        mags = np.abs(gamma[:, i])
+        strong.append(any(
+            mags[j] > tol and np.all(mags[j] > (n_sensors - 1) * np.delete(mags, j))
+            for j in range(n_sensors)
+        ))
+    return rad, dom, strong
+
+
+# Small exact values make ties, zeros and entries at the threshold common.
+ENTRIES = st.sampled_from([0, 0.5, 1, 1, 2, 3, -2, 1j, 1e-12])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), tol=st.sampled_from([DEFAULT_TOL, 0.5]))
+def test_array_predicates_match_per_coordinate_rules(data, tol):
+    n_sensors = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 5))
+    gamma = data.draw(hnp.arrays(complex, (n_sensors, n), elements=ENTRIES))
+    alpha = data.draw(hnp.arrays(complex, (data.draw(st.integers(1, 3)), n), elements=ENTRIES))
+    fac = Factorization.from_health_factors(gamma, alpha)
+    rad, dom, strong = predicates_reference(gamma, alpha, tol)
+    assert is_i_radiative(fac, tol).tolist() == rad
+    assert is_i_dominant(fac, tol).tolist() == dom
+    assert is_strongly_i_dominant(fac, tol).tolist() == strong
