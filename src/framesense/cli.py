@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import detector, turbine
-from .frames import DEFAULT_TOL
+from .frames import DEFAULT_TOL, _is_real
 from .mappings import (
     verify_basis_mapping,
     verify_frame_mapping,
@@ -68,27 +68,21 @@ CONFIG_DEFAULTS = {
 
 def _is_number(value) -> bool:
     """A finite JSON number; ``abs(value) < inf`` also holds for any int."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) < math.inf
-    )
+    return _is_real(value) and abs(value) < math.inf
 
 
 def _has_default_type(value, default) -> bool:
     """Whether a config value has the JSON type of its default."""
-    if isinstance(default, bool):
-        return isinstance(value, bool)
-    if isinstance(default, int):
-        return isinstance(value, int) and not isinstance(value, bool)
     if isinstance(default, float):
         return _is_number(value)
-    # noise_levels: a nonempty mapping of level names to SNRs in dB
-    return (
-        isinstance(value, dict)
-        and bool(value)
-        and all(_is_number(v) for v in value.values())
-    )
+    if isinstance(default, dict):
+        # noise_levels: a nonempty mapping of level names to SNRs in dB
+        return (
+            type(value) is dict
+            and bool(value)
+            and all(_is_number(v) for v in value.values())
+        )
+    return type(value) is type(default)
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:

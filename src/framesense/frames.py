@@ -102,7 +102,8 @@ class VectorSet:
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number: an int or a float, never a bool."""
+    return type(x) in (int, float)
 
 
 def parse_complex(value):
@@ -110,8 +111,6 @@ def parse_complex(value):
 
     Anything else, a bool or a string included, is a TypeError.
     """
-    if type(value) is float:  # most entries; a scenario file holds ~1e6 of them
-        return complex(value)
     if isinstance(value, dict):
         re, im = value.get("re", 0.0), value.get("im", 0.0)
     else:

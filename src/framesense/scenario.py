@@ -509,8 +509,10 @@ def scenario_to_json_dict(s: Scenario) -> dict:
 
 
 def _of_type(kind):
+    """The exact JSON type ``kind``; a bool is not an int."""
+
     def check(value):
-        if not isinstance(value, kind) or isinstance(value, bool):
+        if type(value) is not kind:
             raise TypeError(f"expected {kind.__name__}, got {value!r}")
         return value
 
@@ -528,13 +530,15 @@ def _complex_rows(value) -> list:
     return [[parse_complex(z) for z in row] for row in value]
 
 
-def _selection_rows(value, n: int) -> list:
+def _selection_rows(value, n: int, M: int) -> list:
     """1-based ``[i, f, scale]`` rows as one (f, scale) pair per output."""
     rows = [None] * n
     for i, f, scale in value:
         if not 1 <= _int(i) <= n:
             raise ValueError(f"row index {i} is outside 1..{n}")
-        rows[i - 1] = (_int(f) - 1, parse_complex(scale))
+        if not 1 <= _int(f) <= M:
+            raise ValueError(f"parameter index {f} is outside 1..{M}")
+        rows[i - 1] = (f - 1, parse_complex(scale))
     if None in rows:
         raise ValueError(f"needs one row per output 1..{n}")
     return rows
@@ -570,9 +574,11 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
     partition = _read(doc, "partition", _index_sets)
     hdoc = _read(doc, "health", _of_type(dict))
     kind = _read(hdoc, "kind", _of_type(str), "health.kind")
-    n = _read(hdoc, "n", _int, "health.n")
     if kind == "selection_matrix":
-        rows = _read(hdoc, "rows", lambda v: _selection_rows(v, n), "health.rows")
+        n = _read(hdoc, "n", _int, "health.n")
+        rows = _read(
+            hdoc, "rows", lambda v: _selection_rows(v, n, shape[2]), "health.rows"
+        )
         health = HealthMap.selection(n, rows)
     elif kind == "general_linear":
         health = HealthMap.linear(_read(hdoc, "matrix", _complex_rows, "health.matrix"))

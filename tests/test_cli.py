@@ -70,8 +70,17 @@ class TestValidate:
             (lambda doc: doc["readings"][0][0].__setitem__(1, None), "'readings'"),
             (lambda doc: doc["health"].pop("kind"), "'health.kind'"),
             (lambda doc: doc["readings"][0][0].__setitem__(0, True), "'readings'"),
+            (lambda doc: doc["health"]["rows"][0].__setitem__(1, 0), "'health.rows'"),
+            (lambda doc: doc["health"]["rows"][0].__setitem__(1, 4), "'health.rows'"),
         ],
-        ids=["covering_deleted", "null_reading", "health_without_kind", "bool_reading"],
+        ids=[
+            "covering_deleted",
+            "null_reading",
+            "health_without_kind",
+            "bool_reading",
+            "parameter_zero",
+            "parameter_above_M",
+        ],
     )
     def test_bad_scenario_document_exits_2(self, tmp_path, capsys, edit, key):
         doc = json.loads(Path(ISOLATED).read_text())

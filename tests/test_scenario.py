@@ -405,8 +405,12 @@ class TestScenarioJson:
         rng = np.random.default_rng(3)
         health = HealthMap.linear(rng.standard_normal((2, 3)) + 1j)
         s = Scenario.from_factors(np.ones((2, 3)), np.ones((1, 3)), health)
-        back = scenario_from_json_dict(scenario_to_json_dict(s))
+        doc = scenario_to_json_dict(s)
+        back = scenario_from_json_dict(doc)
         assert np.allclose(back.health.matrix, health.matrix)
+        # a linear map takes n from its matrix, so a document may leave it out
+        del doc["health"]["n"]
+        assert scenario_from_json_dict(doc).health.n == 2
 
     def test_shape_mismatch_rejected(self):
         doc = scenario_to_json_dict(three_sensor_projection_scenario())
