@@ -268,11 +268,11 @@ def _dataset(data_root, key, fleet, mixing, run_cfg, conditions) -> turbine.Data
 def cmd_generate(args) -> int:
     cfg = load_config(args.config, {"rng_seed": args.seed})
     out = Path(args.out)
-    echo_config(cfg, out)
     fleet, _ = _fleet_and_thresholds(cfg)
     mixing = turbine.mixing_matrix(cfg["mixing_off_diagonal"])
     sim = _sim_config(cfg)
     conditions = turbine.engine1_conditions(cfg["fault_gear"], cfg["fault_multiplier"])
+    echo_config(cfg, out)
     calib = detector.calibration_dataset(fleet, mixing, sim)
     turbine.save_dataset(calib, _dataset_dir(out, "calibration"))
     total = 0

@@ -20,6 +20,12 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
+def check_tol(tol: float) -> None:
+    """Reject a tolerance outside ``0 < tol < inf`` (NaN included)."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+
+
 class NotAFrameError(ValueError):
     """The vector set does not span, so frame-only operations are undefined."""
 
@@ -168,8 +174,7 @@ def frame_bounds(frame: VectorSet) -> FrameBounds:
 
 def is_frame(frame: VectorSet, tol: float = DEFAULT_TOL) -> bool:
     """True iff the set spans: smallest frame-operator eigenvalue above tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     return frame_bounds(frame).lower > tol
 
 
@@ -284,8 +289,7 @@ class SpanCertificate:
 
 def span_certificate(vectors: VectorSet, tol: float = DEFAULT_TOL) -> SpanCertificate:
     """Certify that a set spans, or produce a unit vector orthogonal to all of it."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     # A wide set needs the full vh for a null-space row; for a tall set the
     # thin vh is already square, and its (count, count) U is never built.
     m = vectors.matrix

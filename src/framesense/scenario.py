@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import DEFAULT_TOL, parse_complex
+from .frames import DEFAULT_TOL, check_tol, parse_complex
 
 
 class NotPreSeparableError(ValueError):
@@ -249,6 +249,7 @@ class ValidityReport:
 
 def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Check the structural invariants; violations are data, not exceptions."""
+    check_tol(tol)
     violations = []
     all_params = set(range(s.M))
     covered = set().union(*s.covering) if s.covering else set()
@@ -293,8 +294,7 @@ def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> Factorization:
     offending parameters.  The per-parameter gauge is fixed so that the
     loudest sensor's factor is real and nonnegative.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     scale = max(1.0, float(np.max(np.abs(s.readings)))) if s.readings.size else 1.0
     u, sv, vh = np.linalg.svd(s.readings.transpose(2, 0, 1), full_matrices=False)
     u0, top_sv, vh0 = u[:, :, 0], sv[:, 0], vh[:, 0, :]  # (M, N), (M,), (M, K)

@@ -11,8 +11,12 @@ All shaft frequencies are chosen so every derived line lands exactly on a
 DFT bin; blocks are then periodic and line magnitudes are time-independent
 at zero noise, which keeps the downstream detection contracts exact.  It
 also gives the noise-free spectrum in closed form (``line_spectrum``), so
-no tone is ever synthesized: a sensor spectrum is that closed form plus
-the real FFT of the sample's noise block.
+no tone is ever synthesized.  The noise is drawn in the frequency domain
+too: the DFT of N i.i.d. N(0, sigma^2) samples has independent bins, each
+interior bin with independent real and imaginary parts of variance
+sigma^2 N / 2, and DC and Nyquist real with variance sigma^2 N.  A sample
+therefore draws noise at the 28 line bins only, and at the other bins only
+when a caller reads the full spectrum.
 
 Dataset generation is deterministic: each sample's noise comes from a
 counter-based generator keyed on (seed, condition, sample), so parallel and
@@ -86,6 +90,11 @@ class FaultState:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.kind == "gear_fault" and self.gear not in (1, 2, 3):
             raise ValueError("gear_fault needs a gear index in 1..3")
+        # |-k a| = k a: a negative multiplier would pass for a plausible fault.
+        if not 0 <= self.multiplier < np.inf:
+            raise ValueError(
+                f"fault multiplier must be finite and nonnegative, got {self.multiplier!r}"
+            )
 
     @classmethod
     def normal(cls):
@@ -276,9 +285,11 @@ class SampleRecord:
     condition: int
     condition_name: str
     sample: int
-    half_spectrum: np.ndarray  # (SENSORS, dft_size // 2 + 1) complex DFT, bins 0..N/2
-    healths: np.ndarray  # (SENSORS, 28)
+    healths: np.ndarray  # (SENSORS, 28) magnitudes at the line bins
     states: tuple
+    # (SENSORS, dft_size // 2 + 1) complex DFT, bins 0..N/2; built only by
+    # ``iter_samples(..., full_spectra=True)``.
+    half_spectrum: np.ndarray | None = None
 
     @property
     def spectra(self) -> np.ndarray:
@@ -287,6 +298,8 @@ class SampleRecord:
         The sensor blocks are real, so ``|X[N - k]| = |X[k]|`` and the upper
         half mirrors bins ``N/2 - 1 .. 1``.
         """
+        if self.half_spectrum is None:
+            raise ValueError("record was streamed without full_spectra")
         mag = np.abs(self.half_spectrum)
         return np.concatenate([mag, mag[:, -2:0:-1]], axis=-1)
 
@@ -299,36 +312,56 @@ def _sample_rng(seed: int, condition: int, sample: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def iter_samples(fleet, mixing, cfg: SimConfig, conditions):
+def iter_samples(fleet, mixing, cfg: SimConfig, conditions, full_spectra: bool = False):
     """Stream deterministic samples for each (condition, sample) pair.
 
     A sample's sensor spectrum is the condition's closed-form line spectrum
-    (``line_spectrum``) plus the DFT of that sample's white-noise block;
-    failed sensors read exactly zero.  Only the 28 line magnitudes are
-    computed here; ``SampleRecord.spectra`` builds the full spectrum for a
-    caller that reads it.
+    (``line_spectrum``) plus the DFT of that sample's white-noise block,
+    drawn bin by bin in the frequency domain; failed sensors read exactly
+    zero.  The sample's generator first draws ``z`` of shape (2, SENSORS,
+    28), the line-bin noise ``sigma sqrt(N/2) (z[0] + i z[1])``.  With
+    ``full_spectra`` it goes on to draw the remaining bins 0..N/2 in
+    ascending order, so a sample's healths do not depend on whether its
+    full spectrum (``SampleRecord.half_spectrum``) is built.
     """
     bins = fleet_line_bins(fleet, cfg)
     sigma = resolve_sigma(cfg, fleet)
     failed = sorted(cfg.failed_sensors)
+    n = cfg.dft_size
+    line_scale = sigma * np.sqrt(n / 2)
+    if full_spectra:
+        rest = np.setdiff1d(np.arange(n // 2 + 1), bins)
+        # Interior bins: complex, each part of variance sigma^2 N/2.  DC and
+        # Nyquist: real, variance sigma^2 N.
+        edge = (rest == 0) | (rest == n // 2)
+        re_scale = np.where(edge, sigma * np.sqrt(n), line_scale)
+        im_scale = np.where(edge, 0.0, line_scale)
     for c, (name, states) in enumerate(conditions):
         lines = line_spectrum(fleet, states, mixing, cfg)
-        clean = np.zeros((SENSORS, cfg.dft_size // 2 + 1), dtype=np.complex128)
-        clean[:, bins] = lines
-        clean_healths = health_project(clean, bins)
         # Every noise-free record of this condition shares these arrays.
-        for arr in (clean, clean_healths):
-            arr.setflags(write=False)
+        clean_healths = np.abs(lines)
+        clean_healths.setflags(write=False)
+        clean = None
+        if full_spectra:
+            clean = np.zeros((SENSORS, n // 2 + 1), dtype=np.complex128)
+            clean[:, bins] = lines
+            clean.setflags(write=False)
         for m in range(cfg.samples_per_state):
             if sigma > 0:
                 rng = _sample_rng(cfg.rng_seed, c, m)
-                half = np.fft.rfft(rng.standard_normal((SENSORS, cfg.dft_size)), axis=-1)
-                half *= sigma
-                half[:, bins] += lines
-                half[failed] = 0.0
-                yield SampleRecord(c, name, m, half, health_project(half, bins), states)
+                z = rng.standard_normal((2, SENSORS, bins.size))
+                values = lines + line_scale * (z[0] + 1j * z[1])
+                values[failed] = 0.0
+                half = None
+                if full_spectra:
+                    z = rng.standard_normal((2, SENSORS, rest.size))
+                    half = np.empty((SENSORS, n // 2 + 1), dtype=np.complex128)
+                    half[:, bins] = values
+                    half[:, rest] = re_scale * z[0] + 1j * (im_scale * z[1])
+                    half[failed] = 0.0
+                yield SampleRecord(c, name, m, np.abs(values), states, half)
             else:
-                yield SampleRecord(c, name, m, clean, clean_healths, states)
+                yield SampleRecord(c, name, m, clean_healths, states, clean)
 
 
 @dataclass
@@ -367,7 +400,9 @@ def generate_dataset(
     if spectra_dir is not None:
         spectra_dir = Path(spectra_dir)
         spectra_dir.mkdir(parents=True, exist_ok=True)
-    for rec in iter_samples(fleet, mixing, cfg, conditions):
+    for rec in iter_samples(
+        fleet, mixing, cfg, conditions, full_spectra=spectra_dir is not None
+    ):
         healths[rec.condition, rec.sample] = rec.healths
         if spectra_dir is not None:
             if rec.condition not in sinks:
@@ -528,7 +563,7 @@ def dataset_scenario(fleet, mixing, cfg: SimConfig, fleet_states_per_time) -> Sc
     conditions = [(f"t{k}", states) for k, states in enumerate(fleet_states_per_time)]
     cfg_one = replace(cfg, samples_per_state=1)
     readings = np.zeros((SENSORS, len(conditions), cfg.dft_size), dtype=np.complex128)
-    for rec in iter_samples(fleet, mixing, cfg_one, conditions):
+    for rec in iter_samples(fleet, mixing, cfg_one, conditions, full_spectra=True):
         readings[:, rec.condition, :] = rec.spectra
     owner = np.full(cfg.dft_size, -1, dtype=int)
     for h in range(SENSORS):

@@ -170,6 +170,15 @@ class TestTheorems:
             spans = doc["diagnostics"]["spans"] if doc["applicable"] else None
             assert (doc["applicable"], doc["conclusion"], spans) == triple, name
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_or_non_positive_tol_exits_2(self, tmp_path, capsys, tol):
+        for command in (["validate"], ["theorems", "--out", str(tmp_path / "o")]):
+            assert cli.main(command + [HARMONIOUS, f"--tol={tol}"]) == 2
+            captured = capsys.readouterr()
+            assert "tol must be a positive finite number" in captured.err
+            assert "silent" not in captured.err and captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_fail_sensor_out_of_range(self, tmp_path):
         assert (
             cli.main(
@@ -296,6 +305,14 @@ class TestGenerateDetectSweep:
         path.write_text(json.dumps({key: value}))
         assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert repr(key) in capsys.readouterr().err
+
+    def test_negative_fault_multiplier_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"samples_per_state": 8, "fault_multiplier": -12.0})
+        for command in ("generate", "detect"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert "fault multiplier" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("name", ["a,b", "x/y", "..", ""])
     def test_bad_noise_level_name_exits_2(self, tmp_path, capsys, name):

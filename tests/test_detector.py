@@ -268,3 +268,35 @@ def test_score_condition_counts_match_per_sample_rule(data):
         assert stats.samples == samples
         assert stats.correct == counts[truth]
         assert stats.combined_correct == combined
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_detect_is_monotone_in_each_block(data):
+    """Whatever the other blocks hold, pushing every coordinate of engine h's
+    block below dead_lo * mu gives failure, and raising any one of its lines
+    above fault_hi * mu gives fault; other engines' verdicts do not move."""
+    th = DetectorThresholds(
+        fault_hi=data.draw(st.floats(1.01, 10.0)), dead_lo=data.draw(st.floats(0.01, 0.99))
+    )
+    mu = data.draw(hnp.arrays(float, 28, elements=st.floats(1e-3, 1e4)))
+    mapped = data.draw(hnp.arrays(float, 28, elements=st.floats(0.0, 1e5)))
+    base = Baseline(kind="basis", mu=mu)
+    before = detect(mapped, base, th)
+    h = data.draw(st.integers(0, 3))
+    block = slice(7 * h, 7 * (h + 1))
+    others = np.arange(4) != h
+
+    quiet = mapped.copy()
+    shrink = data.draw(hnp.arrays(float, 7, elements=st.floats(0.0, 0.999)))
+    quiet[block] = shrink * (th.dead_lo * mu[block])
+    verdicts = detect(quiet, base, th)
+    assert verdicts[h] == "failure"
+    assert np.array_equal(verdicts[others], before[others])
+
+    loud = data.draw(st.sampled_from([mapped, quiet])).copy()
+    line = 7 * h + data.draw(st.integers(0, 6))
+    loud[line] = data.draw(st.floats(1.001, 100.0)) * (th.fault_hi * mu[line])
+    verdicts = detect(loud, base, th)
+    assert verdicts[h] == "fault"
+    assert np.array_equal(verdicts[others], before[others])

@@ -1,9 +1,12 @@
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from framesense import turbine
 from framesense.scenario import (
@@ -74,12 +77,19 @@ class TestFleetGeometry:
                 fleet_line_bins((bad,) + FLEET[1:], CFG)
 
 
-def time_domain_spectrum(fleet, states, mixing, cfg, block=0, noise=None):
+def drawn_line_noise(cfg, sigma, condition, sample, n_lines=28):
+    """The line-bin noise of one sample: sigma sqrt(N/2) (z[0] + i z[1]),
+    z the first (2, 4, n_lines) normals of the sample's generator."""
+    z = turbine._sample_rng(cfg.rng_seed, condition, sample).standard_normal((2, 4, n_lines))
+    return sigma * np.sqrt(cfg.dft_size / 2) * (z[0] + 1j * z[1])
+
+
+def time_domain_spectrum(fleet, states, mixing, cfg, block=0):
     """Reference: DFT of the sensor blocks synthesised sample by sample.
 
     Each engine radiates ``a sin(2 pi f t / fs + phi)`` per line, sampled over
     block ``block`` (samples ``block*N .. block*N + N - 1``); sensors mix the
-    engines, add ``noise`` when given, and failed sensors read zero.
+    engines, and failed sensors read zero.
     """
     t = block * cfg.dft_size + np.arange(cfg.dft_size)
     engines = np.stack(
@@ -96,8 +106,6 @@ def time_domain_spectrum(fleet, states, mixing, cfg, block=0, noise=None):
         ]
     )
     sensors = mixing @ engines
-    if noise is not None:
-        sensors = sensors + noise
     sensors[sorted(cfg.failed_sensors)] = 0.0
     return np.fft.fft(sensors, axis=-1)
 
@@ -107,7 +115,8 @@ class TestEngineSignal:
 
     def test_normal_block_peaks_at_line_bins(self):
         model = FLEET[0]
-        rec = next(iter_samples(FLEET, np.eye(4), CFG, [("normal", normal_fleet_state())]))
+        normal = [("normal", normal_fleet_state())]
+        rec = next(iter_samples(FLEET, np.eye(4), CFG, normal, full_spectra=True))
         spectrum = rec.spectra[0]
         own_bins = BINS[:7]
         expected = np.array(model.line_amplitudes) * CFG.dft_size / 2
@@ -162,6 +171,12 @@ class TestFaultState:
         st = FaultState.gear_fault(3, 5.5)
         assert FaultState.from_json(st.to_json()) == st
 
+    def test_negative_or_non_finite_multiplier_rejected(self):
+        for bad in (-12.0, -1e-300, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="multiplier"):
+                FaultState.gear_fault(1, bad)
+        assert FaultState.gear_fault(1, 0.0).amplitudes(FLEET[0])[4] == 0.0
+
 
 class TestMixing:
     def test_identity_mixing_isolates_engines(self):
@@ -191,12 +206,19 @@ class TestMixing:
     def test_failed_sensor_emits_zero(self):
         cfg = SimConfig(failed_sensors={1}, noise_sigma=3.0, samples_per_state=1)
         normal = [("normal", normal_fleet_state())]
+        lines = line_spectrum(FLEET, normal_fleet_state(), mixing_matrix(0.1), cfg)
+        assert np.all(lines[1] == 0)
         rec = next(iter_samples(FLEET, mixing_matrix(0.1), cfg, normal))
-        assert np.all(rec.half_spectrum[1] == 0.0)
+        assert rec.half_spectrum is None
+        expected = np.abs(lines + drawn_line_noise(cfg, 3.0, 0, 0))
+        expected[1] = 0.0
+        assert np.array_equal(rec.healths, expected)
         assert np.all(rec.healths[1] == 0.0)
-        assert np.all(rec.spectra[1] == 0.0)
-        assert np.all(rec.half_spectrum[0] != 0)
-        assert np.all(line_spectrum(FLEET, normal_fleet_state(), mixing_matrix(0.1), cfg)[1] == 0)
+        full = next(iter_samples(FLEET, mixing_matrix(0.1), cfg, normal, full_spectra=True))
+        assert np.array_equal(full.healths, rec.healths)
+        assert np.all(full.half_spectrum[1] == 0.0)
+        assert np.all(full.spectra[1] == 0.0)
+        assert np.all(full.half_spectrum[0] != 0)
 
     def test_mixing_validation(self):
         with pytest.raises(ValueError):
@@ -218,7 +240,8 @@ class TestDft:
         model = EngineModel(engine_id=1, line_amplitudes=(0.7, 0, 0, 0, 0, 0, 0))
         dead = FaultState.failure()
         states = (FaultState.normal(), dead, dead, dead)
-        rec = next(iter_samples((model,) + FLEET[1:], np.eye(4), CFG, [("one", states)]))
+        fleet = (model,) + FLEET[1:]
+        rec = next(iter_samples(fleet, np.eye(4), CFG, [("one", states)], full_spectra=True))
         spectrum = rec.spectra[0]
         b = BINS[0]
         assert spectrum.shape == (CFG.dft_size,)
@@ -278,7 +301,8 @@ fault_states = st.one_of(
 def test_closed_form_matches_time_domain(
     fleet_seed, rng_seed, off_diagonal, states, failed, block, sigma
 ):
-    """The sample spectra equal the DFT of the synthesised sensor blocks."""
+    """Noise-free spectra equal the DFT of the synthesised sensor blocks;
+    noisy healths are |line spectrum + the sample's drawn line-bin noise|."""
     fleet = random_on_bin_fleet(fleet_seed)
     mixing = np.eye(4)
     mixing[~np.eye(4, dtype=bool)] = off_diagonal
@@ -289,22 +313,131 @@ def test_closed_form_matches_time_domain(
         noise_sigma=sigma,
         samples_per_state=block + 1,
     )
-    *_, rec = iter_samples(fleet, mixing, cfg, [("c", states)])
-    assert rec.sample == block
-    noise = None
-    if sigma > 0:
-        noise = sigma * turbine._sample_rng(rng_seed, 0, block).standard_normal((4, cfg.dft_size))
-    reference = time_domain_spectrum(fleet, states, mixing, cfg, block, noise)
-    tol = 1e-8 * cfg.dft_size
-    half = cfg.dft_size // 2 + 1
+    *_, rec = iter_samples(fleet, mixing, cfg, [("c", states)], full_spectra=True)
+    *_, lean = iter_samples(fleet, mixing, cfg, [("c", states)])
+    assert rec.sample == lean.sample == block
     bins = fleet_line_bins(fleet, cfg)
-    assert np.allclose(rec.half_spectrum, reference[:, :half], rtol=0, atol=tol)
-    assert np.allclose(rec.spectra, np.abs(reference), rtol=0, atol=tol)
+    assert np.array_equal(lean.healths, rec.healths)
     assert np.array_equal(rec.healths, np.abs(rec.half_spectrum[:, bins]))
     assert np.all(rec.half_spectrum[sorted(failed)] == 0.0)
+    assert np.all(rec.healths[sorted(failed)] == 0.0)
     if sigma == 0:
+        reference = time_domain_spectrum(fleet, states, mixing, cfg, block)
+        tol = 1e-8 * cfg.dft_size
+        half = cfg.dft_size // 2 + 1
+        assert np.allclose(rec.half_spectrum, reference[:, :half], rtol=0, atol=tol)
+        assert np.allclose(rec.spectra, np.abs(reference), rtol=0, atol=tol)
         off_bins = np.delete(rec.half_spectrum, bins, axis=-1)
         assert np.all(off_bins == 0.0)
+    else:
+        lines = line_spectrum(fleet, states, mixing, cfg)
+        expected = np.abs(lines + drawn_line_noise(cfg, sigma, 0, block))
+        expected[sorted(failed)] = 0.0
+        assert np.array_equal(rec.healths, expected)
+
+
+def ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def ks_critical(n: int, m: int, alpha: float = 1e-3) -> float:
+    """Asymptotic two-sample KS critical value at level alpha."""
+    return np.sqrt(-np.log(alpha / 2) / 2) * np.sqrt((n + m) / (n * m))
+
+
+class TestFrequencyDomainNoise:
+    """The drawn noise against the rfft of time-domain white noise.
+
+    A dead fleet makes every sample pure noise.  Seeds are fixed: the
+    simulator's ``rng_seed`` NOISE_SEED, the reference generator REF_SEED.
+    """
+
+    SAMPLES = 2000
+    SIGMA = 1.7
+    NOISE_SEED = 20261018
+    REF_SEED = 4242
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        fleet = random_on_bin_fleet(3)
+        cfg = replace(
+            PROP_CFG, rng_seed=self.NOISE_SEED, noise_sigma=self.SIGMA,
+            samples_per_state=self.SAMPLES,
+        )
+        n = cfg.dft_size
+        bins = fleet_line_bins(fleet, cfg)
+        dead = [("dead", tuple(FaultState.failure() for _ in range(4)))]
+        interior = np.setdiff1d(np.arange(1, n // 2), bins)
+        new_lines, new_edges, interior_power, healths = [], [], 0.0, []
+        for rec in iter_samples(fleet, mixing_matrix(0.1), cfg, dead, full_spectra=True):
+            new_lines.append(rec.half_spectrum[:, bins])
+            new_edges.append(rec.half_spectrum[:, [0, n // 2]])
+            interior_power += np.sum(np.abs(rec.half_spectrum[:, interior]) ** 2)
+            healths.append(rec.healths)
+        lean = [rec.healths for rec in iter_samples(fleet, mixing_matrix(0.1), cfg, dead)]
+        ref_rng = np.random.default_rng(self.REF_SEED)
+        ref_lines, ref_edges = [], []
+        for _ in range(self.SAMPLES // 250):  # 250 samples per block keeps memory small
+            x = np.fft.rfft(self.SIGMA * ref_rng.standard_normal((250, 4, n)), axis=-1)
+            ref_lines.append(x[..., bins])
+            ref_edges.append(x[..., [0, n // 2]])
+        return {
+            "n": n,
+            "new_lines": np.stack(new_lines),  # (samples, 4, 28)
+            "new_edges": np.stack(new_edges),  # (samples, 4, 2): DC, Nyquist
+            "interior_mean_power": interior_power / (self.SAMPLES * 4 * interior.size),
+            "healths": np.stack(healths),
+            "lean_healths": np.stack(lean),
+            "ref_lines": np.concatenate(ref_lines),
+            "ref_edges": np.concatenate(ref_edges),
+        }
+
+    def test_healths_do_not_depend_on_full_spectra(self, draws):
+        assert np.array_equal(draws["healths"], draws["lean_healths"])
+        assert np.array_equal(draws["healths"], np.abs(draws["new_lines"]))
+
+    def test_line_magnitudes_match_time_domain_noise(self, draws):
+        scale = self.SIGMA * np.sqrt(draws["n"])
+        new = np.abs(draws["new_lines"]).ravel() / scale
+        ref = np.abs(draws["ref_lines"]).ravel() / scale
+        assert new.size == ref.size >= 2000 * 4 * 28
+        assert ks_statistic(new, ref) < ks_critical(new.size, ref.size)
+
+    def test_line_power_is_sigma_squared_n(self, draws):
+        power = self.SIGMA**2 * draws["n"]
+        for key in ("new_lines", "ref_lines"):
+            mean = np.mean(np.abs(draws[key]) ** 2)
+            # The mean of 224,000 unit exponentials has std 0.0021.
+            assert mean / power == pytest.approx(1.0, abs=0.01), key
+        assert draws["interior_mean_power"] / power == pytest.approx(1.0, abs=0.01)
+
+    def test_bins_and_parts_are_uncorrelated(self, draws):
+        values = draws["new_lines"].reshape(-1, 28)
+        parts = np.concatenate([values.real, values.imag], axis=1)  # 56 columns
+        corr = np.corrcoef(parts, rowvar=False)
+        off_diagonal = corr[~np.eye(56, dtype=bool)]
+        # 8000 rows: one correlation estimate has std 0.011.
+        assert np.max(np.abs(off_diagonal)) < 5 / np.sqrt(values.shape[0])
+        pooled = np.corrcoef(values.real.ravel(), values.imag.ravel())[0, 1]
+        assert abs(pooled) < 5 / np.sqrt(values.size)
+        assert np.var(values.real) == pytest.approx(np.var(values.imag), rel=0.02)
+
+    def test_dc_and_nyquist_are_real_with_variance_sigma_squared_n(self, draws):
+        edges = draws["new_edges"]
+        assert np.all(edges.imag == 0.0)
+        assert np.allclose(draws["ref_edges"].imag, 0.0, atol=1e-9 * draws["n"])
+        power = self.SIGMA**2 * draws["n"]
+        for which in (0, 1):
+            # 8000 values: the sample variance has relative std 0.016.
+            assert np.var(edges[..., which].real) / power == pytest.approx(1.0, abs=0.08)
+        new = edges.real.ravel()
+        ref = draws["ref_edges"].real.ravel()
+        assert ks_statistic(new, ref) < ks_critical(new.size, ref.size)
 
 
 class TestHealthProject:
@@ -390,22 +523,55 @@ class TestGeneration:
         ).read_bytes()
 
     def test_spectra_files_written(self, tmp_path):
-        cfg = SimConfig(samples_per_state=2)
-        conditions = (("normal", normal_fleet_state()),)
+        # With noise on, the line bins of the written spectra are the healths
+        # themselves: the line-bin noise is drawn first either way.
+        cfg = SimConfig(samples_per_state=2, snr_db=0.0, failed_sensors={2})
+        conditions = turbine.engine1_conditions()
         ds = generate_dataset(FLEET, mixing_matrix(0.1), cfg, conditions, spectra_dir=tmp_path)
-        fname = ds.spectra_files["normal"]
-        raw = np.fromfile(tmp_path / fname, dtype="<f8")
-        assert raw.size == 2 * 4 * cfg.dft_size
-        spectra = raw.reshape(2, 4, cfg.dft_size)
-        assert np.allclose(
-            health_project(spectra[0], fleet_line_bins(FLEET, cfg)), ds.healths[0, 0]
-        )
+        lean = generate_dataset(FLEET, mixing_matrix(0.1), cfg, conditions)
+        assert np.array_equal(lean.healths, ds.healths)
+        bins = fleet_line_bins(FLEET, cfg)
+        for c, (name, _) in enumerate(conditions):
+            raw = np.fromfile(tmp_path / ds.spectra_files[name], dtype="<f8")
+            assert raw.size == 2 * 4 * cfg.dft_size
+            spectra = raw.reshape(2, 4, cfg.dft_size)
+            assert np.array_equal(health_project(spectra, bins), ds.healths[c])
+            assert np.all(spectra[:, 2] == 0.0)
 
     def test_iter_samples_streams_in_order(self):
         records = list(iter_samples(FLEET, mixing_matrix(0.1), CFG, turbine.engine1_conditions()))
         assert [(r.condition, r.sample) for r in records[:5]] == [
             (0, 0), (0, 1), (0, 2), (0, 3), (1, 0),
         ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(samples=st.integers(1, 3), data=st.data())
+def test_save_load_roundtrip_is_exact(samples, data):
+    """Any finite float64 health, subnormals and -0.0 included, survives
+    ``save_dataset`` -> ``load_dataset`` bit for bit."""
+    healths = data.draw(
+        hnp.arrays(
+            np.float64,
+            (3, samples, 4, 28),
+            elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+        )
+    )
+    # The extremes every example carries: smallest subnormal, -0.0, largest
+    # subnormal, largest finite.
+    healths[0, 0, 0, :4] = [5e-324, -0.0, 2.225073858507201e-308, 1.7976931348623157e308]
+    ds = turbine.Dataset(
+        healths=healths,
+        conditions=turbine.engine1_conditions(),
+        cfg=SimConfig(samples_per_state=samples),
+        mixing=mixing_matrix(0.1),
+        fleet=FLEET,
+        line_bins=BINS,
+        sigma=0.0,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        back = load_dataset(save_dataset(ds, Path(tmp) / "d"))
+    assert np.array_equal(back.healths.view(np.uint64), healths.view(np.uint64))
 
 
 class TestSnrScale:
