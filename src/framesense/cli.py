@@ -350,10 +350,10 @@ def cmd_sweep(args) -> int:
         )
     else:
         grid = parse_snr_range(f"{cfg['snr_lo']}:{cfg['snr_hi']}:{cfg['snr_step']}")
-    echo_config(cfg, out)
     fleet, th = _fleet_and_thresholds(cfg)
     mixing = turbine.mixing_matrix(cfg["sweep_mixing_off_diagonal"])
     sim = replace(_sim_config(cfg), samples_per_state=cfg["sweep_samples_per_point"])
+    echo_config(cfg, out)
     points = detector.snr_sweep(fleet, mixing, sim, grid, th)
     detector.write_sweep(points, out)
     print(f"{len(grid)}-point sweep written to {out}")

@@ -49,16 +49,9 @@ class DetectorThresholds:
     dead_lo: float = 0.18
 
     def __post_init__(self):
-        if not (self.dead_lo < 1.0 < self.fault_hi):
-            raise ValueError("need dead_lo < 1 < fault_hi")
-
-
-@dataclass(frozen=True)
-class Baseline:
-    """Per-coordinate nominal magnitudes for one mapping pipeline."""
-
-    kind: str
-    mu: np.ndarray
+        # dead_lo <= 0 would make a failure verdict impossible.
+        if not (0.0 < self.dead_lo < 1.0 < self.fault_hi):
+            raise ValueError("need 0 < dead_lo < 1 < fault_hi")
 
 
 def _health_assignment(n_coords: int) -> IndexAssignment:
@@ -82,8 +75,8 @@ def map_healths(healths: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown mapping kind {kind!r}")
 
 
-def calibrate(dataset: Dataset, kind: str) -> Baseline:
-    """Mean mapped magnitudes of a zero-noise normal run."""
+def calibrate(dataset: Dataset, kind: str) -> np.ndarray:
+    """The baseline ``mu``: mean mapped magnitudes of a zero-noise normal run."""
     if dataset.sigma != 0.0:
         raise CalibrationError("calibration requires a zero-noise run")
     try:
@@ -97,16 +90,18 @@ def calibrate(dataset: Dataset, kind: str) -> Baseline:
             f"baseline coordinates {dead.tolist()} are zero; line bins are "
             "mis-specified"
         )
-    return Baseline(kind=kind, mu=mu)
+    return mu
 
 
-def detect(mapped, baseline: Baseline, th: DetectorThresholds) -> np.ndarray:
-    """Per-engine verdicts ``(..., SENSORS)`` for mapped health vectors ``(..., n)``."""
+def detect(mapped, mu, th: DetectorThresholds) -> np.ndarray:
+    """Per-engine verdicts ``(..., SENSORS)`` for mapped health vectors ``(..., n)``
+    against the calibrated baseline ``mu`` of shape ``(n,)``."""
     mapped = np.asarray(mapped, dtype=float)
-    if mapped.shape[-1:] != baseline.mu.shape:
+    mu = np.asarray(mu, dtype=float)
+    if mapped.shape[-1:] != mu.shape:
         raise ValueError("health vector and baseline dimensions differ")
     blocks = mapped.reshape(mapped.shape[:-1] + (SENSORS, -1))
-    mu = baseline.mu.reshape(SENSORS, -1)
+    mu = mu.reshape(SENSORS, -1)
     failure = np.all(blocks < th.dead_lo * mu, axis=-1)
     fault = np.any(blocks > th.fault_hi * mu, axis=-1)
     return np.where(failure, "failure", np.where(fault, "fault", "normal"))
@@ -145,7 +140,10 @@ def score_condition(
     sensor_condition: str,
     noise_level: str,
 ) -> list:
-    """Per-pipeline statistics for one condition of one dataset."""
+    """Per-pipeline statistics for one condition of one dataset.
+
+    ``baselines`` maps each pipeline in ``PIPELINES`` to its calibrated ``mu``.
+    """
     c = dataset.condition_names.index(condition_name)
     truth = dataset.conditions[c][1][0].kind  # engine-1 ground truth
     truth = {"normal": "normal", "gear_fault": "fault", "failure": "failure"}[truth]
@@ -221,29 +219,13 @@ def grid_cells(cfg: SimConfig, noise_levels: dict):
     """
     for sensor_condition, failed in SENSOR_CONDITIONS.items():
         for noise_level, snr_db in noise_levels.items():
-            run_cfg = replace(cfg, snr_db=snr_db, noise_sigma=0.0, failed_sensors=failed)
+            run_cfg = replace(cfg, snr_db=snr_db, failed_sensors=failed)
             yield (sensor_condition, noise_level), run_cfg
-
-
-def condition_grid_datasets(fleet, mixing, cfg: SimConfig) -> dict:
-    """Generate the full grid: engine states x sensor conditions x noise levels."""
-    noise_levels = {"low": LOW_NOISE_SNR_DB, "high": HIGH_NOISE_SNR_DB}
-    conditions = turbine.engine1_conditions()
-    return {
-        key: turbine.generate_dataset(fleet, mixing, run_cfg, conditions)
-        for key, run_cfg in grid_cells(cfg, noise_levels)
-    }
 
 
 def calibration_config(cfg: SimConfig) -> SimConfig:
     """The zero-noise, all-sensors-good run that calibrates both pipelines."""
-    return replace(
-        cfg,
-        snr_db=None,
-        noise_sigma=0.0,
-        failed_sensors=frozenset(),
-        samples_per_state=4,
-    )
+    return replace(cfg, snr_db=None, failed_sensors=frozenset(), samples_per_state=4)
 
 
 def calibration_dataset(fleet, mixing, cfg: SimConfig) -> Dataset:

@@ -11,7 +11,6 @@ matrix; the inner product is ``<x, y> = sum_i x[i] * conj(y[i])``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,41 +69,6 @@ class VectorSet:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-    def __iter__(self):
-        return iter(self.matrix)
-
-    @classmethod
-    def from_vectors(cls, vectors, labels=None) -> "VectorSet":
-        return cls(np.atleast_2d(np.asarray(vectors, dtype=np.complex128)), labels)
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "dim": self.dim,
-            "vectors": [
-                [{"re": float(z.real), "im": float(z.imag)} for z in row]
-                for row in self.matrix
-            ],
-        }
-        if self.labels is not None:
-            doc["labels"] = [list(lab) for lab in self.labels]
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "VectorSet":
-        rows = [[parse_complex(z) for z in row] for row in doc["vectors"]]
-        matrix = np.asarray(rows, dtype=np.complex128)
-        if matrix.ndim != 2 or matrix.shape[1] != doc["dim"]:
-            raise ValueError("vector dimensions disagree with declared dim")
-        labels = doc.get("labels")
-        return cls(matrix, tuple(tuple(lab) for lab in labels) if labels else None)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VectorSet":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _is_real(x) -> bool:

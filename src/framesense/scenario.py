@@ -227,10 +227,6 @@ class IndexAssignment:
     def n(self) -> int:
         return sum(len(s) for s in self.I)
 
-    @property
-    def n_j(self) -> tuple:
-        return tuple(len(s) for s in self.I)
-
     def owners(self) -> np.ndarray:
         out = np.full(self.n, -1, dtype=int)
         for j, owned in enumerate(self.I):

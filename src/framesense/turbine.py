@@ -150,8 +150,7 @@ def validate_mixing(a) -> np.ndarray:
 class SimConfig:
     dft_size: int = 8192
     sample_rate: float = 32768.0
-    noise_sigma: float = 0.0
-    snr_db: float | None = None  # overrides noise_sigma when set
+    snr_db: float | None = None  # None: noise-free
     failed_sensors: frozenset = frozenset()
     rng_seed: int = 20260808
     samples_per_state: int = 64
@@ -159,8 +158,9 @@ class SimConfig:
     def __post_init__(self):
         if self.dft_size <= 0 or self.dft_size & (self.dft_size - 1):
             raise ValueError("dft_size must be a power of two")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be nonnegative")
+        # NaN would pass every comparison and silently mean noise-free.
+        if self.snr_db is not None and not -np.inf < self.snr_db < np.inf:
+            raise ValueError(f"snr_db must be a finite number or None, got {self.snr_db!r}")
         if not isinstance(self.samples_per_state, numbers.Integral):
             raise ValueError("samples_per_state must be an integer")
         if self.samples_per_state < 1:
@@ -174,23 +174,19 @@ class SimConfig:
         return self.sample_rate / self.dft_size
 
 
-def sigma_for_snr(snr_db: float, fleet, cfg: SimConfig) -> float:
-    """Per-sample noise standard deviation realizing the requested SNR.
+def resolve_sigma(cfg: SimConfig, fleet) -> float:
+    """Per-sample noise standard deviation realizing ``cfg.snr_db``; 0 when None.
 
     The scale is anchored on the weakest line in the fleet: its DFT bin
     magnitude is a_min * dft_size / 2 while per-bin noise components have
     standard deviation sigma * sqrt(dft_size / 2), and snr_db = 0 places the
     line SNR_REFERENCE_MARGIN_DB above that level.
     """
-    a_min = min(min(m.line_amplitudes) for m in fleet)
-    kappa = 10.0 ** ((snr_db + SNR_REFERENCE_MARGIN_DB) / 20.0)
-    return a_min * np.sqrt(cfg.dft_size / 2.0) / kappa
-
-
-def resolve_sigma(cfg: SimConfig, fleet) -> float:
     if cfg.snr_db is None:
-        return cfg.noise_sigma
-    return float(sigma_for_snr(cfg.snr_db, fleet, cfg))
+        return 0.0
+    a_min = min(min(m.line_amplitudes) for m in fleet)
+    kappa = 10.0 ** ((cfg.snr_db + SNR_REFERENCE_MARGIN_DB) / 20.0)
+    return float(a_min * np.sqrt(cfg.dft_size / 2.0) / kappa)
 
 
 def fleet_line_bins(fleet, cfg: SimConfig) -> np.ndarray:
@@ -438,7 +434,6 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
         "config": {
             "dft_size": ds.cfg.dft_size,
             "sample_rate": ds.cfg.sample_rate,
-            "noise_sigma": ds.cfg.noise_sigma,
             "snr_db": ds.cfg.snr_db,
             "resolved_sigma": ds.sigma,
             "failed_sensors": sorted(ds.cfg.failed_sensors),
@@ -492,10 +487,11 @@ def load_dataset(path) -> Dataset:
     with open(path / "manifest.json") as fh:
         manifest = json.load(fh)
     cfgdoc = manifest["config"]
+    # Only the SimConfig keys are read: older manifests carry one more noise
+    # key, and ``resolved_sigma`` is the level the healths were drawn with.
     cfg = SimConfig(
         dft_size=cfgdoc["dft_size"],
         sample_rate=cfgdoc["sample_rate"],
-        noise_sigma=cfgdoc["noise_sigma"],
         snr_db=cfgdoc["snr_db"],
         failed_sensors=frozenset(cfgdoc["failed_sensors"]),
         rng_seed=cfgdoc["rng_seed"],

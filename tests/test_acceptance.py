@@ -351,7 +351,12 @@ def condition_report():
     calib = detector.calibration_dataset(FLEET, mix, cfg)
     baselines = {k: detector.calibrate(calib, k) for k in detector.PIPELINES}
     start = time.time()
-    grid = detector.condition_grid_datasets(FLEET, mix, cfg)
+    levels = {"low": detector.LOW_NOISE_SNR_DB, "high": detector.HIGH_NOISE_SNR_DB}
+    conditions = turbine.engine1_conditions()
+    grid = {
+        key: turbine.generate_dataset(FLEET, mix, run_cfg, conditions)
+        for key, run_cfg in detector.grid_cells(cfg, levels)
+    }
     report = detector.run_conditions(grid, baselines, TH)
     return report, time.time() - start
 

@@ -72,6 +72,9 @@ class TestValidate:
             (lambda doc: doc["readings"][0][0].__setitem__(0, True), "'readings'"),
             (lambda doc: doc["health"]["rows"][0].__setitem__(1, 0), "'health.rows'"),
             (lambda doc: doc["health"]["rows"][0].__setitem__(1, 4), "'health.rows'"),
+            (lambda doc: doc["readings"][0][0].__setitem__(0, "1"), "'readings'"),
+            (lambda doc: doc["readings"][0][0].__setitem__(0, {"re": "1"}), "'readings'"),
+            (lambda doc: doc["readings"][0][0].__setitem__(0, {"im": False}), "'readings'"),
         ],
         ids=[
             "covering_deleted",
@@ -80,6 +83,9 @@ class TestValidate:
             "bool_reading",
             "parameter_zero",
             "parameter_above_M",
+            "string_reading",
+            "string_real_part",
+            "bool_imaginary_part",
         ],
     )
     def test_bad_scenario_document_exits_2(self, tmp_path, capsys, edit, key):
@@ -312,6 +318,17 @@ class TestGenerateDetectSweep:
             out = tmp_path / command
             assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
             assert "fault multiplier" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("dead_lo", [0.0, -1.0, 1.5])
+    def test_dead_lo_outside_unit_interval_exits_2(self, tmp_path, capsys, dead_lo):
+        # At dead_lo <= 0 detect would write a plausible results.csv in which
+        # failure is never declared; no run may leave output behind.
+        cfg = write_config(tmp_path, {"dead_lo": dead_lo})
+        for command in ("detect", "sweep"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert "0 < dead_lo < 1" in capsys.readouterr().err
             assert not out.exists()
 
     @pytest.mark.parametrize("name", ["a,b", "x/y", "..", ""])

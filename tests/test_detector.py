@@ -9,13 +9,14 @@ from hypothesis.extra import numpy as hnp
 
 from framesense import detector, turbine
 from framesense.detector import (
-    Baseline,
+    HIGH_NOISE_SNR_DB,
+    LOW_NOISE_SNR_DB,
     CalibrationError,
     DetectorThresholds,
     calibrate,
     calibration_dataset,
-    condition_grid_datasets,
     detect,
+    grid_cells,
     map_healths,
     run_conditions,
     score_condition,
@@ -23,7 +24,7 @@ from framesense.detector import (
     write_results,
     write_sweep,
 )
-from framesense.turbine import SimConfig, default_fleet, mixing_matrix
+from framesense.turbine import SimConfig, default_fleet, mixing_matrix, resolve_sigma
 
 FLEET = default_fleet()
 MIX = mixing_matrix(0.1)
@@ -37,6 +38,17 @@ def baselines():
     return {kind: calibrate(calib, kind) for kind in ("basis", "frame")}
 
 
+@pytest.fixture(scope="module")
+def grid():
+    """The ``detect`` grid at the default noise levels, 4 samples per state."""
+    levels = {"low": LOW_NOISE_SNR_DB, "high": HIGH_NOISE_SNR_DB}
+    conditions = turbine.engine1_conditions()
+    return {
+        key: turbine.generate_dataset(FLEET, MIX, run_cfg, conditions)
+        for key, run_cfg in grid_cells(replace(CFG, samples_per_state=4), levels)
+    }
+
+
 class TestThresholds:
     def test_defaults_ordered(self):
         assert TH.dead_lo < 1.0 < TH.fault_hi
@@ -44,8 +56,11 @@ class TestThresholds:
     def test_bad_thresholds_rejected(self):
         with pytest.raises(ValueError):
             DetectorThresholds(fault_hi=0.5)
-        with pytest.raises(ValueError):
-            DetectorThresholds(dead_lo=1.5)
+        # At dead_lo <= 0 no magnitude is below dead_lo * mu, so failure
+        # could never be declared.
+        for dead_lo in (1.5, 0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="0 < dead_lo < 1"):
+                DetectorThresholds(dead_lo=dead_lo)
 
 
 class TestMapping:
@@ -69,14 +84,14 @@ class TestCalibration:
         expected = np.concatenate(
             [np.array(m.line_amplitudes) * CFG.dft_size / 2 for m in FLEET]
         )
-        assert np.allclose(baselines["basis"].mu, expected, rtol=1e-9)
+        assert np.allclose(baselines["basis"], expected, rtol=1e-9)
 
     def test_frame_baseline_dominates_basis(self, baselines):
-        assert np.all(baselines["frame"].mu >= baselines["basis"].mu)
+        assert np.all(baselines["frame"] >= baselines["basis"])
 
     def test_repeat_calibration_identical(self, baselines):
         again = calibrate(calibration_dataset(FLEET, MIX, CFG), "basis")
-        assert np.array_equal(again.mu, baselines["basis"].mu)
+        assert np.array_equal(again, baselines["basis"])
 
     def test_noisy_run_rejected(self):
         noisy = turbine.generate_dataset(
@@ -101,27 +116,27 @@ class TestCalibration:
 
 class TestDetect:
     def test_baseline_itself_is_normal(self, baselines):
-        base = baselines["basis"]
-        assert tuple(detect(base.mu, base, TH)) == ("normal",) * 4
+        mu = baselines["basis"]
+        assert tuple(detect(mu, mu, TH)) == ("normal",) * 4
 
     def test_dead_engine_block_is_failure(self, baselines):
-        base = baselines["basis"]
-        mapped = base.mu.copy()
+        mu = baselines["basis"]
+        mapped = mu.copy()
         mapped[:7] = 0.0
-        assert tuple(detect(mapped, base, TH)) == ("failure",) + ("normal",) * 3
+        assert tuple(detect(mapped, mu, TH)) == ("failure",) + ("normal",) * 3
 
     def test_amplified_gear_line_is_fault(self, baselines):
-        base = baselines["basis"]
-        mapped = base.mu.copy()
+        mu = baselines["basis"]
+        mapped = mu.copy()
         mapped[4] *= 3.0
-        assert tuple(detect(mapped, base, TH))[0] == "fault"
+        assert tuple(detect(mapped, mu, TH))[0] == "fault"
 
     def test_multiple_engine_verdicts(self, baselines):
-        base = baselines["basis"]
-        mapped = base.mu.copy()
+        mu = baselines["basis"]
+        mapped = mu.copy()
         mapped[:7] = 0.0
         mapped[11] *= 4.0
-        verdicts = tuple(detect(mapped, base, TH))
+        verdicts = tuple(detect(mapped, mu, TH))
         assert verdicts[0] == "failure" and verdicts[1] == "fault"
 
     def test_dimension_mismatch(self, baselines):
@@ -131,7 +146,10 @@ class TestDetect:
 
 class TestZeroNoiseContracts:
     def test_basis_blindness_is_exact(self, baselines):
-        cfg = replace(CFG, failed_sensors=frozenset({0}), noise_sigma=17.0)
+        # -13 dB puts sigma at 17.99 >= 17 at N = 8192: far above the
+        # high-noise cell, and the failed owner sensor still reads exactly 0.
+        cfg = replace(CFG, failed_sensors=frozenset({0}), snr_db=-13.0)
+        assert resolve_sigma(cfg, FLEET) >= 17.0
         ds = turbine.generate_dataset(FLEET, MIX, cfg, turbine.engine1_conditions())
         for name in ds.condition_names:
             stats = score_condition(ds, name, baselines, TH, "s1_failed", "any")
@@ -147,21 +165,18 @@ class TestZeroNoiseContracts:
 
 
 class TestRunsAndReports:
-    def test_run_conditions_report_shape(self, baselines):
-        grid = condition_grid_datasets(FLEET, MIX, replace(CFG, samples_per_state=4))
+    def test_run_conditions_report_shape(self, baselines, grid):
         report = run_conditions(grid, baselines, TH, metadata={"samples": 4})
         assert len(report.stats) == 3 * 2 * 2 * 2  # states x sensor x noise x pipeline
         st = report.lookup("normal", "good", "low", "basis")
         assert st.pct_correct == 100.0
 
-    def test_report_determinism(self, baselines):
-        grid = condition_grid_datasets(FLEET, MIX, replace(CFG, samples_per_state=4))
+    def test_report_determinism(self, baselines, grid):
         a = run_conditions(grid, baselines, TH).to_json_dict()
         b = run_conditions(grid, baselines, TH).to_json_dict()
         assert a == b
 
-    def test_write_results_files(self, baselines, tmp_path):
-        grid = condition_grid_datasets(FLEET, MIX, replace(CFG, samples_per_state=4))
+    def test_write_results_files(self, baselines, grid, tmp_path):
         report = run_conditions(grid, baselines, TH)
         write_results(report, tmp_path)
         doc = json.loads((tmp_path / "results.json").read_text())
@@ -236,8 +251,7 @@ def test_detect_matches_per_vector_rule(data):
     mu, mapped = data.draw(relative_values(lead + (28,)))
     dead = data.draw(hnp.arrays(bool, lead + (4,)))  # zeroed engine blocks
     mapped.reshape(lead + (4, 7))[dead] = 0.0
-    base = Baseline(kind="basis", mu=mu)
-    verdicts = detect(mapped, base, TH)
+    verdicts = detect(mapped, mu, TH)
     assert verdicts.shape == lead + (4,)
     for idx in np.ndindex(lead):
         assert tuple(verdicts[idx]) == reference_verdicts(mapped[idx], mu, TH)
@@ -256,7 +270,7 @@ def test_score_condition_counts_match_per_sample_rule(data):
         healths=healths, conditions=((name, states),), cfg=CFG, mixing=MIX,
         fleet=FLEET, line_bins=np.arange(28), sigma=0.0,
     )
-    bases = {kind: Baseline(kind=kind, mu=mu) for kind in detector.PIPELINES}
+    bases = {kind: mu for kind in detector.PIPELINES}
     for stats in score_condition(ds, name, bases, TH, "good", "low"):
         verdicts = [
             reference_verdicts(reference_map(h, stats.pipeline), mu, TH)[0]
@@ -281,8 +295,7 @@ def test_detect_is_monotone_in_each_block(data):
     )
     mu = data.draw(hnp.arrays(float, 28, elements=st.floats(1e-3, 1e4)))
     mapped = data.draw(hnp.arrays(float, 28, elements=st.floats(0.0, 1e5)))
-    base = Baseline(kind="basis", mu=mu)
-    before = detect(mapped, base, th)
+    before = detect(mapped, mu, th)
     h = data.draw(st.integers(0, 3))
     block = slice(7 * h, 7 * (h + 1))
     others = np.arange(4) != h
@@ -290,13 +303,13 @@ def test_detect_is_monotone_in_each_block(data):
     quiet = mapped.copy()
     shrink = data.draw(hnp.arrays(float, 7, elements=st.floats(0.0, 0.999)))
     quiet[block] = shrink * (th.dead_lo * mu[block])
-    verdicts = detect(quiet, base, th)
+    verdicts = detect(quiet, mu, th)
     assert verdicts[h] == "failure"
     assert np.array_equal(verdicts[others], before[others])
 
     loud = data.draw(st.sampled_from([mapped, quiet])).copy()
     line = 7 * h + data.draw(st.integers(0, 6))
     loud[line] = data.draw(st.floats(1.001, 100.0)) * (th.fault_hi * mu[line])
-    verdicts = detect(loud, base, th)
+    verdicts = detect(loud, mu, th)
     assert verdicts[h] == "fault"
     assert np.array_equal(verdicts[others], before[others])

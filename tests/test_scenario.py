@@ -264,7 +264,6 @@ class TestIndexSets:
             frozenset({1, 3, 4}),
         )
         assert assign.I == ((0, 2), (), (1, 3, 4))
-        assert assign.n_j == (2, 0, 3)
 
     def test_single_sensor_owns_everything(self):
         fac = Factorization.from_health_factors(np.ones((1, 4)), np.ones((2, 4)))

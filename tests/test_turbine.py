@@ -1,3 +1,4 @@
+import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -32,8 +33,8 @@ from framesense.turbine import (
     load_dataset,
     mixing_matrix,
     normal_fleet_state,
+    resolve_sigma,
     save_dataset,
-    sigma_for_snr,
 )
 
 FLEET = default_fleet()
@@ -204,13 +205,14 @@ class TestMixing:
             )
 
     def test_failed_sensor_emits_zero(self):
-        cfg = SimConfig(failed_sensors={1}, noise_sigma=3.0, samples_per_state=1)
+        cfg = SimConfig(failed_sensors={1}, snr_db=2.0, samples_per_state=1)
+        sigma = resolve_sigma(cfg, FLEET)
         normal = [("normal", normal_fleet_state())]
         lines = line_spectrum(FLEET, normal_fleet_state(), mixing_matrix(0.1), cfg)
         assert np.all(lines[1] == 0)
         rec = next(iter_samples(FLEET, mixing_matrix(0.1), cfg, normal))
         assert rec.half_spectrum is None
-        expected = np.abs(lines + drawn_line_noise(cfg, 3.0, 0, 0))
+        expected = np.abs(lines + drawn_line_noise(cfg, sigma, 0, 0))
         expected[1] = 0.0
         assert np.array_equal(rec.healths, expected)
         assert np.all(rec.healths[1] == 0.0)
@@ -296,10 +298,10 @@ fault_states = st.one_of(
     states=st.tuples(fault_states, fault_states, fault_states, fault_states),
     failed=st.frozensets(st.integers(0, 3), max_size=3),
     block=st.integers(0, 40),
-    sigma=st.sampled_from([0.0, 0.8]),
+    snr_db=st.sampled_from([None, 8.0]),
 )
 def test_closed_form_matches_time_domain(
-    fleet_seed, rng_seed, off_diagonal, states, failed, block, sigma
+    fleet_seed, rng_seed, off_diagonal, states, failed, block, snr_db
 ):
     """Noise-free spectra equal the DFT of the synthesised sensor blocks;
     noisy healths are |line spectrum + the sample's drawn line-bin noise|."""
@@ -310,7 +312,7 @@ def test_closed_form_matches_time_domain(
         PROP_CFG,
         rng_seed=rng_seed,
         failed_sensors=failed,
-        noise_sigma=sigma,
+        snr_db=snr_db,
         samples_per_state=block + 1,
     )
     *_, rec = iter_samples(fleet, mixing, cfg, [("c", states)], full_spectra=True)
@@ -321,7 +323,7 @@ def test_closed_form_matches_time_domain(
     assert np.array_equal(rec.healths, np.abs(rec.half_spectrum[:, bins]))
     assert np.all(rec.half_spectrum[sorted(failed)] == 0.0)
     assert np.all(rec.healths[sorted(failed)] == 0.0)
-    if sigma == 0:
+    if snr_db is None:
         reference = time_domain_spectrum(fleet, states, mixing, cfg, block)
         tol = 1e-8 * cfg.dft_size
         half = cfg.dft_size // 2 + 1
@@ -331,6 +333,7 @@ def test_closed_form_matches_time_domain(
         assert np.all(off_bins == 0.0)
     else:
         lines = line_spectrum(fleet, states, mixing, cfg)
+        sigma = resolve_sigma(cfg, fleet)
         expected = np.abs(lines + drawn_line_noise(cfg, sigma, 0, block))
         expected[sorted(failed)] = 0.0
         assert np.array_equal(rec.healths, expected)
@@ -358,7 +361,7 @@ class TestFrequencyDomainNoise:
     """
 
     SAMPLES = 2000
-    SIGMA = 1.7
+    SNR_DB = -12.0  # sigma 1.71 for this fleet
     NOISE_SEED = 20261018
     REF_SEED = 4242
 
@@ -366,9 +369,10 @@ class TestFrequencyDomainNoise:
     def draws(self):
         fleet = random_on_bin_fleet(3)
         cfg = replace(
-            PROP_CFG, rng_seed=self.NOISE_SEED, noise_sigma=self.SIGMA,
+            PROP_CFG, rng_seed=self.NOISE_SEED, snr_db=self.SNR_DB,
             samples_per_state=self.SAMPLES,
         )
+        sigma = resolve_sigma(cfg, fleet)
         n = cfg.dft_size
         bins = fleet_line_bins(fleet, cfg)
         dead = [("dead", tuple(FaultState.failure() for _ in range(4)))]
@@ -383,11 +387,12 @@ class TestFrequencyDomainNoise:
         ref_rng = np.random.default_rng(self.REF_SEED)
         ref_lines, ref_edges = [], []
         for _ in range(self.SAMPLES // 250):  # 250 samples per block keeps memory small
-            x = np.fft.rfft(self.SIGMA * ref_rng.standard_normal((250, 4, n)), axis=-1)
+            x = np.fft.rfft(sigma * ref_rng.standard_normal((250, 4, n)), axis=-1)
             ref_lines.append(x[..., bins])
             ref_edges.append(x[..., [0, n // 2]])
         return {
             "n": n,
+            "sigma": sigma,
             "new_lines": np.stack(new_lines),  # (samples, 4, 28)
             "new_edges": np.stack(new_edges),  # (samples, 4, 2): DC, Nyquist
             "interior_mean_power": interior_power / (self.SAMPLES * 4 * interior.size),
@@ -402,14 +407,14 @@ class TestFrequencyDomainNoise:
         assert np.array_equal(draws["healths"], np.abs(draws["new_lines"]))
 
     def test_line_magnitudes_match_time_domain_noise(self, draws):
-        scale = self.SIGMA * np.sqrt(draws["n"])
+        scale = draws["sigma"] * np.sqrt(draws["n"])
         new = np.abs(draws["new_lines"]).ravel() / scale
         ref = np.abs(draws["ref_lines"]).ravel() / scale
         assert new.size == ref.size >= 2000 * 4 * 28
         assert ks_statistic(new, ref) < ks_critical(new.size, ref.size)
 
     def test_line_power_is_sigma_squared_n(self, draws):
-        power = self.SIGMA**2 * draws["n"]
+        power = draws["sigma"] ** 2 * draws["n"]
         for key in ("new_lines", "ref_lines"):
             mean = np.mean(np.abs(draws[key]) ** 2)
             # The mean of 224,000 unit exponentials has std 0.0021.
@@ -431,7 +436,7 @@ class TestFrequencyDomainNoise:
         edges = draws["new_edges"]
         assert np.all(edges.imag == 0.0)
         assert np.allclose(draws["ref_edges"].imag, 0.0, atol=1e-9 * draws["n"])
-        power = self.SIGMA**2 * draws["n"]
+        power = draws["sigma"] ** 2 * draws["n"]
         for which in (0, 1):
             # 8000 values: the sample variance has relative std 0.016.
             assert np.var(edges[..., which].real) / power == pytest.approx(1.0, abs=0.08)
@@ -490,6 +495,20 @@ class TestGeneration:
         assert np.array_equal(back.healths, ds.healths)
         assert back.condition_names == ds.condition_names
         assert back.cfg == ds.cfg
+
+    def test_manifest_config_keys_not_in_sim_config_are_ignored(self, tmp_path):
+        # Manifests written before noise was set by SNR alone carry a second
+        # noise key, always 0.0; their datasets must still load.
+        cfg = SimConfig(samples_per_state=2, snr_db=5.0)
+        ds = generate_dataset(FLEET, mixing_matrix(0.1), cfg, turbine.engine1_conditions())
+        path = save_dataset(ds, tmp_path / "d")
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["config"]["retired_noise_key"] = 0.0
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        back = load_dataset(path)
+        assert back.cfg == cfg
+        assert back.sigma == ds.sigma
+        assert np.array_equal(back.healths, ds.healths)
 
     def test_zero_samples_per_state_rejected(self):
         for bad in (0, -1, 2.5):
@@ -576,17 +595,26 @@ def test_save_load_roundtrip_is_exact(samples, data):
 
 class TestSnrScale:
     def test_sigma_decreases_with_snr(self):
-        lo = sigma_for_snr(-20.0, FLEET, CFG)
-        hi = sigma_for_snr(0.0, FLEET, CFG)
+        lo = resolve_sigma(replace(CFG, snr_db=-20.0), FLEET)
+        hi = resolve_sigma(replace(CFG, snr_db=0.0), FLEET)
         assert lo == pytest.approx(10.0 * hi)
 
-    def test_snr_overrides_sigma(self):
-        cfg = SimConfig(noise_sigma=99.0, snr_db=0.0)
-        assert turbine.resolve_sigma(cfg, FLEET) == pytest.approx(
-            sigma_for_snr(0.0, FLEET, cfg)
-        )
-        cfg2 = SimConfig(noise_sigma=1.5)
-        assert turbine.resolve_sigma(cfg2, FLEET) == 1.5
+    def test_snr_none_is_noise_free(self):
+        assert SimConfig().snr_db is None
+        assert resolve_sigma(CFG, FLEET) == 0.0
+
+    def test_snr_zero_puts_weakest_line_at_reference_margin(self):
+        sigma = resolve_sigma(replace(CFG, snr_db=0.0), FLEET)
+        line = min(min(m.line_amplitudes) for m in FLEET) * CFG.dft_size / 2
+        margin = 20 * np.log10(line / (sigma * np.sqrt(CFG.dft_size / 2)))
+        assert margin == pytest.approx(turbine.SNR_REFERENCE_MARGIN_DB, abs=1e-12)
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_snr_rejected(self, snr_db):
+        # NaN fails every comparison, so sigma > 0 would be false and the
+        # run silently noise-free; -inf would give an infinite sigma.
+        with pytest.raises(ValueError, match="snr_db"):
+            SimConfig(snr_db=snr_db)
 
 
 class TestScenarioBridge:
