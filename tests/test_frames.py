@@ -17,6 +17,7 @@ from framesense.frames import (
     is_frame,
     mf_bound_certificate,
     multiplicative_product,
+    parse_complex,
     reconstruct,
     span_certificate,
     synthesis,
@@ -274,6 +275,20 @@ class TestSpanCertificate:
                 rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
             )
             assert span_certificate(vs).spans == is_frame(vs)
+
+
+class TestSerialization:
+    """The JSON entry parse that scenario documents read vectors through."""
+
+    def test_real_shorthand_accepted(self):
+        rows = [[1, 0], [{"re": 0, "im": 1}, 2.5]]
+        vs = VectorSet([[parse_complex(z) for z in row] for row in rows])
+        assert np.allclose(vs.matrix, [[1, 0], [1j, 2.5]])
+
+    @pytest.mark.parametrize("entry", [True, "1", None, {"re": "1"}, {"im": False}])
+    def test_non_numeric_entry_rejected(self, entry):
+        with pytest.raises(TypeError):
+            parse_complex(entry)
 
 
 class TestInvariantsRandomized:
