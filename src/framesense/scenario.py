@@ -518,12 +518,31 @@ def _of_type(kind):
 _int = _of_type(int)
 
 
-def _index_sets(value) -> list:
-    return [frozenset(_int(f) - 1 for f in t) for t in value]
+def _index_sets(value, N: int, M: int) -> list:
+    """N 1-based index lists, each index in 1..M, as 0-based frozensets."""
+    sets = [frozenset(_int(f) - 1 for f in t) for t in value]
+    if len(sets) != N:
+        raise ValueError(f"expected {N} index lists, one per sensor, got {len(sets)}")
+    stray = sorted(f + 1 for f in set().union(*sets) if not 0 <= f < M)
+    if stray:
+        raise ValueError(f"parameter indices {stray} are outside 1..{M}")
+    return sets
 
 
-def _complex_rows(value) -> list:
-    return [[parse_complex(z) for z in row] for row in value]
+def _complex_array(value, shape: tuple) -> np.ndarray:
+    """Nested lists of finite numbers and {re, im} objects as a complex array of
+    ``shape``, in which a None length matches any."""
+    a = np.array(value, dtype=object)
+    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        raise ValueError(f"expected nested lists of shape {shape}, got {a.shape}")
+    flat = [parse_complex(z) if type(z) is dict else z for z in a.ravel().tolist()]
+    stray = sorted(t.__name__ for t in set(map(type, flat)) - {int, float, complex})
+    if stray:
+        raise TypeError(f"expected numbers or {{re, im}} objects, found {stray}")
+    out = np.array(flat, dtype=np.complex128).reshape(a.shape)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("entries must be finite")
+    return out
 
 
 def _selection_rows(value, n: int, M: int) -> list:
@@ -534,7 +553,7 @@ def _selection_rows(value, n: int, M: int) -> list:
             raise ValueError(f"row index {i} is outside 1..{n}")
         if not 1 <= _int(f) <= M:
             raise ValueError(f"parameter index {f} is outside 1..{M}")
-        rows[i - 1] = (f - 1, parse_complex(scale))
+        rows[i - 1] = (f - 1, complex(_complex_array(scale, ())))
     if None in rows:
         raise ValueError(f"needs one row per output 1..{n}")
     return rows
@@ -547,37 +566,30 @@ def _read(doc, key: str, convert, name: str | None = None):
         raise ValueError(f"scenario key {name!r} is missing")
     try:
         return convert(doc[key])
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ValueError(f"scenario key {name!r} has a bad value: {err}") from None
 
 
 def scenario_from_json_dict(doc: dict) -> Scenario:
     """Parse the layout :func:`scenario_to_json_dict` writes.
 
-    A missing key or a value of the wrong type raises ValueError naming it.
+    A missing key, a value of the wrong type or shape, a non-finite entry or
+    an index outside its range raises ValueError naming the key.
     """
     shape = tuple(_read(doc, key, _int) for key in ("N", "K", "M"))
-    readings = _read(
-        doc, "readings",
-        lambda v: np.asarray([_complex_rows(sensor) for sensor in v], dtype=np.complex128),
-    )
-    if readings.shape != shape:
-        raise ValueError(
-            f"readings shape {readings.shape} disagrees with declared "
-            f"(N, K, M) = {shape}"
-        )
-    covering = _read(doc, "covering", _index_sets)
-    partition = _read(doc, "partition", _index_sets)
+    N, M = shape[0], shape[2]
+    readings = _read(doc, "readings", lambda v: _complex_array(v, shape))
+    covering = _read(doc, "covering", lambda v: _index_sets(v, N, M))
+    partition = _read(doc, "partition", lambda v: _index_sets(v, N, M))
     hdoc = _read(doc, "health", _of_type(dict))
     kind = _read(hdoc, "kind", _of_type(str), "health.kind")
     if kind == "selection_matrix":
         n = _read(hdoc, "n", _int, "health.n")
-        rows = _read(
-            hdoc, "rows", lambda v: _selection_rows(v, n, shape[2]), "health.rows"
-        )
+        rows = _read(hdoc, "rows", lambda v: _selection_rows(v, n, M), "health.rows")
         health = HealthMap.selection(n, rows)
     elif kind == "general_linear":
-        health = HealthMap.linear(_read(hdoc, "matrix", _complex_rows, "health.matrix"))
+        matrix = _read(hdoc, "matrix", lambda v: _complex_array(v, (None, M)), "health.matrix")
+        health = HealthMap.linear(matrix)
     else:
         raise ValueError(f"unknown health map kind {kind!r}")
     return Scenario(tuple(covering), tuple(partition), readings, health)

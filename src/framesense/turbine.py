@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -115,13 +115,6 @@ class FaultState:
         if self.kind == "gear_fault":
             amps[4 + self.gear - 1] *= self.multiplier
         return amps
-
-    def to_json(self):
-        return {"kind": self.kind, "gear": self.gear, "multiplier": self.multiplier}
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls(doc["kind"], doc.get("gear"), doc.get("multiplier", 1.0))
 
 
 def mixing_matrix(off_diagonal: float = 0.1) -> np.ndarray:
@@ -251,17 +244,6 @@ def line_spectrum(fleet, states, mixing, cfg: SimConfig) -> np.ndarray:
     values = (mixing[:, :, None] * lines[None]).reshape(SENSORS, -1)
     values[sorted(cfg.failed_sensors)] = 0.0
     return values
-
-
-def health_project(spectrum, line_bins) -> np.ndarray:
-    """Magnitudes at the significant line bins: the R^28 health image."""
-    spectrum = np.asarray(spectrum)
-    line_bins = np.asarray(line_bins, dtype=int)
-    if len(set(line_bins.tolist())) != line_bins.size:
-        raise ValueError("line bins must be distinct")
-    if np.any(line_bins < 0) or np.any(line_bins >= spectrum.shape[-1]):
-        raise ValueError("line bin out of spectrum range")
-    return np.abs(spectrum[..., line_bins])
 
 
 def normal_fleet_state() -> tuple:
@@ -422,8 +404,12 @@ def generate_dataset(
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _row_keys(conditions, samples: int) -> list:
+    """The ``state,sample,sensor,`` prefix of every health.csv row, in file order."""
+    return [
+        f"{name},{m},{j},"
+        for name, _ in conditions for m in range(samples) for j in range(SENSORS)
+    ]
 
 
 def save_dataset(ds: Dataset, out_dir) -> Path:
@@ -432,13 +418,9 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config": {
-            "dft_size": ds.cfg.dft_size,
-            "sample_rate": ds.cfg.sample_rate,
-            "snr_db": ds.cfg.snr_db,
-            "resolved_sigma": ds.sigma,
+            **asdict(ds.cfg),
             "failed_sensors": sorted(ds.cfg.failed_sensors),
-            "rng_seed": ds.cfg.rng_seed,
-            "samples_per_state": ds.cfg.samples_per_state,
+            "resolved_sigma": ds.sigma,
         },
         "snr_model": {
             "reference_margin_db": SNR_REFERENCE_MARGIN_DB,
@@ -449,20 +431,13 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
             ),
         },
         "fleet": [
-            {
-                "engine_id": m.engine_id,
-                "turbine_shaft_freqs": list(m.turbine_shaft_freqs),
-                "blade_counts": list(m.blade_counts),
-                "gear_ratios": list(m.gear_ratios),
-                "line_amplitudes": list(m.line_amplitudes),
-                "line_frequencies": m.line_frequencies().tolist(),
-            }
+            {**asdict(m), "line_frequencies": m.line_frequencies().tolist()}
             for m in ds.fleet
         ],
         "mixing": ds.mixing.tolist(),
         "line_bins": ds.line_bins.tolist(),
         "conditions": [
-            {"name": name, "states": [st.to_json() for st in states]}
+            {"name": name, "states": [asdict(st) for st in states]}
             for name, states in ds.conditions
         ],
         "files": {"health": "health.csv", "spectra": ds.spectra_files or None},
@@ -472,78 +447,89 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
         fh.write("\n")
     n_coords = ds.healths.shape[-1]
     header = "state,sample,sensor," + ",".join(f"m{i:02d}" for i in range(n_coords))
-    lines = [header]
-    for c, (name, _) in enumerate(ds.conditions):
-        for m in range(ds.healths.shape[1]):
-            for j in range(SENSORS):
-                row = ",".join(_fmt(x) for x in ds.healths[c, m, j])
-                lines.append(f"{name},{m},{j},{row}")
+    keys = _row_keys(ds.conditions, ds.healths.shape[1])
+    rows = ds.healths.reshape(-1, n_coords).tolist()
+    lines = [header] + [key + ",".join(map(repr, row)) for key, row in zip(keys, rows)]
     (out / "health.csv").write_text("\n".join(lines) + "\n")
     return out
 
 
+# The JSON types save_dataset writes for each field type of SimConfig,
+# EngineModel and FaultState; a type "float | None" takes either.
+_JSON_TYPES = {"int": {int}, "float": {int, float}, "None": {type(None)}, "str": {str},
+               "frozenset": {list}, "tuple": {list}}
+
+
+def _manifest_value(doc, key: str, kind: str, name: str):
+    """``doc[key]`` if it has a JSON type ``save_dataset`` writes for ``kind``."""
+    value = doc[key]
+    if not any(type(value) in _JSON_TYPES[t] for t in kind.split(" | ")):
+        raise ValueError(f"key '{name}.{key}' has a bad value {value!r}")
+    return tuple(value) if type(value) is list else value
+
+
+def _manifest_fields(cls, doc, name: str) -> dict:
+    """``cls``'s fields from manifest object ``doc``; other keys are ignored."""
+    return {f.name: _manifest_value(doc, f.name, f.type, name) for f in fields(cls)}
+
+
+def _read_manifest(doc) -> dict:
+    """The Dataset fields a manifest holds: everything but the healths."""
+    conditions = tuple(
+        (_manifest_value(c, "name", "str", "conditions"),
+         tuple(FaultState(**_manifest_fields(FaultState, st, "states")) for st in c["states"]))
+        for c in doc["conditions"]
+    )
+    if not conditions:
+        raise ValueError("key 'conditions' is empty")
+    return dict(
+        cfg=SimConfig(**_manifest_fields(SimConfig, doc["config"], "config")),
+        fleet=tuple(
+            EngineModel(**_manifest_fields(EngineModel, m, "fleet")) for m in doc["fleet"]
+        ),
+        conditions=conditions,
+        mixing=np.asarray(doc["mixing"], dtype=float),
+        line_bins=np.array(doc["line_bins"], dtype=int),
+        sigma=_manifest_value(doc["config"], "resolved_sigma", "float", "config"),
+        spectra_files=doc["files"].get("spectra") or {},
+    )
+
+
 def load_dataset(path) -> Dataset:
+    """Read a ``save_dataset`` directory; rows must come in the order it writes them."""
     path = Path(path)
     with open(path / "manifest.json") as fh:
         manifest = json.load(fh)
-    cfgdoc = manifest["config"]
-    # Only the SimConfig keys are read: older manifests carry one more noise
-    # key, and ``resolved_sigma`` is the level the healths were drawn with.
-    cfg = SimConfig(
-        dft_size=cfgdoc["dft_size"],
-        sample_rate=cfgdoc["sample_rate"],
-        snr_db=cfgdoc["snr_db"],
-        failed_sensors=frozenset(cfgdoc["failed_sensors"]),
-        rng_seed=cfgdoc["rng_seed"],
-        samples_per_state=cfgdoc["samples_per_state"],
-    )
-    fleet = tuple(
-        EngineModel(
-            engine_id=doc["engine_id"],
-            turbine_shaft_freqs=tuple(doc["turbine_shaft_freqs"]),
-            blade_counts=tuple(doc["blade_counts"]),
-            gear_ratios=tuple(doc["gear_ratios"]),
-            line_amplitudes=tuple(doc["line_amplitudes"]),
-        )
-        for doc in manifest["fleet"]
-    )
-    conditions = tuple(
-        (doc["name"], tuple(FaultState.from_json(st) for st in doc["states"]))
-        for doc in manifest["conditions"]
-    )
-    line_bins = np.array(manifest["line_bins"], dtype=int)
+    try:
+        meta = _read_manifest(manifest)
+    except KeyError as err:
+        raise ValueError(f"{path / 'manifest.json'}: key {err} is missing") from None
+    except (AttributeError, TypeError, ValueError) as err:
+        raise ValueError(f"{path / 'manifest.json'}: {err}") from None
     csv_path = path / "health.csv"
+    states, samples = len(meta["conditions"]), meta["cfg"].samples_per_state
+    keys = _row_keys(meta["conditions"], samples)
     rows = csv_path.read_text().strip().split("\n")[1:]
-    shape = (len(conditions), cfg.samples_per_state, SENSORS, line_bins.size)
-    if len(rows) != shape[0] * shape[1] * shape[2]:
+    if len(rows) != len(keys):
         raise ValueError(
             f"{csv_path}: {len(rows)} rows, expected "
-            f"{shape[0]} states x {shape[1]} samples x {shape[2]} sensors"
+            f"{states} states x {samples} samples x {SENSORS} sensors"
         )
-    # With the row count right, a repeated row leaves some cell unwritten:
-    # every cell must end up finite.
-    healths = np.full(shape, np.nan)
-    name_to_c = {name: c for c, (name, _) in enumerate(conditions)}
-    for row in rows:
-        parts = row.split(",")
-        if len(parts) != 3 + shape[3]:
-            raise ValueError(f"{csv_path}: row {parts[:3]} has {len(parts)} columns")
-        c, m, j = name_to_c.get(parts[0]), int(parts[1]), int(parts[2])
-        if c is None or not (0 <= m < shape[1] and 0 <= j < shape[2]):
-            raise ValueError(f"{csv_path}: unknown or out-of-range row {parts[:3]}")
-        healths[c, m, j] = [float(x) for x in parts[3:]]
-    if not np.all(np.isfinite(healths)):
-        raise ValueError(f"{csv_path}: repeated row or non-finite health value")
-    return Dataset(
-        healths=healths,
-        conditions=conditions,
-        cfg=cfg,
-        mixing=np.asarray(manifest["mixing"], dtype=float),
-        fleet=fleet,
-        line_bins=line_bins,
-        sigma=cfgdoc["resolved_sigma"],
-        spectra_files=manifest["files"].get("spectra") or {},
-    )
+    bad = next((i for i, (r, k) in enumerate(zip(rows, keys)) if not r.startswith(k)), None)
+    if bad is not None:
+        raise ValueError(f"{csv_path}: data row {bad + 1} does not start with {keys[bad]!r}: "
+                         "a missing, repeated, reordered or out-of-range row")
+    remainders = [row[len(key):] for row, key in zip(rows, keys)]
+    if "" in remainders:  # np.loadtxt would skip the empty line
+        raise ValueError(f"{csv_path}: data row {remainders.index('') + 1} has no values")
+    try:
+        values = np.loadtxt(remainders, delimiter=",", comments=None, ndmin=2)
+    except ValueError as err:
+        raise ValueError(f"{csv_path}: {err}") from None
+    n_coords = meta["line_bins"].size
+    if values.shape != (len(keys), n_coords) or not np.all(np.isfinite(values)):
+        raise ValueError(f"{csv_path}: every row needs {n_coords} finite value columns")
+    return Dataset(healths=values.reshape(states, samples, SENSORS, n_coords), **meta)
 
 
 def dataset_scenario(fleet, mixing, cfg: SimConfig, fleet_states_per_time) -> Scenario:

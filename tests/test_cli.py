@@ -75,6 +75,34 @@ class TestValidate:
             (lambda doc: doc["readings"][0][0].__setitem__(0, "1"), "'readings'"),
             (lambda doc: doc["readings"][0][0].__setitem__(0, {"re": "1"}), "'readings'"),
             (lambda doc: doc["readings"][0][0].__setitem__(0, {"im": False}), "'readings'"),
+            (lambda doc: doc["readings"][0][0].__setitem__(0, float("inf")), "'readings'"),
+            (lambda doc: doc["readings"][0][0].__setitem__(0, float("nan")), "'readings'"),
+            (lambda doc: doc["readings"][0][0].__setitem__(0, 10**400), "'readings'"),
+            (lambda doc: doc["readings"][0][0].__setitem__(0, {"im": 1e400}), "'readings'"),
+            (lambda doc: doc["readings"][0][0].pop(), "'readings'"),
+            (lambda doc: doc["health"]["rows"][0].__setitem__(2, float("inf")), "'health.rows'"),
+            (
+                lambda doc: doc.__setitem__(
+                    "health", {"kind": "general_linear", "matrix": [[1, float("inf"), 0]]}
+                ),
+                "'health.matrix'",
+            ),
+            (
+                lambda doc: doc.__setitem__(
+                    "health", {"kind": "general_linear", "matrix": [1, 0, 0]}
+                ),
+                "'health.matrix'",
+            ),
+            (
+                lambda doc: doc.__setitem__(
+                    "health", {"kind": "general_linear", "matrix": [[1, 0]]}
+                ),
+                "'health.matrix'",
+            ),
+            (lambda doc: doc["covering"].pop(), "'covering'"),
+            (lambda doc: doc["covering"][0].__setitem__(0, 0), "'covering'"),
+            (lambda doc: doc["covering"][0].append(4), "'covering'"),
+            (lambda doc: doc["partition"][0].append(4), "'partition'"),
         ],
         ids=[
             "covering_deleted",
@@ -86,6 +114,19 @@ class TestValidate:
             "string_reading",
             "string_real_part",
             "bool_imaginary_part",
+            "infinite_reading",
+            "nan_reading",
+            "reading_too_large_for_a_float",
+            "infinite_imaginary_part",
+            "ragged_readings_row",
+            "infinite_selection_scale",
+            "infinite_matrix_entry",
+            "matrix_not_nested",
+            "matrix_columns_not_M",
+            "covering_for_two_of_three_sensors",
+            "covering_index_zero",
+            "covering_index_above_M",
+            "partition_index_above_M",
         ],
     )
     def test_bad_scenario_document_exits_2(self, tmp_path, capsys, edit, key):
@@ -251,6 +292,34 @@ class TestGenerateDetectSweep:
         assert not out.exists()
         nowhere = str(tmp_path / "nowhere")
         assert cli.main(["detect", "--config", cfg, "--out", str(out), "--data", nowhere]) == 2
+
+    @pytest.mark.parametrize(
+        "edit,key",
+        [
+            (lambda m: m["config"].pop("snr_db"), "key 'snr_db' is missing"),
+            (lambda m: m["config"].__setitem__("dft_size", "8192"), "'config.dft_size'"),
+            (lambda m: m["fleet"][0].__setitem__("blade_counts", 20), "'fleet.blade_counts'"),
+            (
+                lambda m: m["conditions"][1]["states"][0].__setitem__("multiplier", "12"),
+                "'states.multiplier'",
+            ),
+            (lambda m: m.__setitem__("conditions", []), "'conditions'"),
+        ],
+        ids=["key_missing", "string_int", "int_for_list", "string_float", "no_conditions"],
+    )
+    def test_detect_rejects_bad_manifest(self, tmp_path, capsys, edit, key):
+        cfg = write_config(tmp_path)
+        gen = tmp_path / "gen"
+        assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+        path = gen / "datasets" / "good_high" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "det"
+        assert cli.main(["detect", "--config", cfg, "--out", str(out), "--data", str(gen)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err
+        assert not out.exists()
 
     def test_detect_all_zero_calibration_is_a_domain_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

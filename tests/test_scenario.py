@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -492,6 +494,40 @@ def predicates_reference(gamma, alpha, tol):
 
 
 # Small exact values make ties, zeros and entries at the threshold common.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# A real entry is written as a plain number, any other as an {re, im} object.
+JSON_ENTRIES = st.one_of(FINITE.map(complex), st.builds(complex, FINITE, FINITE))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["selection_matrix", "general_linear"]))
+def test_scenario_json_text_roundtrip(data, kind):
+    """scenario_to_json_dict -> JSON text -> scenario_from_json_dict keeps every entry."""
+    n_sensors, n_times, m, n = (data.draw(st.integers(1, 3)) for _ in range(4))
+    readings = data.draw(
+        hnp.arrays(np.complex128, (n_sensors, n_times, m), elements=JSON_ENTRIES)
+    )
+    if kind == "selection_matrix":
+        scale = JSON_ENTRIES.filter(bool)
+        health = HealthMap.selection(
+            n, [(data.draw(st.integers(0, m - 1)), data.draw(scale)) for _ in range(n)]
+        )
+    else:
+        health = HealthMap.linear(
+            data.draw(hnp.arrays(np.complex128, (n, m), elements=JSON_ENTRIES))
+        )
+    s = Scenario.from_factors(np.ones((n_sensors, m)), np.ones((n_times, m)), health)
+    s = Scenario(s.covering, s.partition, readings, health)
+    back = scenario_from_json_dict(json.loads(json.dumps(scenario_to_json_dict(s))))
+    assert np.array_equal(back.readings, s.readings)
+    assert (back.covering, back.partition) == (s.covering, s.partition)
+    assert back.health.kind == kind
+    if kind == "selection_matrix":
+        assert back.health.rows == s.health.rows
+    else:
+        assert np.array_equal(back.health.matrix, s.health.matrix)
+
+
 ENTRIES = st.sampled_from([0, 0.5, 1, 1, 2, 3, -2, 1j, 1e-12])
 
 

@@ -26,7 +26,6 @@ from framesense.turbine import (
     default_fleet,
     fleet_line_bins,
     generate_dataset,
-    health_project,
     iter_samples,
     line_phases,
     line_spectrum,
@@ -168,9 +167,12 @@ class TestFaultState:
         with pytest.raises(ValueError):
             FaultState(kind="wobbly")
 
-    def test_json_roundtrip(self):
-        st = FaultState.gear_fault(3, 5.5)
-        assert FaultState.from_json(st.to_json()) == st
+    def test_json_roundtrip(self, tmp_path):
+        # States cross the disk in a dataset manifest.
+        states = (FaultState.gear_fault(3, 5.5), FaultState.failure()) + normal_fleet_state()[2:]
+        cfg = SimConfig(samples_per_state=1)
+        ds = generate_dataset(FLEET, mixing_matrix(0.1), cfg, (("mixed", states),))
+        assert load_dataset(save_dataset(ds, tmp_path / "d")).conditions == (("mixed", states),)
 
     def test_negative_or_non_finite_multiplier_rejected(self):
         for bad in (-12.0, -1e-300, float("nan"), float("inf")):
@@ -445,25 +447,6 @@ class TestFrequencyDomainNoise:
         assert ks_statistic(new, ref) < ks_critical(new.size, ref.size)
 
 
-class TestHealthProject:
-    def test_zero_spectrum(self):
-        assert np.array_equal(health_project(np.zeros(64), [1, 2, 3]), np.zeros(3))
-
-    def test_permuting_bins_permutes_output(self):
-        spectrum = np.arange(64, dtype=complex)
-        a = health_project(spectrum, [3, 9, 27])
-        b = health_project(spectrum, [27, 3, 9])
-        assert np.array_equal(b, a[[2, 0, 1]])
-
-    def test_duplicate_bins_rejected(self):
-        with pytest.raises(ValueError):
-            health_project(np.zeros(64), [1, 1])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            health_project(np.zeros(64), [70])
-
-
 class TestGeneration:
     def test_dataset_shape_and_labels(self):
         ds = generate_dataset(FLEET, mixing_matrix(0.1), CFG, turbine.engine1_conditions())
@@ -520,14 +503,20 @@ class TestGeneration:
         path = save_dataset(ds, tmp_path / "d")
         csv = path / "health.csv"
         lines = csv.read_text().splitlines()
-        cases = {
-            "rows": lines[: len(lines) // 2],  # truncated
-            "repeated": lines[:-1] + [lines[1]],
-            "non-finite": lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",nan"],
-            "columns": lines[:-1] + [lines[-1][:8]],  # cut mid-row
-            "out-of-range": lines[:-1] + ["normal,99," + lines[-1].split(",", 2)[2]],
-        }
-        for match, body in cases.items():
+        # A bad key is reported at the first row that does not start with it.
+        last = f"data row {len(lines) - 1} does not start with 'failure,3,3,'"
+        cases = [
+            ("rows", lines[: len(lines) // 2]),  # truncated
+            (last, lines[:-1] + [lines[1]]),  # repeated
+            ("finite", lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",nan"]),
+            (last, lines[:-1] + [lines[-1][:8]]),  # cut mid-key
+            (last, lines[:-1] + ["normal,99," + lines[-1].split(",", 2)[2]]),  # out of range
+            ("data row 1 does not start with 'normal,0,0,'",
+             lines[:1] + [lines[2], lines[1]] + lines[3:]),  # swapped pair
+            (f"data row {len(lines) - 1} has no values", lines[:-1] + ["failure,3,3,"]),
+            ("columns", lines[:-1] + [lines[-1] + ",1.0"]),  # one column too many
+        ]
+        for match, body in cases:
             csv.write_text("\n".join(body) + "\n")
             with pytest.raises(ValueError, match=match):
                 load_dataset(path)
@@ -554,7 +543,7 @@ class TestGeneration:
             raw = np.fromfile(tmp_path / ds.spectra_files[name], dtype="<f8")
             assert raw.size == 2 * 4 * cfg.dft_size
             spectra = raw.reshape(2, 4, cfg.dft_size)
-            assert np.array_equal(health_project(spectra, bins), ds.healths[c])
+            assert np.array_equal(spectra[..., bins], ds.healths[c])
             assert np.all(spectra[:, 2] == 0.0)
 
     def test_iter_samples_streams_in_order(self):
