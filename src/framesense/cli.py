@@ -172,6 +172,10 @@ def cmd_validate(args) -> int:
 
 def cmd_theorems(args) -> int:
     s = _load_scenario(args.scenario)
+    failed = None if args.fail_sensor is None else args.fail_sensor - 1
+    if failed is not None and not 0 <= failed < s.N:
+        print(f"--fail-sensor {args.fail_sensor} out of range", file=sys.stderr)
+        return EXIT_IO
     report = validate_scenario(s, args.tol)
     if not report.ok:
         print("scenario is invalid:", file=sys.stderr)
@@ -184,10 +188,6 @@ def cmd_theorems(args) -> int:
         print(f"scenario is not separable: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     assign = build_index_sets(s.health_images(), args.tol)
-    failed = None if args.fail_sensor is None else args.fail_sensor - 1
-    if failed is not None and not 0 <= failed < s.N:
-        print(f"--fail-sensor {args.fail_sensor} out of range", file=sys.stderr)
-        return EXIT_IO
     reports = {
         "basis_mapping": verify_basis_mapping(fac, assign, args.tol, failed=failed),
         "frame_mapping": verify_frame_mapping(fac, assign, args.tol, failed=failed),

@@ -13,6 +13,7 @@ are being emitted, heard, and shared between sensors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -288,26 +289,29 @@ def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> Factorization:
     At each parameter f the N-by-K matrix of readings must have numerical
     rank at most one; otherwise :class:`NotPreSeparableError` lists the
     offending parameters.  The per-parameter gauge is fixed so that the
-    loudest sensor's factor is real and nonnegative.
+    loudest sensor's factor is real and nonnegative.  Only parameters with a
+    nonzero reading are decomposed: an all-zero one has top singular value 0,
+    so it is silent and keeps both factors zero.
     """
     check_tol(tol)
-    scale = max(1.0, float(np.max(np.abs(s.readings)))) if s.readings.size else 1.0
-    u, sv, vh = np.linalg.svd(s.readings.transpose(2, 0, 1), full_matrices=False)
-    u0, top_sv, vh0 = u[:, :, 0], sv[:, 0], vh[:, 0, :]  # (M, N), (M,), (M, K)
+    r = s.readings
+    scale = max(1.0, float(np.max(np.abs(r)))) if r.size else 1.0
+    nz = np.flatnonzero(np.any(r != 0, axis=(0, 1)))
+    u, sv, vh = np.linalg.svd(r[:, :, nz].transpose(2, 0, 1), full_matrices=False)
+    u0, top_sv, vh0 = u[:, :, 0], sv[:, 0], vh[:, 0, :]  # (F, N), (F,), (F, K)
     live = top_sv > tol * scale  # a silent parameter keeps both factors zero
     if sv.shape[1] > 1:
-        offending = np.flatnonzero(live & (sv[:, 1] > tol * top_sv))
+        offending = nz[live & (sv[:, 1] > tol * top_sv)]
         if offending.size:
             raise NotPreSeparableError(offending)
     top = np.take_along_axis(u0, np.argmax(np.abs(u0), axis=1)[:, None], axis=1)
-    phase = np.conj(top) / np.abs(top)  # (M, 1)
+    phase = np.conj(top) / np.abs(top)  # (F, 1)
     root = np.sqrt(top_sv)[:, None]
-    gamma_hat = np.where(live[:, None], root * u0 * phase, 0.0)
-    alpha_hat = np.where(live[:, None], root * vh0 * np.conj(phase), 0.0)
-    return Factorization(
-        gamma_hat=np.ascontiguousarray(gamma_hat.T),
-        alpha_hat=np.ascontiguousarray(alpha_hat.T),
-    )
+    gamma_hat = np.zeros((r.shape[0], r.shape[2]), dtype=np.complex128)
+    alpha_hat = np.zeros((r.shape[1], r.shape[2]), dtype=np.complex128)
+    gamma_hat[:, nz] = np.where(live[:, None], root * u0 * phase, 0.0).T
+    alpha_hat[:, nz] = np.where(live[:, None], root * vh0 * np.conj(phase), 0.0).T
+    return Factorization(gamma_hat=gamma_hat, alpha_hat=alpha_hat)
 
 
 def volume_factors_constant(fac: Factorization, tol: float = DEFAULT_TOL) -> bool:
@@ -518,6 +522,13 @@ def _of_type(kind):
 _int = _of_type(int)
 
 
+def _count(value) -> int:
+    """A positive JSON int: a number of sensors, times or parameters."""
+    if _int(value) < 1:
+        raise ValueError(f"expected a positive count, got {value}")
+    return value
+
+
 def _index_sets(value, N: int, M: int) -> list:
     """N 1-based index lists, each index in 1..M, as 0-based frozensets."""
     sets = [frozenset(_int(f) - 1 for f in t) for t in value]
@@ -531,15 +542,30 @@ def _index_sets(value, N: int, M: int) -> list:
 
 def _complex_array(value, shape: tuple) -> np.ndarray:
     """Nested lists of finite numbers and {re, im} objects as a complex array of
-    ``shape``, in which a None length matches any."""
-    a = np.array(value, dtype=object)
-    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
-        raise ValueError(f"expected nested lists of shape {shape}, got {a.shape}")
-    flat = [parse_complex(z) if type(z) is dict else z for z in a.ravel().tolist()]
-    stray = sorted(t.__name__ for t in set(map(type, flat)) - {int, float, complex})
+    ``shape``, in which a None length matches any.
+
+    The lists are walked one level per dimension, with no object array; every
+    list of a level must have the same length, and a level with no lists is
+    refused.
+    """
+    level, dims = [value], []
+    for want in shape:
+        if any(type(v) is not list for v in level):
+            raise TypeError(f"expected nested lists of shape {shape}, "
+                            f"found a non-list at depth {len(dims)}")
+        lengths = set(map(len, level))
+        if len(lengths) != 1 or want not in (None, *lengths):
+            raise ValueError(f"expected nested lists of shape {shape}, "
+                             f"found lengths {sorted(lengths)} at depth {len(dims)}")
+        dims.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    kinds = set(map(type, level))
+    stray = sorted(t.__name__ for t in kinds - {int, float, dict})
     if stray:
         raise TypeError(f"expected numbers or {{re, im}} objects, found {stray}")
-    out = np.array(flat, dtype=np.complex128).reshape(a.shape)
+    if dict in kinds:
+        level = [parse_complex(z) if type(z) is dict else z for z in level]
+    out = np.array(level, dtype=np.complex128).reshape(dims)
     if not np.all(np.isfinite(out)):
         raise ValueError("entries must be finite")
     return out
@@ -576,7 +602,7 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
     A missing key, a value of the wrong type or shape, a non-finite entry or
     an index outside its range raises ValueError naming the key.
     """
-    shape = tuple(_read(doc, key, _int) for key in ("N", "K", "M"))
+    shape = tuple(_read(doc, key, _count) for key in ("N", "K", "M"))
     N, M = shape[0], shape[2]
     readings = _read(doc, "readings", lambda v: _complex_array(v, shape))
     covering = _read(doc, "covering", lambda v: _index_sets(v, N, M))
@@ -585,11 +611,11 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
     kind = _read(hdoc, "kind", _of_type(str), "health.kind")
     if kind == "selection_matrix":
         n = _read(hdoc, "n", _int, "health.n")
-        rows = _read(hdoc, "rows", lambda v: _selection_rows(v, n, M), "health.rows")
-        health = HealthMap.selection(n, rows)
+        health = _read(hdoc, "rows", lambda v: HealthMap.selection(n, _selection_rows(v, n, M)),
+                       "health.rows")
     elif kind == "general_linear":
-        matrix = _read(hdoc, "matrix", lambda v: _complex_array(v, (None, M)), "health.matrix")
-        health = HealthMap.linear(matrix)
+        health = _read(hdoc, "matrix", lambda v: HealthMap.linear(_complex_array(v, (None, M))),
+                       "health.matrix")
     else:
         raise ValueError(f"unknown health map kind {kind!r}")
     return Scenario(tuple(covering), tuple(partition), readings, health)

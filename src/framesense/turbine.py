@@ -482,15 +482,25 @@ def _read_manifest(doc) -> dict:
     )
     if not conditions:
         raise ValueError("key 'conditions' is empty")
+    cfg = SimConfig(**_manifest_fields(SimConfig, doc["config"], "config"))
+    fleet = tuple(
+        EngineModel(**_manifest_fields(EngineModel, m, "fleet")) for m in doc["fleet"]
+    )
+    # Both are derived from config and fleet; a manifest must not contradict them.
+    sigma = _manifest_value(doc["config"], "resolved_sigma", "float", "config")
+    if sigma != resolve_sigma(cfg, fleet):
+        raise ValueError(f"key 'config.resolved_sigma' is {sigma!r} but config and "
+                         f"fleet give {resolve_sigma(cfg, fleet)!r}")
+    line_bins = fleet_line_bins(fleet, cfg)
+    if doc["line_bins"] != line_bins.tolist():
+        raise ValueError("key 'line_bins' does not match the line bins of config and fleet")
     return dict(
-        cfg=SimConfig(**_manifest_fields(SimConfig, doc["config"], "config")),
-        fleet=tuple(
-            EngineModel(**_manifest_fields(EngineModel, m, "fleet")) for m in doc["fleet"]
-        ),
+        cfg=cfg,
+        fleet=fleet,
         conditions=conditions,
         mixing=np.asarray(doc["mixing"], dtype=float),
-        line_bins=np.array(doc["line_bins"], dtype=int),
-        sigma=_manifest_value(doc["config"], "resolved_sigma", "float", "config"),
+        line_bins=line_bins,
+        sigma=sigma,
         spectra_files=doc["files"].get("spectra") or {},
     )
 

@@ -63,6 +63,17 @@ class TestValidate:
         assert "pre-separable: no" in out
         assert "[1]" in out
 
+    def test_rank_two_after_silent_parameters_keeps_its_index(self, tmp_path, capsys):
+        # parameters 1-5 read all zeros and are not factored; parameter 6 has rank 2
+        doc = json.loads(Path(HARMONIOUS).read_text())
+        doc.update(K=2, M=6, covering=[list(range(1, 7))] * 3,
+                   partition=[[1, 2], [3, 4], [5, 6]])
+        doc["readings"] = [[[0] * 5 + [float(j == k)] for k in range(2)] for j in range(3)]
+        path = tmp_path / "rank2.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 0
+        assert "pre-separable: no (rank > 1 at parameters [6])" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "edit,key",
         [
@@ -103,6 +114,15 @@ class TestValidate:
             (lambda doc: doc["covering"][0].__setitem__(0, 0), "'covering'"),
             (lambda doc: doc["covering"][0].append(4), "'covering'"),
             (lambda doc: doc["partition"][0].append(4), "'partition'"),
+            (lambda doc: doc["readings"][0][0].__setitem__(0, [2.0]), "'readings'"),
+            (lambda doc: doc["readings"][0].__setitem__(0, 2.0), "'readings'"),
+            (lambda doc: doc.__setitem__("readings", []), "'readings'"),
+            (
+                lambda doc: doc.__setitem__("health", {"kind": "general_linear", "matrix": []}),
+                "'health.matrix'",
+            ),
+            (lambda doc: doc["health"]["rows"][0].__setitem__(2, [1.0]), "'health.rows'"),
+            (lambda doc: doc.update(N=0, covering=[], partition=[], readings=[]), "'N'"),
         ],
         ids=[
             "covering_deleted",
@@ -127,6 +147,12 @@ class TestValidate:
             "covering_index_zero",
             "covering_index_above_M",
             "partition_index_above_M",
+            "list_for_a_reading",
+            "number_for_a_time_row",
+            "readings_empty",
+            "matrix_empty",
+            "list_for_a_selection_scale",
+            "no_sensors",
         ],
     )
     def test_bad_scenario_document_exits_2(self, tmp_path, capsys, edit, key):
@@ -234,6 +260,17 @@ class TestTheorems:
             == 2
         )
 
+    def test_fail_sensor_checked_before_validation(self, tmp_path, capsys, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("validation ran before the --fail-sensor range check")
+
+        monkeypatch.setattr(cli, "validate_scenario", unreached)
+        out = tmp_path / "o"
+        for j in ("0", "4"):
+            assert cli.main(["theorems", HARMONIOUS, "--out", str(out), "--fail-sensor", j]) == 2
+            assert capsys.readouterr().err == f"--fail-sensor {j} out of range\n"
+        assert not out.exists()
+
 
 class TestGenerateDetectSweep:
     def test_generate_writes_grid(self, tmp_path, capsys):
@@ -312,6 +349,33 @@ class TestGenerateDetectSweep:
         gen = tmp_path / "gen"
         assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
         path = gen / "datasets" / "good_high" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "det"
+        assert cli.main(["detect", "--config", cfg, "--out", str(out), "--data", str(gen)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "dataset,edit,key",
+        [
+            ("calibration", lambda m: m["config"].__setitem__("resolved_sigma", 0.5),
+             "'config.resolved_sigma'"),
+            ("good_low", lambda m: m["config"].__setitem__(
+                "resolved_sigma", 3 * m["config"]["resolved_sigma"]), "'config.resolved_sigma'"),
+            ("good_low", lambda m: m["line_bins"].__setitem__(0, m["line_bins"][0] + 1),
+             "'line_bins'"),
+        ],
+        ids=["calibration_sigma", "grid_cell_sigma", "grid_cell_line_bin"],
+    )
+    def test_detect_rejects_self_contradicting_manifest(self, tmp_path, capsys, dataset, edit,
+                                                        key):
+        cfg = write_config(tmp_path)
+        gen = tmp_path / "gen"
+        assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+        path = gen / "datasets" / dataset / "manifest.json"
         manifest = json.loads(path.read_text())
         edit(manifest)
         path.write_text(json.dumps(manifest))

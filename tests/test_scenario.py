@@ -157,6 +157,14 @@ class TestFactorReadings:
         fac = factor_readings(s)
         assert fac.gamma_hat[0, 1] == 0 and fac.alpha_hat[0, 1] == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_all_zero_readings_factor_to_zero(self):
+        everything = (range(5),) * 3
+        s = Scenario(everything, everything, np.zeros((3, 2, 5)), HealthMap.identity(5))
+        fac = factor_readings(s)
+        assert np.array_equal(fac.gamma_hat, np.zeros((3, 5)))
+        assert np.array_equal(fac.alpha_hat, np.zeros((2, 5)))
+
     def test_gauge_makes_loudest_sensor_real_nonnegative(self):
         rng = np.random.default_rng(12)
         s = random_separable_scenario(rng, n=2, n_sensors=3, n_times=2, m=2)
