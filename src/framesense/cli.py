@@ -27,6 +27,7 @@ from .mappings import (
 from .scenario import (
     NotPreSeparableError,
     NotSeparableError,
+    UncoverableIndexError,
     build_index_sets,
     factor_readings,
     is_i_dominant,
@@ -239,28 +240,13 @@ def _dataset_dir(out: Path, *name: str) -> Path:
 
 
 def _dataset(data_root, key, fleet, mixing, run_cfg, conditions) -> turbine.Dataset:
-    """The dataset ``generate`` writes for ``key`` under this run config.
-
-    With ``data_root`` set, it is read from that ``generate`` output when
-    there, and its config, mixing matrix, conditions and fleet must equal
-    what ``generate`` would have used; otherwise it is generated here.
-    """
+    """The dataset ``generate`` writes for ``key`` under this run config: read
+    from ``data_root`` when there (its manifest must be the one ``generate``
+    would write), otherwise generated here."""
     if data_root is not None:
         path = _dataset_dir(data_root, *key)
         if path.exists():
-            ds = turbine.load_dataset(path)
-            found = {**vars(ds.cfg), "mixing": ds.mixing.tolist(),
-                     "conditions": ds.conditions, "fleet": ds.fleet}
-            expected = {**vars(run_cfg), "mixing": mixing.tolist(),
-                        "conditions": tuple(conditions), "fleet": tuple(fleet)}
-            for name, value in expected.items():
-                if found[name] != value:
-                    detail = (
-                        f"is {found[name]!r} but the run config gives {value!r}"
-                        if name in vars(run_cfg) else "does not match the run config"
-                    )
-                    raise ValueError(f"{path}: manifest {name} {detail}")
-            return ds
+            return turbine.load_dataset(path, fleet, mixing, run_cfg, conditions)
         print(f"{path} not found: generating it from the run config")
     return turbine.generate_dataset(fleet, mixing, run_cfg, conditions)
 
@@ -325,31 +311,35 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def parse_snr_range(text: str):
+def _snr_bounds(text: str) -> tuple:
     try:
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError:
-        raise ValueError(f"--snr-range must be LO:HI:STEP, got {text!r}")
-    if step <= 0 or hi < lo:
-        raise ValueError("need LO <= HI and STEP > 0")
+        raise ValueError(f"--snr-range must be LO:HI:STEP, got {text!r}") from None
+    return lo, hi, step
+
+
+def _snr_grid(lo: float, hi: float, step: float) -> list:
+    """The SNRs ``lo, lo + step, ...`` up to ``hi``; the point count must be finite too."""
+    if not (all(map(_is_number, (lo, hi, step))) and lo <= hi and step > 0
+            and _is_number((hi - lo) / step)):
+        raise ValueError(f"SNR range {lo}:{hi}:{step}: need finite LO <= HI and STEP > 0")
     # Floor, so the grid never passes HI; the epsilon keeps HI itself when
     # (HI - LO) / STEP lands a rounding error below a whole number.
     count = math.floor((hi - lo) / step + 1e-9) + 1
     return [lo + i * step for i in range(count)]
 
 
+def parse_snr_range(text: str) -> list:
+    return _snr_grid(*_snr_bounds(text))
+
+
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, {"rng_seed": args.seed})
     out = Path(args.out)
     if args.snr_range:
-        grid = parse_snr_range(args.snr_range)
-        cfg["snr_lo"], cfg["snr_hi"], cfg["snr_step"] = (
-            grid[0],
-            grid[-1],
-            grid[1] - grid[0] if len(grid) > 1 else 1.0,
-        )
-    else:
-        grid = parse_snr_range(f"{cfg['snr_lo']}:{cfg['snr_hi']}:{cfg['snr_step']}")
+        cfg["snr_lo"], cfg["snr_hi"], cfg["snr_step"] = _snr_bounds(args.snr_range)
+    grid = _snr_grid(cfg["snr_lo"], cfg["snr_hi"], cfg["snr_step"])
     fleet, th = _fleet_and_thresholds(cfg)
     mixing = turbine.mixing_matrix(cfg["sweep_mixing_off_diagonal"])
     sim = replace(_sim_config(cfg), samples_per_state=cfg["sweep_samples_per_point"])
@@ -429,6 +419,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except detector.CalibrationError as err:
         print(f"calibration error: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except UncoverableIndexError as err:  # a well-formed scenario no sensor covers
+        print(f"domain error: health coordinates {[i + 1 for i in err.indices]} are silent "
+              "for every sensor", file=sys.stderr)
         return EXIT_DOMAIN
     except json.JSONDecodeError as err:
         print(f"parse error: {err}", file=sys.stderr)

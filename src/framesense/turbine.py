@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -351,13 +351,15 @@ class Dataset:
     cfg: SimConfig
     mixing: np.ndarray
     fleet: tuple
-    line_bins: np.ndarray
-    sigma: float
     spectra_files: dict = field(default_factory=dict)
 
     @property
     def condition_names(self) -> tuple:
         return tuple(name for name, _ in self.conditions)
+
+    @property
+    def sigma(self) -> float:
+        return resolve_sigma(self.cfg, self.fleet)
 
 
 def generate_dataset(
@@ -398,8 +400,6 @@ def generate_dataset(
         cfg=cfg,
         mixing=mixing,
         fleet=tuple(fleet),
-        line_bins=bins,
-        sigma=resolve_sigma(cfg, fleet),
         spectra_files=spectra_files,
     )
 
@@ -412,15 +412,13 @@ def _row_keys(conditions, samples: int) -> list:
     ]
 
 
-def save_dataset(ds: Dataset, out_dir) -> Path:
-    """Persist a dataset directory: manifest.json plus health.csv."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = {
+def _manifest(fleet, mixing, cfg: SimConfig, conditions) -> dict:
+    """What ``manifest.json`` records of a dataset's model, that is all but ``files``."""
+    return {
         "config": {
-            **asdict(ds.cfg),
-            "failed_sensors": sorted(ds.cfg.failed_sensors),
-            "resolved_sigma": ds.sigma,
+            **asdict(cfg),
+            "failed_sensors": sorted(cfg.failed_sensors),
+            "resolved_sigma": resolve_sigma(cfg, fleet),
         },
         "snr_model": {
             "reference_margin_db": SNR_REFERENCE_MARGIN_DB,
@@ -432,16 +430,23 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
         },
         "fleet": [
             {**asdict(m), "line_frequencies": m.line_frequencies().tolist()}
-            for m in ds.fleet
+            for m in fleet
         ],
-        "mixing": ds.mixing.tolist(),
-        "line_bins": ds.line_bins.tolist(),
+        "mixing": validate_mixing(mixing).tolist(),
+        "line_bins": fleet_line_bins(fleet, cfg).tolist(),
         "conditions": [
             {"name": name, "states": [asdict(st) for st in states]}
-            for name, states in ds.conditions
+            for name, states in conditions
         ],
-        "files": {"health": "health.csv", "spectra": ds.spectra_files or None},
     }
+
+
+def save_dataset(ds: Dataset, out_dir) -> Path:
+    """Persist a dataset directory: manifest.json plus health.csv."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = {**_manifest(ds.fleet, ds.mixing, ds.cfg, ds.conditions),
+                "files": {"health": "health.csv", "spectra": ds.spectra_files or None}}
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -454,71 +459,43 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
     return out
 
 
-# The JSON types save_dataset writes for each field type of SimConfig,
-# EngineModel and FaultState; a type "float | None" takes either.
-_JSON_TYPES = {"int": {int}, "float": {int, float}, "None": {type(None)}, "str": {str},
-               "frozenset": {list}, "tuple": {list}}
+def _check_json(found, expected, obj: str, label: str) -> None:
+    """Raise a ValueError at the first way JSON value ``found`` differs from ``expected``.
+
+    Keys ``expected`` lacks are ignored; int, float and bool are distinct
+    types.  A value is named ``'<object>.<field>'``: its key after its object's.
+    """
+    if type(expected) is dict:
+        if type(found) is not dict:
+            raise ValueError(f"key {label!r} is not an object")
+        for key, value in expected.items():
+            if key not in found:
+                raise ValueError(f"key {key!r} is missing from {label!r}")
+            _check_json(found[key], value, key, f"{obj}.{key}" if obj else key)
+    elif type(expected) is list:
+        if type(found) is not list or len(found) != len(expected):
+            raise ValueError(f"key {label!r} is not a list of {len(expected)} entries")
+        for f, e in zip(found, expected):
+            _check_json(f, e, obj, label)
+    elif type(found) is not type(expected) or found != expected:
+        raise ValueError(f"key {label!r} is {found!r}, expected {expected!r}")
 
 
-def _manifest_value(doc, key: str, kind: str, name: str):
-    """``doc[key]`` if it has a JSON type ``save_dataset`` writes for ``kind``."""
-    value = doc[key]
-    if not any(type(value) in _JSON_TYPES[t] for t in kind.split(" | ")):
-        raise ValueError(f"key '{name}.{key}' has a bad value {value!r}")
-    return tuple(value) if type(value) is list else value
-
-
-def _manifest_fields(cls, doc, name: str) -> dict:
-    """``cls``'s fields from manifest object ``doc``; other keys are ignored."""
-    return {f.name: _manifest_value(doc, f.name, f.type, name) for f in fields(cls)}
-
-
-def _read_manifest(doc) -> dict:
-    """The Dataset fields a manifest holds: everything but the healths."""
-    conditions = tuple(
-        (_manifest_value(c, "name", "str", "conditions"),
-         tuple(FaultState(**_manifest_fields(FaultState, st, "states")) for st in c["states"]))
-        for c in doc["conditions"]
-    )
-    if not conditions:
-        raise ValueError("key 'conditions' is empty")
-    cfg = SimConfig(**_manifest_fields(SimConfig, doc["config"], "config"))
-    fleet = tuple(
-        EngineModel(**_manifest_fields(EngineModel, m, "fleet")) for m in doc["fleet"]
-    )
-    # Both are derived from config and fleet; a manifest must not contradict them.
-    sigma = _manifest_value(doc["config"], "resolved_sigma", "float", "config")
-    if sigma != resolve_sigma(cfg, fleet):
-        raise ValueError(f"key 'config.resolved_sigma' is {sigma!r} but config and "
-                         f"fleet give {resolve_sigma(cfg, fleet)!r}")
-    line_bins = fleet_line_bins(fleet, cfg)
-    if doc["line_bins"] != line_bins.tolist():
-        raise ValueError("key 'line_bins' does not match the line bins of config and fleet")
-    return dict(
-        cfg=cfg,
-        fleet=fleet,
-        conditions=conditions,
-        mixing=np.asarray(doc["mixing"], dtype=float),
-        line_bins=line_bins,
-        sigma=sigma,
-        spectra_files=doc["files"].get("spectra") or {},
-    )
-
-
-def load_dataset(path) -> Dataset:
-    """Read a ``save_dataset`` directory; rows must come in the order it writes them."""
+def load_dataset(path, fleet, mixing, cfg: SimConfig, conditions) -> Dataset:
+    """Read a ``save_dataset`` directory whose manifest holds ``_manifest(fleet, mixing,
+    cfg, conditions)`` as equal JSON, ``files`` aside; rows must come in the order
+    ``save_dataset`` writes them."""
     path = Path(path)
     with open(path / "manifest.json") as fh:
-        manifest = json.load(fh)
+        found = json.load(fh)
+    expected = json.loads(json.dumps(_manifest(fleet, mixing, cfg, conditions)))
     try:
-        meta = _read_manifest(manifest)
-    except KeyError as err:
-        raise ValueError(f"{path / 'manifest.json'}: key {err} is missing") from None
-    except (AttributeError, TypeError, ValueError) as err:
+        _check_json(found, expected, "", "manifest")
+    except ValueError as err:
         raise ValueError(f"{path / 'manifest.json'}: {err}") from None
     csv_path = path / "health.csv"
-    states, samples = len(meta["conditions"]), meta["cfg"].samples_per_state
-    keys = _row_keys(meta["conditions"], samples)
+    states, samples = len(conditions), cfg.samples_per_state
+    keys = _row_keys(conditions, samples)
     rows = csv_path.read_text().strip().split("\n")[1:]
     if len(rows) != len(keys):
         raise ValueError(
@@ -536,10 +513,11 @@ def load_dataset(path) -> Dataset:
         values = np.loadtxt(remainders, delimiter=",", comments=None, ndmin=2)
     except ValueError as err:
         raise ValueError(f"{csv_path}: {err}") from None
-    n_coords = meta["line_bins"].size
+    n_coords = len(expected["line_bins"])
     if values.shape != (len(keys), n_coords) or not np.all(np.isfinite(values)):
         raise ValueError(f"{csv_path}: every row needs {n_coords} finite value columns")
-    return Dataset(healths=values.reshape(states, samples, SENSORS, n_coords), **meta)
+    healths = values.reshape(states, samples, SENSORS, n_coords)
+    return Dataset(healths, tuple(conditions), cfg, validate_mixing(mixing), tuple(fleet))
 
 
 def dataset_scenario(fleet, mixing, cfg: SimConfig, fleet_states_per_time) -> Scenario:

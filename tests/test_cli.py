@@ -23,6 +23,19 @@ def write_config(tmp_path, extra=None):
     return str(path)
 
 
+SILENT_COORDINATE_2 = "domain error: health coordinates [2] are silent for every sensor\n"
+
+
+def silent_coordinate_scenario(tmp_path):
+    """The harmonious fixture with parameter 2, and so health coordinate 2, read as 0."""
+    doc = json.loads(Path(HARMONIOUS).read_text())
+    for sensor in doc["readings"]:
+        sensor[0][1] = 0.0
+    path = tmp_path / "silent.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestValidate:
     def test_harmonious_fixture(self, capsys):
         assert cli.main(["validate", HARMONIOUS]) == 0
@@ -73,6 +86,13 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         assert cli.main(["validate", str(path)]) == 0
         assert "pre-separable: no (rank > 1 at parameters [6])" in capsys.readouterr().out
+
+    def test_silent_health_coordinate_is_a_domain_error(self, tmp_path, capsys):
+        path = silent_coordinate_scenario(tmp_path)
+        assert cli.main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "separable: yes" in captured.out
+        assert captured.err == SILENT_COORDINATE_2
 
     @pytest.mark.parametrize(
         "edit,key",
@@ -260,6 +280,13 @@ class TestTheorems:
             == 2
         )
 
+    def test_silent_health_coordinate_is_a_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["theorems", str(silent_coordinate_scenario(tmp_path)),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == SILENT_COORDINATE_2
+        assert not out.exists()
+
     def test_fail_sensor_checked_before_validation(self, tmp_path, capsys, monkeypatch):
         def unreached(*args):
             raise AssertionError("validation ran before the --fail-sensor range check")
@@ -303,6 +330,19 @@ class TestGenerateDetectSweep:
         assert cli.main(["detect", "--config", cfg, "--out", str(outb)]) == 0
         assert (outa / "results.csv").read_bytes() == (outb / "results.csv").read_bytes()
 
+    def test_detect_reads_data_written_with_spectra(self, tmp_path):
+        # The manifest's file list is not compared with the run config.
+        cfg = write_config(tmp_path, {"write_spectra": True})
+        gen = tmp_path / "gen"
+        assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+        assert list((gen / "datasets" / "good_high").glob("spectra_*.f64"))
+        outa = tmp_path / "detect_from_data"
+        outb = tmp_path / "detect_fused"
+        assert cli.main(["detect", "--config", cfg, "--out", str(outa), "--data", str(gen)]) == 0
+        assert cli.main(["detect", "--config", cfg, "--out", str(outb)]) == 0
+        for name in ("results.csv", "results.json"):
+            assert (outa / name).read_bytes() == (outb / name).read_bytes()
+
     def test_detect_rejects_truncated_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         gen = tmp_path / "gen"
@@ -341,8 +381,13 @@ class TestGenerateDetectSweep:
                 "'states.multiplier'",
             ),
             (lambda m: m.__setitem__("conditions", []), "'conditions'"),
+            (lambda m: m["config"].__setitem__("dft_size", 8192.0), "'config.dft_size'"),
+            (lambda m: m["config"].__setitem__("samples_per_state", True),
+             "'config.samples_per_state'"),
+            (lambda m: m["conditions"].append(m["conditions"][0]), "'conditions'"),
         ],
-        ids=["key_missing", "string_int", "int_for_list", "string_float", "no_conditions"],
+        ids=["key_missing", "string_int", "int_for_list", "string_float", "no_conditions",
+             "float_for_int", "bool_for_int", "extra_condition"],
     )
     def test_detect_rejects_bad_manifest(self, tmp_path, capsys, edit, key):
         cfg = write_config(tmp_path)
@@ -498,8 +543,21 @@ class TestGenerateDetectSweep:
 
     def test_bad_snr_range(self, tmp_path):
         cfg = write_config(tmp_path)
-        assert cli.main(["sweep", "--config", cfg, "--snr-range", "5:1:1",
-                         "--out", str(tmp_path / "s")]) == 2
+        for text in ("5:1:1", "-inf:0:1", "0:inf:1", "0:1:inf", "nan:0:1",
+                     "-1e308:1e308:1"):
+            assert cli.main(["sweep", "--config", cfg, "--snr-range", text,
+                             "--out", str(tmp_path / "s")]) == 2
+            assert not (tmp_path / "s").exists()
+
+    def test_sweep_rerun_from_echoed_config_is_byte_identical(self, tmp_path):
+        # The echoed range is the one given, not one rebuilt from the grid.
+        cfg = write_config(tmp_path)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(first),
+                         "--snr-range", "-3:0:0.3"]) == 0
+        echoed = str(first / "config.json")
+        assert cli.main(["sweep", "--config", echoed, "--out", str(again)]) == 0
+        assert (again / "sweep.csv").read_bytes() == (first / "sweep.csv").read_bytes()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"

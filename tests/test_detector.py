@@ -268,7 +268,7 @@ def test_score_condition_counts_match_per_sample_rule(data):
     truth = {"normal": "normal", "gear_fault": "fault", "failure": "failure"}[states[0].kind]
     ds = turbine.Dataset(
         healths=healths, conditions=((name, states),), cfg=CFG, mixing=MIX,
-        fleet=FLEET, line_bins=np.arange(28), sigma=0.0,
+        fleet=FLEET,
     )
     bases = {kind: mu for kind in detector.PIPELINES}
     for stats in score_condition(ds, name, bases, TH, "good", "low"):

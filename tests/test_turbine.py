@@ -168,11 +168,21 @@ class TestFaultState:
             FaultState(kind="wobbly")
 
     def test_json_roundtrip(self, tmp_path):
-        # States cross the disk in a dataset manifest.
+        # States cross the disk in a dataset manifest, and a load under any
+        # other states fails at the first field that differs.
         states = (FaultState.gear_fault(3, 5.5), FaultState.failure()) + normal_fleet_state()[2:]
         cfg = SimConfig(samples_per_state=1)
-        ds = generate_dataset(FLEET, mixing_matrix(0.1), cfg, (("mixed", states),))
-        assert load_dataset(save_dataset(ds, tmp_path / "d")).conditions == (("mixed", states),)
+        mixing = mixing_matrix(0.1)
+        ds = generate_dataset(FLEET, mixing, cfg, (("mixed", states),))
+        path = save_dataset(ds, tmp_path / "d")
+        load_dataset(path, FLEET, mixing, cfg, (("mixed", states),))
+        for other, key in [
+            ((FaultState.gear_fault(3, 5.0),) + states[1:], "'states.multiplier'"),
+            ((FaultState.gear_fault(2, 5.5),) + states[1:], "'states.gear'"),
+            (states[:1] + (FaultState.normal(),) + states[2:], "'states.kind'"),
+        ]:
+            with pytest.raises(ValueError, match=key):
+                load_dataset(path, FLEET, mixing, cfg, (("mixed", other),))
 
     def test_negative_or_non_finite_multiplier_rejected(self):
         for bad in (-12.0, -1e-300, float("nan"), float("inf")):
@@ -472,12 +482,24 @@ class TestGeneration:
         assert spread <= 1e-8 * np.max(ds.healths)
 
     def test_save_load_roundtrip(self, tmp_path):
-        ds = generate_dataset(FLEET, mixing_matrix(0.1), CFG, turbine.engine1_conditions())
-        save_dataset(ds, tmp_path / "d")
-        back = load_dataset(tmp_path / "d")
+        mixing, conditions = mixing_matrix(0.1), turbine.engine1_conditions()
+        ds = generate_dataset(FLEET, mixing, CFG, conditions)
+        path = save_dataset(ds, tmp_path / "d")
+        back = load_dataset(path, FLEET, mixing, CFG, conditions)
         assert np.array_equal(back.healths, ds.healths)
-        assert back.condition_names == ds.condition_names
-        assert back.cfg == ds.cfg
+        # A load under any other description fails, naming the first key that differs.
+        other_fleet = (FLEET[0], replace(FLEET[1], blade_counts=(21, 24))) + FLEET[2:]
+        for fleet, mix, cfg, conds, key in [
+            (FLEET, mixing, replace(CFG, rng_seed=1), conditions, "'config.rng_seed'"),
+            (FLEET, mixing, replace(CFG, snr_db=0.0), conditions, "'config.snr_db'"),
+            (other_fleet, mixing, CFG, conditions, "'fleet.blade_counts'"),
+            (FLEET, mixing_matrix(0.2), CFG, conditions, "'mixing'"),
+            (FLEET, mixing, CFG, turbine.engine1_conditions(fault_multiplier=11.0),
+             "'states.multiplier'"),
+            (FLEET, mixing, CFG, conditions[:2], "'conditions' is not a list of 2 entries"),
+        ]:
+            with pytest.raises(ValueError, match=key):
+                load_dataset(path, fleet, mix, cfg, conds)
 
     def test_manifest_config_keys_not_in_sim_config_are_ignored(self, tmp_path):
         # Manifests written before noise was set by SNR alone carry a second
@@ -488,7 +510,7 @@ class TestGeneration:
         manifest = json.loads((path / "manifest.json").read_text())
         manifest["config"]["retired_noise_key"] = 0.0
         (path / "manifest.json").write_text(json.dumps(manifest))
-        back = load_dataset(path)
+        back = load_dataset(path, FLEET, mixing_matrix(0.1), cfg, turbine.engine1_conditions())
         assert back.cfg == cfg
         assert back.sigma == ds.sigma
         assert np.array_equal(back.healths, ds.healths)
@@ -519,7 +541,7 @@ class TestGeneration:
         for match, body in cases:
             csv.write_text("\n".join(body) + "\n")
             with pytest.raises(ValueError, match=match):
-                load_dataset(path)
+                load_dataset(path, FLEET, mixing_matrix(0.1), CFG, turbine.engine1_conditions())
 
     def test_save_is_byte_deterministic(self, tmp_path):
         cfg = SimConfig(samples_per_state=2, snr_db=5.0)
@@ -574,11 +596,10 @@ def test_save_load_roundtrip_is_exact(samples, data):
         cfg=SimConfig(samples_per_state=samples),
         mixing=mixing_matrix(0.1),
         fleet=FLEET,
-        line_bins=BINS,
-        sigma=0.0,
     )
     with tempfile.TemporaryDirectory() as tmp:
-        back = load_dataset(save_dataset(ds, Path(tmp) / "d"))
+        back = load_dataset(save_dataset(ds, Path(tmp) / "d"), FLEET, ds.mixing, ds.cfg,
+                            ds.conditions)
     assert np.array_equal(back.healths.view(np.uint64), healths.view(np.uint64))
 
 
