@@ -22,10 +22,8 @@ from .frames import (
     VectorSet,
     analysis,
     canonical_dual,
-    classify_frame,
     frame_bounds,
     frame_operator,
-    is_frame,
     mf_bound_certificate,
     multiplicative_product,
     reconstruct,
@@ -51,10 +49,8 @@ __all__ = [
     "VectorSet",
     "analysis",
     "canonical_dual",
-    "classify_frame",
     "frame_bounds",
     "frame_operator",
-    "is_frame",
     "mf_bound_certificate",
     "multiplicative_product",
     "reconstruct",

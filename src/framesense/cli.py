@@ -234,6 +234,15 @@ def _sim_config(cfg: dict) -> turbine.SimConfig:
     )
 
 
+def _check_snrs(sim: turbine.SimConfig, fleet, snrs, key: str) -> None:
+    """Refuse, before any output, an SNR with no finite positive noise level."""
+    try:
+        for snr_db in snrs:
+            turbine.resolve_sigma(replace(sim, snr_db=snr_db), fleet)
+    except ValueError as err:
+        raise ValueError(f"{key}: {err}") from None
+
+
 def _dataset_dir(out: Path, *name: str) -> Path:
     """``out/datasets/calibration`` or ``out/datasets/<sensor_condition>_<noise_level>``."""
     return out / "datasets" / "_".join(name)
@@ -258,6 +267,7 @@ def cmd_generate(args) -> int:
     mixing = turbine.mixing_matrix(cfg["mixing_off_diagonal"])
     sim = _sim_config(cfg)
     conditions = turbine.engine1_conditions(cfg["fault_gear"], cfg["fault_multiplier"])
+    _check_snrs(sim, fleet, cfg["noise_levels"].values(), "config key 'noise_levels'")
     echo_config(cfg, out)
     calib = detector.calibration_dataset(fleet, mixing, sim)
     turbine.save_dataset(calib, _dataset_dir(out, "calibration"))
@@ -265,10 +275,7 @@ def cmd_generate(args) -> int:
     for key, run_cfg in detector.grid_cells(sim, cfg["noise_levels"]):
         path = _dataset_dir(out, *key)
         ds = turbine.generate_dataset(
-            fleet,
-            mixing,
-            run_cfg,
-            conditions,
+            fleet, mixing, run_cfg, conditions,
             spectra_dir=path if cfg["write_spectra"] else None,
         )
         turbine.save_dataset(ds, path)
@@ -285,6 +292,7 @@ def cmd_detect(args) -> int:
     mixing = turbine.mixing_matrix(cfg["mixing_off_diagonal"])
     sim = _sim_config(cfg)
     conditions = turbine.engine1_conditions(cfg["fault_gear"], cfg["fault_multiplier"])
+    _check_snrs(sim, fleet, cfg["noise_levels"].values(), "config key 'noise_levels'")
     data_root = Path(args.data) if args.data else None
     if data_root is not None and not data_root.is_dir():
         raise ValueError(f"--data {data_root}: no such directory")
@@ -311,14 +319,6 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _snr_bounds(text: str) -> tuple:
-    try:
-        lo, hi, step = (float(x) for x in text.split(":"))
-    except ValueError:
-        raise ValueError(f"--snr-range must be LO:HI:STEP, got {text!r}") from None
-    return lo, hi, step
-
-
 def _snr_grid(lo: float, hi: float, step: float) -> list:
     """The SNRs ``lo, lo + step, ...`` up to ``hi``; the point count must be finite too."""
     if not (all(map(_is_number, (lo, hi, step))) and lo <= hi and step > 0
@@ -330,19 +330,19 @@ def _snr_grid(lo: float, hi: float, step: float) -> list:
     return [lo + i * step for i in range(count)]
 
 
-def parse_snr_range(text: str) -> list:
-    return _snr_grid(*_snr_bounds(text))
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, {"rng_seed": args.seed})
     out = Path(args.out)
     if args.snr_range:
-        cfg["snr_lo"], cfg["snr_hi"], cfg["snr_step"] = _snr_bounds(args.snr_range)
+        try:
+            cfg["snr_lo"], cfg["snr_hi"], cfg["snr_step"] = map(float, args.snr_range.split(":"))
+        except ValueError:
+            raise ValueError(f"--snr-range must be LO:HI:STEP, got {args.snr_range!r}") from None
     grid = _snr_grid(cfg["snr_lo"], cfg["snr_hi"], cfg["snr_step"])
     fleet, th = _fleet_and_thresholds(cfg)
     mixing = turbine.mixing_matrix(cfg["sweep_mixing_off_diagonal"])
     sim = replace(_sim_config(cfg), samples_per_state=cfg["sweep_samples_per_point"])
+    _check_snrs(sim, fleet, grid, f"SNR range {cfg['snr_lo']}:{cfg['snr_hi']}:{cfg['snr_step']}")
     echo_config(cfg, out)
     points = detector.snr_sweep(fleet, mixing, sim, grid, th)
     detector.write_sweep(points, out)

@@ -136,30 +136,6 @@ def frame_bounds(frame: VectorSet) -> FrameBounds:
     return FrameBounds(float(max(eigs[0], 0.0)), float(eigs[-1]))
 
 
-def is_frame(frame: VectorSet, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the set spans: smallest frame-operator eigenvalue above tol."""
-    check_tol(tol)
-    return frame_bounds(frame).lower > tol
-
-
-def classify_frame(frame: VectorSet, tol: float = DEFAULT_TOL) -> str:
-    """Most specific class among not_frame / frame / tight / parseval / funtf."""
-    lower, upper = frame_bounds(frame)
-    if lower <= tol:
-        return "not_frame"
-    tight = abs(upper - lower) <= tol * upper
-    unit_norm = np.allclose(
-        np.linalg.norm(frame.matrix, axis=1), 1.0, rtol=0.0, atol=tol
-    )
-    if tight and unit_norm:
-        return "funtf"
-    if abs(lower - 1.0) <= tol and abs(upper - 1.0) <= tol:
-        return "parseval"
-    if tight:
-        return "tight"
-    return "frame"
-
-
 def canonical_dual(frame: VectorSet, tol: float = DEFAULT_TOL) -> VectorSet:
     """The dual frame ``{F^-1 x_h}``; its bounds are (1/B, 1/A)."""
     op = frame_operator(frame)
@@ -187,16 +163,12 @@ def multiplicative_product(pair: MultiplicativeFactorPair) -> VectorSet:
 class MultiplicativeBoundCertificate:
     """Certified interval for the frame bounds of a coordinatewise product set.
 
-    ``lower`` uses the quadratic scaling ``min_modulus**2 * lower_Y`` that the
-    bound derivation actually yields; ``lower_linear`` is the weaker-looking
-    single-power variant ``min_modulus * lower_Y`` reported for comparison.
-    Containment of the product set's true bounds is only guaranteed for
-    (``lower``, ``upper``).
+    ``lower`` is ``min_modulus**2 * lower_Y``; the interval (``lower``,
+    ``upper``) contains the product set's true bounds.
     """
 
     lower: float
     upper: float
-    lower_linear: float
     min_modulus: float
     witness_k: int
 
@@ -231,7 +203,6 @@ def mf_bound_certificate(
     return MultiplicativeBoundCertificate(
         lower=m_z**2 * y_bounds.lower,
         upper=k_count * y_bounds.upper * max_inf_sq,
-        lower_linear=m_z * y_bounds.lower,
         min_modulus=m_z,
         witness_k=witness_k,
     )
@@ -241,8 +212,8 @@ def mf_bound_certificate(
 class SpanCertificate:
     """Either a span certification or an orthogonal unit witness vector.
 
-    ``spans`` is decided on the squared smallest singular value of the
-    stacked matrix, so it agrees with :func:`is_frame` at equal tol.
+    ``spans`` holds when the squared smallest singular value of the stacked
+    matrix, which is the lower frame bound, exceeds tol.
     """
 
     spans: bool

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import DEFAULT_TOL, VectorSet, span_certificate
+from .frames import DEFAULT_TOL, SpanCertificate, VectorSet, check_tol, span_certificate
 from .scenario import (
     Factorization,
     HealthMap,
@@ -147,18 +147,7 @@ def _peak_values(fac: Factorization, failed: int | None) -> np.ndarray:
     return _image_values(fac, failed)[np.arange(n), :, peak]
 
 
-def _single_coordinate_rows(values: np.ndarray) -> VectorSet:
-    """Rows ``e_i * values[i, ...]`` for every entry, coordinate-major."""
-    n = values.shape[0]
-    per = values.reshape(n, -1)
-    rows = np.zeros((n, per.shape[1], n), dtype=np.complex128)
-    rows[np.arange(n), :, np.arange(n)] = per
-    return VectorSet(rows.reshape(-1, n))
-
-
-def _span_diagnostics(vectors: VectorSet, tol: float) -> dict:
-    cert = span_certificate(vectors, tol)
-    heard = np.any(np.abs(vectors.matrix) > tol, axis=0)
+def _span_diagnostics(cert: SpanCertificate, heard: np.ndarray) -> dict:
     return {
         "spans": cert.spans,
         "smallest_singular_value": cert.smallest_singular_value,
@@ -166,6 +155,22 @@ def _span_diagnostics(vectors: VectorSet, tol: float) -> dict:
         "missing_coordinates": np.flatnonzero(~heard).tolist(),
         "witness": cert.witness,
     }
+
+
+def _coordinate_span_diagnostics(values: np.ndarray, tol: float) -> dict:
+    """Span diagnostics of the rows ``e_i * values[i, ...]``, in closed form.
+
+    Their frame operator is ``diag(||values[i]||^2)``, so the singular values
+    are the row norms, and e_i of the weakest coordinate is the witness.
+    """
+    check_tol(tol)
+    per = values.reshape(values.shape[0], -1)
+    norms = np.linalg.norm(per, axis=1)
+    weakest = int(np.argmin(norms))  # smallest i on ties
+    spans = bool(norms[weakest] ** 2 > tol)  # the test span_certificate applies
+    witness = None if spans else np.eye(len(norms), dtype=np.complex128)[weakest]
+    cert = SpanCertificate(spans, witness, float(norms[weakest]), float(norms.max()))
+    return _span_diagnostics(cert, np.any(np.abs(per) > tol, axis=1))
 
 
 def verify_basis_mapping(
@@ -187,7 +192,7 @@ def verify_basis_mapping(
     values = _peak_values(fac, failed)
     owned = assign.owners()[:, None] == np.arange(values.shape[1])
     selected = np.where(owned, values, 0.0)
-    diag = _span_diagnostics(_single_coordinate_rows(selected), tol)
+    diag = _coordinate_span_diagnostics(selected, tol)
     nonzero = np.nonzero(np.abs(selected) > tol)[0].tolist()  # ascending
     diag["nonzero_directions"] = nonzero
     diag["distinct_nonzero"] = len(set(nonzero))
@@ -233,7 +238,7 @@ def verify_frame_mapping(
     if not all(h.ok for h in hyps[:2]):
         return TheoremReport("frame_mapping", hyps, None, {"note": "hypotheses unmet"})
     mags = np.abs(_peak_values(fac, failed))  # (n, N)
-    diag = _span_diagnostics(_single_coordinate_rows(mags), tol)
+    diag = _coordinate_span_diagnostics(mags, tol)
     loudest, loudest_j = mags.max(axis=1), mags.argmax(axis=1)  # smallest j on ties
     heard = np.flatnonzero(loudest > tol)
     diag["per_coordinate_basis"] = [
@@ -265,9 +270,9 @@ def verify_projective_frame(
         return TheoremReport(
             "projective_frame", hyps, None, {"note": "hypotheses unmet"}
         )
-    rows = _single_coordinate_rows(_image_values(fac, failed))
-    diag = _span_diagnostics(rows, tol)
-    diag["cardinality"] = rows.count
+    values = _image_values(fac, failed)
+    diag = _coordinate_span_diagnostics(values, tol)
+    diag["cardinality"] = values.size
     conclusion = diag["spans"] if all(h.ok for h in hyps) else None
     return TheoremReport("projective_frame", hyps, conclusion, diag)
 
@@ -297,7 +302,7 @@ def verify_strong_dominance_frame(
     )
     w_all = np.abs(gamma[:, None, :] * alpha[None, :, :])  # (N, K, n)
     w_set = VectorSet(w_all.reshape(-1, n).astype(np.complex128))
-    diag = _span_diagnostics(w_set, tol)
+    diag = _span_diagnostics(span_certificate(w_set, tol), np.any(w_all > tol, axis=(0, 1)))
     diag["cardinality"] = w_set.count
     j_star = np.argmax(np.abs(gamma), axis=0)
     k_star = np.argmax(np.abs(alpha), axis=0)

@@ -173,13 +173,20 @@ def resolve_sigma(cfg: SimConfig, fleet) -> float:
     The scale is anchored on the weakest line in the fleet: its DFT bin
     magnitude is a_min * dft_size / 2 while per-bin noise components have
     standard deviation sigma * sqrt(dft_size / 2), and snr_db = 0 places the
-    line SNR_REFERENCE_MARGIN_DB above that level.
+    line SNR_REFERENCE_MARGIN_DB above that level.  An snr_db so extreme that
+    sigma is not a finite positive number is a ValueError.
     """
     if cfg.snr_db is None:
         return 0.0
     a_min = min(min(m.line_amplitudes) for m in fleet)
-    kappa = 10.0 ** ((cfg.snr_db + SNR_REFERENCE_MARGIN_DB) / 20.0)
-    return float(a_min * np.sqrt(cfg.dft_size / 2.0) / kappa)
+    scale = float(a_min * np.sqrt(cfg.dft_size / 2.0))
+    try:
+        sigma = scale / 10.0 ** ((cfg.snr_db + SNR_REFERENCE_MARGIN_DB) / 20.0)
+    except (OverflowError, ZeroDivisionError):  # 10 ** x overflowed or underflowed to 0
+        sigma = np.nan
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"snr_db {cfg.snr_db} gives no finite positive noise level")
+    return sigma
 
 
 def fleet_line_bins(fleet, cfg: SimConfig) -> np.ndarray:

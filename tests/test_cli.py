@@ -23,6 +23,16 @@ def write_config(tmp_path, extra=None):
     return str(path)
 
 
+def sweep_snrs(tmp_path, text, out):
+    """The sorted ``snr_db`` column of ``sweep --snr-range text``, two conditions by two levels each."""
+    assert cli.main(["sweep", "--config", write_config(tmp_path), "--out", str(out),
+                     "--snr-range", text]) == 0
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().split()[1:]]
+    snrs = sorted({float(r[0]) for r in rows})
+    assert len(rows) == len(snrs) * 2 * 2
+    return snrs
+
+
 SILENT_COORDINATE_2 = "domain error: health coordinates [2] are silent for every sensor\n"
 
 
@@ -519,6 +529,17 @@ class TestGenerateDetectSweep:
             assert "'noise_levels'" in err and repr(name) in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("snr_db", [7000.0, -7000.0])
+    def test_noise_level_without_finite_sigma_exits_2(self, tmp_path, capsys, snr_db):
+        # At -7000 dB sigma was inf and every run exited 0 with plausible
+        # results; at +7000 dB 10 ** (SNR / 20) overflowed.
+        cfg = write_config(tmp_path, {"noise_levels": {"low": snr_db}})
+        for command in ("generate", "detect"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert "'noise_levels'" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_detect_results_contract(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
@@ -530,21 +551,16 @@ class TestGenerateDetectSweep:
         assert table["normal_s1_failed"][1] == "100.00"
 
     def test_sweep_range_flag(self, tmp_path):
-        cfg = write_config(tmp_path)
         out = tmp_path / "sweep"
-        code = cli.main(
-            ["sweep", "--config", cfg, "--out", str(out), "--snr-range", "-2:0:1"]
-        )
-        assert code == 0
-        rows = (out / "sweep.csv").read_text().strip().split("\n")
-        assert len(rows) == 1 + 3 * 2 * 2
+        assert sweep_snrs(tmp_path, "-2:0:1", out) == [-2, -1, 0]
         echoed = json.loads((out / "config.json").read_text())
         assert echoed["snr_lo"] == -2.0 and echoed["snr_hi"] == 0.0
 
     def test_bad_snr_range(self, tmp_path):
         cfg = write_config(tmp_path)
+        # The last two are finite, but 10 ** (SNR / 20) overflows or reaches 0.
         for text in ("5:1:1", "-inf:0:1", "0:inf:1", "0:1:inf", "nan:0:1",
-                     "-1e308:1e308:1"):
+                     "-1e308:1e308:1", "7000:7000:1", "-7000:-7000:1"):
             assert cli.main(["sweep", "--config", cfg, "--snr-range", text,
                              "--out", str(tmp_path / "s")]) == 2
             assert not (tmp_path / "s").exists()
@@ -584,9 +600,11 @@ def test_module_entrypoint_smoke():
     assert "validity: OK" in proc.stdout
 
 
-def test_parse_snr_range_inclusive():
-    assert cli.parse_snr_range("-20:0:1") == pytest.approx(list(range(-20, 1)))
+def test_parse_snr_range_inclusive(tmp_path):
+    # HI is a grid point when a step lands on it.
+    assert sweep_snrs(tmp_path, "-20:0:1", tmp_path / "sweep") == list(range(-20, 1))
 
 
-def test_parse_snr_range_stops_at_hi():
-    assert cli.parse_snr_range("-20:0:3") == pytest.approx([-20, -17, -14, -11, -8, -5, -2])
+def test_parse_snr_range_stops_at_hi(tmp_path):
+    # The grid is LO, LO + STEP, ... and stops before the first point past HI.
+    assert sweep_snrs(tmp_path, "-20:0:3", tmp_path / "sweep") == [-20, -17, -14, -11, -8, -5, -2]

@@ -5,16 +5,15 @@ from hypothesis import strategies as st
 
 from framesense import frames
 from framesense.frames import (
+    DEFAULT_TOL,
     FrameBounds,
     MultiplicativeFactorPair,
     NotAFrameError,
     VectorSet,
     analysis,
     canonical_dual,
-    classify_frame,
     frame_bounds,
     frame_operator,
-    is_frame,
     mf_bound_certificate,
     multiplicative_product,
     parse_complex,
@@ -109,37 +108,29 @@ class TestFrameOperatorAndBounds:
 
 
 class TestClassification:
-    def test_is_frame_on_onb(self):
-        assert is_frame(ONB2)
-
-    def test_skew_is_a_frame(self):
-        assert is_frame(SKEW3)
-
-    def test_collinear_is_not(self):
-        assert not is_frame(VectorSet([[1, 0], [2, 0]]))
+    """Frame classes read off the optimal bounds and the vector norms."""
 
     def test_onb_is_funtf(self):
-        assert classify_frame(ONB2) == "funtf"
+        assert frame_bounds(ONB2) == FrameBounds(1.0, 1.0)
+        assert np.allclose(np.linalg.norm(ONB2.matrix, axis=1), 1.0)
 
     def test_mercedes_benz_is_funtf(self):
         angles = np.array([np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3])
         mb = VectorSet(np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(complex))
-        assert classify_frame(mb) == "funtf"
         assert np.allclose(frame_bounds(mb), [1.5, 1.5])
 
     def test_skew_is_plain_frame(self):
-        assert classify_frame(SKEW3) == "frame"
+        lower, upper = frame_bounds(SKEW3)
+        assert DEFAULT_TOL < lower < upper
 
     def test_tight_but_not_unit_norm(self):
-        assert classify_frame(VectorSet([[2, 0], [0, 2]])) == "tight"
+        assert frame_bounds(VectorSet([[2, 0], [0, 2]])) == FrameBounds(4.0, 4.0)
 
     def test_parseval_not_unit_norm(self):
         s = 1 / np.sqrt(2)
         p = VectorSet([[s, 0], [0, s], [s, 0], [0, s]])
-        assert classify_frame(p) == "parseval"
-
-    def test_not_frame(self):
-        assert classify_frame(VectorSet([[1, 0], [2, 0]])) == "not_frame"
+        assert np.allclose(frame_bounds(p), [1.0, 1.0])
+        assert np.allclose(np.linalg.norm(p.matrix, axis=1), s)
 
 
 class TestDualAndReconstruction:
@@ -211,7 +202,6 @@ class TestMultiplicative:
         pair = MultiplicativeFactorPair(SKEW3, VectorSet([[1, 1]]))
         cert = mf_bound_certificate(pair, frame_bounds(SKEW3))
         assert np.allclose(cert.interval, (4.0, 18.0))
-        assert np.allclose(cert.lower_linear, 4.0)
 
     def test_certificate_scales_quadratically(self):
         z = VectorSet([[1, 2]])
@@ -274,7 +264,7 @@ class TestSpanCertificate:
             vs = VectorSet(
                 rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
             )
-            assert span_certificate(vs).spans == is_frame(vs)
+            assert span_certificate(vs).spans == (frame_bounds(vs).lower > DEFAULT_TOL)
 
 
 class TestSerialization:

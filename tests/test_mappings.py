@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from framesense.frames import DEFAULT_TOL, VectorSet, span_certificate
 from framesense.mappings import (
     basis_map,
     frame_map,
@@ -300,3 +303,67 @@ class TestVerifiers:
         ):
             doc = report.to_json_dict()
             assert json.loads(json.dumps(doc)) == doc
+
+
+def single_coordinate_rows(values):
+    """The rows ``e_i * values[i, ...]``, coordinate-major, as one dense matrix."""
+    n = values.shape[0]
+    per = values.reshape(n, -1)
+    rows = np.zeros((n, per.shape[1], n), dtype=np.complex128)
+    rows[np.arange(n), :, np.arange(n)] = per
+    return rows.reshape(-1, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_sensors=st.integers(1, 4),
+    times=st.integers(1, 4),
+    n=st.integers(1, 8),  # so N * K falls both below and above n
+    zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_closed_form_span_diagnostics_match_dense_svd(n_sensors, times, n, zero_frac, seed,
+                                                      data):
+    # The basis, frame and projective sets are single-coordinate rows; their
+    # closed-form diagnostics must match a full SVD of those rows.
+    rng = np.random.default_rng(seed)
+    tol = DEFAULT_TOL
+
+    def factor(count):
+        # Moduli in [0.5, 2] or exactly 0, far from tol either way. One entry
+        # per coordinate stays nonzero, so the radiative and dominant
+        # hypotheses hold and every verifier reports its diagnostics.
+        f = rng.uniform(0.5, 2.0, (count, n)) * np.exp(2j * np.pi * rng.random((count, n)))
+        zero = rng.random((count, n)) < zero_frac
+        zero[rng.integers(0, count, n), np.arange(n)] = False
+        f[zero] = 0.0
+        return f
+
+    gamma, alpha = factor(n_sensors), factor(times)
+    failed = data.draw(st.sampled_from([None, *range(n_sensors)]))
+    fac = Factorization.from_health_factors(gamma, alpha)
+    assign = build_index_sets(fac.images(), tol)
+    images = gamma.T[:, :, None] * alpha.T[:, None, :]  # (n, N, K)
+    if failed is not None:
+        images[:, failed] = 0.0
+    peak = images[np.arange(n), :, np.argmax(np.abs(alpha), axis=0)]  # (n, N)
+    owned = assign.owners()[:, None] == np.arange(n_sensors)
+    cases = (
+        (verify_basis_mapping(fac, assign, tol, failed), np.where(owned, peak, 0.0)),
+        (verify_frame_mapping(fac, assign, tol, failed), np.abs(peak)),
+        (verify_projective_frame(fac, tol, failed, assign), images),
+    )
+    for report, values in cases:
+        diag = report.diagnostics
+        rows = single_coordinate_rows(values)
+        ref = span_certificate(VectorSet(rows), tol)
+        assert diag["spans"] == ref.spans
+        heard = np.any(np.abs(rows) > tol, axis=0)
+        assert diag["missing_coordinates"] == np.flatnonzero(~heard).tolist()
+        for key in ("smallest_singular_value", "largest_singular_value"):
+            assert diag[key] == pytest.approx(getattr(ref, key), rel=1e-12, abs=1e-12)
+        if not diag["spans"]:
+            witness = diag["witness"]
+            assert np.linalg.norm(witness) == pytest.approx(1.0)
+            assert np.all(np.abs(rows @ witness.conj()) <= tol)

@@ -626,6 +626,12 @@ class TestSnrScale:
         with pytest.raises(ValueError, match="snr_db"):
             SimConfig(snr_db=snr_db)
 
+    @pytest.mark.parametrize("snr_db", [7000.0, 6200.0, -7000.0])
+    def test_snr_without_finite_positive_sigma_rejected(self, snr_db):
+        # 10 ** (snr_db / 20) overflows, or underflows to 0 and sigma is inf.
+        with pytest.raises(ValueError, match="noise level"):
+            resolve_sigma(replace(CFG, snr_db=snr_db), FLEET)
+
 
 class TestScenarioBridge:
     def setup_method(self):
