@@ -21,10 +21,17 @@ when a caller reads the full spectrum.
 Dataset generation is deterministic: each sample's noise comes from a
 counter-based generator keyed on (seed, condition, sample), so parallel and
 serial runs agree byte for byte.
+
+A saved dataset directory holds ``health.csv`` (the healths as shortest
+round-trip decimals, for people and other tools), ``health.npy`` (the same
+array in NumPy's ``.npy`` format, which is what ``load_dataset`` reads) and,
+written last, ``manifest.json``, which records the model and the sha256 of
+both health files.  A directory is read only as ``save_dataset`` wrote it.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import numbers
 from dataclasses import asdict, dataclass, field, replace
@@ -151,6 +158,10 @@ class SimConfig:
     def __post_init__(self):
         if self.dft_size <= 0 or self.dft_size & (self.dft_size - 1):
             raise ValueError("dft_size must be a power of two")
+        # Bin indices are int64 and the SNR scale is float64; past int64 one
+        # of them would overflow, so refuse before any work.
+        if self.dft_size > np.iinfo(np.int64).max:
+            raise ValueError(f"dft_size 2**{self.dft_size.bit_length() - 1} does not fit in int64")
         # NaN would pass every comparison and silently mean noise-free.
         if self.snr_db is not None and not -np.inf < self.snr_db < np.inf:
             raise ValueError(f"snr_db must be a finite number or None, got {self.snr_db!r}")
@@ -448,21 +459,44 @@ def _manifest(fleet, mixing, cfg: SimConfig, conditions) -> dict:
     }
 
 
+# The files ``save_dataset`` writes before ``manifest.json``, which records their sha256.
+HEALTH_FILES = ("health.csv", "health.npy")
+
+
+def _sha256(data: bytes) -> str:
+    # Imported here: hashlib loads OpenSSL (about 2 MiB resident), which
+    # only the commands that save or load a dataset need.
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
 def save_dataset(ds: Dataset, out_dir) -> Path:
-    """Persist a dataset directory: manifest.json plus health.csv."""
+    """Persist a dataset directory: health.csv, health.npy, then manifest.json.
+
+    ``health.csv`` has one row per (state, sample, sensor) holding the 28
+    healths as shortest round-trip decimals; ``health.npy`` holds the same
+    ``(conditions, samples, SENSORS, 28)`` ``<f8`` array.  The manifest is
+    written last, with the sha256 of both under ``files.sha256``.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {**_manifest(ds.fleet, ds.mixing, ds.cfg, ds.conditions),
-                "files": {"health": "health.csv", "spectra": ds.spectra_files or None}}
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     n_coords = ds.healths.shape[-1]
     header = "state,sample,sensor," + ",".join(f"m{i:02d}" for i in range(n_coords))
     keys = _row_keys(ds.conditions, ds.healths.shape[1])
     rows = ds.healths.reshape(-1, n_coords).tolist()
     lines = [header] + [key + ",".join(map(repr, row)) for key, row in zip(keys, rows)]
-    (out / "health.csv").write_text("\n".join(lines) + "\n")
+    npy = io.BytesIO()
+    np.save(npy, np.ascontiguousarray(ds.healths, dtype="<f8"), allow_pickle=False)
+    digests = {}
+    for name, data in zip(HEALTH_FILES, (("\n".join(lines) + "\n").encode(), npy.getvalue())):
+        (out / name).write_bytes(data)
+        digests[name] = _sha256(data)
+    manifest = {**_manifest(ds.fleet, ds.mixing, ds.cfg, ds.conditions),
+                "files": {"sha256": digests, "spectra": ds.spectra_files or None}}
+    with open(out / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return out
 
 
@@ -489,9 +523,14 @@ def _check_json(found, expected, obj: str, label: str) -> None:
 
 
 def load_dataset(path, fleet, mixing, cfg: SimConfig, conditions) -> Dataset:
-    """Read a ``save_dataset`` directory whose manifest holds ``_manifest(fleet, mixing,
-    cfg, conditions)`` as equal JSON, ``files`` aside; rows must come in the order
-    ``save_dataset`` writes them."""
+    """Read a ``save_dataset`` directory as ``save_dataset`` wrote it.
+
+    Its manifest must hold ``_manifest(fleet, mixing, cfg, conditions)`` as
+    equal JSON, and each of ``HEALTH_FILES`` must have the sha256 the
+    manifest records.  The healths come from ``health.npy``: a ``<f8``
+    array of shape (states, samples_per_state, SENSORS, line bins), every
+    value finite.  ``health.csv`` is checked by its digest only.
+    """
     path = Path(path)
     with open(path / "manifest.json") as fh:
         found = json.load(fh)
@@ -500,30 +539,31 @@ def load_dataset(path, fleet, mixing, cfg: SimConfig, conditions) -> Dataset:
         _check_json(found, expected, "", "manifest")
     except ValueError as err:
         raise ValueError(f"{path / 'manifest.json'}: {err}") from None
-    csv_path = path / "health.csv"
-    states, samples = len(conditions), cfg.samples_per_state
-    keys = _row_keys(conditions, samples)
-    rows = csv_path.read_text().strip().split("\n")[1:]
-    if len(rows) != len(keys):
-        raise ValueError(
-            f"{csv_path}: {len(rows)} rows, expected "
-            f"{states} states x {samples} samples x {SENSORS} sensors"
-        )
-    bad = next((i for i, (r, k) in enumerate(zip(rows, keys)) if not r.startswith(k)), None)
-    if bad is not None:
-        raise ValueError(f"{csv_path}: data row {bad + 1} does not start with {keys[bad]!r}: "
-                         "a missing, repeated, reordered or out-of-range row")
-    remainders = [row[len(key):] for row, key in zip(rows, keys)]
-    if "" in remainders:  # np.loadtxt would skip the empty line
-        raise ValueError(f"{csv_path}: data row {remainders.index('') + 1} has no values")
+    blobs = {}
+    for name in HEALTH_FILES:
+        try:
+            digest = found["files"]["sha256"][name]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"{path / 'manifest.json'}: key 'files.sha256.{name}' is missing; "
+                "a dataset from an older generate must be regenerated"
+            ) from None
+        blobs[name] = (path / name).read_bytes()
+        if _sha256(blobs[name]) != digest:
+            raise ValueError(f"{path / name}: sha256 differs from the one manifest.json "
+                             "records; a dataset is read only as generate wrote it")
+    npy_path = path / "health.npy"
     try:
-        values = np.loadtxt(remainders, delimiter=",", comments=None, ndmin=2)
-    except ValueError as err:
-        raise ValueError(f"{csv_path}: {err}") from None
-    n_coords = len(expected["line_bins"])
-    if values.shape != (len(keys), n_coords) or not np.all(np.isfinite(values)):
-        raise ValueError(f"{csv_path}: every row needs {n_coords} finite value columns")
-    healths = values.reshape(states, samples, SENSORS, n_coords)
+        healths = np.load(io.BytesIO(blobs["health.npy"]), allow_pickle=False)
+    except (ValueError, EOFError) as err:
+        raise ValueError(f"{npy_path}: {err}") from None
+    shape = (len(conditions), cfg.samples_per_state, SENSORS, len(expected["line_bins"]))
+    if healths.dtype != np.dtype("<f8"):
+        raise ValueError(f"{npy_path}: dtype {healths.dtype.str}, expected <f8")
+    if healths.shape != shape:
+        raise ValueError(f"{npy_path}: shape {healths.shape}, expected {shape}")
+    if not np.all(np.isfinite(healths)):
+        raise ValueError(f"{npy_path}: every health value must be finite")
     return Dataset(healths, tuple(conditions), cfg, validate_mixing(mixing), tuple(fleet))
 
 

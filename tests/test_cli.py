@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from framesense import cli, turbine
+from framesense import cli, detector, turbine
 from framesense.scenario import scenario_to_json_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -362,8 +362,38 @@ class TestGenerateDetectSweep:
         csv.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
         out = tmp_path / "det"
         assert cli.main(["detect", "--config", cfg, "--out", str(out), "--data", str(gen)]) == 2
-        assert "rows" in capsys.readouterr().err
+        assert f"{csv}: sha256 differs" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+
+    def test_detect_rejects_edited_or_missing_npy(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        gen = tmp_path / "gen"
+        assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+        npy = gen / "datasets" / "s1_failed_low" / "health.npy"
+        npy.write_bytes(npy.read_bytes()[:-1] + b"\x7f")
+        out = tmp_path / "det"
+        assert cli.main(["detect", "--config", cfg, "--out", str(out), "--data", str(gen)]) == 2
+        assert f"{npy}: sha256 differs" in capsys.readouterr().err
+        npy.unlink()
+        assert cli.main(["detect", "--config", cfg, "--out", str(out), "--data", str(gen)]) == 2
+        assert capsys.readouterr().err == f"file not found: {npy}\n"
+        assert not out.exists()
+
+    def test_detect_rejects_data_without_digests(self, tmp_path, capsys):
+        # What an older generate wrote: health.csv alone, its manifest without digests.
+        cfg = write_config(tmp_path)
+        gen = tmp_path / "gen"
+        assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+        for cell in (gen / "datasets").iterdir():
+            (cell / "health.npy").unlink()
+            manifest = json.loads((cell / "manifest.json").read_text())
+            manifest["files"] = {"health": "health.csv", "spectra": None}
+            (cell / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        out = tmp_path / "det"
+        assert cli.main(["detect", "--config", cfg, "--out", str(out), "--data", str(gen)]) == 2
+        err = capsys.readouterr().err
+        assert "calibration/manifest.json: key 'files.sha256.health.csv' is missing" in err
+        assert not out.exists()
 
     def test_detect_rejects_data_from_another_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -444,10 +474,12 @@ class TestGenerateDetectSweep:
         cfg = write_config(tmp_path)
         gen = tmp_path / "gen"
         assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
-        csv = gen / "datasets" / "calibration" / "health.csv"
-        header, *rows = csv.read_text().splitlines()
-        zeroed = [",".join(r.split(",")[:3] + ["0.0"] * 28) for r in rows]
-        csv.write_text("\n".join([header] + zeroed) + "\n")
+        # A calibration set of all-zero healths, sealed as generate would seal it.
+        sim = cli._sim_config(cli.load_config(cfg))
+        fleet, mixing = turbine.default_fleet(), turbine.mixing_matrix(0.1)
+        calib = detector.calibration_dataset(fleet, mixing, sim)
+        calib.healths[:] = 0.0
+        turbine.save_dataset(calib, gen / "datasets" / "calibration")
         out = tmp_path / "det"
         assert cli.main(["detect", "--config", cfg, "--out", str(out), "--data", str(gen)]) == 1
         assert "calibration error" in capsys.readouterr().err
@@ -538,6 +570,17 @@ class TestGenerateDetectSweep:
             out = tmp_path / command
             assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
             assert "'noise_levels'" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("exponent", [1100, 100])
+    def test_dft_size_past_int64_exits_2(self, tmp_path, capsys, exponent):
+        # 2**1100 overflowed float64 in the SNR scale and 2**100 overflowed
+        # the int64 bin indices, each with a traceback and exit 1.
+        cfg = write_config(tmp_path, {"dft_size": 2**exponent})
+        for command in ("generate", "detect", "sweep"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert f"dft_size 2**{exponent} does not fit in int64" in capsys.readouterr().err
             assert not out.exists()
 
     def test_detect_results_contract(self, tmp_path):

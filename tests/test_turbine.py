@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import tempfile
 from dataclasses import replace
@@ -515,42 +517,78 @@ class TestGeneration:
         assert back.sigma == ds.sigma
         assert np.array_equal(back.healths, ds.healths)
 
+    def test_dft_size_must_fit_int64(self):
+        assert SimConfig(dft_size=2**62).dft_size == 2**62
+        for exponent in (63, 1100):
+            with pytest.raises(ValueError, match=f"dft_size 2\\*\\*{exponent} does not fit"):
+                SimConfig(dft_size=2**exponent)
+
     def test_zero_samples_per_state_rejected(self):
         for bad in (0, -1, 2.5):
             with pytest.raises(ValueError, match="samples_per_state"):
                 SimConfig(samples_per_state=bad)
 
     def test_incomplete_health_csv_rejected(self, tmp_path):
+        # Every edit of health.csv is refused by the digest manifest.json records.
         ds = generate_dataset(FLEET, mixing_matrix(0.1), CFG, turbine.engine1_conditions())
         path = save_dataset(ds, tmp_path / "d")
         csv = path / "health.csv"
         lines = csv.read_text().splitlines()
-        # A bad key is reported at the first row that does not start with it.
-        last = f"data row {len(lines) - 1} does not start with 'failure,3,3,'"
         cases = [
-            ("rows", lines[: len(lines) // 2]),  # truncated
-            (last, lines[:-1] + [lines[1]]),  # repeated
-            ("finite", lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",nan"]),
-            (last, lines[:-1] + [lines[-1][:8]]),  # cut mid-key
-            (last, lines[:-1] + ["normal,99," + lines[-1].split(",", 2)[2]]),  # out of range
-            ("data row 1 does not start with 'normal,0,0,'",
-             lines[:1] + [lines[2], lines[1]] + lines[3:]),  # swapped pair
-            (f"data row {len(lines) - 1} has no values", lines[:-1] + ["failure,3,3,"]),
-            ("columns", lines[:-1] + [lines[-1] + ",1.0"]),  # one column too many
+            lines[: len(lines) // 2],  # truncated
+            lines[:-1] + [lines[1]],  # repeated
+            lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",nan"],
+            lines[:-1] + [lines[-1][:8]],  # cut mid-key
+            lines[:-1] + ["normal,99," + lines[-1].split(",", 2)[2]],  # out of range
+            lines[:1] + [lines[2], lines[1]] + lines[3:],  # swapped pair
+            lines[:-1] + ["failure,3,3,"],  # no values
+            lines[:-1] + [lines[-1] + ",1.0"],  # one column too many
         ]
-        for match, body in cases:
+        for body in cases:
             csv.write_text("\n".join(body) + "\n")
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(ValueError, match=r"health\.csv: sha256 differs"):
                 load_dataset(path, FLEET, mixing_matrix(0.1), CFG, turbine.engine1_conditions())
+
+    def test_edited_health_npy_rejected(self, tmp_path):
+        conditions = turbine.engine1_conditions()
+        ds = generate_dataset(FLEET, mixing_matrix(0.1), CFG, conditions)
+        path = save_dataset(ds, tmp_path / "d")
+        npy = path / "health.npy"
+        good = npy.read_bytes()
+        npy.write_bytes(good[:-8] + np.float64(1.0).tobytes())
+        with pytest.raises(ValueError, match=r"health\.npy: sha256 differs"):
+            load_dataset(path, FLEET, mixing_matrix(0.1), CFG, conditions)
+
+        def saved(array) -> bytes:
+            buf = io.BytesIO()
+            np.save(buf, array, allow_pickle=False)
+            return buf.getvalue()
+
+        with_nan = ds.healths.copy()
+        with_nan[2, 3, 3, 27] = np.nan
+        # Behind a re-recorded digest, the value checks still hold.
+        for match, data in [
+            ("EOF", good[: len(good) // 2]),  # truncated
+            ("No data left", b""),
+            ("dtype <f4, expected <f8", saved(ds.healths.astype("<f4"))),
+            ("dtype >f8, expected <f8", saved(ds.healths.astype(">f8"))),
+            (r"shape \(3, 3, 4, 28\), expected \(3, 4, 4, 28\)", saved(ds.healths[:, :3])),
+            ("every health value must be finite", saved(with_nan)),
+        ]:
+            npy.write_bytes(data)
+            manifest = json.loads((path / "manifest.json").read_text())
+            manifest["files"]["sha256"]["health.npy"] = hashlib.sha256(data).hexdigest()
+            (path / "manifest.json").write_text(json.dumps(manifest))
+            with pytest.raises(ValueError, match=r"health\.npy: " + match):
+                load_dataset(path, FLEET, mixing_matrix(0.1), CFG, conditions)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         cfg = SimConfig(samples_per_state=2, snr_db=5.0)
         for name in ("a", "b"):
             ds = generate_dataset(FLEET, mixing_matrix(0.1), cfg, turbine.engine1_conditions())
             save_dataset(ds, tmp_path / name)
-        assert (tmp_path / "a" / "health.csv").read_bytes() == (
-            tmp_path / "b" / "health.csv"
-        ).read_bytes()
+        for name in ("health.csv", "health.npy", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_spectra_files_written(self, tmp_path):
         # With noise on, the line bins of the written spectra are the healths
@@ -579,7 +617,8 @@ class TestGeneration:
 @given(samples=st.integers(1, 3), data=st.data())
 def test_save_load_roundtrip_is_exact(samples, data):
     """Any finite float64 health, subnormals and -0.0 included, survives
-    ``save_dataset`` -> ``load_dataset`` bit for bit."""
+    ``save_dataset`` -> ``load_dataset`` bit for bit, and so does every
+    decimal ``save_dataset`` writes to ``health.csv``."""
     healths = data.draw(
         hnp.arrays(
             np.float64,
@@ -598,9 +637,17 @@ def test_save_load_roundtrip_is_exact(samples, data):
         fleet=FLEET,
     )
     with tempfile.TemporaryDirectory() as tmp:
-        back = load_dataset(save_dataset(ds, Path(tmp) / "d"), FLEET, ds.mixing, ds.cfg,
-                            ds.conditions)
+        path = save_dataset(ds, Path(tmp) / "d")
+        back = load_dataset(path, FLEET, ds.mixing, ds.cfg, ds.conditions)
+        header, *rows = (path / "health.csv").read_text().splitlines()
     assert np.array_equal(back.healths.view(np.uint64), healths.view(np.uint64))
+    assert header == "state,sample,sensor," + ",".join(f"m{i:02d}" for i in range(28))
+    assert [row.rsplit(",", 28)[0] for row in rows] == [
+        f"{name},{m},{j}" for name in ("normal", "fault", "failure")
+        for m in range(samples) for j in range(4)
+    ]
+    parsed = np.array([[float(x) for x in row.split(",")[3:]] for row in rows])
+    assert np.array_equal(parsed.view(np.uint64), healths.reshape(-1, 28).view(np.uint64))
 
 
 class TestSnrScale:
