@@ -63,8 +63,14 @@ CONFIG_DEFAULTS = {
     "snr_lo": -20.0,
     "snr_hi": 0.0,
     "snr_step": 1.0,
-    "write_spectra": False,
 }
+
+# Size caps, checked before any output.  They sit far above what the
+# defaults need (86,016 health values per dataset at 256 samples per state,
+# 21 sweep points) and are fixed, not read from free memory, so a config's
+# exit code does not depend on the machine.
+MAX_HEALTH_VALUES_PER_DATASET = 2**25  # 256 MiB of float64
+MAX_SWEEP_POINTS = 10_000
 
 
 def _is_number(value) -> bool:
@@ -234,13 +240,26 @@ def _sim_config(cfg: dict) -> turbine.SimConfig:
     )
 
 
-def _check_snrs(sim: turbine.SimConfig, fleet, snrs, key: str) -> None:
-    """Refuse, before any output, an SNR with no finite positive noise level."""
+def _check_run(sim: turbine.SimConfig, fleet, n_conditions: int, samples_key: str,
+               snrs, snr_key: str) -> None:
+    """Refuse, before any output, work that cannot run: a fleet line off the
+    DFT grid, a dataset of more than ``MAX_HEALTH_VALUES_PER_DATASET`` health
+    values, or an SNR with no finite positive noise level."""
+    try:
+        bins = turbine.fleet_line_bins(fleet, sim)
+    except ValueError as err:
+        raise ValueError(f"config keys 'dft_size' and 'sample_rate': {err}") from None
+    values = n_conditions * sim.samples_per_state * turbine.SENSORS * bins.size
+    if values > MAX_HEALTH_VALUES_PER_DATASET:
+        raise ValueError(
+            f"config key {samples_key!r}: {sim.samples_per_state} samples give {values} "
+            f"health values per dataset, more than {MAX_HEALTH_VALUES_PER_DATASET}"
+        )
     try:
         for snr_db in snrs:
             turbine.resolve_sigma(replace(sim, snr_db=snr_db), fleet)
     except ValueError as err:
-        raise ValueError(f"{key}: {err}") from None
+        raise ValueError(f"{snr_key}: {err}") from None
 
 
 def _dataset_dir(out: Path, *name: str) -> Path:
@@ -267,17 +286,15 @@ def cmd_generate(args) -> int:
     mixing = turbine.mixing_matrix(cfg["mixing_off_diagonal"])
     sim = _sim_config(cfg)
     conditions = turbine.engine1_conditions(cfg["fault_gear"], cfg["fault_multiplier"])
-    _check_snrs(sim, fleet, cfg["noise_levels"].values(), "config key 'noise_levels'")
+    _check_run(sim, fleet, len(conditions), "samples_per_state",
+               cfg["noise_levels"].values(), "config key 'noise_levels'")
     echo_config(cfg, out)
     calib = detector.calibration_dataset(fleet, mixing, sim)
     turbine.save_dataset(calib, _dataset_dir(out, "calibration"))
     total = 0
     for key, run_cfg in detector.grid_cells(sim, cfg["noise_levels"]):
         path = _dataset_dir(out, *key)
-        ds = turbine.generate_dataset(
-            fleet, mixing, run_cfg, conditions,
-            spectra_dir=path if cfg["write_spectra"] else None,
-        )
+        ds = turbine.generate_dataset(fleet, mixing, run_cfg, conditions)
         turbine.save_dataset(ds, path)
         total += ds.healths.shape[0] * ds.healths.shape[1]
         print(f"wrote {path} ({ds.healths.shape[0] * ds.healths.shape[1]} samples)")
@@ -292,7 +309,8 @@ def cmd_detect(args) -> int:
     mixing = turbine.mixing_matrix(cfg["mixing_off_diagonal"])
     sim = _sim_config(cfg)
     conditions = turbine.engine1_conditions(cfg["fault_gear"], cfg["fault_multiplier"])
-    _check_snrs(sim, fleet, cfg["noise_levels"].values(), "config key 'noise_levels'")
+    _check_run(sim, fleet, len(conditions), "samples_per_state",
+               cfg["noise_levels"].values(), "config key 'noise_levels'")
     data_root = Path(args.data) if args.data else None
     if data_root is not None and not data_root.is_dir():
         raise ValueError(f"--data {data_root}: no such directory")
@@ -320,13 +338,15 @@ def cmd_detect(args) -> int:
 
 
 def _snr_grid(lo: float, hi: float, step: float) -> list:
-    """The SNRs ``lo, lo + step, ...`` up to ``hi``; the point count must be finite too."""
+    """The SNRs ``lo, lo + step, ...`` up to ``hi``, at most ``MAX_SWEEP_POINTS`` of them."""
     if not (all(map(_is_number, (lo, hi, step))) and lo <= hi and step > 0
             and _is_number((hi - lo) / step)):
         raise ValueError(f"SNR range {lo}:{hi}:{step}: need finite LO <= HI and STEP > 0")
     # Floor, so the grid never passes HI; the epsilon keeps HI itself when
     # (HI - LO) / STEP lands a rounding error below a whole number.
     count = math.floor((hi - lo) / step + 1e-9) + 1
+    if count > MAX_SWEEP_POINTS:
+        raise ValueError(f"SNR range {lo}:{hi}:{step}: {count} points, more than {MAX_SWEEP_POINTS}")
     return [lo + i * step for i in range(count)]
 
 
@@ -342,7 +362,8 @@ def cmd_sweep(args) -> int:
     fleet, th = _fleet_and_thresholds(cfg)
     mixing = turbine.mixing_matrix(cfg["sweep_mixing_off_diagonal"])
     sim = replace(_sim_config(cfg), samples_per_state=cfg["sweep_samples_per_point"])
-    _check_snrs(sim, fleet, grid, f"SNR range {cfg['snr_lo']}:{cfg['snr_hi']}:{cfg['snr_step']}")
+    _check_run(sim, fleet, len(detector.NORMAL_ONLY), "sweep_samples_per_point",
+               grid, f"SNR range {cfg['snr_lo']}:{cfg['snr_hi']}:{cfg['snr_step']}")
     echo_config(cfg, out)
     points = detector.snr_sweep(fleet, mixing, sim, grid, th)
     detector.write_sweep(points, out)

@@ -11,12 +11,11 @@ All shaft frequencies are chosen so every derived line lands exactly on a
 DFT bin; blocks are then periodic and line magnitudes are time-independent
 at zero noise, which keeps the downstream detection contracts exact.  It
 also gives the noise-free spectrum in closed form (``line_spectrum``), so
-no tone is ever synthesized.  The noise is drawn in the frequency domain
-too: the DFT of N i.i.d. N(0, sigma^2) samples has independent bins, each
-interior bin with independent real and imaginary parts of variance
-sigma^2 N / 2, and DC and Nyquist real with variance sigma^2 N.  A sample
-therefore draws noise at the 28 line bins only, and at the other bins only
-when a caller reads the full spectrum.
+no tone is ever synthesized, and every other bin of a noise-free block is
+exactly 0.  The noise is drawn in the frequency domain too: the DFT of N
+i.i.d. N(0, sigma^2) samples has independent bins, each interior bin with
+independent real and imaginary parts of variance sigma^2 N / 2.  Every
+command reads the 28 line bins alone, so only those bins are simulated.
 
 Dataset generation is deterministic: each sample's noise comes from a
 counter-based generator keyed on (seed, condition, sample), so parallel and
@@ -34,7 +33,7 @@ from __future__ import annotations
 import io
 import json
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -276,88 +275,12 @@ def engine1_conditions(fault_gear: int = 1, fault_multiplier: float = 12.0) -> t
     return (("normal", normal), ("fault", fault), ("failure", failure))
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    condition: int
-    condition_name: str
-    sample: int
-    healths: np.ndarray  # (SENSORS, 28) magnitudes at the line bins
-    states: tuple
-    # (SENSORS, dft_size // 2 + 1) complex DFT, bins 0..N/2; built only by
-    # ``iter_samples(..., full_spectra=True)``.
-    half_spectrum: np.ndarray | None = None
-
-    @property
-    def spectra(self) -> np.ndarray:
-        """(SENSORS, dft_size) magnitude spectra.
-
-        The sensor blocks are real, so ``|X[N - k]| = |X[k]|`` and the upper
-        half mirrors bins ``N/2 - 1 .. 1``.
-        """
-        if self.half_spectrum is None:
-            raise ValueError("record was streamed without full_spectra")
-        mag = np.abs(self.half_spectrum)
-        return np.concatenate([mag, mag[:, -2:0:-1]], axis=-1)
-
-
 def _sample_rng(seed: int, condition: int, sample: int) -> np.random.Generator:
     key = np.array(
         [seed & (2**64 - 1), ((condition & 0xFFFFFFFF) << 32) | (sample & 0xFFFFFFFF)],
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def iter_samples(fleet, mixing, cfg: SimConfig, conditions, full_spectra: bool = False):
-    """Stream deterministic samples for each (condition, sample) pair.
-
-    A sample's sensor spectrum is the condition's closed-form line spectrum
-    (``line_spectrum``) plus the DFT of that sample's white-noise block,
-    drawn bin by bin in the frequency domain; failed sensors read exactly
-    zero.  The sample's generator first draws ``z`` of shape (2, SENSORS,
-    28), the line-bin noise ``sigma sqrt(N/2) (z[0] + i z[1])``.  With
-    ``full_spectra`` it goes on to draw the remaining bins 0..N/2 in
-    ascending order, so a sample's healths do not depend on whether its
-    full spectrum (``SampleRecord.half_spectrum``) is built.
-    """
-    bins = fleet_line_bins(fleet, cfg)
-    sigma = resolve_sigma(cfg, fleet)
-    failed = sorted(cfg.failed_sensors)
-    n = cfg.dft_size
-    line_scale = sigma * np.sqrt(n / 2)
-    if full_spectra:
-        rest = np.setdiff1d(np.arange(n // 2 + 1), bins)
-        # Interior bins: complex, each part of variance sigma^2 N/2.  DC and
-        # Nyquist: real, variance sigma^2 N.
-        edge = (rest == 0) | (rest == n // 2)
-        re_scale = np.where(edge, sigma * np.sqrt(n), line_scale)
-        im_scale = np.where(edge, 0.0, line_scale)
-    for c, (name, states) in enumerate(conditions):
-        lines = line_spectrum(fleet, states, mixing, cfg)
-        # Every noise-free record of this condition shares these arrays.
-        clean_healths = np.abs(lines)
-        clean_healths.setflags(write=False)
-        clean = None
-        if full_spectra:
-            clean = np.zeros((SENSORS, n // 2 + 1), dtype=np.complex128)
-            clean[:, bins] = lines
-            clean.setflags(write=False)
-        for m in range(cfg.samples_per_state):
-            if sigma > 0:
-                rng = _sample_rng(cfg.rng_seed, c, m)
-                z = rng.standard_normal((2, SENSORS, bins.size))
-                values = lines + line_scale * (z[0] + 1j * z[1])
-                values[failed] = 0.0
-                half = None
-                if full_spectra:
-                    z = rng.standard_normal((2, SENSORS, rest.size))
-                    half = np.empty((SENSORS, n // 2 + 1), dtype=np.complex128)
-                    half[:, bins] = values
-                    half[:, rest] = re_scale * z[0] + 1j * (im_scale * z[1])
-                    half[failed] = 0.0
-                yield SampleRecord(c, name, m, np.abs(values), states, half)
-            else:
-                yield SampleRecord(c, name, m, clean_healths, states, clean)
 
 
 @dataclass
@@ -369,7 +292,6 @@ class Dataset:
     cfg: SimConfig
     mixing: np.ndarray
     fleet: tuple
-    spectra_files: dict = field(default_factory=dict)
 
     @property
     def condition_names(self) -> tuple:
@@ -380,45 +302,36 @@ class Dataset:
         return resolve_sigma(self.cfg, self.fleet)
 
 
-def generate_dataset(
-    fleet, mixing, cfg: SimConfig, conditions, spectra_dir: Path | None = None
-) -> Dataset:
+def generate_dataset(fleet, mixing, cfg: SimConfig, conditions) -> Dataset:
     """Materialize the health images for every condition and sample.
 
-    When ``spectra_dir`` is given the full magnitude spectra are streamed to
-    one raw little-endian float64 file per condition.
+    A sample's healths are the magnitudes of its condition's line spectrum
+    (``line_spectrum``) plus the DFT of its white-noise block at the line
+    bins; failed sensors read exactly zero.  Sample m of condition c draws
+    ``z`` of shape (2, SENSORS, 28) from ``_sample_rng(seed, c, m)``, and
+    its line-bin noise is ``sigma sqrt(N/2) (z[0] + i z[1])``.  Noise-free,
+    every sample of a condition holds ``|line_spectrum|``.
     """
     mixing = validate_mixing(mixing)
     bins = fleet_line_bins(fleet, cfg)
-    healths = np.zeros(
-        (len(conditions), cfg.samples_per_state, SENSORS, bins.size)
-    )
-    sinks = {}
-    spectra_files = {}
-    if spectra_dir is not None:
-        spectra_dir = Path(spectra_dir)
-        spectra_dir.mkdir(parents=True, exist_ok=True)
-    for rec in iter_samples(
-        fleet, mixing, cfg, conditions, full_spectra=spectra_dir is not None
-    ):
-        healths[rec.condition, rec.sample] = rec.healths
-        if spectra_dir is not None:
-            if rec.condition not in sinks:
-                path = spectra_dir / f"spectra_{rec.condition:02d}_{rec.condition_name}.f64"
-                sinks[rec.condition] = open(path, "wb")
-                spectra_files[rec.condition_name] = path.name
-            sinks[rec.condition].write(
-                np.ascontiguousarray(rec.spectra, dtype="<f8").tobytes()
-            )
-    for handle in sinks.values():
-        handle.close()
+    sigma = resolve_sigma(cfg, fleet)
+    scale = sigma * np.sqrt(cfg.dft_size / 2)
+    healths = np.empty((len(conditions), cfg.samples_per_state, SENSORS, bins.size))
+    for c, (_, states) in enumerate(conditions):
+        lines = line_spectrum(fleet, states, mixing, cfg)
+        if sigma == 0:
+            healths[c] = np.abs(lines)
+            continue
+        for m in range(cfg.samples_per_state):
+            z = _sample_rng(cfg.rng_seed, c, m).standard_normal((2, SENSORS, bins.size))
+            healths[c, m] = np.abs(lines + scale * (z[0] + 1j * z[1]))
+    healths[:, :, sorted(cfg.failed_sensors)] = 0.0
     return Dataset(
         healths=healths,
         conditions=tuple(conditions),
         cfg=cfg,
         mixing=mixing,
         fleet=tuple(fleet),
-        spectra_files=spectra_files,
     )
 
 
@@ -493,7 +406,7 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
         (out / name).write_bytes(data)
         digests[name] = _sha256(data)
     manifest = {**_manifest(ds.fleet, ds.mixing, ds.cfg, ds.conditions),
-                "files": {"sha256": digests, "spectra": ds.spectra_files or None}}
+                "files": {"sha256": digests}}
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -568,21 +481,26 @@ def load_dataset(path, fleet, mixing, cfg: SimConfig, conditions) -> Dataset:
 
 
 def dataset_scenario(fleet, mixing, cfg: SimConfig, fleet_states_per_time) -> Scenario:
-    """Expose generated sensor spectra as a sensing scenario.
+    """Expose noise-free sensor spectra as a sensing scenario.
 
     Readings are the magnitude spectra (one time index per entry of
-    ``fleet_states_per_time``), the covering is everything, the partition
-    gives each engine's line bins to its own sensor (leftover bins spread
-    round-robin), and the health map selects the 28 line bins.
+    ``fleet_states_per_time``): ``|line_spectrum|`` at each line bin b and
+    at its mirror N - b, since the sensor blocks are real, and 0 at every
+    other bin.  The covering is everything, the partition gives each
+    engine's line bins to its own sensor (leftover bins spread round-robin),
+    and the health map selects the 28 line bins.  A cfg with ``snr_db`` set
+    is a ValueError: a noisy spectrum is simulated at the line bins only.
     """
-    mixing = validate_mixing(mixing)
+    if cfg.snr_db is not None:
+        raise ValueError("dataset_scenario builds noise-free spectra; cfg.snr_db must be None")
     bins = fleet_line_bins(fleet, cfg)
-    conditions = [(f"t{k}", states) for k, states in enumerate(fleet_states_per_time)]
-    cfg_one = replace(cfg, samples_per_state=1)
-    readings = np.zeros((SENSORS, len(conditions), cfg.dft_size), dtype=np.complex128)
-    for rec in iter_samples(fleet, mixing, cfg_one, conditions, full_spectra=True):
-        readings[:, rec.condition, :] = rec.spectra
-    owner = np.full(cfg.dft_size, -1, dtype=int)
+    n = cfg.dft_size
+    readings = np.zeros((SENSORS, len(fleet_states_per_time), n), dtype=np.complex128)
+    for k, states in enumerate(fleet_states_per_time):
+        magnitudes = np.abs(line_spectrum(fleet, states, mixing, cfg))
+        readings[:, k, bins] = magnitudes
+        readings[:, k, n - bins] = magnitudes
+    owner = np.full(n, -1, dtype=int)
     for h in range(SENSORS):
         owner[bins[h * LINES_PER_ENGINE : (h + 1) * LINES_PER_ENGINE]] = h
     leftover = np.nonzero(owner < 0)[0]
@@ -590,6 +508,6 @@ def dataset_scenario(fleet, mixing, cfg: SimConfig, fleet_states_per_time) -> Sc
     partition = tuple(
         frozenset(np.nonzero(owner == j)[0].tolist()) for j in range(SENSORS)
     )
-    covering = (frozenset(range(cfg.dft_size)),) * SENSORS
+    covering = (frozenset(range(n)),) * SENSORS
     health = HealthMap.selection(bins.size, [(int(b), 1.0) for b in bins])
     return Scenario(covering, partition, readings, health)

@@ -340,19 +340,6 @@ class TestGenerateDetectSweep:
         assert cli.main(["detect", "--config", cfg, "--out", str(outb)]) == 0
         assert (outa / "results.csv").read_bytes() == (outb / "results.csv").read_bytes()
 
-    def test_detect_reads_data_written_with_spectra(self, tmp_path):
-        # The manifest's file list is not compared with the run config.
-        cfg = write_config(tmp_path, {"write_spectra": True})
-        gen = tmp_path / "gen"
-        assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
-        assert list((gen / "datasets" / "good_high").glob("spectra_*.f64"))
-        outa = tmp_path / "detect_from_data"
-        outb = tmp_path / "detect_fused"
-        assert cli.main(["detect", "--config", cfg, "--out", str(outa), "--data", str(gen)]) == 0
-        assert cli.main(["detect", "--config", cfg, "--out", str(outb)]) == 0
-        for name in ("results.csv", "results.json"):
-            assert (outa / name).read_bytes() == (outb / name).read_bytes()
-
     def test_detect_rejects_truncated_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         gen = tmp_path / "gen"
@@ -581,6 +568,65 @@ class TestGenerateDetectSweep:
             out = tmp_path / command
             assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
             assert f"dft_size 2**{exponent} does not fit in int64" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_off_bin_dft_size_exits_2(self, tmp_path, capsys):
+        # At 8 Hz bins engine 1's 60 Hz gear line falls between two; generate
+        # and sweep used to echo config.json before finding that out.
+        cfg = write_config(tmp_path, {"dft_size": 4096})
+        for command in ("generate", "detect", "sweep"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "'dft_size'" in err and "line at 60.0 Hz does not land on a DFT bin" in err
+            assert not out.exists()
+
+    def test_health_value_cap(self):
+        # Checked from the config alone: nothing is simulated here.
+        fleet = turbine.default_fleet()
+        most = cli.MAX_HEALTH_VALUES_PER_DATASET // (3 * 4 * 28)
+        for samples, refused in ((most, False), (most + 1, True)):
+            sim = turbine.SimConfig(samples_per_state=samples)
+            if refused:
+                with pytest.raises(ValueError, match="config key 'samples_per_state'"):
+                    cli._check_run(sim, fleet, 3, "samples_per_state", [], "")
+            else:
+                cli._check_run(sim, fleet, 3, "samples_per_state", [], "")
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [("generate", "samples_per_state"), ("detect", "samples_per_state"),
+         ("sweep", "sweep_samples_per_point")],
+    )
+    def test_infeasible_sample_count_exits_2(self, tmp_path, capsys, command, key):
+        # 2**40 samples per state made a 2.6 PiB array: a MemoryError
+        # traceback, exit 1, and config.json and datasets/ left behind.
+        cfg = write_config(tmp_path, {key: 2**40})
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_point_cap(self, tmp_path, capsys):
+        assert len(cli._snr_grid(0.0, cli.MAX_SWEEP_POINTS - 1.0, 1.0)) == cli.MAX_SWEEP_POINTS
+        with pytest.raises(ValueError, match=f"{cli.MAX_SWEEP_POINTS + 1} points, more than"):
+            cli._snr_grid(0.0, float(cli.MAX_SWEEP_POINTS), 1.0)
+        # Ranges whose point list once exhausted memory, refused before it is built.
+        for extra, argv in [({"snr_hi": 1e30}, []), ({}, ["--snr-range", "-20:1e7:1"])]:
+            out = tmp_path / "sweep"
+            assert cli.main(["sweep", "--config", write_config(tmp_path, extra),
+                             "--out", str(out)] + argv) == 2
+            assert "points, more than" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_config_echoed_with_write_spectra_exits_2(self, tmp_path, capsys):
+        # Configs echoed before spectra files were dropped must drop the key.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**cli.CONFIG_DEFAULTS, "write_spectra": False}))
+        for command in ("generate", "detect", "sweep"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+            assert "'write_spectra'" in capsys.readouterr().err
             assert not out.exists()
 
     def test_detect_results_contract(self, tmp_path):

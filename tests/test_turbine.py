@@ -28,7 +28,6 @@ from framesense.turbine import (
     default_fleet,
     fleet_line_bins,
     generate_dataset,
-    iter_samples,
     line_phases,
     line_spectrum,
     load_dataset,
@@ -117,9 +116,7 @@ class TestEngineSignal:
 
     def test_normal_block_peaks_at_line_bins(self):
         model = FLEET[0]
-        normal = [("normal", normal_fleet_state())]
-        rec = next(iter_samples(FLEET, np.eye(4), CFG, normal, full_spectra=True))
-        spectrum = rec.spectra[0]
+        spectrum = dataset_scenario(FLEET, np.eye(4), CFG, [normal_fleet_state()]).readings[0, 0]
         own_bins = BINS[:7]
         expected = np.array(model.line_amplitudes) * CFG.dft_size / 2
         assert np.allclose(spectrum[own_bins], expected, rtol=1e-12)
@@ -219,22 +216,25 @@ class TestMixing:
             )
 
     def test_failed_sensor_emits_zero(self):
-        cfg = SimConfig(failed_sensors={1}, snr_db=2.0, samples_per_state=1)
+        # Sample m of condition c is |line spectrum + the noise its own
+        # generator draws|, zeroed at the failed sensor.
+        cfg = SimConfig(failed_sensors={1}, snr_db=2.0, samples_per_state=2)
         sigma = resolve_sigma(cfg, FLEET)
-        normal = [("normal", normal_fleet_state())]
-        lines = line_spectrum(FLEET, normal_fleet_state(), mixing_matrix(0.1), cfg)
-        assert np.all(lines[1] == 0)
-        rec = next(iter_samples(FLEET, mixing_matrix(0.1), cfg, normal))
-        assert rec.half_spectrum is None
-        expected = np.abs(lines + drawn_line_noise(cfg, sigma, 0, 0))
-        expected[1] = 0.0
-        assert np.array_equal(rec.healths, expected)
-        assert np.all(rec.healths[1] == 0.0)
-        full = next(iter_samples(FLEET, mixing_matrix(0.1), cfg, normal, full_spectra=True))
-        assert np.array_equal(full.healths, rec.healths)
-        assert np.all(full.half_spectrum[1] == 0.0)
-        assert np.all(full.spectra[1] == 0.0)
-        assert np.all(full.half_spectrum[0] != 0)
+        conditions = turbine.engine1_conditions()
+        healths = generate_dataset(FLEET, mixing_matrix(0.1), cfg, conditions).healths
+        for c, (_, states) in enumerate(conditions):
+            lines = line_spectrum(FLEET, states, mixing_matrix(0.1), cfg)
+            assert np.all(lines[1] == 0)
+            for m in range(cfg.samples_per_state):
+                expected = np.abs(lines + drawn_line_noise(cfg, sigma, c, m))
+                expected[1] = 0.0
+                assert np.array_equal(healths[c, m], expected)
+        assert np.all(healths[:, :, 1] == 0.0)
+        assert np.all(healths[:, :, 0] != 0.0)
+        clean = replace(cfg, snr_db=None)
+        spectra = dataset_scenario(FLEET, mixing_matrix(0.1), clean, [normal_fleet_state()]).readings
+        assert np.all(spectra[1] == 0.0)
+        assert np.all(spectra[0, 0, BINS] != 0.0)
 
     def test_mixing_validation(self):
         with pytest.raises(ValueError):
@@ -257,8 +257,9 @@ class TestDft:
         dead = FaultState.failure()
         states = (FaultState.normal(), dead, dead, dead)
         fleet = (model,) + FLEET[1:]
-        rec = next(iter_samples(fleet, np.eye(4), CFG, [("one", states)], full_spectra=True))
-        spectrum = rec.spectra[0]
+        spectrum = dataset_scenario(fleet, np.eye(4), CFG, [states]).readings[0, 0]
+        assert np.all(spectrum.imag == 0.0)
+        spectrum = spectrum.real
         b = BINS[0]
         assert spectrum.shape == (CFG.dft_size,)
         assert spectrum[b] == pytest.approx(0.7 * CFG.dft_size / 2, rel=1e-12)
@@ -317,8 +318,10 @@ fault_states = st.one_of(
 def test_closed_form_matches_time_domain(
     fleet_seed, rng_seed, off_diagonal, states, failed, block, snr_db
 ):
-    """Noise-free spectra equal the DFT of the synthesised sensor blocks;
-    noisy healths are |line spectrum + the sample's drawn line-bin noise|."""
+    """Noise-free, the line spectrum equals the DFT of the synthesised sensor
+    blocks at the line bins, and the scenario readings equal its magnitude at
+    every bin; noisy healths are |line spectrum + the sample's drawn
+    line-bin noise|."""
     fleet = random_on_bin_fleet(fleet_seed)
     mixing = np.eye(4)
     mixing[~np.eye(4, dtype=bool)] = off_diagonal
@@ -329,28 +332,25 @@ def test_closed_form_matches_time_domain(
         snr_db=snr_db,
         samples_per_state=block + 1,
     )
-    *_, rec = iter_samples(fleet, mixing, cfg, [("c", states)], full_spectra=True)
-    *_, lean = iter_samples(fleet, mixing, cfg, [("c", states)])
-    assert rec.sample == lean.sample == block
+    healths = generate_dataset(fleet, mixing, cfg, [("c", states)]).healths[0, block]
     bins = fleet_line_bins(fleet, cfg)
-    assert np.array_equal(lean.healths, rec.healths)
-    assert np.array_equal(rec.healths, np.abs(rec.half_spectrum[:, bins]))
-    assert np.all(rec.half_spectrum[sorted(failed)] == 0.0)
-    assert np.all(rec.healths[sorted(failed)] == 0.0)
+    lines = line_spectrum(fleet, states, mixing, cfg)
+    assert np.all(healths[sorted(failed)] == 0.0)
     if snr_db is None:
         reference = time_domain_spectrum(fleet, states, mixing, cfg, block)
         tol = 1e-8 * cfg.dft_size
-        half = cfg.dft_size // 2 + 1
-        assert np.allclose(rec.half_spectrum, reference[:, :half], rtol=0, atol=tol)
-        assert np.allclose(rec.spectra, np.abs(reference), rtol=0, atol=tol)
-        off_bins = np.delete(rec.half_spectrum, bins, axis=-1)
+        assert np.allclose(lines, reference[:, bins], rtol=0, atol=tol)
+        spectra = dataset_scenario(fleet, mixing, cfg, [states]).readings[:, 0]
+        assert np.array_equal(spectra[:, bins], healths)
+        assert np.allclose(spectra, np.abs(reference), rtol=0, atol=tol)
+        off_bins = np.delete(spectra, np.concatenate([bins, cfg.dft_size - bins]), axis=-1)
         assert np.all(off_bins == 0.0)
+        assert np.all(spectra[sorted(failed)] == 0.0)
     else:
-        lines = line_spectrum(fleet, states, mixing, cfg)
         sigma = resolve_sigma(cfg, fleet)
         expected = np.abs(lines + drawn_line_noise(cfg, sigma, 0, block))
         expected[sorted(failed)] = 0.0
-        assert np.array_equal(rec.healths, expected)
+        assert np.array_equal(healths, expected)
 
 
 def ks_statistic(a, b) -> float:
@@ -368,10 +368,11 @@ def ks_critical(n: int, m: int, alpha: float = 1e-3) -> float:
 
 
 class TestFrequencyDomainNoise:
-    """The drawn noise against the rfft of time-domain white noise.
+    """The drawn line-bin noise against the rfft of time-domain white noise.
 
-    A dead fleet makes every sample pure noise.  Seeds are fixed: the
-    simulator's ``rng_seed`` NOISE_SEED, the reference generator REF_SEED.
+    A dead fleet makes every sample pure noise, so its healths are the
+    magnitudes of the drawn noise.  Seeds are fixed: the simulator's
+    ``rng_seed`` NOISE_SEED, the reference generator REF_SEED.
     """
 
     SAMPLES = 2000
@@ -390,50 +391,37 @@ class TestFrequencyDomainNoise:
         n = cfg.dft_size
         bins = fleet_line_bins(fleet, cfg)
         dead = [("dead", tuple(FaultState.failure() for _ in range(4)))]
-        interior = np.setdiff1d(np.arange(1, n // 2), bins)
-        new_lines, new_edges, interior_power, healths = [], [], 0.0, []
-        for rec in iter_samples(fleet, mixing_matrix(0.1), cfg, dead, full_spectra=True):
-            new_lines.append(rec.half_spectrum[:, bins])
-            new_edges.append(rec.half_spectrum[:, [0, n // 2]])
-            interior_power += np.sum(np.abs(rec.half_spectrum[:, interior]) ** 2)
-            healths.append(rec.healths)
-        lean = [rec.healths for rec in iter_samples(fleet, mixing_matrix(0.1), cfg, dead)]
+        healths = generate_dataset(fleet, mixing_matrix(0.1), cfg, dead).healths[0]
+        new_lines = [drawn_line_noise(cfg, sigma, 0, m) for m in range(self.SAMPLES)]
         ref_rng = np.random.default_rng(self.REF_SEED)
-        ref_lines, ref_edges = [], []
+        ref_lines = []
         for _ in range(self.SAMPLES // 250):  # 250 samples per block keeps memory small
             x = np.fft.rfft(sigma * ref_rng.standard_normal((250, 4, n)), axis=-1)
             ref_lines.append(x[..., bins])
-            ref_edges.append(x[..., [0, n // 2]])
         return {
             "n": n,
             "sigma": sigma,
             "new_lines": np.stack(new_lines),  # (samples, 4, 28)
-            "new_edges": np.stack(new_edges),  # (samples, 4, 2): DC, Nyquist
-            "interior_mean_power": interior_power / (self.SAMPLES * 4 * interior.size),
-            "healths": np.stack(healths),
-            "lean_healths": np.stack(lean),
+            "healths": healths,
             "ref_lines": np.concatenate(ref_lines),
-            "ref_edges": np.concatenate(ref_edges),
         }
 
-    def test_healths_do_not_depend_on_full_spectra(self, draws):
-        assert np.array_equal(draws["healths"], draws["lean_healths"])
+    def test_healths_are_the_drawn_line_noise(self, draws):
         assert np.array_equal(draws["healths"], np.abs(draws["new_lines"]))
 
     def test_line_magnitudes_match_time_domain_noise(self, draws):
         scale = draws["sigma"] * np.sqrt(draws["n"])
-        new = np.abs(draws["new_lines"]).ravel() / scale
+        new = draws["healths"].ravel() / scale
         ref = np.abs(draws["ref_lines"]).ravel() / scale
         assert new.size == ref.size >= 2000 * 4 * 28
         assert ks_statistic(new, ref) < ks_critical(new.size, ref.size)
 
     def test_line_power_is_sigma_squared_n(self, draws):
         power = draws["sigma"] ** 2 * draws["n"]
-        for key in ("new_lines", "ref_lines"):
+        for key in ("healths", "ref_lines"):
             mean = np.mean(np.abs(draws[key]) ** 2)
             # The mean of 224,000 unit exponentials has std 0.0021.
             assert mean / power == pytest.approx(1.0, abs=0.01), key
-        assert draws["interior_mean_power"] / power == pytest.approx(1.0, abs=0.01)
 
     def test_bins_and_parts_are_uncorrelated(self, draws):
         values = draws["new_lines"].reshape(-1, 28)
@@ -445,18 +433,6 @@ class TestFrequencyDomainNoise:
         pooled = np.corrcoef(values.real.ravel(), values.imag.ravel())[0, 1]
         assert abs(pooled) < 5 / np.sqrt(values.size)
         assert np.var(values.real) == pytest.approx(np.var(values.imag), rel=0.02)
-
-    def test_dc_and_nyquist_are_real_with_variance_sigma_squared_n(self, draws):
-        edges = draws["new_edges"]
-        assert np.all(edges.imag == 0.0)
-        assert np.allclose(draws["ref_edges"].imag, 0.0, atol=1e-9 * draws["n"])
-        power = draws["sigma"] ** 2 * draws["n"]
-        for which in (0, 1):
-            # 8000 values: the sample variance has relative std 0.016.
-            assert np.var(edges[..., which].real) / power == pytest.approx(1.0, abs=0.08)
-        new = edges.real.ravel()
-        ref = draws["ref_edges"].real.ravel()
-        assert ks_statistic(new, ref) < ks_critical(new.size, ref.size)
 
 
 class TestGeneration:
@@ -590,27 +566,17 @@ class TestGeneration:
         for name in ("health.csv", "health.npy", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_spectra_files_written(self, tmp_path):
-        # With noise on, the line bins of the written spectra are the healths
-        # themselves: the line-bin noise is drawn first either way.
-        cfg = SimConfig(samples_per_state=2, snr_db=0.0, failed_sensors={2})
-        conditions = turbine.engine1_conditions()
-        ds = generate_dataset(FLEET, mixing_matrix(0.1), cfg, conditions, spectra_dir=tmp_path)
-        lean = generate_dataset(FLEET, mixing_matrix(0.1), cfg, conditions)
-        assert np.array_equal(lean.healths, ds.healths)
-        bins = fleet_line_bins(FLEET, cfg)
-        for c, (name, _) in enumerate(conditions):
-            raw = np.fromfile(tmp_path / ds.spectra_files[name], dtype="<f8")
-            assert raw.size == 2 * 4 * cfg.dft_size
-            spectra = raw.reshape(2, 4, cfg.dft_size)
-            assert np.array_equal(spectra[..., bins], ds.healths[c])
-            assert np.all(spectra[:, 2] == 0.0)
-
-    def test_iter_samples_streams_in_order(self):
-        records = list(iter_samples(FLEET, mixing_matrix(0.1), CFG, turbine.engine1_conditions()))
-        assert [(r.condition, r.sample) for r in records[:5]] == [
-            (0, 0), (0, 1), (0, 2), (0, 3), (1, 0),
-        ]
+    def test_manifest_with_spectra_entry_loads(self, tmp_path):
+        # Manifests written while generate could also write spectra files
+        # record "spectra": null under files; their datasets still load.
+        ds = generate_dataset(FLEET, mixing_matrix(0.1), CFG, turbine.engine1_conditions())
+        path = save_dataset(ds, tmp_path / "d")
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert set(manifest["files"]) == {"sha256"}
+        manifest["files"]["spectra"] = None
+        (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        back = load_dataset(path, FLEET, mixing_matrix(0.1), CFG, turbine.engine1_conditions())
+        assert np.array_equal(back.healths, ds.healths)
 
 
 @settings(max_examples=40, deadline=None)
@@ -693,6 +659,10 @@ class TestScenarioBridge:
         assert validate_scenario(s).ok
         fac = separate(s, factor_readings(s, tol=1e-7), tol=1e-6)
         assert fac.separated
+
+    def test_noisy_cfg_refused(self):
+        with pytest.raises(ValueError, match="snr_db must be None"):
+            dataset_scenario(FLEET, mixing_matrix(0.1), replace(self.cfg, snr_db=8.0), self.states)
 
     def test_volumes_vary_across_frequencies(self):
         # Different lines carry different loudness, so no constant-volume
