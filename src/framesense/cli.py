@@ -2,8 +2,10 @@
 
 Every run is driven by one JSON config file; defaults are embedded here and
 the fully resolved config is echoed into the output directory so result
-files are self-describing.  Exit codes: 0 success, 1 domain violation
-(invalid scenario, or a demanded conclusion failed), 2 I/O or parse error.
+files are self-describing.  ``generate``, ``detect`` and ``sweep`` build all
+they use from one plan, ``load_plan``, which checks every config key before
+any output.  Exit codes: 0 success, 1 domain violation (invalid scenario, or
+a demanded conclusion failed), 2 I/O or parse error or float64 overflow.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import json
 import math
 import re
 import sys
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import detector, turbine
 from .frames import DEFAULT_TOL, _is_real
@@ -71,11 +76,13 @@ CONFIG_DEFAULTS = {
 # exit code does not depend on the machine.
 MAX_HEALTH_VALUES_PER_DATASET = 2**25  # 256 MiB of float64
 MAX_SWEEP_POINTS = 10_000
+# The frame pipeline sums healths over the sensors; the half leaves room for rounding.
+MAX_HEALTH = sys.float_info.max / 2 / turbine.SENSORS
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; ``abs(value) < inf`` also holds for any int."""
-    return _is_real(value) and abs(value) < math.inf
+    """A JSON number a float64 holds: not NaN, not infinite, not an int past its maximum."""
+    return _is_real(value) and abs(value) <= sys.float_info.max
 
 
 def _has_default_type(value, default) -> bool:
@@ -90,36 +97,6 @@ def _has_default_type(value, default) -> bool:
             and all(_is_number(v) for v in value.values())
         )
     return type(value) is type(default)
-
-
-def load_config(path: str | None, overrides: dict | None = None) -> dict:
-    cfg = dict(CONFIG_DEFAULTS)
-    if path is not None:
-        with open(path) as fh:
-            user = json.load(fh)
-        if not isinstance(user, dict):
-            raise ValueError("config must be a JSON object")
-        unknown = set(user) - set(CONFIG_DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in user.items():
-            if not _has_default_type(value, CONFIG_DEFAULTS[key]):
-                raise ValueError(
-                    f"config key {key!r}: {value!r} does not have the type of "
-                    f"its default {CONFIG_DEFAULTS[key]!r}"
-                )
-        # Level names become dataset directory names and results.csv columns.
-        for name in user.get("noise_levels", {}):
-            if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
-                raise ValueError(
-                    f"config key 'noise_levels': level name {name!r} must match "
-                    "[A-Za-z0-9_-]+"
-                )
-        cfg.update(user)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            cfg[key] = value
-    return cfg
 
 
 def echo_config(cfg: dict, out: Path) -> None:
@@ -225,108 +202,125 @@ def cmd_theorems(args) -> int:
     return EXIT_OK if ok else EXIT_DOMAIN
 
 
-def _fleet_and_thresholds(cfg: dict):
-    fleet = turbine.default_fleet()
-    th = detector.DetectorThresholds(fault_hi=cfg["fault_hi"], dead_lo=cfg["dead_lo"])
-    return fleet, th
-
-
-def _sim_config(cfg: dict) -> turbine.SimConfig:
-    return turbine.SimConfig(
-        dft_size=cfg["dft_size"],
-        sample_rate=cfg["sample_rate"],
-        rng_seed=cfg["rng_seed"],
-        samples_per_state=cfg["samples_per_state"],
-    )
-
-
-def _check_run(sim: turbine.SimConfig, fleet, n_conditions: int, samples_key: str,
+def _check_run(sim: turbine.SimConfig, fleet, conditions, samples_key: str,
                snrs, snr_key: str) -> None:
-    """Refuse, before any output, work that cannot run: a fleet line off the
-    DFT grid, a dataset of more than ``MAX_HEALTH_VALUES_PER_DATASET`` health
-    values, or an SNR with no finite positive noise level."""
+    """Refuse, before any output, work that cannot run: a fleet line off the DFT
+    grid, a dataset of more than ``MAX_HEALTH_VALUES_PER_DATASET`` values, or a
+    fault multiplier or SNR giving healths up to ``MAX_HEALTH`` or no noise level."""
     try:
         bins = turbine.fleet_line_bins(fleet, sim)
     except ValueError as err:
         raise ValueError(f"config keys 'dft_size' and 'sample_rate': {err}") from None
-    values = n_conditions * sim.samples_per_state * turbine.SENSORS * bins.size
+    values = len(conditions) * sim.samples_per_state * turbine.SENSORS * bins.size
     if values > MAX_HEALTH_VALUES_PER_DATASET:
         raise ValueError(
             f"config key {samples_key!r}: {sim.samples_per_state} samples give {values} "
             f"health values per dataset, more than {MAX_HEALTH_VALUES_PER_DATASET}"
         )
+    if turbine.health_bound(fleet, sim, conditions) >= MAX_HEALTH:
+        raise ValueError("config key 'fault_multiplier': summed healths could overflow float64")
     try:
         for snr_db in snrs:
-            turbine.resolve_sigma(replace(sim, snr_db=snr_db), fleet)
+            if turbine.health_bound(fleet, replace(sim, snr_db=snr_db), conditions) >= MAX_HEALTH:
+                raise ValueError(f"snr_db {snr_db}: summed healths could overflow float64")
     except ValueError as err:
         raise ValueError(f"{snr_key}: {err}") from None
 
 
-def _dataset_dir(out: Path, *name: str) -> Path:
-    """``out/datasets/calibration`` or ``out/datasets/<sensor_condition>_<noise_level>``."""
-    return out / "datasets" / "_".join(name)
+CALIBRATION = ("calibration",)
+Plan = namedtuple("Plan", "cfg fleet thresholds mixing datasets sweep_mixing sweep_sim snr_grid")
 
 
-def _dataset(data_root, key, fleet, mixing, run_cfg, conditions) -> turbine.Dataset:
-    """The dataset ``generate`` writes for ``key`` under this run config: read
-    from ``data_root`` when there (its manifest must be the one ``generate``
-    would write), otherwise generated here."""
-    if data_root is not None:
-        path = _dataset_dir(data_root, *key)
-        if path.exists():
-            return turbine.load_dataset(path, fleet, mixing, run_cfg, conditions)
-        print(f"{path} not found: generating it from the run config")
-    return turbine.generate_dataset(fleet, mixing, run_cfg, conditions)
+def load_plan(path: str | None, seed: int | None, snr_range: str | None = None) -> Plan:
+    """Load a config, apply ``--seed`` and ``--snr-range``, and build and check all that
+    ``generate``, ``detect`` and ``sweep`` use: a config is valid for all three or none.
+    ``datasets`` holds ``(key, run config, conditions)`` per dataset, calibration first."""
+    cfg = dict(CONFIG_DEFAULTS)
+    if path is not None:
+        with open(path) as fh:
+            user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(user) - set(CONFIG_DEFAULTS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in user.items():
+            if not _has_default_type(value, CONFIG_DEFAULTS[key]):
+                raise ValueError(
+                    f"config key {key!r}: {value!r} does not have the type of "
+                    f"its default {CONFIG_DEFAULTS[key]!r}"
+                )
+        # Level names become dataset directory names and results.csv columns.
+        for name in user.get("noise_levels", {}):
+            if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
+                raise ValueError(
+                    f"config key 'noise_levels': level name {name!r} must match "
+                    "[A-Za-z0-9_-]+"
+                )
+        cfg.update(user)
+    if seed is not None:
+        cfg["rng_seed"] = seed
+    if snr_range:
+        try:
+            cfg["snr_lo"], cfg["snr_hi"], cfg["snr_step"] = map(float, snr_range.split(":"))
+        except ValueError:
+            raise ValueError(f"--snr-range must be LO:HI:STEP, got {snr_range!r}") from None
+    snr_grid = _snr_grid(cfg["snr_lo"], cfg["snr_hi"], cfg["snr_step"])
+    fleet = turbine.default_fleet()
+    thresholds = detector.DetectorThresholds(fault_hi=cfg["fault_hi"], dead_lo=cfg["dead_lo"])
+    mixing = turbine.mixing_matrix(cfg["mixing_off_diagonal"])
+    sweep_mixing = turbine.mixing_matrix(cfg["sweep_mixing_off_diagonal"])
+    sim = turbine.SimConfig(dft_size=cfg["dft_size"], sample_rate=cfg["sample_rate"],
+                            rng_seed=cfg["rng_seed"], samples_per_state=cfg["samples_per_state"])
+    sweep_sim = replace(sim, samples_per_state=cfg["sweep_samples_per_point"])
+    conditions = turbine.engine1_conditions(cfg["fault_gear"], cfg["fault_multiplier"])
+    _check_run(sim, fleet, conditions, "samples_per_state",
+               cfg["noise_levels"].values(), "config key 'noise_levels'")
+    _check_run(sweep_sim, fleet, detector.NORMAL_ONLY, "sweep_samples_per_point", snr_grid,
+               f"SNR range {cfg['snr_lo']}:{cfg['snr_hi']}:{cfg['snr_step']}")
+    datasets = [(CALIBRATION, detector.calibration_config(sim), detector.NORMAL_ONLY)]
+    datasets += [(key, run_cfg, conditions)
+                 for key, run_cfg in detector.grid_cells(sim, cfg["noise_levels"])]
+    return Plan(cfg, fleet, thresholds, mixing, datasets, sweep_mixing, sweep_sim, snr_grid)
 
 
 def cmd_generate(args) -> int:
-    cfg = load_config(args.config, {"rng_seed": args.seed})
+    plan = load_plan(args.config, args.seed)
     out = Path(args.out)
-    fleet, _ = _fleet_and_thresholds(cfg)
-    mixing = turbine.mixing_matrix(cfg["mixing_off_diagonal"])
-    sim = _sim_config(cfg)
-    conditions = turbine.engine1_conditions(cfg["fault_gear"], cfg["fault_multiplier"])
-    _check_run(sim, fleet, len(conditions), "samples_per_state",
-               cfg["noise_levels"].values(), "config key 'noise_levels'")
-    echo_config(cfg, out)
-    calib = detector.calibration_dataset(fleet, mixing, sim)
-    turbine.save_dataset(calib, _dataset_dir(out, "calibration"))
+    echo_config(plan.cfg, out)
     total = 0
-    for key, run_cfg in detector.grid_cells(sim, cfg["noise_levels"]):
-        path = _dataset_dir(out, *key)
-        ds = turbine.generate_dataset(fleet, mixing, run_cfg, conditions)
-        turbine.save_dataset(ds, path)
-        total += ds.healths.shape[0] * ds.healths.shape[1]
-        print(f"wrote {path} ({ds.healths.shape[0] * ds.healths.shape[1]} samples)")
+    for key, run_cfg, conditions in plan.datasets:
+        ds = turbine.generate_dataset(plan.fleet, plan.mixing, run_cfg, conditions)
+        path = turbine.save_dataset(ds, out / "datasets" / "_".join(key))
+        if key != CALIBRATION:
+            total += ds.healths.shape[0] * ds.healths.shape[1]
+            print(f"wrote {path} ({ds.healths.shape[0] * ds.healths.shape[1]} samples)")
     print(f"total labeled samples: {total}")
     return EXIT_OK
 
 
 def cmd_detect(args) -> int:
-    cfg = load_config(args.config, {"rng_seed": args.seed})
+    plan = load_plan(args.config, args.seed)
     out = Path(args.out)
-    fleet, th = _fleet_and_thresholds(cfg)
-    mixing = turbine.mixing_matrix(cfg["mixing_off_diagonal"])
-    sim = _sim_config(cfg)
-    conditions = turbine.engine1_conditions(cfg["fault_gear"], cfg["fault_multiplier"])
-    _check_run(sim, fleet, len(conditions), "samples_per_state",
-               cfg["noise_levels"].values(), "config key 'noise_levels'")
     data_root = Path(args.data) if args.data else None
     if data_root is not None and not data_root.is_dir():
         raise ValueError(f"--data {data_root}: no such directory")
-    calib = _dataset(
-        data_root, ("calibration",), fleet, mixing,
-        detector.calibration_config(sim), detector.NORMAL_ONLY,
-    )
-    datasets = {
-        key: _dataset(data_root, key, fleet, mixing, run_cfg, conditions)
-        for key, run_cfg in detector.grid_cells(sim, cfg["noise_levels"])
-    }
+    datasets = {}  # each read from data_root when there, otherwise generated here
+    for key, run_cfg, conditions in plan.datasets:
+        model = (plan.fleet, plan.mixing, run_cfg, conditions)
+        path = None if data_root is None else data_root / "datasets" / "_".join(key)
+        if path is not None and path.exists():
+            datasets[key] = turbine.load_dataset(path, *model)
+            continue
+        if path is not None:
+            print(f"{path} not found: generating it from the run config")
+        datasets[key] = turbine.generate_dataset(*model)
+    calib = datasets.pop(CALIBRATION)
     baselines = {kind: detector.calibrate(calib, kind) for kind in detector.PIPELINES}
     report = detector.run_conditions(
-        datasets, baselines, th, metadata={"config": cfg}
+        datasets, baselines, plan.thresholds, metadata={"config": plan.cfg}
     )
-    echo_config(cfg, out)
+    echo_config(plan.cfg, out)
     detector.write_results(report, out)
     for st in report.stats:
         print(
@@ -351,23 +345,13 @@ def _snr_grid(lo: float, hi: float, step: float) -> list:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, {"rng_seed": args.seed})
+    plan = load_plan(args.config, args.seed, args.snr_range)
     out = Path(args.out)
-    if args.snr_range:
-        try:
-            cfg["snr_lo"], cfg["snr_hi"], cfg["snr_step"] = map(float, args.snr_range.split(":"))
-        except ValueError:
-            raise ValueError(f"--snr-range must be LO:HI:STEP, got {args.snr_range!r}") from None
-    grid = _snr_grid(cfg["snr_lo"], cfg["snr_hi"], cfg["snr_step"])
-    fleet, th = _fleet_and_thresholds(cfg)
-    mixing = turbine.mixing_matrix(cfg["sweep_mixing_off_diagonal"])
-    sim = replace(_sim_config(cfg), samples_per_state=cfg["sweep_samples_per_point"])
-    _check_run(sim, fleet, len(detector.NORMAL_ONLY), "sweep_samples_per_point",
-               grid, f"SNR range {cfg['snr_lo']}:{cfg['snr_hi']}:{cfg['snr_step']}")
-    echo_config(cfg, out)
-    points = detector.snr_sweep(fleet, mixing, sim, grid, th)
+    echo_config(plan.cfg, out)
+    points = detector.snr_sweep(plan.fleet, plan.sweep_mixing, plan.sweep_sim,
+                                plan.snr_grid, plan.thresholds)
     detector.write_sweep(points, out)
-    print(f"{len(grid)}-point sweep written to {out}")
+    print(f"{len(plan.snr_grid)}-point sweep written to {out}")
     return EXIT_OK
 
 
@@ -437,7 +421,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_normalize_argv(list(argv)))
     try:
-        return args.func(args)
+        # A value so extreme that float64 arithmetic overflows exits 2, not with inf results.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except detector.CalibrationError as err:
         print(f"calibration error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -451,7 +437,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"file not found: {err.filename}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
 

@@ -103,7 +103,8 @@ def detect(mapped, mu, th: DetectorThresholds) -> np.ndarray:
     blocks = mapped.reshape(mapped.shape[:-1] + (SENSORS, -1))
     mu = mu.reshape(SENSORS, -1)
     failure = np.all(blocks < th.dead_lo * mu, axis=-1)
-    fault = np.any(blocks > th.fault_hi * mu, axis=-1)
+    with np.errstate(over="ignore"):  # a product past float64 is inf, which no health exceeds
+        fault = np.any(blocks > th.fault_hi * mu, axis=-1)
     return np.where(failure, "failure", np.where(fault, "fault", "normal"))
 
 

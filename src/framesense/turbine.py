@@ -275,6 +275,11 @@ def engine1_conditions(fault_gear: int = 1, fault_multiplier: float = 12.0) -> t
     return (("normal", normal), ("fault", fault), ("failure", failure))
 
 
+# Above every |Generator.standard_normal()|: NumPy's ziggurat gives |z| < r = 3.654 off its
+# tail and r + x on it, where x**2 < -2 log(1 - u) for a double u <= 1 - 2**-53, so |z| < 12.23.
+STANDARD_NORMAL_MAX = 12.5
+
+
 def _sample_rng(seed: int, condition: int, sample: int) -> np.random.Generator:
     key = np.array(
         [seed & (2**64 - 1), ((condition & 0xFFFFFFFF) << 32) | (sample & 0xFFFFFFFF)],
@@ -333,6 +338,14 @@ def generate_dataset(fleet, mixing, cfg: SimConfig, conditions) -> Dataset:
         mixing=mixing,
         fleet=tuple(fleet),
     )
+
+
+def health_bound(fleet, cfg: SimConfig, conditions) -> float:
+    """A bound on every health ``generate_dataset`` gives here under any mixing (entries at most 1):
+    amplitude N/2 plus noise sigma sqrt(N/2) sqrt(2) STANDARD_NORMAL_MAX; inf past float64."""
+    peak = max(float(st.amplitudes(m).max()) for _, sts in conditions for m, st in zip(fleet, sts))
+    noise = resolve_sigma(cfg, fleet) * cfg.dft_size**0.5 * STANDARD_NORMAL_MAX
+    return peak * cfg.dft_size / 2 + noise
 
 
 def _row_keys(conditions, samples: int) -> list:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from framesense import cli, detector, turbine
@@ -31,6 +32,19 @@ def sweep_snrs(tmp_path, text, out):
     snrs = sorted({float(r[0]) for r in rows})
     assert len(rows) == len(snrs) * 2 * 2
     return snrs
+
+
+def refused_by_all(tmp_path, capsys, cfg):
+    """The one error line ``generate``, ``detect`` and ``sweep`` print for config
+    file ``cfg``; each must exit 2 and leave no output directory."""
+    errors = set()
+    for command in ("generate", "detect", "sweep"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        errors.add(capsys.readouterr().err)
+        assert not out.exists()
+    assert len(errors) == 1, errors
+    return errors.pop()
 
 
 SILENT_COORDINATE_2 = "domain error: health coordinates [2] are silent for every sensor\n"
@@ -195,6 +209,21 @@ class TestValidate:
             assert cli.main(argv) == 2
             assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("scale,validate_code", [(1e308, 2), (1e200, 0)])
+    def test_overflowing_selection_scale_exits_2(self, tmp_path, capsys, scale, validate_code):
+        # At 1e308 the images pass float64, and validate used to exit 0 and
+        # report a separable scenario found from inf; at 1e200 only the
+        # squares theorems takes do.
+        doc = json.loads(Path(HARMONIOUS).read_text())
+        doc["health"]["rows"][0][2] = scale
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == validate_code
+        out = tmp_path / "o"
+        assert cli.main(["theorems", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: overflow encountered")
+        assert not out.exists()
 
     def test_invalid_scenario_exits_1(self, tmp_path, capsys):
         doc = json.loads(Path(HARMONIOUS).read_text())
@@ -462,9 +491,10 @@ class TestGenerateDetectSweep:
         gen = tmp_path / "gen"
         assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
         # A calibration set of all-zero healths, sealed as generate would seal it.
-        sim = cli._sim_config(cli.load_config(cfg))
-        fleet, mixing = turbine.default_fleet(), turbine.mixing_matrix(0.1)
-        calib = detector.calibration_dataset(fleet, mixing, sim)
+        plan = cli.load_plan(cfg, None)
+        key, run_cfg, conditions = plan.datasets[0]
+        assert key == cli.CALIBRATION
+        calib = turbine.generate_dataset(plan.fleet, plan.mixing, run_cfg, conditions)
         calib.healths[:] = 0.0
         turbine.save_dataset(calib, gen / "datasets" / "calibration")
         out = tmp_path / "det"
@@ -511,87 +541,101 @@ class TestGenerateDetectSweep:
             ("noise_levels", {}),
             ("fault_hi", "2"),
             ("write_spectra", 1),
+            pytest.param("fault_hi", 2**1100, id="fault_hi-int_past_float64"),
         ],
     )
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, key, value):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({key: value}))
-        assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert repr(key) in capsys.readouterr().err
+        assert repr(key) in refused_by_all(tmp_path, capsys, str(path))
 
     def test_negative_fault_multiplier_exits_2(self, tmp_path, capsys):
+        # sweep, which runs no fault, used to accept it.
         cfg = write_config(tmp_path, {"samples_per_state": 8, "fault_multiplier": -12.0})
-        for command in ("generate", "detect"):
-            out = tmp_path / command
-            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
-            assert "fault multiplier" in capsys.readouterr().err
-            assert not out.exists()
+        assert "fault multiplier" in refused_by_all(tmp_path, capsys, cfg)
 
     @pytest.mark.parametrize("dead_lo", [0.0, -1.0, 1.5])
     def test_dead_lo_outside_unit_interval_exits_2(self, tmp_path, capsys, dead_lo):
         # At dead_lo <= 0 detect would write a plausible results.csv in which
         # failure is never declared; no run may leave output behind.
         cfg = write_config(tmp_path, {"dead_lo": dead_lo})
-        for command in ("detect", "sweep"):
-            out = tmp_path / command
-            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
-            assert "0 < dead_lo < 1" in capsys.readouterr().err
-            assert not out.exists()
+        assert "0 < dead_lo < 1" in refused_by_all(tmp_path, capsys, cfg)
 
     @pytest.mark.parametrize("name", ["a,b", "x/y", "..", ""])
     def test_bad_noise_level_name_exits_2(self, tmp_path, capsys, name):
         cfg = write_config(tmp_path, {"noise_levels": {name: 18.0}})
-        for command in ("generate", "detect"):
-            out = tmp_path / command
-            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
-            err = capsys.readouterr().err
-            assert "'noise_levels'" in err and repr(name) in err
-            assert not out.exists()
+        err = refused_by_all(tmp_path, capsys, cfg)
+        assert "'noise_levels'" in err and repr(name) in err
 
     @pytest.mark.parametrize("snr_db", [7000.0, -7000.0])
     def test_noise_level_without_finite_sigma_exits_2(self, tmp_path, capsys, snr_db):
         # At -7000 dB sigma was inf and every run exited 0 with plausible
         # results; at +7000 dB 10 ** (SNR / 20) overflowed.
         cfg = write_config(tmp_path, {"noise_levels": {"low": snr_db}})
-        for command in ("generate", "detect"):
-            out = tmp_path / command
-            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
-            assert "'noise_levels'" in capsys.readouterr().err
-            assert not out.exists()
+        assert "'noise_levels'" in refused_by_all(tmp_path, capsys, cfg)
+
+    @pytest.mark.parametrize(
+        "extra,key",
+        [({"fault_multiplier": 1e308}, "fault_multiplier"),
+         ({"noise_levels": {"low": -6140.0}}, "noise_levels")],
+        ids=["fault_multiplier", "noise_levels"],
+    )
+    def test_non_finite_healths_exit_2(self, tmp_path, capsys, extra, key):
+        # Each wrote nan or inf healths with exit 0; sigma alone was finite.
+        cfg = write_config(tmp_path, extra)
+        err = refused_by_all(tmp_path, capsys, cfg)
+        assert f"config key {key!r}" in err and "summed healths could overflow float64" in err
+
+    def test_largest_accepted_fault_multiplier_fuses_finitely(self):
+        # At full cross volume every sensor hears the fault line, and the frame
+        # pipeline sums it over all four.
+        fleet, sim = turbine.default_fleet(), turbine.SimConfig(samples_per_state=1)
+        gear_line = fleet[0].line_amplitudes[4] * sim.dft_size / 2
+        edge = cli.MAX_HEALTH / gear_line * (1 - 1e-9)
+        conditions = turbine.engine1_conditions(1, edge)
+        cli._check_run(sim, fleet, conditions, "samples_per_state", [], "")
+        ds = turbine.generate_dataset(fleet, turbine.mixing_matrix(1.0), sim, conditions)
+        assert np.all(np.isfinite(detector.map_healths(ds.healths, "frame")))
+        with pytest.raises(ValueError, match="'fault_multiplier'"):
+            cli._check_run(sim, fleet, turbine.engine1_conditions(1, edge * 1.01),
+                           "samples_per_state", [], "")
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [({"sweep_mixing_off_diagonal": -1.0}, "mixing entries must be nonnegative"),
+         ({"snr_step": 0.0}, "STEP > 0"),
+         ({"samples_per_state": 2**31}, "config key 'samples_per_state'")],
+        ids=["sweep_mixing_off_diagonal", "snr_step", "samples_per_state"],
+    )
+    def test_key_another_command_reads_is_checked(self, tmp_path, capsys, extra, message):
+        # Each was accepted by the commands that do not read the key.
+        assert message in refused_by_all(tmp_path, capsys, write_config(tmp_path, extra))
 
     @pytest.mark.parametrize("exponent", [1100, 100])
     def test_dft_size_past_int64_exits_2(self, tmp_path, capsys, exponent):
         # 2**1100 overflowed float64 in the SNR scale and 2**100 overflowed
         # the int64 bin indices, each with a traceback and exit 1.
         cfg = write_config(tmp_path, {"dft_size": 2**exponent})
-        for command in ("generate", "detect", "sweep"):
-            out = tmp_path / command
-            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
-            assert f"dft_size 2**{exponent} does not fit in int64" in capsys.readouterr().err
-            assert not out.exists()
+        err = refused_by_all(tmp_path, capsys, cfg)
+        assert f"dft_size 2**{exponent} does not fit in int64" in err
 
     def test_off_bin_dft_size_exits_2(self, tmp_path, capsys):
         # At 8 Hz bins engine 1's 60 Hz gear line falls between two; generate
         # and sweep used to echo config.json before finding that out.
-        cfg = write_config(tmp_path, {"dft_size": 4096})
-        for command in ("generate", "detect", "sweep"):
-            out = tmp_path / command
-            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
-            err = capsys.readouterr().err
-            assert "'dft_size'" in err and "line at 60.0 Hz does not land on a DFT bin" in err
-            assert not out.exists()
+        err = refused_by_all(tmp_path, capsys, write_config(tmp_path, {"dft_size": 4096}))
+        assert "'dft_size'" in err and "line at 60.0 Hz does not land on a DFT bin" in err
 
     def test_health_value_cap(self):
         # Checked from the config alone: nothing is simulated here.
-        fleet = turbine.default_fleet()
+        fleet, conditions = turbine.default_fleet(), turbine.engine1_conditions()
         most = cli.MAX_HEALTH_VALUES_PER_DATASET // (3 * 4 * 28)
         for samples, refused in ((most, False), (most + 1, True)):
             sim = turbine.SimConfig(samples_per_state=samples)
             if refused:
                 with pytest.raises(ValueError, match="config key 'samples_per_state'"):
-                    cli._check_run(sim, fleet, 3, "samples_per_state", [], "")
+                    cli._check_run(sim, fleet, conditions, "samples_per_state", [], "")
             else:
-                cli._check_run(sim, fleet, 3, "samples_per_state", [], "")
+                cli._check_run(sim, fleet, conditions, "samples_per_state", [], "")
 
     @pytest.mark.parametrize(
         "command,key",
@@ -623,11 +667,7 @@ class TestGenerateDetectSweep:
         # Configs echoed before spectra files were dropped must drop the key.
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**cli.CONFIG_DEFAULTS, "write_spectra": False}))
-        for command in ("generate", "detect", "sweep"):
-            out = tmp_path / command
-            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
-            assert "'write_spectra'" in capsys.readouterr().err
-            assert not out.exists()
+        assert "'write_spectra'" in refused_by_all(tmp_path, capsys, str(path))
 
     def test_detect_results_contract(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -649,7 +689,7 @@ class TestGenerateDetectSweep:
         cfg = write_config(tmp_path)
         # The last two are finite, but 10 ** (SNR / 20) overflows or reaches 0.
         for text in ("5:1:1", "-inf:0:1", "0:inf:1", "0:1:inf", "nan:0:1",
-                     "-1e308:1e308:1", "7000:7000:1", "-7000:-7000:1"):
+                     "-1e308:1e308:1", "7000:7000:1", "-7000:-7000:1", "-6140:-6140:1"):
             assert cli.main(["sweep", "--config", cfg, "--snr-range", text,
                              "--out", str(tmp_path / "s")]) == 2
             assert not (tmp_path / "s").exists()
@@ -664,11 +704,12 @@ class TestGenerateDetectSweep:
         assert cli.main(["sweep", "--config", echoed, "--out", str(again)]) == 0
         assert (again / "sweep.csv").read_bytes() == (first / "sweep.csv").read_bytes()
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        for doc in ({"sample_count": 4}, 5):
+        for doc, message in (({"sample_count": 4}, "unknown config keys"),
+                             (5, "config must be a JSON object")):
             path.write_text(json.dumps(doc))
-            assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert message in refused_by_all(tmp_path, capsys, str(path))
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, {"rng_seed": 1})

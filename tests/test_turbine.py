@@ -1,7 +1,9 @@
+import ctypes
 import hashlib
 import io
 import json
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -644,6 +646,56 @@ class TestSnrScale:
         # 10 ** (snr_db / 20) overflows, or underflows to 0 and sigma is inf.
         with pytest.raises(ValueError, match="noise level"):
             resolve_sigma(replace(CFG, snr_db=snr_db), FLEET)
+
+
+class _ScriptedBitGenerator:
+    """What ``np.random.Generator`` reads of a bit generator (``capsule`` and
+    ``lock``), replaying the given 64-bit words and doubles; once they run out
+    it gives 0 and 0.5, which end any ziggurat draw."""
+
+    def __init__(self, words, doubles):
+        words, doubles = list(words), list(doubles)
+        u64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+        u32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+        dbl = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+        class BitgenT(ctypes.Structure):  # numpy/random/bitgen.h
+            _fields_ = [("state", ctypes.c_void_p), ("next_uint64", u64),
+                        ("next_uint32", u32), ("next_double", dbl), ("next_raw", u64)]
+
+        self._struct = BitgenT(None, u64(lambda _: words.pop(0) if words else 0),
+                               u32(lambda _: 0), dbl(lambda _: doubles.pop(0) if doubles else 0.5),
+                               u64(lambda _: 0))
+        new_capsule = ctypes.pythonapi.PyCapsule_New
+        new_capsule.restype = ctypes.py_object
+        new_capsule.argtypes = [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p]
+        self.capsule = new_capsule(ctypes.addressof(self._struct), b"BitGenerator", None)
+        self.lock = threading.Lock()
+
+
+class TestHealthBound:
+    def test_standard_normal_tail_stays_under_the_bound(self):
+        # Layer 0 with every magnitude bit set takes the ziggurat's tail
+        # branch; the tail then draws x from u1 and accepts it against the
+        # largest double Philox gives, 1 - 2**-53.
+        tail_word = (2**64 - 1) & ~0xFF
+        draws = [
+            abs(np.random.Generator(_ScriptedBitGenerator(
+                [tail_word], [1.0 - 2.0**-k, 1.0 - 2.0**-53])).standard_normal())
+            for k in range(1, 54)
+        ]
+        assert 12.0 < max(draws) < turbine.STANDARD_NORMAL_MAX
+
+    @pytest.mark.parametrize("snr_db", [None, 18.0, -40.0])
+    def test_bound_covers_generated_healths(self, snr_db):
+        conditions = turbine.engine1_conditions(2, 1e3)
+        cfg = replace(CFG, snr_db=snr_db, samples_per_state=16)
+        healths = generate_dataset(FLEET, mixing_matrix(1.0), cfg, conditions).healths
+        assert healths.max() <= turbine.health_bound(FLEET, cfg, conditions)
+
+    def test_bound_is_inf_past_float64(self):
+        conditions = turbine.engine1_conditions(1, 1e308)
+        assert turbine.health_bound(FLEET, CFG, conditions) == np.inf
 
 
 class TestScenarioBridge:
