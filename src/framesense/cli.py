@@ -332,7 +332,8 @@ def cmd_detect(args) -> int:
 
 
 def _snr_grid(lo: float, hi: float, step: float) -> list:
-    """The SNRs ``lo, lo + step, ...`` up to ``hi``, at most ``MAX_SWEEP_POINTS`` of them."""
+    """The SNRs ``lo, lo + step, ...`` up to ``hi``: at most ``MAX_SWEEP_POINTS`` of
+    them, no two the same float64."""
     if not (all(map(_is_number, (lo, hi, step))) and lo <= hi and step > 0
             and _is_number((hi - lo) / step)):
         raise ValueError(f"SNR range {lo}:{hi}:{step}: need finite LO <= HI and STEP > 0")
@@ -341,7 +342,11 @@ def _snr_grid(lo: float, hi: float, step: float) -> list:
     count = math.floor((hi - lo) / step + 1e-9) + 1
     if count > MAX_SWEEP_POINTS:
         raise ValueError(f"SNR range {lo}:{hi}:{step}: {count} points, more than {MAX_SWEEP_POINTS}")
-    return [lo + i * step for i in range(count)]
+    grid = [lo + i * step for i in range(count)]
+    if len(set(grid)) != count:
+        raise ValueError(f"SNR range {lo}:{hi}:{step}: STEP is too small for {count} "
+                         "distinct float64 points")
+    return grid
 
 
 def cmd_sweep(args) -> int:

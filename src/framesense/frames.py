@@ -79,10 +79,13 @@ def _is_real(x) -> bool:
 def parse_complex(value):
     """Accept ``{"re": a, "im": b}`` or a plain real number.
 
-    Anything else, a bool or a string included, is a TypeError.
+    Anything else, a bool, a string or an object without exactly the keys
+    ``re`` and ``im`` included, is a TypeError.
     """
     if isinstance(value, dict):
-        re, im = value.get("re", 0.0), value.get("im", 0.0)
+        if sorted(value) != ["im", "re"]:
+            raise TypeError(f"expected a number or {{re, im}}, got {value!r}")
+        re, im = value["re"], value["im"]
     else:
         re, im = value, 0.0
     if not (_is_real(re) and _is_real(im)):

@@ -20,6 +20,11 @@ import numpy as np
 from .frames import DEFAULT_TOL, check_tol, parse_complex
 
 
+# Most reading entries N*K*M a document may declare: 256 MiB of complex128.
+# The benchmark's spectral scenario has 786,432.
+MAX_READINGS = 2**24
+
+
 class NotPreSeparableError(ValueError):
     """Readings fail the rank-1 factorization test at one or more parameters."""
 
@@ -119,10 +124,10 @@ class Scenario:
             raise ValueError("readings must have shape (N, K, M)")
         object.__setattr__(self, "readings", r)
         object.__setattr__(
-            self, "covering", tuple(frozenset(int(f) for f in t) for t in self.covering)
+            self, "covering", tuple(frozenset(map(int, t)) for t in self.covering)
         )
         object.__setattr__(
-            self, "partition", tuple(frozenset(int(f) for f in s) for s in self.partition)
+            self, "partition", tuple(frozenset(map(int, s)) for s in self.partition)
         )
         if len(self.covering) != r.shape[0] or len(self.partition) != r.shape[0]:
             raise ValueError("need one covering and one partition set per sensor")
@@ -477,17 +482,26 @@ def _complex_out(z: complex):
 
 
 def scenario_to_json_dict(s: Scenario) -> dict:
-    """Serialize with 1-based index sets and {re, im} complex entries."""
+    """Serialize with 1-based index sets and {re, im} complex entries.
+
+    The readings are written sparse, as ``{"shape": [N, K, M], "nonzero":
+    [[j, k, f, value], ...]}`` with 1-based indices in row-major order.
+    """
+    nonzero = np.nonzero(s.readings)
     doc = {
         "M": s.M,
         "N": s.N,
         "K": s.K,
         "covering": [sorted(f + 1 for f in t) for t in s.covering],
         "partition": [sorted(f + 1 for f in t) for t in s.partition],
-        "readings": [
-            [[_complex_out(complex(z)) for z in row] for row in sensor]
-            for sensor in s.readings
-        ],
+        "readings": {
+            "shape": list(s.readings.shape),
+            "nonzero": [
+                [j + 1, k + 1, f + 1, _complex_out(z)]
+                for j, k, f, z in zip(*(i.tolist() for i in nonzero),
+                                      s.readings[nonzero].tolist())
+            ],
+        },
     }
     h = s.health
     if h.kind == "selection_matrix":
@@ -529,9 +543,19 @@ def _count(value) -> int:
     return value
 
 
+def _check_indices(columns) -> None:
+    """Refuse any index in ``columns``, an iterable of iterables, that is not a JSON int."""
+    stray = set(map(type, chain.from_iterable(columns))) - {int}
+    if stray:
+        raise TypeError(f"expected int indices, found {sorted(t.__name__ for t in stray)}")
+
+
 def _index_sets(value, N: int, M: int) -> list:
     """N 1-based index lists, each index in 1..M, as 0-based frozensets."""
-    sets = [frozenset(_int(f) - 1 for f in t) for t in value]
+    if type(value) is not list or any(type(t) is not list for t in value):
+        raise TypeError(f"expected {N} lists of indices")
+    _check_indices(value)
+    sets = [frozenset(f - 1 for f in t) for t in value]
     if len(sets) != N:
         raise ValueError(f"expected {N} index lists, one per sensor, got {len(sets)}")
     stray = sorted(f + 1 for f in set().union(*sets) if not 0 <= f < M)
@@ -571,8 +595,45 @@ def _complex_array(value, shape: tuple) -> np.ndarray:
     return out
 
 
+def _readings(value, shape: tuple) -> np.ndarray:
+    """The readings of ``shape`` (N, K, M), from dense nested lists or from
+    ``{"shape": [N, K, M], "nonzero": [[j, k, f, value], ...]}`` with 1-based
+    indices, each (j, k, f) at most once and every other entry 0.
+
+    A shape of more than ``MAX_READINGS`` entries is refused before anything
+    is allocated; the sparse form's ``shape`` must repeat the declared one.
+    """
+    size = shape[0] * shape[1] * shape[2]
+    if size > MAX_READINGS:
+        raise ValueError(f"N*K*M = {size} entries, more than {MAX_READINGS}")
+    if type(value) is not dict:
+        return _complex_array(value, shape)
+    if sorted(value) != ["nonzero", "shape"]:
+        raise ValueError(f'expected keys "shape" and "nonzero", got {sorted(value)}')
+    declared, entries = value["shape"], value["nonzero"]
+    if type(declared) is not list or list(map(type, declared)) != [int] * 3 \
+            or tuple(declared) != shape:
+        raise ValueError(f"shape {declared!r} is not the declared [N, K, M] {list(shape)}")
+    if type(entries) is not list or any(type(e) is not list or len(e) != 4 for e in entries):
+        raise TypeError("nonzero must be a list of [j, k, f, value] entries")
+    out = np.zeros(size, dtype=np.complex128)
+    if entries:
+        *index, values = zip(*entries)
+        _check_indices(index)
+        try:
+            flat = np.ravel_multi_index(np.array(index, dtype=np.int64) - 1, shape)
+        except ValueError:
+            raise ValueError("an entry (j, k, f) lies outside 1..N, 1..K, 1..M") from None
+        if len(set(flat.tolist())) != flat.size:
+            raise ValueError("an entry (j, k, f) appears more than once")
+        out[flat] = _complex_array(list(values), (flat.size,))
+    return out.reshape(shape)
+
+
 def _selection_rows(value, n: int, M: int) -> list:
     """1-based ``[i, f, scale]`` rows as one (f, scale) pair per output."""
+    if type(value) is not list or len(value) != n:
+        raise ValueError(f"needs one row per output 1..{n}")
     rows = [None] * n
     for i, f, scale in value:
         if not 1 <= _int(i) <= n:
@@ -597,20 +658,21 @@ def _read(doc, key: str, convert, name: str | None = None):
 
 
 def scenario_from_json_dict(doc: dict) -> Scenario:
-    """Parse the layout :func:`scenario_to_json_dict` writes.
+    """Parse the layout :func:`scenario_to_json_dict` writes, or the same
+    with the readings as dense (N, K, M) nested lists.
 
     A missing key, a value of the wrong type or shape, a non-finite entry or
     an index outside its range raises ValueError naming the key.
     """
     shape = tuple(_read(doc, key, _count) for key in ("N", "K", "M"))
     N, M = shape[0], shape[2]
-    readings = _read(doc, "readings", lambda v: _complex_array(v, shape))
+    readings = _read(doc, "readings", lambda v: _readings(v, shape))
     covering = _read(doc, "covering", lambda v: _index_sets(v, N, M))
     partition = _read(doc, "partition", lambda v: _index_sets(v, N, M))
     hdoc = _read(doc, "health", _of_type(dict))
     kind = _read(hdoc, "kind", _of_type(str), "health.kind")
     if kind == "selection_matrix":
-        n = _read(hdoc, "n", _int, "health.n")
+        n = _read(hdoc, "n", _count, "health.n")
         health = _read(hdoc, "rows", lambda v: HealthMap.selection(n, _selection_rows(v, n, M)),
                        "health.rows")
     elif kind == "general_linear":

@@ -1,13 +1,15 @@
 import json
+import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from framesense import cli, detector, turbine
-from framesense.scenario import scenario_to_json_dict
+from framesense.scenario import MAX_READINGS, scenario_from_json_dict, scenario_to_json_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HARMONIOUS = str(FIXTURES / "three_sensor_projection.json")
@@ -45,6 +47,40 @@ def refused_by_all(tmp_path, capsys, cfg):
         assert not out.exists()
     assert len(errors) == 1, errors
     return errors.pop()
+
+
+def sparse_doc(path):
+    """The scenario document at ``path`` with its readings in the sparse encoding."""
+    return scenario_to_json_dict(scenario_from_json_dict(json.loads(Path(path).read_text())))
+
+
+def dense_doc(doc):
+    """``doc`` with its sparse readings written out as dense nested lists."""
+    n_sensors, n_times, m = doc["readings"]["shape"]
+    lists = [[[0.0] * m for _ in range(n_times)] for _ in range(n_sensors)]
+    for j, k, f, value in doc["readings"]["nonzero"]:
+        lists[j - 1][k - 1][f - 1] = value
+    return {**doc, "readings": lists}
+
+
+def spectral_doc(times):
+    """The zero-noise fleet spectra, states cycling normal / fault / failure."""
+    cycle = [states for _, states in turbine.engine1_conditions()]
+    scenario = turbine.dataset_scenario(
+        turbine.default_fleet(), turbine.mixing_matrix(0.1), turbine.SimConfig(),
+        [cycle[k % len(cycle)] for k in range(times)],
+    )
+    return scenario_to_json_dict(scenario)
+
+
+def peak_bytes(argv):
+    """``cli.main(argv)``'s exit code and the peak of memory traced while it runs."""
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 SILENT_COORDINATE_2 = "domain error: health coordinates [2] are silent for every sensor\n"
@@ -224,6 +260,142 @@ class TestValidate:
         assert cli.main(["theorems", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: overflow encountered")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r["nonzero"][0].__setitem__(0, 4),
+            lambda r: r["nonzero"][0].__setitem__(0, 0),
+            lambda r: r["nonzero"][0].__setitem__(1, 2),
+            lambda r: r["nonzero"][0].__setitem__(2, 4),
+            lambda r: r["nonzero"][0].__setitem__(2, 2**63),
+            lambda r: r["nonzero"].append([1, 1, 1, 7.0]),
+            lambda r: r["nonzero"][0].__setitem__(3, float("inf")),
+            lambda r: r["nonzero"][0].__setitem__(3, float("nan")),
+            lambda r: r["nonzero"][0].__setitem__(3, {"re": 2.0}),
+            lambda r: r["nonzero"][0].__setitem__(3, {"re": 2.0, "im": 0.0, "abs": 2.0}),
+            lambda r: r["nonzero"][0].__setitem__(3, True),
+            lambda r: r["nonzero"].__setitem__(0, {"j": 1, "k": 1, "f": 1, "value": 2.0}),
+            lambda r: r["nonzero"][0].pop(),
+            lambda r: r["nonzero"][0].append(0.0),
+            lambda r: r["nonzero"][0].__setitem__(0, True),
+            lambda r: r["nonzero"][0].__setitem__(1, 1.0),
+            lambda r: r.__setitem__("nonzero", {}),
+            lambda r: r.pop("nonzero"),
+            lambda r: r.pop("shape"),
+            lambda r: r.__setitem__("shape", [3, 1, 4]),
+            lambda r: r.__setitem__("shape", [3, 1]),
+            lambda r: r.__setitem__("shape", [3, True, 3]),
+            lambda r: r.__setitem__("shape", [3, 1, 3.0]),
+            lambda r: r.__setitem__("dtype", "complex128"),
+        ],
+        ids=[
+            "sensor_above_N",
+            "sensor_zero",
+            "time_above_K",
+            "parameter_above_M",
+            "parameter_past_int64",
+            "repeated_entry",
+            "infinite_value",
+            "nan_value",
+            "re_only_value",
+            "extra_key_in_value",
+            "bool_value",
+            "entry_not_a_list",
+            "three_element_entry",
+            "five_element_entry",
+            "bool_index",
+            "float_index",
+            "nonzero_not_a_list",
+            "nonzero_missing",
+            "shape_missing",
+            "shape_mismatched",
+            "shape_too_short",
+            "shape_with_bool",
+            "shape_with_float",
+            "extra_key",
+        ],
+    )
+    def test_bad_sparse_readings_exit_2(self, tmp_path, capsys, edit):
+        doc = sparse_doc(ISOLATED)
+        edit(doc["readings"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        for argv in (["validate", str(path)], ["theorems", str(path), "--out", str(out)]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: scenario key 'readings' has a bad value")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "shape",
+        [[2**20] * 3, [1, 1, MAX_READINGS + 1], [MAX_READINGS + 1, 1, 1]],
+        ids=["exabytes", "one_past_the_cap_in_M", "one_past_the_cap_in_N"],
+    )
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_readings_cap_refused_before_allocation(self, tmp_path, capsys, shape, sparse):
+        # A sparse document no longer bounds its own size: its shape alone used to
+        # size the zero-filled array.
+        doc = json.loads(Path(HARMONIOUS).read_text())
+        doc.update(zip("NKM", shape))
+        doc["readings"] = {"shape": shape, "nonzero": []} if sparse else []
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, peak = peak_bytes(["validate", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: scenario key 'readings' has a bad value: N*K*M = {math.prod(shape)} "
+            f"entries, more than {MAX_READINGS}\n"
+        )
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [2**24, 2**31, 2**63])
+    def test_selection_size_past_its_rows_refused_before_allocation(self, tmp_path, capsys, n):
+        # A declared health.n of 2**24 used to reach a 128 MiB row table before
+        # the rows were counted.
+        doc = json.loads(Path(HARMONIOUS).read_text())
+        doc["health"]["n"] = n
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, peak = peak_bytes(["validate", str(path)])
+        assert code == 2
+        assert "'health.rows'" in capsys.readouterr().err
+        assert peak < 2**20
+
+    def test_non_positive_selection_size_names_it(self, tmp_path, capsys):
+        doc = json.loads(Path(HARMONIOUS).read_text())
+        doc["health"].update(n=0, rows=[])
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2
+        assert "'health.n'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["harmonious", "isolated", "spectral"])
+    def test_dense_and_sparse_readings_give_identical_output(self, tmp_path, capsys,
+                                                             monkeypatch, source):
+        if source == "spectral":
+            sparse, tol = spectral_doc(3), "1e-6"
+            dense = dense_doc(sparse)
+        else:
+            path = {"harmonious": HARMONIOUS, "isolated": ISOLATED}[source]
+            dense, sparse, tol = json.loads(Path(path).read_text()), sparse_doc(path), "1e-9"
+        assert type(dense["readings"]) is list and type(sparse["readings"]) is dict
+        outputs = []
+        for name, doc in (("dense", dense), ("sparse", sparse)):
+            work = tmp_path / name
+            work.mkdir()
+            (work / "s.json").write_text(json.dumps(doc))
+            monkeypatch.chdir(work)
+            codes = [cli.main(argv + ["--tol", tol]) for argv in (
+                ["validate", "s.json"],
+                ["theorems", "s.json", "--out", "r"],
+                ["theorems", "s.json", "--out", "rf", "--fail-sensor", "1"],
+            )]
+            reports = {str(p.relative_to(work)): p.read_bytes()
+                       for p in sorted(work.rglob("theorem_*.json"))}
+            outputs.append((codes, capsys.readouterr(), reports))
+        assert len(outputs[0][2]) == 8
+        assert outputs[0] == outputs[1]
 
     def test_invalid_scenario_exits_1(self, tmp_path, capsys):
         doc = json.loads(Path(HARMONIOUS).read_text())
@@ -649,6 +821,20 @@ class TestGenerateDetectSweep:
         out = tmp_path / command
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snr_grid_of_repeated_points_exits_2(self, tmp_path, capsys):
+        # 100 points 1e-14 dB apart round to 71 distinct float64 SNRs: sweep used
+        # to print "100-point sweep" over a sweep.csv of 71.
+        cfg = write_config(tmp_path, {"snr_lo": 100.0, "snr_hi": 100.000000000001,
+                                      "snr_step": 1e-14})
+        err = refused_by_all(tmp_path, capsys, cfg)
+        assert err == ("error: SNR range 100.0:100.000000000001:1e-14: STEP is too small "
+                       "for 100 distinct float64 points\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", write_config(tmp_path), "--out", str(out),
+                         "--snr-range", "100:100.000000000001:0.00000000000001"]) == 2
+        assert capsys.readouterr().err == err
         assert not out.exists()
 
     def test_sweep_point_cap(self, tmp_path, capsys):

@@ -9,7 +9,8 @@ must also agree on a config's exit code and error line.
 
 Sizes stay small: configs keep a few samples and at most a handful of sweep
 points whatever the edit, and huge sizes are left to the explicit cap tests
-in ``test_cli.py``.
+in ``test_cli.py``.  Scenario documents are fuzzed in both encodings of their
+readings, dense nested lists and sparse nonzero entries.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framesense import cli
+from framesense.scenario import scenario_from_json_dict, scenario_to_json_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -47,13 +49,16 @@ SIZE_KEYS = ("samples_per_state", "sweep_samples_per_point", "snr_lo", "snr_hi",
 # Replacements: other JSON types, and numbers at or past the edges of what
 # float64 and the simulator can represent.  As a size, each of SMALL_VALUES
 # asks for at most 3 samples or 5 sweep points.  Huge integers replace only
-# config keys that size no array: a regressed size check must not make the
-# test allocate its way out of memory, and the cap tests in test_cli.py
-# cover huge sizes.
+# config keys that size no array, and scenario document values (see
+# SCENARIO_VALUES): a regressed size check must not make the test allocate
+# its way out of memory, and the cap tests in test_cli.py cover huge sizes.
 SMALL_VALUES = [None, True, "x", [], {}, 0, -1, 1, 3, 0.0, -0.0, -1.0, 0.5,
                 math.nan, math.inf, -math.inf]
 DOC_VALUES = SMALL_VALUES + [5e-324, 1e308, -1e308, -6140.0]
 CONFIG_VALUES = DOC_VALUES + [2**31, 2**63, 2**1100]
+# A scenario document's sizes are checked against the lists it holds, or
+# against scenario.MAX_READINGS, before anything is allocated.
+SCENARIO_VALUES = DOC_VALUES + [2**31, 2**63]
 
 
 def _paths(doc, prefix=()):
@@ -141,13 +146,18 @@ def test_manifest_edits_through_detect_data(generated, data, tmp_path_factory):
     check_run(["detect", "--config", str(config), "--data", str(copy_root)], work / "out")
 
 
-@settings(max_examples=200, **FUZZ)
-@given(data=st.data(), name=st.sampled_from(["three_sensor_projection.json",
-                                             "isolated_sensor.json"]))
+SCENARIOS = {}
+for _name in ("three_sensor_projection.json", "isolated_sensor.json"):
+    SCENARIOS["dense_" + _name] = json.loads((FIXTURES / _name).read_text())
+    SCENARIOS["sparse_" + _name] = scenario_to_json_dict(
+        scenario_from_json_dict(SCENARIOS["dense_" + _name]))
+
+
+@settings(max_examples=400, **FUZZ)
+@given(data=st.data(), name=st.sampled_from(sorted(SCENARIOS)))
 def test_scenario_edits_through_validate_and_theorems(data, name, tmp_path_factory):
     work = tmp_path_factory.mktemp("scenario")
     path = work / name
-    doc = json.loads((FIXTURES / name).read_text())
-    path.write_text(json.dumps(data.draw(edited(doc))))
+    path.write_text(json.dumps(data.draw(edited(SCENARIOS[name], SCENARIO_VALUES))))
     run(["validate", str(path)])
     check_run(["theorems", str(path)], work / "reports")

@@ -280,6 +280,12 @@ class TestSerialization:
         with pytest.raises(TypeError):
             parse_complex(entry)
 
+    @pytest.mark.parametrize("entry", [{"re": 1.0}, {"im": 1.0}, {}, {"re": 1, "im": 0, "x": 0}])
+    def test_object_without_exactly_re_and_im_rejected(self, entry):
+        # A missing part used to be read as 0.
+        with pytest.raises(TypeError):
+            parse_complex(entry)
+
 
 class TestInvariantsRandomized:
     def test_reconstruction_across_random_frames(self):

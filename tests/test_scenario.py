@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from framesense.frames import DEFAULT_TOL
 from framesense.scenario import (
+    MAX_READINGS,
     Factorization,
     HealthMap,
     IndexAssignment,
@@ -425,6 +426,33 @@ class TestScenarioJson:
         doc = scenario_to_json_dict(three_sensor_projection_scenario())
         doc["M"] = 7
         with pytest.raises(ValueError):
+            scenario_from_json_dict(doc)
+
+    def test_readings_written_sparse_in_row_major_order(self):
+        readings = np.zeros((2, 2, 3), dtype=np.complex128)
+        readings[1, 0, 2] = 2 - 1j
+        readings[0, 1, 0] = 4
+        readings[0, 0, 1] = 0.5
+        readings[1, 1, 1] = -0.0  # a zero of either sign is left out
+        s = Scenario(([0, 1, 2],) * 2, ([0, 1], [2]), readings, HealthMap.identity(3))
+        doc = scenario_to_json_dict(s)
+        assert doc["readings"] == {
+            "shape": [2, 2, 3],
+            "nonzero": [[1, 1, 2, 0.5], [1, 2, 1, 4.0], [2, 1, 3, {"re": 2.0, "im": -1.0}]],
+        }
+        back = scenario_from_json_dict(json.loads(json.dumps(doc)))
+        assert np.array_equal(back.readings, readings)
+
+    @pytest.mark.parametrize("readings", [[], {"shape": [1, 1, MAX_READINGS], "nonzero": 5}],
+                             ids=["dense", "sparse"])
+    def test_readings_cap_is_inclusive(self, readings):
+        # N*K*M = MAX_READINGS passes the cap: the refusal is of the body, not the size.
+        doc = {"N": 1, "K": 1, "M": MAX_READINGS, "readings": readings}
+        with pytest.raises(ValueError, match="'readings' has a bad value") as err:
+            scenario_from_json_dict(doc)
+        assert "more than" not in str(err.value)
+        doc["M"] += 1
+        with pytest.raises(ValueError, match=f"N\\*K\\*M = {MAX_READINGS + 1} entries, more than"):
             scenario_from_json_dict(doc)
 
 
