@@ -14,55 +14,10 @@ The package splits into a small stack of layers:
 * :mod:`framesense.detector` - the threshold detector and the run/sweep
   statistics comparing both fusion pipelines;
 * :mod:`framesense.cli` - the ``framesense`` command.
+
+Importing the package loads none of them: import names from their layer,
+as in ``from framesense.frames import VectorSet``.  Each command loads only
+the layers it runs.
 """
 
-from .frames import (
-    FrameBounds,
-    MultiplicativeFactorPair,
-    VectorSet,
-    analysis,
-    canonical_dual,
-    frame_bounds,
-    frame_operator,
-    mf_bound_certificate,
-    multiplicative_product,
-    reconstruct,
-    span_certificate,
-    synthesis,
-)
-from .scenario import (
-    Factorization,
-    HealthMap,
-    IndexAssignment,
-    Scenario,
-    build_index_sets,
-    factor_readings,
-    separate,
-    validate_scenario,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FrameBounds",
-    "MultiplicativeFactorPair",
-    "VectorSet",
-    "analysis",
-    "canonical_dual",
-    "frame_bounds",
-    "frame_operator",
-    "mf_bound_certificate",
-    "multiplicative_product",
-    "reconstruct",
-    "span_certificate",
-    "synthesis",
-    "Factorization",
-    "HealthMap",
-    "IndexAssignment",
-    "Scenario",
-    "build_index_sets",
-    "factor_readings",
-    "separate",
-    "validate_scenario",
-    "__version__",
-]

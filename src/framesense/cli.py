@@ -6,11 +6,17 @@ files are self-describing.  ``generate``, ``detect`` and ``sweep`` build all
 they use from one plan, ``load_plan``, which checks every config key before
 any output.  Exit codes: 0 success, 1 domain violation (invalid scenario, or
 a demanded conclusion failed), 2 I/O or parse error or float64 overflow.
+
+Each command imports the layers it runs, when it runs: besides ``frames``,
+``validate`` loads ``scenario``, ``theorems`` ``scenario`` and ``mappings``,
+``generate`` ``turbine`` and ``detector``, and ``detect`` and ``sweep`` all four.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import re
@@ -18,32 +24,14 @@ import sys
 from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import detector, turbine
 from .frames import DEFAULT_TOL, _is_real
-from .mappings import (
-    verify_basis_mapping,
-    verify_frame_mapping,
-    verify_projective_frame,
-    verify_strong_dominance_frame,
-)
-from .scenario import (
-    NotPreSeparableError,
-    NotSeparableError,
-    UncoverableIndexError,
-    build_index_sets,
-    factor_readings,
-    is_i_dominant,
-    is_i_radiative,
-    is_j_harmonious,
-    is_strongly_i_dominant,
-    scenario_from_json_dict,
-    sensor_status,
-    separate,
-    validate_scenario,
-)
+
+if TYPE_CHECKING:
+    from .turbine import SimConfig
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -59,10 +47,11 @@ CONFIG_DEFAULTS = {
     "fault_multiplier": 12.0,
     "fault_hi": 2.0,
     "dead_lo": 0.18,
-    "noise_levels": {
-        "low": detector.LOW_NOISE_SNR_DB,
-        "high": detector.HIGH_NOISE_SNR_DB,
-    },
+    # Noise levels of the fixed-condition runs, on the sweep's SNR scale.  Low
+    # noise keeps every detection contract comfortably clean; high noise leaves
+    # the selection pipeline working while the magnitude-sum pipeline's noise
+    # floor starts to swallow dead-engine evidence.
+    "noise_levels": {"low": 18.0, "high": 8.0},
     "sweep_mixing_off_diagonal": 0.5623413251903491,
     "sweep_samples_per_point": 128,
     "snr_lo": -20.0,
@@ -76,8 +65,6 @@ CONFIG_DEFAULTS = {
 # exit code does not depend on the machine.
 MAX_HEALTH_VALUES_PER_DATASET = 2**25  # 256 MiB of float64
 MAX_SWEEP_POINTS = 10_000
-# The frame pipeline sums healths over the sensors; the half leaves room for rounding.
-MAX_HEALTH = sys.float_info.max / 2 / turbine.SENSORS
 
 
 def _is_number(value) -> bool:
@@ -107,12 +94,28 @@ def echo_config(cfg: dict, out: Path) -> None:
 
 
 def _load_scenario(path: str):
+    from .scenario import scenario_from_json_dict
+
     with open(path) as fh:
         doc = json.load(fh)
     return scenario_from_json_dict(doc)
 
 
 def cmd_validate(args) -> int:
+    from .scenario import (
+        NotPreSeparableError,
+        NotSeparableError,
+        build_index_sets,
+        factor_readings,
+        is_i_dominant,
+        is_i_radiative,
+        is_j_harmonious,
+        is_strongly_i_dominant,
+        separate,
+        sensor_status,
+        validate_scenario,
+    )
+
     s = _load_scenario(args.scenario)
     report = validate_scenario(s, args.tol)
     print(f"scenario: N={s.N} sensors, M={s.M} parameters, K={s.K} times, n={s.n}")
@@ -155,6 +158,21 @@ def cmd_validate(args) -> int:
 
 
 def cmd_theorems(args) -> int:
+    from .mappings import (
+        verify_basis_mapping,
+        verify_frame_mapping,
+        verify_projective_frame,
+        verify_strong_dominance_frame,
+    )
+    from .scenario import (
+        NotPreSeparableError,
+        NotSeparableError,
+        build_index_sets,
+        factor_readings,
+        separate,
+        validate_scenario,
+    )
+
     s = _load_scenario(args.scenario)
     failed = None if args.fail_sensor is None else args.fail_sensor - 1
     if failed is not None and not 0 <= failed < s.N:
@@ -202,11 +220,13 @@ def cmd_theorems(args) -> int:
     return EXIT_OK if ok else EXIT_DOMAIN
 
 
-def _check_run(sim: turbine.SimConfig, fleet, conditions, samples_key: str,
-               snrs, snr_key: str) -> None:
+def _check_run(sim: SimConfig, fleet, conditions, samples_key: str, snrs, snr_key: str) -> None:
     """Refuse, before any output, work that cannot run: a fleet line off the DFT
     grid, a dataset of more than ``MAX_HEALTH_VALUES_PER_DATASET`` values, or a
-    fault multiplier or SNR giving healths up to ``MAX_HEALTH`` or no noise level."""
+    fault multiplier or SNR giving healths up to ``turbine.MAX_HEALTH`` or no
+    noise level."""
+    from . import turbine
+
     try:
         bins = turbine.fleet_line_bins(fleet, sim)
     except ValueError as err:
@@ -217,11 +237,12 @@ def _check_run(sim: turbine.SimConfig, fleet, conditions, samples_key: str,
             f"config key {samples_key!r}: {sim.samples_per_state} samples give {values} "
             f"health values per dataset, more than {MAX_HEALTH_VALUES_PER_DATASET}"
         )
-    if turbine.health_bound(fleet, sim, conditions) >= MAX_HEALTH:
+    if turbine.health_bound(fleet, sim, conditions) >= turbine.MAX_HEALTH:
         raise ValueError("config key 'fault_multiplier': summed healths could overflow float64")
     try:
         for snr_db in snrs:
-            if turbine.health_bound(fleet, replace(sim, snr_db=snr_db), conditions) >= MAX_HEALTH:
+            bound = turbine.health_bound(fleet, replace(sim, snr_db=snr_db), conditions)
+            if bound >= turbine.MAX_HEALTH:
                 raise ValueError(f"snr_db {snr_db}: summed healths could overflow float64")
     except ValueError as err:
         raise ValueError(f"{snr_key}: {err}") from None
@@ -235,6 +256,8 @@ def load_plan(path: str | None, seed: int | None, snr_range: str | None = None) 
     """Load a config, apply ``--seed`` and ``--snr-range``, and build and check all that
     ``generate``, ``detect`` and ``sweep`` use: a config is valid for all three or none.
     ``datasets`` holds ``(key, run config, conditions)`` per dataset, calibration first."""
+    from . import detector, turbine
+
     cfg = dict(CONFIG_DEFAULTS)
     if path is not None:
         with open(path) as fh:
@@ -285,6 +308,8 @@ def load_plan(path: str | None, seed: int | None, snr_range: str | None = None) 
 
 
 def cmd_generate(args) -> int:
+    from . import turbine
+
     plan = load_plan(args.config, args.seed)
     out = Path(args.out)
     echo_config(plan.cfg, out)
@@ -300,6 +325,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from . import detector, turbine
+
     plan = load_plan(args.config, args.seed)
     out = Path(args.out)
     data_root = Path(args.data) if args.data else None
@@ -350,6 +377,8 @@ def _snr_grid(lo: float, hi: float, step: float) -> list:
 
 
 def cmd_sweep(args) -> int:
+    from . import detector
+
     plan = load_plan(args.config, args.seed, args.snr_range)
     out = Path(args.out)
     echo_config(plan.cfg, out)
@@ -421,7 +450,47 @@ def _normalize_argv(argv):
     return out
 
 
+def _report(err: Exception) -> int:
+    """Print a command's error on stderr and return its exit code."""
+    # A layer's error class is looked up, not imported: a layer that is not loaded raised none.
+    detector = sys.modules.get(f"{__package__}.detector")
+    scenario = sys.modules.get(f"{__package__}.scenario")
+    if detector is not None and isinstance(err, detector.CalibrationError):
+        print(f"calibration error: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
+    if scenario is not None and isinstance(err, scenario.UncoverableIndexError):
+        # a well-formed scenario no sensor covers
+        print(f"domain error: health coordinates {[i + 1 for i in err.indices]} are silent "
+              "for every sensor", file=sys.stderr)
+        return EXIT_DOMAIN
+    if isinstance(err, json.JSONDecodeError):
+        print(f"parse error: {err}", file=sys.stderr)
+    elif isinstance(err, FileNotFoundError):
+        print(f"file not found: {err.filename}", file=sys.stderr)
+    else:
+        print(f"error: {err}", file=sys.stderr)
+    return EXIT_IO
+
+
+_freezes_at_exit = False
+
+
+def _freeze_at_exit() -> None:
+    """Have the interpreter's exit-time collections skip what is alive at exit.
+
+    ``gc.freeze`` at exit moves every tracked object to the permanent
+    generation, so the final collections do not walk the objects numpy and
+    the layers made, which the OS reclaims anyway.  Atexit handlers, stream
+    flushes and module teardown still run.  Registered once per process.
+    """
+    global _freezes_at_exit
+    if not _freezes_at_exit:
+        atexit.register(gc.freeze)
+        _freezes_at_exit = True
+
+
 def main(argv=None) -> int:
+    _freeze_at_exit()
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_normalize_argv(list(argv)))
@@ -429,22 +498,8 @@ def main(argv=None) -> int:
         # A value so extreme that float64 arithmetic overflows exits 2, not with inf results.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
-    except detector.CalibrationError as err:
-        print(f"calibration error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except UncoverableIndexError as err:  # a well-formed scenario no sensor covers
-        print(f"domain error: health coordinates {[i + 1 for i in err.indices]} are silent "
-              "for every sensor", file=sys.stderr)
-        return EXIT_DOMAIN
-    except json.JSONDecodeError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except FileNotFoundError as err:
-        print(f"file not found: {err.filename}", file=sys.stderr)
-        return EXIT_IO
     except (ValueError, OSError, FloatingPointError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+        return _report(err)
 
 
 if __name__ == "__main__":

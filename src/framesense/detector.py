@@ -15,13 +15,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import turbine
-from .mappings import basis_map, frame_map
-from .scenario import HealthMap, IndexAssignment
 from .turbine import SENSORS, Dataset, SimConfig
+
+if TYPE_CHECKING:
+    from .scenario import IndexAssignment
 
 PIPELINES = ("basis", "frame")
 VERDICTS = ("normal", "fault", "failure")
@@ -30,13 +32,6 @@ VERDICTS = ("normal", "fault", "failure")
 SENSOR_CONDITIONS = {"good": frozenset(), "s1_failed": frozenset({0})}
 
 NORMAL_ONLY = (("normal", turbine.normal_fleet_state()),)
-
-# Noise levels of the fixed-condition runs, on the sweep's SNR scale.  Low
-# noise keeps every detection contract comfortably clean; high noise leaves
-# the selection pipeline working while the magnitude-sum pipeline's noise
-# floor starts to swallow dead-engine evidence.
-LOW_NOISE_SNR_DB = 18.0
-HIGH_NOISE_SNR_DB = 8.0
 
 
 class CalibrationError(ValueError):
@@ -55,6 +50,8 @@ class DetectorThresholds:
 
 
 def _health_assignment(n_coords: int) -> IndexAssignment:
+    from .scenario import IndexAssignment
+
     per = n_coords // SENSORS
     owned = tuple(
         tuple(range(j * per, (j + 1) * per)) for j in range(SENSORS)
@@ -65,6 +62,9 @@ def _health_assignment(n_coords: int) -> IndexAssignment:
 
 def map_healths(healths: np.ndarray, kind: str) -> np.ndarray:
     """Fuse per-sensor health images ``(..., SENSORS, n)`` into detector inputs ``(..., n)``."""
+    from .mappings import basis_map, frame_map
+    from .scenario import HealthMap
+
     healths = np.asarray(healths)
     n = healths.shape[-1]
     identity = HealthMap.identity(n)

@@ -105,6 +105,13 @@ class HealthMap:
         return v @ self.matrix.T
 
 
+def _int_set(indices) -> frozenset:
+    """``indices`` as a frozenset of ints, kept as it is when it already is one."""
+    if type(indices) is frozenset and set(map(type, indices)) <= {int}:
+        return indices
+    return frozenset(map(int, indices))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Parameters, sensors, times, covering/partition, readings, health map.
@@ -123,12 +130,8 @@ class Scenario:
         if r.ndim != 3:
             raise ValueError("readings must have shape (N, K, M)")
         object.__setattr__(self, "readings", r)
-        object.__setattr__(
-            self, "covering", tuple(frozenset(map(int, t)) for t in self.covering)
-        )
-        object.__setattr__(
-            self, "partition", tuple(frozenset(map(int, s)) for s in self.partition)
-        )
+        object.__setattr__(self, "covering", tuple(map(_int_set, self.covering)))
+        object.__setattr__(self, "partition", tuple(map(_int_set, self.partition)))
         if len(self.covering) != r.shape[0] or len(self.partition) != r.shape[0]:
             raise ValueError("need one covering and one partition set per sensor")
 
@@ -300,9 +303,10 @@ def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> Factorization:
     """
     check_tol(tol)
     r = s.readings
-    scale = max(1.0, float(np.max(np.abs(r)))) if r.size else 1.0
     nz = np.flatnonzero(np.any(r != 0, axis=(0, 1)))
-    u, sv, vh = np.linalg.svd(r[:, :, nz].transpose(2, 0, 1), full_matrices=False)
+    signal = r[:, :, nz]  # max|r| is over these: every other reading is 0
+    scale = max(1.0, float(np.max(np.abs(signal)))) if nz.size else 1.0
+    u, sv, vh = np.linalg.svd(signal.transpose(2, 0, 1), full_matrices=False)
     u0, top_sv, vh0 = u[:, :, 0], sv[:, 0], vh[:, 0, :]  # (F, N), (F,), (F, K)
     live = top_sv > tol * scale  # a silent parameter keeps both factors zero
     if sv.shape[1] > 1:

@@ -19,7 +19,9 @@ command reads the 28 line bins alone, so only those bins are simulated.
 
 Dataset generation is deterministic: each sample's noise comes from a
 counter-based generator keyed on (seed, condition, sample), so parallel and
-serial runs agree byte for byte.
+serial runs agree byte for byte.  The draw is batched per condition: one
+Philox generator, re-keyed per sample through its ``state``, fills a
+``(samples, 2, 4, 28)`` buffer, and one array step takes the magnitudes.
 
 A saved dataset directory holds ``health.csv`` (the healths as shortest
 round-trip decimals, for people and other tools), ``health.npy`` (the same
@@ -33,15 +35,21 @@ from __future__ import annotations
 import io
 import json
 import numbers
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .scenario import HealthMap, Scenario
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 LINES_PER_ENGINE = 7
 SENSORS = 4
+# Every health must stay below this bound: the frame pipeline sums healths over
+# the sensors, and the half leaves room for rounding.
+MAX_HEALTH = sys.float_info.max / 2 / SENSORS
 
 # Calibration constant of the SNR scale: at snr_db = 0 the weakest line's
 # DFT magnitude sits this many dB above the per-component noise level in its
@@ -280,12 +288,17 @@ def engine1_conditions(fault_gear: int = 1, fault_multiplier: float = 12.0) -> t
 STANDARD_NORMAL_MAX = 12.5
 
 
-def _sample_rng(seed: int, condition: int, sample: int) -> np.random.Generator:
-    key = np.array(
+def _sample_key(seed: int, condition: int, sample: int) -> np.ndarray:
+    """The Philox key of sample ``sample`` of condition ``condition``."""
+    return np.array(
         [seed & (2**64 - 1), ((condition & 0xFFFFFFFF) << 32) | (sample & 0xFFFFFFFF)],
         dtype=np.uint64,
     )
-    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _sample_rng(seed: int, condition: int, sample: int) -> np.random.Generator:
+    """The generator of one sample's noise, as ``generate_dataset`` draws it."""
+    return np.random.Generator(np.random.Philox(key=_sample_key(seed, condition, sample)))
 
 
 @dataclass
@@ -322,14 +335,22 @@ def generate_dataset(fleet, mixing, cfg: SimConfig, conditions) -> Dataset:
     sigma = resolve_sigma(cfg, fleet)
     scale = sigma * np.sqrt(cfg.dft_size / 2)
     healths = np.empty((len(conditions), cfg.samples_per_state, SENSORS, bins.size))
+    z = np.empty((cfg.samples_per_state, 2, SENSORS, bins.size))
+    bitgen = np.random.Philox(key=_sample_key(cfg.rng_seed, 0, 0))
+    rng = np.random.Generator(bitgen)
+    # A freshly keyed state (counter 0, empty buffer): each sample re-keyed to it
+    # draws exactly what its own ``_sample_rng`` generator would.
+    keyed = bitgen.state
     for c, (_, states) in enumerate(conditions):
         lines = line_spectrum(fleet, states, mixing, cfg)
         if sigma == 0:
             healths[c] = np.abs(lines)
             continue
         for m in range(cfg.samples_per_state):
-            z = _sample_rng(cfg.rng_seed, c, m).standard_normal((2, SENSORS, bins.size))
-            healths[c, m] = np.abs(lines + scale * (z[0] + 1j * z[1]))
+            keyed["state"]["key"] = _sample_key(cfg.rng_seed, c, m)
+            bitgen.state = keyed
+            rng.standard_normal(out=z[m])
+        healths[c] = np.abs(lines + scale * (z[:, 0] + 1j * z[:, 1]))
     healths[:, :, sorted(cfg.failed_sensors)] = 0.0
     return Dataset(
         healths=healths,
@@ -504,6 +525,8 @@ def dataset_scenario(fleet, mixing, cfg: SimConfig, fleet_states_per_time) -> Sc
     and the health map selects the 28 line bins.  A cfg with ``snr_db`` set
     is a ValueError: a noisy spectrum is simulated at the line bins only.
     """
+    from .scenario import HealthMap, Scenario
+
     if cfg.snr_db is not None:
         raise ValueError("dataset_scenario builds noise-free spectra; cfg.snr_db must be None")
     bins = fleet_line_bins(fleet, cfg)

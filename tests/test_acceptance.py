@@ -351,7 +351,7 @@ def condition_report():
     calib = detector.calibration_dataset(FLEET, mix, cfg)
     baselines = {k: detector.calibrate(calib, k) for k in detector.PIPELINES}
     start = time.time()
-    levels = {"low": detector.LOW_NOISE_SNR_DB, "high": detector.HIGH_NOISE_SNR_DB}
+    levels = cli.CONFIG_DEFAULTS["noise_levels"]
     conditions = turbine.engine1_conditions()
     grid = {
         key: turbine.generate_dataset(FLEET, mix, run_cfg, conditions)

@@ -1,5 +1,9 @@
+import atexit
+import gc
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framesense import cli, detector, turbine
+from framesense import cli, detector, scenario, turbine
 from framesense.scenario import MAX_READINGS, scenario_from_json_dict, scenario_to_json_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -502,7 +506,7 @@ class TestTheorems:
         def unreached(*args):
             raise AssertionError("validation ran before the --fail-sensor range check")
 
-        monkeypatch.setattr(cli, "validate_scenario", unreached)
+        monkeypatch.setattr(scenario, "validate_scenario", unreached)
         out = tmp_path / "o"
         for j in ("0", "4"):
             assert cli.main(["theorems", HARMONIOUS, "--out", str(out), "--fail-sensor", j]) == 2
@@ -763,7 +767,7 @@ class TestGenerateDetectSweep:
         # pipeline sums it over all four.
         fleet, sim = turbine.default_fleet(), turbine.SimConfig(samples_per_state=1)
         gear_line = fleet[0].line_amplitudes[4] * sim.dft_size / 2
-        edge = cli.MAX_HEALTH / gear_line * (1 - 1e-9)
+        edge = turbine.MAX_HEALTH / gear_line * (1 - 1e-9)
         conditions = turbine.engine1_conditions(1, edge)
         cli._check_run(sim, fleet, conditions, "samples_per_state", [], "")
         ds = turbine.generate_dataset(fleet, turbine.mixing_matrix(1.0), sim, conditions)
@@ -914,6 +918,90 @@ def test_module_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert "validity: OK" in proc.stdout
+
+
+# What the ``framesense`` console script runs.
+CLI_ENTRY = "import sys; from framesense.cli import main; sys.exit(main())"
+# The same, with an atexit handler registered before main's that reports on
+# stderr the framesense modules the run loaded; it must still run at exit.
+CLI_LOADED = (
+    "import atexit, sys; atexit.register(lambda: print(sorted("
+    "m for m in sys.modules if m.startswith('framesense.')), file=sys.stderr)); "
+    "from framesense.cli import main; sys.exit(main())"
+)
+ALL_LAYERS = ["cli", "detector", "frames", "mappings", "scenario", "turbine"]
+
+
+def run_process(code, args, cwd):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, cwd=cwd, env=env)
+
+
+class TestProcess:
+    """Commands run as the console script runs them: each in a fresh process."""
+
+    def test_each_command_loads_only_its_layers(self, tmp_path):
+        (tmp_path / "c.json").write_text(json.dumps(SMALL_CONFIG))
+        dataset_args = ["--config", "c.json", "--seed", "3"]
+        commands = [
+            (["validate", HARMONIOUS], ["cli", "frames", "scenario"]),
+            (["theorems", HARMONIOUS, "--out", "t"], ["cli", "frames", "mappings", "scenario"]),
+            (["generate", *dataset_args, "--out", "g"], ["cli", "detector", "frames", "turbine"]),
+            (["detect", *dataset_args, "--data", "g", "--out", "d"], ALL_LAYERS),
+            (["sweep", *dataset_args, "--snr-range", "-2:0:1", "--out", "s"], ALL_LAYERS),
+        ]
+        for args, layers in commands:
+            proc = run_process(CLI_LOADED, args, tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            loaded = proc.stderr.splitlines()[-1]
+            assert loaded == repr([f"framesense.{layer}" for layer in layers]), args[0]
+
+    def test_process_outputs_match_in_process_runs(self, tmp_path, capsys, monkeypatch):
+        # The exit-time gc.freeze must not cost a byte of output or a flushed line.
+        (tmp_path / "c.json").write_text(json.dumps(SMALL_CONFIG))
+        commands = [
+            ["generate", "--config", "../c.json", "--seed", "7", "--out", "g"],
+            ["detect", "--config", "../c.json", "--seed", "7", "--data", "g", "--out", "d"],
+            ["theorems", HARMONIOUS, "--out", "t", "--fail-sensor", "1"],
+        ]
+        runs = {}
+        for name in ("process", "in_process"):
+            work = tmp_path / name
+            work.mkdir()
+            outs = []
+            for args in commands:
+                if name == "process":
+                    proc = run_process(CLI_ENTRY, args, work)
+                    outs.append((proc.returncode, proc.stdout, proc.stderr))
+                else:
+                    monkeypatch.chdir(work)
+                    code = cli.main(args)
+                    outs.append((code, *capsys.readouterr()))
+            files = {str(p.relative_to(work)): p.read_bytes()
+                     for p in sorted(work.rglob("*")) if p.is_file()}
+            runs[name] = (outs, files)
+        outs, files = runs["process"]
+        assert [code for code, _, _ in outs] == [0, 0, 0]
+        manifests = [name for name in files if name.endswith("manifest.json")]
+        assert len(manifests) == 5
+        for name in manifests:
+            recorded = json.loads(files[name])["files"]["sha256"]
+            folder = name.rsplit("/", 1)[0]
+            for health, digest in recorded.items():
+                assert hashlib.sha256(files[f"{folder}/{health}"]).hexdigest() == digest
+        assert any(name.startswith("t/theorem_") for name in files)
+        assert runs["process"] == runs["in_process"]
+
+    def test_main_never_freezes_and_registers_its_exit_hook_once(self, capsys):
+        argv = ["validate", HARMONIOUS]
+        assert cli.main(argv) == 0
+        hooks = atexit._ncallbacks()
+        for _ in range(3):
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert atexit._ncallbacks() == hooks
+        assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
 def test_parse_snr_range_inclusive(tmp_path):

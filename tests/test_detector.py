@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from framesense import detector, turbine
+from framesense.cli import CONFIG_DEFAULTS
 from framesense.detector import (
-    HIGH_NOISE_SNR_DB,
-    LOW_NOISE_SNR_DB,
     CalibrationError,
     DetectorThresholds,
     calibrate,
@@ -41,7 +40,7 @@ def baselines():
 @pytest.fixture(scope="module")
 def grid():
     """The ``detect`` grid at the default noise levels, 4 samples per state."""
-    levels = {"low": LOW_NOISE_SNR_DB, "high": HIGH_NOISE_SNR_DB}
+    levels = CONFIG_DEFAULTS["noise_levels"]
     conditions = turbine.engine1_conditions()
     return {
         key: turbine.generate_dataset(FLEET, MIX, run_cfg, conditions)

@@ -456,6 +456,20 @@ class TestGeneration:
         b = generate_dataset(FLEET, mixing_matrix(0.1), cfg2, turbine.engine1_conditions())
         assert not np.array_equal(a.healths, b.healths)
 
+    def test_batched_draw_matches_per_sample_generators(self):
+        # Every sample of every condition, bit for bit, against its own _sample_rng.
+        cfg = SimConfig(samples_per_state=5, snr_db=-3.0, rng_seed=2**64 + 11,
+                        failed_sensors=frozenset({2}))
+        mixing, conditions = mixing_matrix(0.4), turbine.engine1_conditions(2, 7.0)
+        healths = generate_dataset(FLEET, mixing, cfg, conditions).healths
+        sigma = resolve_sigma(cfg, FLEET)
+        for c, (_, states) in enumerate(conditions):
+            lines = line_spectrum(FLEET, states, mixing, cfg)
+            for m in range(cfg.samples_per_state):
+                expected = np.abs(lines + drawn_line_noise(cfg, sigma, c, m))
+                expected[2] = 0.0
+                assert np.array_equal(healths[c, m], expected), (c, m)
+
     def test_zero_noise_healths_constant_across_samples(self):
         ds = generate_dataset(FLEET, mixing_matrix(0.1), CFG, turbine.engine1_conditions())
         spread = np.max(np.abs(ds.healths - ds.healths[:, :1]))
