@@ -1,11 +1,13 @@
 """Command-line surface: validate, theorems, generate, detect, sweep.
 
-Every run is driven by one JSON config file; defaults are embedded here and
-the fully resolved config is echoed into the output directory so result
-files are self-describing.  ``generate``, ``detect`` and ``sweep`` build all
-they use from one plan, ``load_plan``, which checks every config key before
-any output.  Exit codes: 0 success, 1 domain violation (invalid scenario, or
-a demanded conclusion failed), 2 I/O or parse error or float64 overflow.
+Every run is driven by one JSON config file; ``config_defaults`` gives every
+key's default, and the fully resolved config is echoed into the output
+directory so result files are self-describing.  ``generate``, ``detect`` and
+``sweep`` build all they use from one plan, ``load_plan``, which checks every
+config key before any output.  ``generate`` writes its datasets in one
+process per available CPU.  Exit codes: 0 success, 1 domain violation
+(invalid scenario, or a demanded conclusion failed), 2 I/O or parse error or
+float64 overflow.
 
 Each command imports the layers it runs, when it runs: besides ``frames``,
 ``validate`` loads ``scenario``, ``theorems`` ``scenario`` and ``mappings``,
@@ -19,8 +21,11 @@ import atexit
 import gc
 import json
 import math
+import os
+import pickle
 import re
 import sys
+import warnings
 from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
@@ -37,16 +42,13 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
 
-CONFIG_DEFAULTS = {
-    "dft_size": 8192,
-    "sample_rate": 32768.0,
+# The config keys whose defaults only the CLI defines; ``config_defaults`` adds
+# those of ``turbine.SimConfig`` and ``detector.DetectorThresholds``.
+_CLI_DEFAULTS = {
     "samples_per_state": 256,
-    "rng_seed": 20260808,
     "mixing_off_diagonal": 0.1,
     "fault_gear": 1,
     "fault_multiplier": 12.0,
-    "fault_hi": 2.0,
-    "dead_lo": 0.18,
     # Noise levels of the fixed-condition runs, on the sweep's SNR scale.  Low
     # noise keeps every detection contract comfortably clean; high noise leaves
     # the selection pipeline working while the magnitude-sum pipeline's noise
@@ -65,6 +67,23 @@ CONFIG_DEFAULTS = {
 # exit code does not depend on the machine.
 MAX_HEALTH_VALUES_PER_DATASET = 2**25  # 256 MiB of float64
 MAX_SWEEP_POINTS = 10_000
+
+
+def config_defaults() -> dict:
+    """Every config key with its default.  The simulator's and the detector's are
+    read from their dataclasses, so each default has one definition."""
+    from .detector import DetectorThresholds
+    from .turbine import SimConfig
+
+    sim, thresholds = SimConfig(), DetectorThresholds()
+    return {
+        "dft_size": sim.dft_size,
+        "sample_rate": sim.sample_rate,
+        "rng_seed": sim.rng_seed,
+        "fault_hi": thresholds.fault_hi,
+        "dead_lo": thresholds.dead_lo,
+        **_CLI_DEFAULTS,
+    }
 
 
 def _is_number(value) -> bool:
@@ -258,20 +277,21 @@ def load_plan(path: str | None, seed: int | None, snr_range: str | None = None) 
     ``datasets`` holds ``(key, run config, conditions)`` per dataset, calibration first."""
     from . import detector, turbine
 
-    cfg = dict(CONFIG_DEFAULTS)
+    defaults = config_defaults()
+    cfg = dict(defaults)
     if path is not None:
         with open(path) as fh:
             user = json.load(fh)
         if not isinstance(user, dict):
             raise ValueError("config must be a JSON object")
-        unknown = set(user) - set(CONFIG_DEFAULTS)
+        unknown = set(user) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in user.items():
-            if not _has_default_type(value, CONFIG_DEFAULTS[key]):
+            if not _has_default_type(value, defaults[key]):
                 raise ValueError(
                     f"config key {key!r}: {value!r} does not have the type of "
-                    f"its default {CONFIG_DEFAULTS[key]!r}"
+                    f"its default {defaults[key]!r}"
                 )
         # Level names become dataset directory names and results.csv columns.
         for name in user.get("noise_levels", {}):
@@ -307,19 +327,110 @@ def load_plan(path: str | None, seed: int | None, snr_range: str | None = None) 
     return Plan(cfg, fleet, thresholds, mixing, datasets, sweep_mixing, sweep_sim, snr_grid)
 
 
-def cmd_generate(args) -> int:
+def _write_share(plan: Plan, out: Path, indices) -> tuple:
+    """Generate and save the datasets at ``indices`` of ``plan.datasets``, in order,
+    stopping at the first that fails.  Returns ``({index: (path, samples)}, failure)``,
+    ``failure`` being ``(index, exception)`` or None."""
     from . import turbine
 
+    written = {}
+    for index in indices:
+        key, run_cfg, conditions = plan.datasets[index]
+        try:
+            ds = turbine.generate_dataset(plan.fleet, plan.mixing, run_cfg, conditions)
+            path = turbine.save_dataset(ds, out / "datasets" / "_".join(key))
+        except Exception as err:  # carried to the parent, which raises it
+            return written, (index, err)
+        written[index] = (path, ds.healths.shape[0] * ds.healths.shape[1])
+    return written, None
+
+
+def _fork_share(plan: Plan, out: Path, indices) -> tuple:
+    """Fork a child that runs ``_write_share`` on ``indices`` and sends its result
+    back, pickled, through a pipe.  Returns ``(pid, read end of the pipe)``."""
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads forks, and after
+            # ``import numpy`` OpenBLAS keeps a pool thread.  The child makes no
+            # BLAS call (``line_spectrum``, the Philox draw, ``np.save`` and
+            # sha256 are elementwise or I/O), and OpenBLAS resets its pool in a
+            # forked child.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    # The child prints nothing and always leaves through os._exit, so it never
+    # returns into main's caller nor runs the parent's atexit handlers.
+    code = 1
+    try:
+        os.close(read)
+        result = _write_share(plan, out, indices)
+        with open(write, "wb") as fh:
+            fh.write(pickle.dumps(result))
+        code = 0 if result[1] is None else 1
+    finally:
+        os._exit(code)
+
+
+def _collect(pid: int, read: int, indices) -> tuple:
+    """Read and reap a child of ``_fork_share``: its ``_write_share`` result or,
+    when it left none, a failure at the first dataset of its share."""
+    try:
+        with open(read, "rb") as fh:
+            data = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if data and code in (0, 1):
+        return pickle.loads(data)
+    return {}, (indices[0], ChildProcessError(
+        f"dataset worker {pid} exited with status {code} and no result"))
+
+
+def cmd_generate(args) -> int:
     plan = load_plan(args.config, args.seed)
     out = Path(args.out)
     echo_config(plan.cfg, out)
+    # One worker per CPU this process may run on, at most one per dataset.
+    # Dataset i is written by worker i % workers.  The parent is worker 0, and
+    # with one worker it forks nothing.  A dataset's bytes depend only on its
+    # run config, so every worker count writes the same files.
+    n = len(plan.datasets)
+    workers = min(len(os.sched_getaffinity(0)), n) if hasattr(os, "sched_getaffinity") else 1
+    shares = [range(worker, n, workers) for worker in range(workers)]
+    (out / "datasets").mkdir(exist_ok=True)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (pid, read end of its result pipe, its share)
+    try:
+        for share in shares[1:]:
+            children.append((*_fork_share(plan, out, share), share))
+        own = _write_share(plan, out, shares[0])
+    finally:
+        others = [_collect(*child) for child in children]
+    written, failures = {}, []
+    for done, failure in [own, *others]:
+        written.update(done)
+        if failure is not None:
+            failures.append(failure)
+    # Report as one worker would: the datasets before the first failure in
+    # plan order, then that failure.  Datasets after it may have been written.
+    stop, error = min(failures, key=lambda failure: failure[0], default=(n, None))
     total = 0
-    for key, run_cfg, conditions in plan.datasets:
-        ds = turbine.generate_dataset(plan.fleet, plan.mixing, run_cfg, conditions)
-        path = turbine.save_dataset(ds, out / "datasets" / "_".join(key))
-        if key != CALIBRATION:
-            total += ds.healths.shape[0] * ds.healths.shape[1]
-            print(f"wrote {path} ({ds.healths.shape[0] * ds.healths.shape[1]} samples)")
+    for index in range(stop):
+        path, samples = written[index]
+        if plan.datasets[index][0] != CALIBRATION:
+            total += samples
+            print(f"wrote {path} ({samples} samples)")
+    if error is not None:
+        raise error
     print(f"total labeled samples: {total}")
     return EXIT_OK
 

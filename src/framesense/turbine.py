@@ -19,9 +19,11 @@ command reads the 28 line bins alone, so only those bins are simulated.
 
 Dataset generation is deterministic: each sample's noise comes from a
 counter-based generator keyed on (seed, condition, sample), so parallel and
-serial runs agree byte for byte.  The draw is batched per condition: one
-Philox generator, re-keyed per sample through its ``state``, fills a
-``(samples, 2, 4, 28)`` buffer, and one array step takes the magnitudes.
+serial runs agree byte for byte: ``cli.cmd_generate`` writes its datasets in
+one process per CPU, and every process count gives the same bytes.  The draw
+is batched per condition: one Philox generator, re-keyed per sample through
+its ``state``, fills a ``(samples, 2, 4, 28)`` buffer, and one array step
+takes the magnitudes.
 
 A saved dataset directory holds ``health.csv`` (the healths as shortest
 round-trip decimals, for people and other tools), ``health.npy`` (the same

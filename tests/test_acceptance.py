@@ -351,7 +351,7 @@ def condition_report():
     calib = detector.calibration_dataset(FLEET, mix, cfg)
     baselines = {k: detector.calibrate(calib, k) for k in detector.PIPELINES}
     start = time.time()
-    levels = cli.CONFIG_DEFAULTS["noise_levels"]
+    levels = cli.config_defaults()["noise_levels"]
     conditions = turbine.engine1_conditions()
     grid = {
         key: turbine.generate_dataset(FLEET, mix, run_cfg, conditions)
@@ -398,7 +398,7 @@ def test_c8_snr_sweep(tmp_path):
     """21-point SNR sweep on normal data, 128 samples per point."""
     failures = []
     start = time.time()
-    mix = turbine.mixing_matrix(cli.CONFIG_DEFAULTS["sweep_mixing_off_diagonal"])
+    mix = turbine.mixing_matrix(cli.config_defaults()["sweep_mixing_off_diagonal"])
     cfg = turbine.SimConfig(samples_per_state=128)
     points = detector.snr_sweep(FLEET, mix, cfg, list(range(-20, 1)), TH)
     elapsed = time.time() - start

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -856,7 +857,7 @@ class TestGenerateDetectSweep:
     def test_config_echoed_with_write_spectra_exits_2(self, tmp_path, capsys):
         # Configs echoed before spectra files were dropped must drop the key.
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({**cli.CONFIG_DEFAULTS, "write_spectra": False}))
+        path.write_text(json.dumps({**cli.config_defaults(), "write_spectra": False}))
         assert "'write_spectra'" in refused_by_all(tmp_path, capsys, str(path))
 
     def test_detect_results_contract(self, tmp_path):
@@ -1002,6 +1003,143 @@ class TestProcess:
         capsys.readouterr()
         assert atexit._ncallbacks() == hooks
         assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+# The benchmark's generate config, and one with three noise levels: 7 datasets.
+BENCH_CONFIG = {"samples_per_state": 64, "rng_seed": 3, "dft_size": 8192,
+                "mixing_off_diagonal": 0.1}
+THREE_LEVELS = {"samples_per_state": 8,
+                "noise_levels": {"low": 18.0, "mid": 12.0, "high": 8.0}}
+
+
+def tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelGenerate:
+    """``generate`` writes its datasets in one process per available CPU."""
+
+    def run(self, tmp_path, monkeypatch, capsys, workers, config, name, blocked=()):
+        """``generate`` in ``tmp_path/name`` with ``workers`` CPUs available, the
+        datasets ``blocked`` replaced by plain files: (exit code, stdout, stderr, files)."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        work = tmp_path / name
+        (work / "g" / "datasets").mkdir(parents=True)
+        for dataset in blocked:
+            (work / "g" / "datasets" / dataset).write_text("")
+        (work / "c.json").write_text(json.dumps(config))
+        monkeypatch.chdir(work)
+        code = cli.main(["generate", "--config", "c.json", "--seed", "11", "--out", "g"])
+        assert_no_children()
+        return (code, *capsys.readouterr(), tree(work / "g"))
+
+    @pytest.mark.parametrize("config, datasets", [(BENCH_CONFIG, 5), (THREE_LEVELS, 7)])
+    def test_every_worker_count_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys,
+                                                       config, datasets):
+        runs = [self.run(tmp_path, monkeypatch, capsys, workers, config, f"w{workers}")
+                for workers in (1, 2, 3)]
+        code, out, err, files = runs[0]
+        assert (code, err) == (0, "")
+        assert out.count("wrote ") == datasets - 1
+        assert len([name for name in files if name.endswith("manifest.json")]) == datasets
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("affinity", ["one_cpu", "absent"])
+    def test_one_worker_never_forks(self, tmp_path, monkeypatch, capsys, affinity):
+        def no_fork():
+            raise AssertionError("forked with one worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        if affinity == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        (tmp_path / "c.json").write_text(json.dumps(SMALL_CONFIG))
+        argv = ["generate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "g")]
+        assert cli.main(argv) == 0
+        assert "total labeled samples: 48" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("blocked", [
+        ["good_low"], ["s1_failed_low"], ["good_low", "good_high"],
+    ])
+    def test_failure_reads_as_the_serial_run(self, tmp_path, monkeypatch, capsys, blocked):
+        # With 2 workers good_low and s1_failed_low are the child's, good_high the
+        # parent's; the first blocked dataset in plan order is reported.
+        runs = [self.run(tmp_path, monkeypatch, capsys, workers, SMALL_CONFIG, f"w{workers}",
+                         blocked)
+                for workers in (1, 2, 3)]
+        code, out, err, _ = runs[0]
+        assert code == 2
+        assert err == f"error: [Errno 17] File exists: 'g/datasets/{blocked[0]}'\n"
+        assert all(run[:3] == runs[0][:3] for run in runs)
+        if blocked == ["s1_failed_low"]:
+            assert out == ("wrote g/datasets/good_low (12 samples)\n"
+                           "wrote g/datasets/good_high (12 samples)\n")
+
+    def test_a_child_that_dies_is_an_io_error(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        write_share = cli._write_share
+
+        def dies_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return write_share(*args)
+
+        monkeypatch.setattr(cli, "_write_share", dies_in_child)
+        code, out, err, _ = self.run(tmp_path, monkeypatch, capsys, 2, SMALL_CONFIG, "w2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: dataset worker ")
+        assert err.endswith(" exited with status 3 and no result\n")
+
+    def test_only_the_fork_warning_is_ignored(self, tmp_path, monkeypatch, capsys):
+        # Python 3.12+ warns on forking a process with threads; tests run with
+        # warnings as errors, so an unfiltered warning would fail the fork.
+        fork = os.fork
+
+        def warning_fork(message):
+            def forks():
+                warnings.warn(message, DeprecationWarning, stacklevel=2)
+                return fork()
+            return forks
+
+        monkeypatch.setattr(os, "fork", warning_fork(
+            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead "
+            "to deadlocks in the child."))
+        assert self.run(tmp_path, monkeypatch, capsys, 2, SMALL_CONFIG, "a")[0] == 0
+        monkeypatch.setattr(os, "fork", warning_fork("another deprecation"))
+        with pytest.raises(DeprecationWarning, match="another deprecation"):
+            self.run(tmp_path, monkeypatch, capsys, 2, SMALL_CONFIG, "b")
+        assert_no_children()
+
+    def test_a_forked_child_never_returns_to_the_caller(self, tmp_path, monkeypatch, capsys):
+        # Without OPENBLAS_NUM_THREADS, OpenBLAS's pool thread is alive at the
+        # fork; unbuffered output is off, so "before" sits in the buffer then.
+        (tmp_path / "c.json").write_text(json.dumps(SMALL_CONFIG))
+        argv = ["generate", "--config", "../c.json", "--seed", "5", "--out", "g"]
+        code = ("from framesense.cli import main; print('before'); "
+                f"rc = main({argv!r}); print('after', rc)")
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
+        env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
+        (tmp_path / "process").mkdir()
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                              text=True, cwd=tmp_path / "process", env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert lines.count("before") == 1 and lines.count("after 0") == 1
+        assert lines[-1] == "after 0"
+        (tmp_path / "in_process").mkdir()
+        monkeypatch.chdir(tmp_path / "in_process")
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "\n".join(lines[1:-1]) + "\n"
+        assert tree(tmp_path / "process" / "g") == tree(tmp_path / "in_process" / "g")
+        assert tree(tmp_path / "in_process" / "g")
 
 
 def test_parse_snr_range_inclusive(tmp_path):

@@ -37,7 +37,7 @@ FUZZ = dict(deadline=None, derandomize=True, database=None)
 # dropped, which would restore a default sized for real runs, and are replaced
 # only by SMALL_VALUES.
 BASE_CONFIG = {
-    **cli.CONFIG_DEFAULTS,
+    **cli.config_defaults(),
     "samples_per_state": 2,
     "sweep_samples_per_point": 2,
     "snr_lo": -2.0,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from framesense import detector, turbine
-from framesense.cli import CONFIG_DEFAULTS
+from framesense.cli import config_defaults
 from framesense.detector import (
     CalibrationError,
     DetectorThresholds,
@@ -40,7 +40,7 @@ def baselines():
 @pytest.fixture(scope="module")
 def grid():
     """The ``detect`` grid at the default noise levels, 4 samples per state."""
-    levels = CONFIG_DEFAULTS["noise_levels"]
+    levels = config_defaults()["noise_levels"]
     conditions = turbine.engine1_conditions()
     return {
         key: turbine.generate_dataset(FLEET, MIX, run_cfg, conditions)
