@@ -10,7 +10,7 @@ The package splits into a small stack of layers:
 * :mod:`framesense.mappings` - the basis-selection and magnitude-sum maps
   into health space and verifiers for their structural guarantees;
 * :mod:`framesense.turbine` - a deterministic multi-engine vibration
-  simulator with DFT line extraction;
+  simulator that synthesises the line bins of its spectra in closed form;
 * :mod:`framesense.detector` - the threshold detector and the run/sweep
   statistics comparing both fusion pipelines;
 * :mod:`framesense.cli` - the ``framesense`` command.

@@ -10,8 +10,8 @@ process per available CPU.  Exit codes: 0 success, 1 domain violation
 float64 overflow.
 
 Each command imports the layers it runs, when it runs: besides ``frames``,
-``validate`` loads ``scenario``, ``theorems`` ``scenario`` and ``mappings``,
-``generate`` ``turbine`` and ``detector``, and ``detect`` and ``sweep`` all four.
+``validate`` loads ``scenario``, ``theorems`` ``scenario`` and ``mappings``, and
+``generate``, ``detect`` and ``sweep`` ``turbine`` and ``detector``.
 """
 
 from __future__ import annotations
@@ -303,6 +303,10 @@ def load_plan(path: str | None, seed: int | None, snr_range: str | None = None) 
         cfg.update(user)
     if seed is not None:
         cfg["rng_seed"] = seed
+    # The noise keys read only the seed's low 64 bits: a wider seed would record
+    # one seed and draw another's noise.
+    if not 0 <= cfg["rng_seed"] < 2**64:
+        raise ValueError(f"config key 'rng_seed': {cfg['rng_seed']} is outside 0..2**64-1")
     if snr_range:
         try:
             cfg["snr_lo"], cfg["snr_hi"], cfg["snr_step"] = map(float, snr_range.split(":"))
@@ -327,22 +331,25 @@ def load_plan(path: str | None, seed: int | None, snr_range: str | None = None) 
     return Plan(cfg, fleet, thresholds, mixing, datasets, sweep_mixing, sweep_sim, snr_grid)
 
 
-def _write_share(plan: Plan, out: Path, indices) -> tuple:
+def _dataset_dir(root: Path, key: tuple) -> Path:
+    """Where a ``generate`` run under ``root`` writes the dataset of plan key ``key``."""
+    return root / "datasets" / "_".join(key)
+
+
+def _write_share(plan: Plan, out: Path, indices) -> tuple | None:
     """Generate and save the datasets at ``indices`` of ``plan.datasets``, in order,
-    stopping at the first that fails.  Returns ``({index: (path, samples)}, failure)``,
-    ``failure`` being ``(index, exception)`` or None."""
+    stopping at the first that fails.  Returns that failure, ``(index, exception)``,
+    or None."""
     from . import turbine
 
-    written = {}
     for index in indices:
         key, run_cfg, conditions = plan.datasets[index]
         try:
             ds = turbine.generate_dataset(plan.fleet, plan.mixing, run_cfg, conditions)
-            path = turbine.save_dataset(ds, out / "datasets" / "_".join(key))
+            turbine.save_dataset(ds, _dataset_dir(out, key))
         except Exception as err:  # carried to the parent, which raises it
-            return written, (index, err)
-        written[index] = (path, ds.healths.shape[0] * ds.healths.shape[1])
-    return written, None
+            return index, err
+    return None
 
 
 def _fork_share(plan: Plan, out: Path, indices) -> tuple:
@@ -374,12 +381,12 @@ def _fork_share(plan: Plan, out: Path, indices) -> tuple:
         result = _write_share(plan, out, indices)
         with open(write, "wb") as fh:
             fh.write(pickle.dumps(result))
-        code = 0 if result[1] is None else 1
+        code = 0 if result is None else 1
     finally:
         os._exit(code)
 
 
-def _collect(pid: int, read: int, indices) -> tuple:
+def _collect(pid: int, read: int, indices) -> tuple | None:
     """Read and reap a child of ``_fork_share``: its ``_write_share`` result or,
     when it left none, a failure at the first dataset of its share."""
     try:
@@ -390,8 +397,8 @@ def _collect(pid: int, read: int, indices) -> tuple:
     code = os.waitstatus_to_exitcode(status)
     if data and code in (0, 1):
         return pickle.loads(data)
-    return {}, (indices[0], ChildProcessError(
-        f"dataset worker {pid} exited with status {code} and no result"))
+    return indices[0], ChildProcessError(
+        f"dataset worker {pid} exited with status {code} and no result")
 
 
 def cmd_generate(args) -> int:
@@ -415,20 +422,16 @@ def cmd_generate(args) -> int:
         own = _write_share(plan, out, shares[0])
     finally:
         others = [_collect(*child) for child in children]
-    written, failures = {}, []
-    for done, failure in [own, *others]:
-        written.update(done)
-        if failure is not None:
-            failures.append(failure)
+    failures = [failure for failure in [own, *others] if failure is not None]
     # Report as one worker would: the datasets before the first failure in
     # plan order, then that failure.  Datasets after it may have been written.
     stop, error = min(failures, key=lambda failure: failure[0], default=(n, None))
     total = 0
-    for index in range(stop):
-        path, samples = written[index]
-        if plan.datasets[index][0] != CALIBRATION:
+    for key, run_cfg, conditions in plan.datasets[:stop]:
+        if key != CALIBRATION:
+            samples = len(conditions) * run_cfg.samples_per_state
             total += samples
-            print(f"wrote {path} ({samples} samples)")
+            print(f"wrote {_dataset_dir(out, key)} ({samples} samples)")
     if error is not None:
         raise error
     print(f"total labeled samples: {total}")
@@ -446,7 +449,7 @@ def cmd_detect(args) -> int:
     datasets = {}  # each read from data_root when there, otherwise generated here
     for key, run_cfg, conditions in plan.datasets:
         model = (plan.fleet, plan.mixing, run_cfg, conditions)
-        path = None if data_root is None else data_root / "datasets" / "_".join(key)
+        path = None if data_root is None else _dataset_dir(data_root, key)
         if path is not None and path.exists():
             datasets[key] = turbine.load_dataset(path, *model)
             continue

@@ -5,7 +5,9 @@ coordinate collapses below ``dead_lo`` times its calibrated baseline, fault
 when any coordinate exceeds ``fault_hi`` times baseline, normal otherwise.
 The detector runs identically on both fusion pipelines (basis selection and
 magnitude sum); each pipeline calibrates its own baseline from a zero-noise
-normal run.  Scoring follows engine 1: a sample is correct when the
+normal run.  The pipelines are the identity-health-map case of
+``mappings.basis_map`` and ``mappings.frame_map``, computed directly on the
+real health tensor.  Scoring follows engine 1: a sample is correct when the
 engine-1 verdict matches the ground-truth engine-1 state, and the combined
 score additionally accepts a fault verdict under a true failure.
 """
@@ -15,15 +17,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import turbine
 from .turbine import SENSORS, Dataset, SimConfig
-
-if TYPE_CHECKING:
-    from .scenario import IndexAssignment
 
 PIPELINES = ("basis", "frame")
 VERDICTS = ("normal", "fault", "failure")
@@ -49,29 +47,21 @@ class DetectorThresholds:
             raise ValueError("need 0 < dead_lo < 1 < fault_hi")
 
 
-def _health_assignment(n_coords: int) -> IndexAssignment:
-    from .scenario import IndexAssignment
+def map_healths(healths, kind: str) -> np.ndarray:
+    """Fuse per-sensor health images ``(..., SENSORS, n)`` into detector inputs ``(..., n)``.
 
-    per = n_coords // SENSORS
-    owned = tuple(
-        tuple(range(j * per, (j + 1) * per)) for j in range(SENSORS)
-    )
-    full = frozenset(range(n_coords))
-    return IndexAssignment(J=(full,) * SENSORS, I=owned)
-
-
-def map_healths(healths: np.ndarray, kind: str) -> np.ndarray:
-    """Fuse per-sensor health images ``(..., SENSORS, n)`` into detector inputs ``(..., n)``."""
-    from .mappings import basis_map, frame_map
-    from .scenario import HealthMap
-
-    healths = np.asarray(healths)
+    ``"basis"`` reads coordinate i from the sensor owning its engine block,
+    ``i // (n // SENSORS)``; ``"frame"`` sums magnitudes over the sensors.
+    """
+    healths = np.asarray(healths, dtype=float)
     n = healths.shape[-1]
-    identity = HealthMap.identity(n)
     if kind == "basis":
-        return basis_map(healths, identity, _health_assignment(n)).real
+        if n % SENSORS:
+            raise ValueError(f"{n} health coordinates do not split into {SENSORS} engine blocks")
+        owners = np.repeat(np.arange(SENSORS), n // SENSORS)
+        return healths[..., owners, np.arange(n)]
     if kind == "frame":
-        return frame_map(healths, identity).real
+        return np.abs(healths).sum(axis=-2)
     raise ValueError(f"unknown mapping kind {kind!r}")
 
 

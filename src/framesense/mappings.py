@@ -15,6 +15,10 @@ frame (and keep spanning through a failure when the scenario is harmonious),
 and strong dominance makes the raw magnitude images a frame on their own.
 Each verifier is conservative: it asserts nothing when its hypotheses fail,
 but still reports span diagnostics.
+
+The detector's two pipelines are the identity-health-map case of these
+maps, with engine block j owned by sensor j; ``detector.map_healths``
+computes that case directly on real healths.
 """
 
 from __future__ import annotations

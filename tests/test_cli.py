@@ -41,13 +41,13 @@ def sweep_snrs(tmp_path, text, out):
     return snrs
 
 
-def refused_by_all(tmp_path, capsys, cfg):
+def refused_by_all(tmp_path, capsys, cfg, args=()):
     """The one error line ``generate``, ``detect`` and ``sweep`` print for config
-    file ``cfg``; each must exit 2 and leave no output directory."""
+    file ``cfg`` and further ``args``; each must exit 2 and leave no output directory."""
     errors = set()
     for command in ("generate", "detect", "sweep"):
         out = tmp_path / command
-        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert cli.main([command, "--config", cfg, "--out", str(out), *args]) == 2
         errors.add(capsys.readouterr().err)
         assert not out.exists()
     assert len(errors) == 1, errors
@@ -902,6 +902,22 @@ class TestGenerateDetectSweep:
             path.write_text(json.dumps(doc))
             assert message in refused_by_all(tmp_path, capsys, str(path))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        # The noise keys read the seed's low 64 bits: seeds 5 and 2**64 + 5 wrote
+        # the same healths, each recording its own seed.
+        err = refused_by_all(tmp_path, capsys, write_config(tmp_path, {"rng_seed": seed}))
+        assert err == f"error: config key 'rng_seed': {seed} is outside 0..2**64-1\n"
+        assert refused_by_all(tmp_path, capsys, write_config(tmp_path), ["--seed", str(seed)]) == err
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_either_end_of_64_bits_runs(self, tmp_path, seed):
+        cfg = write_config(tmp_path, {"rng_seed": seed})
+        for command in ("generate", "detect", "sweep"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+            assert json.loads((out / "config.json").read_text())["rng_seed"] == seed
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, {"rng_seed": 1})
         out = tmp_path / "run"
@@ -930,7 +946,8 @@ CLI_LOADED = (
     "m for m in sys.modules if m.startswith('framesense.')), file=sys.stderr)); "
     "from framesense.cli import main; sys.exit(main())"
 )
-ALL_LAYERS = ["cli", "detector", "frames", "mappings", "scenario", "turbine"]
+# What ``generate``, ``detect`` and ``sweep`` load: no scenario algebra.
+RUN_LAYERS = ["cli", "detector", "frames", "turbine"]
 
 
 def run_process(code, args, cwd):
@@ -948,9 +965,9 @@ class TestProcess:
         commands = [
             (["validate", HARMONIOUS], ["cli", "frames", "scenario"]),
             (["theorems", HARMONIOUS, "--out", "t"], ["cli", "frames", "mappings", "scenario"]),
-            (["generate", *dataset_args, "--out", "g"], ["cli", "detector", "frames", "turbine"]),
-            (["detect", *dataset_args, "--data", "g", "--out", "d"], ALL_LAYERS),
-            (["sweep", *dataset_args, "--snr-range", "-2:0:1", "--out", "s"], ALL_LAYERS),
+            (["generate", *dataset_args, "--out", "g"], RUN_LAYERS),
+            (["detect", *dataset_args, "--data", "g", "--out", "d"], RUN_LAYERS),
+            (["sweep", *dataset_args, "--snr-range", "-2:0:1", "--out", "s"], RUN_LAYERS),
         ]
         for args, layers in commands:
             proc = run_process(CLI_LOADED, args, tmp_path)

@@ -23,6 +23,8 @@ from framesense.detector import (
     write_results,
     write_sweep,
 )
+from framesense.mappings import basis_map, frame_map
+from framesense.scenario import HealthMap, IndexAssignment
 from framesense.turbine import SimConfig, default_fleet, mixing_matrix, resolve_sigma
 
 FLEET = default_fleet()
@@ -76,6 +78,37 @@ class TestMapping:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             map_healths(np.zeros((4, 28)), "median")
+
+    def test_basis_needs_whole_engine_blocks(self):
+        with pytest.raises(ValueError, match="engine blocks"):
+            map_healths(np.zeros((4, 27)), "basis")
+
+
+# Every sensor covers all 28 coordinates and owns its engine's block of 7.
+ENGINE_BLOCKS = IndexAssignment(
+    J=(frozenset(range(28)),) * 4, I=tuple(tuple(range(7 * j, 7 * j + 7)) for j in range(4))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_map_healths_is_the_identity_map_case_of_the_general_maps(data):
+    """Bit for bit, the detector's fusion is ``basis_map``/``frame_map`` with the
+    identity health map and engine-block ownership."""
+    lead = data.draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5))
+    healths = data.draw(hnp.arrays(float, lead + (4, 28), elements=st.floats(0.0, 1e300)))
+    dead = data.draw(st.sampled_from([None, 0, 1, 2, 3]))  # a zeroed sensor
+    if dead is not None:
+        healths[..., dead, :] = 0.0
+    identity = HealthMap.identity(28)
+    expected = {
+        "basis": basis_map(healths, identity, ENGINE_BLOCKS).real,
+        "frame": frame_map(healths, identity).real,
+    }
+    for kind in detector.PIPELINES:
+        mapped = map_healths(healths, kind)
+        assert mapped.dtype == np.float64 and mapped.shape == lead + (28,)
+        assert np.array_equal(mapped, expected[kind]), kind
 
 
 class TestCalibration:
