@@ -307,7 +307,7 @@ def load_plan(path: str | None, seed: int | None, snr_range: str | None = None) 
     # one seed and draw another's noise.
     if not 0 <= cfg["rng_seed"] < 2**64:
         raise ValueError(f"config key 'rng_seed': {cfg['rng_seed']} is outside 0..2**64-1")
-    if snr_range:
+    if snr_range is not None:
         try:
             cfg["snr_lo"], cfg["snr_hi"], cfg["snr_step"] = map(float, snr_range.split(":"))
         except ValueError:
@@ -443,19 +443,11 @@ def cmd_detect(args) -> int:
 
     plan = load_plan(args.config, args.seed)
     out = Path(args.out)
-    data_root = Path(args.data) if args.data else None
-    if data_root is not None and not data_root.is_dir():
-        raise ValueError(f"--data {data_root}: no such directory")
-    datasets = {}  # each read from data_root when there, otherwise generated here
+    datasets = {}  # all read from --data, or all generated here
     for key, run_cfg, conditions in plan.datasets:
         model = (plan.fleet, plan.mixing, run_cfg, conditions)
-        path = None if data_root is None else _dataset_dir(data_root, key)
-        if path is not None and path.exists():
-            datasets[key] = turbine.load_dataset(path, *model)
-            continue
-        if path is not None:
-            print(f"{path} not found: generating it from the run config")
-        datasets[key] = turbine.generate_dataset(*model)
+        datasets[key] = (turbine.generate_dataset(*model) if args.data is None
+                         else turbine.load_dataset(_dataset_dir(Path(args.data), key), *model))
     calib = datasets.pop(CALIBRATION)
     baselines = {kind: detector.calibrate(calib, kind) for kind in detector.PIPELINES}
     report = detector.run_conditions(

@@ -317,22 +317,13 @@ def write_sweep(points, out_dir) -> Path:
     (out / "sweep.csv").write_text("\n".join(rows) + "\n")
     curves = out / "curves"
     curves.mkdir(exist_ok=True)
-    for pipeline in PIPELINES:
-        for sensor_condition in {pt.sensor_condition for pt in points}:
-            for metric in ("detect", "fa"):
-                sel = [
-                    pt
-                    for pt in points
-                    if pt.pipeline == pipeline and pt.sensor_condition == sensor_condition
-                ]
-                sel.sort(key=lambda pt: pt.snr_db)
-                if not sel:
-                    continue
-                lines = [
-                    f"{pt.snr_db!r} "
-                    f"{(pt.p_detect if metric == 'detect' else pt.p_false_alarm)!r}"
-                    for pt in sel
-                ]
-                name = f"{pipeline}_{sensor_condition}_{metric}.dat"
-                (curves / name).write_text("\n".join(lines) + "\n")
+    # One curve pair per (pipeline, sensor condition), its points in SNR order.
+    pairs = {}
+    for pt in sorted(points, key=lambda pt: pt.snr_db):
+        pairs.setdefault((pt.pipeline, pt.sensor_condition), []).append(pt)
+    for (pipeline, sensor_condition), sel in pairs.items():
+        for metric, field in (("detect", "p_detect"), ("fa", "p_false_alarm")):
+            lines = [f"{pt.snr_db!r} {getattr(pt, field)!r}" for pt in sel]
+            name = f"{pipeline}_{sensor_condition}_{metric}.dat"
+            (curves / name).write_text("\n".join(lines) + "\n")
     return out

@@ -23,7 +23,7 @@ serial runs agree byte for byte: ``cli.cmd_generate`` writes its datasets in
 one process per CPU, and every process count gives the same bytes.  The draw
 is batched per condition: one Philox generator, re-keyed per sample through
 its ``state``, fills a ``(samples, 2, 4, 28)`` buffer, and one array step
-takes the magnitudes.
+takes the magnitudes.  A noise-free dataset takes the same draw at sigma = 0.
 
 A saved dataset directory holds ``health.csv`` (the healths as shortest
 round-trip decimals, for people and other tools), ``health.npy`` (the same
@@ -329,7 +329,7 @@ def generate_dataset(fleet, mixing, cfg: SimConfig, conditions) -> Dataset:
     (``line_spectrum``) plus the DFT of its white-noise block at the line
     bins; failed sensors read exactly zero.  Sample m of condition c draws
     ``z`` of shape (2, SENSORS, 28) from ``_sample_rng(seed, c, m)``, and
-    its line-bin noise is ``sigma sqrt(N/2) (z[0] + i z[1])``.  Noise-free,
+    its line-bin noise is ``sigma sqrt(N/2) (z[0] + i z[1])``.  At sigma = 0
     every sample of a condition holds ``|line_spectrum|``.
     """
     mixing = validate_mixing(mixing)
@@ -345,9 +345,6 @@ def generate_dataset(fleet, mixing, cfg: SimConfig, conditions) -> Dataset:
     keyed = bitgen.state
     for c, (_, states) in enumerate(conditions):
         lines = line_spectrum(fleet, states, mixing, cfg)
-        if sigma == 0:
-            healths[c] = np.abs(lines)
-            continue
         for m in range(cfg.samples_per_state):
             keyed["state"]["key"] = _sample_key(cfg.rng_seed, c, m)
             bitgen.state = keyed

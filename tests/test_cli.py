@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -679,23 +680,31 @@ class TestGenerateDetectSweep:
         assert "calibration error" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
-    def test_detect_generates_only_missing_cells(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "data", ["missing_cell", "missing_calibration", "empty_dir", "detect_output", "empty"]
+    )
+    def test_detect_data_must_hold_every_dataset(self, tmp_path, capsys, monkeypatch, data):
+        # --data is the one source of every dataset: a missing one exits 2, not generated here.
+        monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path)
-        gen = tmp_path / "gen"
-        assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
-        for name in ("good_high", "calibration"):
-            for f in (gen / "datasets" / name).iterdir():
-                f.unlink()
-            (gen / "datasets" / name).rmdir()
+        root = tmp_path / "data"
+        missing = root / "datasets" / "calibration" / "manifest.json"
+        if data in ("missing_cell", "missing_calibration"):
+            assert cli.main(["generate", "--config", cfg, "--out", str(root)]) == 0
+            if data == "missing_cell":
+                missing = root / "datasets" / "good_high" / "manifest.json"
+            shutil.rmtree(missing.parent)
+        elif data == "empty_dir":
+            root.mkdir()
+        elif data == "detect_output":
+            assert cli.main(["detect", "--config", cfg, "--out", str(root)]) == 0
+        else:  # --data "" names the working directory, which holds no datasets
+            root, missing = "", Path("datasets") / "calibration" / "manifest.json"
         capsys.readouterr()
-        outa = tmp_path / "partial"
-        outb = tmp_path / "fused"
-        assert cli.main(["detect", "--config", cfg, "--out", str(outa), "--data", str(gen)]) == 0
-        generated = [l for l in capsys.readouterr().out.splitlines() if "not found" in l]
-        assert len(generated) == 2
-        assert cli.main(["detect", "--config", cfg, "--out", str(outb)]) == 0
-        for name in ("results.csv", "results.json"):
-            assert (outa / name).read_bytes() == (outb / name).read_bytes()
+        out = tmp_path / "det"
+        assert cli.main(["detect", "--config", cfg, "--out", str(out), "--data", str(root)]) == 2
+        assert capsys.readouterr() == ("", f"file not found: {missing}\n")
+        assert not out.exists()
 
     def test_results_columns_follow_noise_levels(self, tmp_path):
         for levels in ({"low": 18.0}, {"low": 18.0, "mid": 13.0, "high": 8.0}):
@@ -879,7 +888,7 @@ class TestGenerateDetectSweep:
     def test_bad_snr_range(self, tmp_path):
         cfg = write_config(tmp_path)
         # The last two are finite, but 10 ** (SNR / 20) overflows or reaches 0.
-        for text in ("5:1:1", "-inf:0:1", "0:inf:1", "0:1:inf", "nan:0:1",
+        for text in ("", "5:1:1", "-inf:0:1", "0:inf:1", "0:1:inf", "nan:0:1",
                      "-1e308:1e308:1", "7000:7000:1", "-7000:-7000:1", "-6140:-6140:1"):
             assert cli.main(["sweep", "--config", cfg, "--snr-range", text,
                              "--out", str(tmp_path / "s")]) == 2
