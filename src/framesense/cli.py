@@ -443,11 +443,14 @@ def cmd_detect(args) -> int:
 
     plan = load_plan(args.config, args.seed)
     out = Path(args.out)
-    datasets = {}  # all read from --data, or all generated here
-    for key, run_cfg, conditions in plan.datasets:
-        model = (plan.fleet, plan.mixing, run_cfg, conditions)
-        datasets[key] = (turbine.generate_dataset(*model) if args.data is None
-                         else turbine.load_dataset(_dataset_dir(Path(args.data), key), *model))
+    if args.data is None:  # every dataset from one shared noise draw
+        runs = [(run_cfg, conditions) for _, run_cfg, conditions in plan.datasets]
+        found = turbine.generate_datasets(plan.fleet, plan.mixing, runs)
+    else:  # every dataset read from --data
+        found = (turbine.load_dataset(_dataset_dir(Path(args.data), key), plan.fleet,
+                                      plan.mixing, run_cfg, conditions)
+                 for key, run_cfg, conditions in plan.datasets)
+    datasets = {key: ds for (key, _, _), ds in zip(plan.datasets, found)}
     calib = datasets.pop(CALIBRATION)
     baselines = {kind: detector.calibrate(calib, kind) for kind in detector.PIPELINES}
     report = detector.run_conditions(

@@ -219,10 +219,6 @@ def calibration_config(cfg: SimConfig) -> SimConfig:
     return replace(cfg, snr_db=None, failed_sensors=frozenset(), samples_per_state=4)
 
 
-def calibration_dataset(fleet, mixing, cfg: SimConfig) -> Dataset:
-    return turbine.generate_dataset(fleet, mixing, calibration_config(cfg), NORMAL_ONLY)
-
-
 def run_conditions(
     datasets: dict, baselines: dict, th: DetectorThresholds, metadata=None
 ) -> DetectionReport:
@@ -280,27 +276,23 @@ def snr_sweep(fleet, mixing, cfg: SimConfig, snr_grid, th: DetectorThresholds) -
     """Detection and false-alarm rates on normal-state data across an SNR grid.
 
     Every non-normal verdict on normal data is a false alarm, so
-    p_false_alarm = 1 - p_detect pointwise.
+    p_false_alarm = 1 - p_detect pointwise.  The calibration run and every
+    point share one noise draw, each point's dataset built, scored and
+    dropped in turn: a point's rate is binomial, but points are correlated.
     """
     levels = {f"{snr_db}dB": float(snr_db) for snr_db in snr_grid}
     if not levels:
         raise ValueError("empty SNR grid")
-    calib = calibration_dataset(fleet, mixing, cfg)
+    cells = list(grid_cells(cfg, levels))
+    runs = [(calibration_config(cfg), NORMAL_ONLY)] + [(c, NORMAL_ONLY) for _, c in cells]
+    datasets = turbine.generate_datasets(fleet, mixing, runs)
+    calib = next(datasets)
     baselines = {kind: calibrate(calib, kind) for kind in PIPELINES}
     points = []
-    for (sensor_condition, level), run_cfg in grid_cells(cfg, levels):
-        dataset = turbine.generate_dataset(fleet, mixing, run_cfg, NORMAL_ONLY)
+    for ((sensor_condition, level), run_cfg), dataset in zip(cells, datasets):
         for st in score_condition(dataset, "normal", baselines, th, sensor_condition, level):
             p = st.pct_correct / 100.0
-            points.append(
-                SweepPoint(
-                    snr_db=run_cfg.snr_db,
-                    pipeline=st.pipeline,
-                    sensor_condition=sensor_condition,
-                    p_detect=p,
-                    p_false_alarm=1.0 - p,
-                )
-            )
+            points.append(SweepPoint(run_cfg.snr_db, st.pipeline, sensor_condition, p, 1.0 - p))
     return points
 
 

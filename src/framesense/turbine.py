@@ -20,10 +20,12 @@ command reads the 28 line bins alone, so only those bins are simulated.
 Dataset generation is deterministic: each sample's noise comes from a
 counter-based generator keyed on (seed, condition, sample), so parallel and
 serial runs agree byte for byte: ``cli.cmd_generate`` writes its datasets in
-one process per CPU, and every process count gives the same bytes.  The draw
-is batched per condition: one Philox generator, re-keyed per sample through
-its ``state``, fills a ``(samples, 2, 4, 28)`` buffer, and one array step
-takes the magnitudes.  A noise-free dataset takes the same draw at sigma = 0.
+one process per CPU, and every process count gives the same bytes.  The key
+ignores the SNR and the failed sensors, so every dataset of one seed reads
+the same normals at each (condition, sample), grid cells, sweep points and
+calibration alike, and one ``detect`` or ``sweep`` draws them once
+(``generate_datasets``).  Within a cell the rates are binomial, but cells
+are correlated.  A noise-free dataset takes the same draw at sigma = 0.
 
 A saved dataset directory holds ``health.csv`` (the healths as shortest
 round-trip decimals, for people and other tools), ``health.npy`` (the same
@@ -298,11 +300,6 @@ def _sample_key(seed: int, condition: int, sample: int) -> np.ndarray:
     )
 
 
-def _sample_rng(seed: int, condition: int, sample: int) -> np.random.Generator:
-    """The generator of one sample's noise, as ``generate_dataset`` draws it."""
-    return np.random.Generator(np.random.Philox(key=_sample_key(seed, condition, sample)))
-
-
 @dataclass
 class Dataset:
     """Labeled health images for a grid of fault conditions."""
@@ -322,42 +319,47 @@ class Dataset:
         return resolve_sigma(self.cfg, self.fleet)
 
 
-def generate_dataset(fleet, mixing, cfg: SimConfig, conditions) -> Dataset:
-    """Materialize the health images for every condition and sample.
+def generate_datasets(fleet, mixing, runs):
+    """Yield the dataset of each ``(cfg, conditions)`` in the sequence ``runs``, in order.
 
-    A sample's healths are the magnitudes of its condition's line spectrum
-    (``line_spectrum``) plus the DFT of its white-noise block at the line
-    bins; failed sensors read exactly zero.  Sample m of condition c draws
-    ``z`` of shape (2, SENSORS, 28) from ``_sample_rng(seed, c, m)``, and
-    its line-bin noise is ``sigma sqrt(N/2) (z[0] + i z[1])``.  At sigma = 0
-    every sample of a condition holds ``|line_spectrum|``.
+    Sample m of condition c has healths ``|line_spectrum + sigma sqrt(N/2)
+    (z[0] + i z[1])|``, the line spectrum plus the DFT of its white noise at
+    the line bins, with failed sensors exactly zero; ``z``, of shape (2,
+    SENSORS, 28), comes from a Philox generator keyed ``_sample_key(seed, c,
+    m)``.  The runs, of one seed, share one draw sized for their most
+    conditions and samples, made at the first request; each dataset is
+    built only when asked for.
     """
+    if len({cfg.rng_seed for cfg, _ in runs}) != 1:
+        raise ValueError("runs that share one noise draw need exactly one rng_seed")
     mixing = validate_mixing(mixing)
-    bins = fleet_line_bins(fleet, cfg)
-    sigma = resolve_sigma(cfg, fleet)
-    scale = sigma * np.sqrt(cfg.dft_size / 2)
-    healths = np.empty((len(conditions), cfg.samples_per_state, SENSORS, bins.size))
-    z = np.empty((cfg.samples_per_state, 2, SENSORS, bins.size))
-    bitgen = np.random.Philox(key=_sample_key(cfg.rng_seed, 0, 0))
+    seed = runs[0][0].rng_seed
+    shape = (max(len(conditions) for _, conditions in runs),
+             max(cfg.samples_per_state for cfg, _ in runs))
+    z = np.empty(shape + (2, SENSORS, LINES_PER_ENGINE * len(fleet)))
+    bitgen = np.random.Philox(key=_sample_key(seed, 0, 0))
     rng = np.random.Generator(bitgen)
     # A freshly keyed state (counter 0, empty buffer): each sample re-keyed to it
-    # draws exactly what its own ``_sample_rng`` generator would.
+    # draws exactly what a generator keyed on its own key would.
     keyed = bitgen.state
-    for c, (_, states) in enumerate(conditions):
-        lines = line_spectrum(fleet, states, mixing, cfg)
-        for m in range(cfg.samples_per_state):
-            keyed["state"]["key"] = _sample_key(cfg.rng_seed, c, m)
-            bitgen.state = keyed
-            rng.standard_normal(out=z[m])
-        healths[c] = np.abs(lines + scale * (z[:, 0] + 1j * z[:, 1]))
-    healths[:, :, sorted(cfg.failed_sensors)] = 0.0
-    return Dataset(
-        healths=healths,
-        conditions=tuple(conditions),
-        cfg=cfg,
-        mixing=mixing,
-        fleet=tuple(fleet),
-    )
+    for c, m in np.ndindex(shape):
+        keyed["state"]["key"] = _sample_key(seed, c, m)
+        bitgen.state = keyed
+        rng.standard_normal(out=z[c, m])
+    for cfg, conditions in runs:
+        scale = resolve_sigma(cfg, fleet) * np.sqrt(cfg.dft_size / 2)
+        healths = np.empty((len(conditions), cfg.samples_per_state) + z.shape[3:])
+        for c, (_, states) in enumerate(conditions):
+            lines = line_spectrum(fleet, states, mixing, cfg)
+            w = z[c, : cfg.samples_per_state]
+            healths[c] = np.abs(lines + scale * (w[:, 0] + 1j * w[:, 1]))
+        healths[:, :, sorted(cfg.failed_sensors)] = 0.0
+        yield Dataset(healths, tuple(conditions), cfg, mixing, tuple(fleet))
+
+
+def generate_dataset(fleet, mixing, cfg: SimConfig, conditions) -> Dataset:
+    """The health images of every condition and sample: ``generate_datasets`` of one run."""
+    return next(generate_datasets(fleet, mixing, [(cfg, conditions)]))
 
 
 def health_bound(fleet, cfg: SimConfig, conditions) -> float:

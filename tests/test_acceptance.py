@@ -322,7 +322,7 @@ def test_c6_zero_noise_simulation_contracts():
         if not is_harmonious(fac, assign, tol=1e-6):
             failures.append("generated scenario is not harmonious")
     # Detection contracts at zero noise, 64 samples per state.
-    calib = detector.calibration_dataset(FLEET, mix, cfg)
+    calib = turbine.generate_dataset(FLEET, mix, detector.calibration_config(cfg), detector.NORMAL_ONLY)
     baselines = {k: detector.calibrate(calib, k) for k in detector.PIPELINES}
     failed_cfg = replace(cfg, failed_sensors=frozenset({0}))
     ds = turbine.generate_dataset(FLEET, mix, failed_cfg, turbine.engine1_conditions())
@@ -348,7 +348,7 @@ def test_c6_zero_noise_simulation_contracts():
 def condition_report():
     mix = turbine.mixing_matrix(0.1)
     cfg = turbine.SimConfig(samples_per_state=256)
-    calib = detector.calibration_dataset(FLEET, mix, cfg)
+    calib = turbine.generate_dataset(FLEET, mix, detector.calibration_config(cfg), detector.NORMAL_ONLY)
     baselines = {k: detector.calibrate(calib, k) for k in detector.PIPELINES}
     start = time.time()
     levels = cli.config_defaults()["noise_levels"]

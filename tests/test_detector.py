@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from framesense import detector, turbine
+from framesense import cli, detector, turbine
 from framesense.cli import config_defaults
 from framesense.detector import (
     CalibrationError,
     DetectorThresholds,
     calibrate,
-    calibration_dataset,
+    calibration_config,
     detect,
     grid_cells,
     map_healths,
@@ -33,9 +34,13 @@ CFG = SimConfig(samples_per_state=8)
 TH = DetectorThresholds()
 
 
+def calibration_set(cfg=CFG, mix=MIX):
+    return turbine.generate_dataset(FLEET, mix, calibration_config(cfg), detector.NORMAL_ONLY)
+
+
 @pytest.fixture(scope="module")
 def baselines():
-    calib = calibration_dataset(FLEET, MIX, CFG)
+    calib = calibration_set()
     return {kind: calibrate(calib, kind) for kind in ("basis", "frame")}
 
 
@@ -122,7 +127,7 @@ class TestCalibration:
         assert np.all(baselines["frame"] >= baselines["basis"])
 
     def test_repeat_calibration_identical(self, baselines):
-        again = calibrate(calibration_dataset(FLEET, MIX, CFG), "basis")
+        again = calibrate(calibration_set(), "basis")
         assert np.array_equal(again, baselines["basis"])
 
     def test_noisy_run_rejected(self):
@@ -134,13 +139,13 @@ class TestCalibration:
             calibrate(noisy, "basis")
 
     def test_zero_baseline_coordinate_rejected(self):
-        ds = calibration_dataset(FLEET, MIX, CFG)
+        ds = calibration_set()
         ds.healths[...] = 0.0
         with pytest.raises(CalibrationError, match="mis-specified"):
             calibrate(ds, "basis")
 
     def test_missing_normal_condition_rejected(self):
-        ds = calibration_dataset(FLEET, MIX, CFG)
+        ds = calibration_set()
         ds.conditions = (("idle", ds.conditions[0][1]),)
         with pytest.raises(CalibrationError):
             calibrate(ds, "basis")
@@ -241,6 +246,45 @@ class TestRunsAndReports:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             snr_sweep(FLEET, MIX, CFG, [], TH)
+
+    @pytest.mark.parametrize("samples", [3, 16])
+    def test_sweep_matches_per_point_generation(self, samples):
+        # One dataset generated and scored per (sensor condition, SNR) point, with its
+        # own draw, gives the points the shared draw gives, in the same order.
+        cfg = replace(CFG, samples_per_state=samples, rng_seed=77)
+        mix, grid = mixing_matrix(0.56), [-16.0, -8.5, -2.0, 6.0]
+        calib = calibration_set(cfg, mix)
+        baselines = {kind: calibrate(calib, kind) for kind in detector.PIPELINES}
+        expected = []
+        levels = {f"{snr}dB": snr for snr in grid}
+        for (sensor_condition, level), run_cfg in grid_cells(cfg, levels):
+            ds = turbine.generate_dataset(FLEET, mix, run_cfg, detector.NORMAL_ONLY)
+            for st in score_condition(ds, "normal", baselines, TH, sensor_condition, level):
+                p = st.pct_correct / 100.0
+                expected.append((run_cfg.snr_db, st.pipeline, sensor_condition, p, 1.0 - p))
+        points = snr_sweep(FLEET, mix, cfg, grid, TH)
+        found = [(pt.snr_db, pt.pipeline, pt.sensor_condition, pt.p_detect, pt.p_false_alarm)
+                 for pt in points]
+        assert found == expected
+        assert len({pt.p_detect for pt in points}) > 2  # the grid spans distinct rates
+
+    def test_shared_draw_is_lazy(self):
+        # The longest sweep at the default 128 samples per point, whose datasets
+        # together hold 1.1 GiB: asking for the first dataset draws once and builds
+        # that dataset alone, not every point's.
+        cfg = replace(CFG, samples_per_state=128, snr_db=0.0)
+        runs = [(cfg, detector.NORMAL_ONLY)] * cli.MAX_SWEEP_POINTS
+        one_dataset = 128 * 4 * 28 * 8
+        next(turbine.generate_datasets(FLEET, MIX, runs[:1]))  # one-time imports and caches
+        datasets = turbine.generate_datasets(FLEET, MIX, runs)
+        tracemalloc.start()
+        try:
+            first = next(datasets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.healths.nbytes == one_dataset
+        assert peak < 10 * one_dataset
 
 
 def reference_verdicts(mapped, mu, th):

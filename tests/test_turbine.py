@@ -80,10 +80,15 @@ class TestFleetGeometry:
                 fleet_line_bins((bad,) + FLEET[1:], CFG)
 
 
+def _sample_rng(seed, condition, sample):
+    """The generator of one sample's noise, keyed as ``generate_datasets`` keys it."""
+    return np.random.Generator(np.random.Philox(key=turbine._sample_key(seed, condition, sample)))
+
+
 def drawn_line_noise(cfg, sigma, condition, sample, n_lines=28):
     """The line-bin noise of one sample: sigma sqrt(N/2) (z[0] + i z[1]),
     z the first (2, 4, n_lines) normals of the sample's generator."""
-    z = turbine._sample_rng(cfg.rng_seed, condition, sample).standard_normal((2, 4, n_lines))
+    z = _sample_rng(cfg.rng_seed, condition, sample).standard_normal((2, 4, n_lines))
     return sigma * np.sqrt(cfg.dft_size / 2) * (z[0] + 1j * z[1])
 
 
@@ -457,18 +462,42 @@ class TestGeneration:
         assert not np.array_equal(a.healths, b.healths)
 
     def test_batched_draw_matches_per_sample_generators(self):
-        # Every sample of every condition, bit for bit, against its own _sample_rng.
+        # Every sample of every condition of every run, bit for bit, against its own
+        # _sample_rng: one run through generate_dataset, then the runs of one shared draw.
         cfg = SimConfig(samples_per_state=5, snr_db=-3.0, rng_seed=2**64 + 11,
                         failed_sensors=frozenset({2}))
         mixing, conditions = mixing_matrix(0.4), turbine.engine1_conditions(2, 7.0)
-        healths = generate_dataset(FLEET, mixing, cfg, conditions).healths
-        sigma = resolve_sigma(cfg, FLEET)
-        for c, (_, states) in enumerate(conditions):
-            lines = line_spectrum(FLEET, states, mixing, cfg)
-            for m in range(cfg.samples_per_state):
-                expected = np.abs(lines + drawn_line_noise(cfg, sigma, c, m))
-                expected[2] = 0.0
-                assert np.array_equal(healths[c, m], expected), (c, m)
+        runs = [
+            (replace(cfg, snr_db=None, failed_sensors=frozenset(), samples_per_state=4),
+             conditions[:1]),
+            (replace(cfg, snr_db=12.0), conditions),
+            (cfg, conditions),
+            (replace(cfg, failed_sensors=frozenset({0}), samples_per_state=3), conditions),
+            (replace(cfg, failed_sensors=frozenset()), conditions[1:2]),
+        ]
+        for batch, datasets in [
+            ([(cfg, conditions)], [generate_dataset(FLEET, mixing, cfg, conditions)]),
+            (runs, turbine.generate_datasets(FLEET, mixing, runs)),
+        ]:
+            datasets = list(datasets)
+            assert len(datasets) == len(batch)
+            for (run_cfg, run_conditions), ds in zip(batch, datasets):
+                assert ds.cfg == run_cfg and ds.conditions == run_conditions
+                shape = (len(run_conditions), run_cfg.samples_per_state, 4, 28)
+                assert ds.healths.shape == shape
+                sigma = resolve_sigma(run_cfg, FLEET)
+                for c, (_, states) in enumerate(run_conditions):
+                    lines = line_spectrum(FLEET, states, mixing, run_cfg)
+                    for m in range(run_cfg.samples_per_state):
+                        expected = np.abs(lines + drawn_line_noise(run_cfg, sigma, c, m))
+                        expected[sorted(run_cfg.failed_sensors)] = 0.0
+                        assert np.array_equal(ds.healths[c, m], expected), (run_cfg, c, m)
+
+    def test_shared_draw_needs_one_seed(self):
+        conditions = turbine.engine1_conditions()
+        runs = [(SimConfig(samples_per_state=2, rng_seed=seed), conditions) for seed in (1, 2)]
+        with pytest.raises(ValueError, match="one rng_seed"):
+            next(turbine.generate_datasets(FLEET, mixing_matrix(0.1), runs))
 
     def test_zero_noise_healths_constant_across_samples(self):
         ds = generate_dataset(FLEET, mixing_matrix(0.1), CFG, turbine.engine1_conditions())
