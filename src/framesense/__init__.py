@@ -11,8 +11,9 @@ The package splits into a small stack of layers:
   into health space and verifiers for their structural guarantees;
 * :mod:`framesense.turbine` - a deterministic multi-engine vibration
   simulator that synthesises the line bins of its spectra in closed form;
-* :mod:`framesense.detector` - the threshold detector and the run/sweep
-  statistics comparing both fusion pipelines;
+* :mod:`framesense.detector` - the threshold detector, with one scorer of
+  both fusion pipelines and two writers, for the condition table and the
+  SNR sweep;
 * :mod:`framesense.cli` - the ``framesense`` command.
 
 Importing the package loads none of them: import names from their layer,

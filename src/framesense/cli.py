@@ -4,8 +4,9 @@ Every run is driven by one JSON config file; ``config_defaults`` gives every
 key's default, and the fully resolved config is echoed into the output
 directory so result files are self-describing.  ``generate``, ``detect`` and
 ``sweep`` build all they use from one plan, ``load_plan``, which checks every
-config key before any output.  ``generate`` writes its datasets in one
-process per available CPU.  Exit codes: 0 success, 1 domain violation
+config key before any output and lists the grid's and the sweep's datasets
+alike; ``detect`` and ``sweep`` score theirs through ``detector.score_runs``.
+``generate`` writes its datasets in one process per available CPU.  Exit codes: 0 success, 1 domain violation
 (invalid scenario, or a demanded conclusion failed), 2 I/O or parse error or
 float64 overflow.
 
@@ -268,13 +269,23 @@ def _check_run(sim: SimConfig, fleet, conditions, samples_key: str, snrs, snr_ke
 
 
 CALIBRATION = ("calibration",)
-Plan = namedtuple("Plan", "cfg fleet thresholds mixing datasets sweep_mixing sweep_sim snr_grid")
+Plan = namedtuple("Plan", "cfg fleet thresholds mixing datasets sweep_mixing sweep")
+
+
+def _runs(sim: SimConfig, noise_levels: dict, conditions) -> list:
+    """``(key, run config, conditions)`` per dataset: calibration, then each grid cell."""
+    from . import detector
+
+    runs = [(CALIBRATION, detector.calibration_config(sim), detector.NORMAL_ONLY)]
+    return runs + [(key, run_cfg, conditions)
+                   for key, run_cfg in detector.grid_cells(sim, noise_levels)]
 
 
 def load_plan(path: str | None, seed: int | None, snr_range: str | None = None) -> Plan:
     """Load a config, apply ``--seed`` and ``--snr-range``, and build and check all that
     ``generate``, ``detect`` and ``sweep`` use: a config is valid for all three or none.
-    ``datasets`` holds ``(key, run config, conditions)`` per dataset, calibration first."""
+    ``datasets`` and ``sweep`` hold ``(key, run config, conditions)`` per dataset of the
+    condition grid and of the SNR sweep, calibration first."""
     from . import detector, turbine
 
     defaults = config_defaults()
@@ -325,10 +336,9 @@ def load_plan(path: str | None, seed: int | None, snr_range: str | None = None) 
                cfg["noise_levels"].values(), "config key 'noise_levels'")
     _check_run(sweep_sim, fleet, detector.NORMAL_ONLY, "sweep_samples_per_point", snr_grid,
                f"SNR range {cfg['snr_lo']}:{cfg['snr_hi']}:{cfg['snr_step']}")
-    datasets = [(CALIBRATION, detector.calibration_config(sim), detector.NORMAL_ONLY)]
-    datasets += [(key, run_cfg, conditions)
-                 for key, run_cfg in detector.grid_cells(sim, cfg["noise_levels"])]
-    return Plan(cfg, fleet, thresholds, mixing, datasets, sweep_mixing, sweep_sim, snr_grid)
+    datasets = _runs(sim, cfg["noise_levels"], conditions)
+    sweep = _runs(sweep_sim, {f"{snr}dB": snr for snr in snr_grid}, detector.NORMAL_ONLY)
+    return Plan(cfg, fleet, thresholds, mixing, datasets, sweep_mixing, sweep)
 
 
 def _dataset_dir(root: Path, key: tuple) -> Path:
@@ -438,24 +448,29 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_detect(args) -> int:
+def _score(plan: Plan, mixing, runs, data):
+    """Score the run list ``runs`` with ``detector.score_runs``.  Without ``data`` its
+    datasets come lazily from one shared noise draw; with it, every one is read from
+    that ``generate`` output before calibration, so a missing one exits 2 first."""
     from . import detector, turbine
+
+    if data is None:
+        found = turbine.generate_datasets(
+            plan.fleet, mixing, [(run_cfg, conditions) for _, run_cfg, conditions in runs])
+    else:
+        found = [turbine.load_dataset(_dataset_dir(Path(data), key), plan.fleet, mixing,
+                                      run_cfg, conditions)
+                 for key, run_cfg, conditions in runs]
+    return detector.score_runs([key for key, _, _ in runs[1:]], found, plan.thresholds,
+                               metadata={"config": plan.cfg})
+
+
+def cmd_detect(args) -> int:
+    from . import detector
 
     plan = load_plan(args.config, args.seed)
     out = Path(args.out)
-    if args.data is None:  # every dataset from one shared noise draw
-        runs = [(run_cfg, conditions) for _, run_cfg, conditions in plan.datasets]
-        found = turbine.generate_datasets(plan.fleet, plan.mixing, runs)
-    else:  # every dataset read from --data
-        found = (turbine.load_dataset(_dataset_dir(Path(args.data), key), plan.fleet,
-                                      plan.mixing, run_cfg, conditions)
-                 for key, run_cfg, conditions in plan.datasets)
-    datasets = {key: ds for (key, _, _), ds in zip(plan.datasets, found)}
-    calib = datasets.pop(CALIBRATION)
-    baselines = {kind: detector.calibrate(calib, kind) for kind in detector.PIPELINES}
-    report = detector.run_conditions(
-        datasets, baselines, plan.thresholds, metadata={"config": plan.cfg}
-    )
+    report = _score(plan, plan.mixing, plan.datasets, args.data)
     echo_config(plan.cfg, out)
     detector.write_results(report, out)
     for st in report.stats:
@@ -491,10 +506,10 @@ def cmd_sweep(args) -> int:
     plan = load_plan(args.config, args.seed, args.snr_range)
     out = Path(args.out)
     echo_config(plan.cfg, out)
-    points = detector.snr_sweep(plan.fleet, plan.sweep_mixing, plan.sweep_sim,
-                                plan.snr_grid, plan.thresholds)
-    detector.write_sweep(points, out)
-    print(f"{len(plan.snr_grid)}-point sweep written to {out}")
+    report = _score(plan, plan.sweep_mixing, plan.sweep, None)
+    snrs = {level: run_cfg.snr_db for (_, level), run_cfg, _ in plan.sweep[1:]}
+    detector.write_sweep(report, snrs, out)
+    print(f"{len(snrs)}-point sweep written to {out}")
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Threshold detector on the 28-line health space, plus run statistics.
+"""Threshold detector on the 28-line health space, plus its run statistics.
 
 Per engine block of 7 coordinates the verdict is: failure when every
 coordinate collapses below ``dead_lo`` times its calibrated baseline, fault
@@ -10,6 +10,10 @@ normal run.  The pipelines are the identity-health-map case of
 real health tensor.  Scoring follows engine 1: a sample is correct when the
 engine-1 verdict matches the ground-truth engine-1 state, and the combined
 score additionally accepts a fault verdict under a true failure.
+
+One scorer, ``score_runs``, serves ``detect`` and ``sweep`` on the datasets it
+is given (the detector generates none); ``write_results`` and ``write_sweep``
+write its report as the condition table or as SNR curves.
 """
 
 from __future__ import annotations
@@ -219,12 +223,17 @@ def calibration_config(cfg: SimConfig) -> SimConfig:
     return replace(cfg, snr_db=None, failed_sensors=frozenset(), samples_per_state=4)
 
 
-def run_conditions(
-    datasets: dict, baselines: dict, th: DetectorThresholds, metadata=None
-) -> DetectionReport:
-    """Score every engine state in every (sensor, noise) dataset of the grid."""
+def score_runs(keys, datasets, th: DetectorThresholds, metadata=None) -> DetectionReport:
+    """Calibrate both pipelines on the first of ``datasets``, then score every engine
+    state of each later dataset under its ``(sensor_condition, noise_level)`` in ``keys``.
+
+    Datasets may come lazily, each scored and dropped in turn.  Each cell's rate
+    is binomial, but cells that share one noise draw are correlated."""
+    datasets = iter(datasets)
+    calib = next(datasets)
+    baselines = {kind: calibrate(calib, kind) for kind in PIPELINES}
     stats = []
-    for (sensor_condition, noise_level), dataset in datasets.items():
+    for (sensor_condition, noise_level), dataset in zip(keys, datasets, strict=True):
         for name in dataset.condition_names:
             stats.extend(
                 score_condition(dataset, name, baselines, th, sensor_condition, noise_level)
@@ -263,59 +272,28 @@ def write_results(report: DetectionReport, out_dir) -> Path:
     return out
 
 
-@dataclass
-class SweepPoint:
-    snr_db: float
-    pipeline: str
-    sensor_condition: str
-    p_detect: float
-    p_false_alarm: float
+def write_sweep(report: DetectionReport, snrs, out_dir) -> Path:
+    """Write sweep.csv plus one plain plot-data file per curve.
 
-
-def snr_sweep(fleet, mixing, cfg: SimConfig, snr_grid, th: DetectorThresholds) -> list:
-    """Detection and false-alarm rates on normal-state data across an SNR grid.
-
-    Every non-normal verdict on normal data is a false alarm, so
-    p_false_alarm = 1 - p_detect pointwise.  The calibration run and every
-    point share one noise draw, each point's dataset built, scored and
-    dropped in turn: a point's rate is binomial, but points are correlated.
-    """
-    levels = {f"{snr_db}dB": float(snr_db) for snr_db in snr_grid}
-    if not levels:
-        raise ValueError("empty SNR grid")
-    cells = list(grid_cells(cfg, levels))
-    runs = [(calibration_config(cfg), NORMAL_ONLY)] + [(c, NORMAL_ONLY) for _, c in cells]
-    datasets = turbine.generate_datasets(fleet, mixing, runs)
-    calib = next(datasets)
-    baselines = {kind: calibrate(calib, kind) for kind in PIPELINES}
-    points = []
-    for ((sensor_condition, level), run_cfg), dataset in zip(cells, datasets):
-        for st in score_condition(dataset, "normal", baselines, th, sensor_condition, level):
-            p = st.pct_correct / 100.0
-            points.append(SweepPoint(run_cfg.snr_db, st.pipeline, sensor_condition, p, 1.0 - p))
-    return points
-
-
-def write_sweep(points, out_dir) -> Path:
-    """Write sweep.csv plus one plain plot-data file per curve."""
+    ``report`` scores normal-state runs, and ``snrs`` maps each of its noise levels to
+    an SNR in dB.  Every non-normal verdict on normal data is a false alarm, so
+    p_fa = 1 - p_detect pointwise."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # (snr_db, pipeline, sensor_condition, p_detect) per statistic, in report order
+    points = [(snrs[st.noise_level], st.pipeline, st.sensor_condition, st.pct_correct / 100.0)
+              for st in report.stats]
     rows = ["snr_db,pipeline,sensor_condition,p_detect,p_fa"]
-    for pt in points:
-        rows.append(
-            f"{pt.snr_db!r},{pt.pipeline},{pt.sensor_condition},"
-            f"{pt.p_detect!r},{pt.p_false_alarm!r}"
-        )
+    rows += [f"{snr!r},{pipeline},{cond},{p!r},{1.0 - p!r}" for snr, pipeline, cond, p in points]
     (out / "sweep.csv").write_text("\n".join(rows) + "\n")
     curves = out / "curves"
     curves.mkdir(exist_ok=True)
     # One curve pair per (pipeline, sensor condition), its points in SNR order.
     pairs = {}
-    for pt in sorted(points, key=lambda pt: pt.snr_db):
-        pairs.setdefault((pt.pipeline, pt.sensor_condition), []).append(pt)
-    for (pipeline, sensor_condition), sel in pairs.items():
-        for metric, field in (("detect", "p_detect"), ("fa", "p_false_alarm")):
-            lines = [f"{pt.snr_db!r} {getattr(pt, field)!r}" for pt in sel]
-            name = f"{pipeline}_{sensor_condition}_{metric}.dat"
-            (curves / name).write_text("\n".join(lines) + "\n")
+    for snr, pipeline, cond, p in sorted(points, key=lambda pt: pt[0]):
+        pairs.setdefault((pipeline, cond), []).append((snr, p))
+    for (pipeline, cond), curve in pairs.items():
+        for metric, lines in (("detect", [f"{snr!r} {p!r}" for snr, p in curve]),
+                              ("fa", [f"{snr!r} {1.0 - p!r}" for snr, p in curve])):
+            (curves / f"{pipeline}_{cond}_{metric}.dat").write_text("\n".join(lines) + "\n")
     return out

@@ -352,7 +352,12 @@ def generate_datasets(fleet, mixing, runs):
         for c, (_, states) in enumerate(conditions):
             lines = line_spectrum(fleet, states, mixing, cfg)
             w = z[c, : cfg.samples_per_state]
-            healths[c] = np.abs(lines + scale * (w[:, 0] + 1j * w[:, 1]))
+            # Formed in place: one complex temporary, not three.
+            noise = w[:, 1] * 1j
+            noise += w[:, 0]
+            noise *= scale
+            noise += lines
+            np.abs(noise, out=healths[c])
         healths[:, :, sorted(cfg.failed_sensors)] = 0.0
         yield Dataset(healths, tuple(conditions), cfg, mixing, tuple(fleet))
 

@@ -8,6 +8,7 @@ expected frame quantities from direct formulas.
 
 import json
 import time
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -349,7 +350,6 @@ def condition_report():
     mix = turbine.mixing_matrix(0.1)
     cfg = turbine.SimConfig(samples_per_state=256)
     calib = turbine.generate_dataset(FLEET, mix, detector.calibration_config(cfg), detector.NORMAL_ONLY)
-    baselines = {k: detector.calibrate(calib, k) for k in detector.PIPELINES}
     start = time.time()
     levels = cli.config_defaults()["noise_levels"]
     conditions = turbine.engine1_conditions()
@@ -357,7 +357,7 @@ def condition_report():
         key: turbine.generate_dataset(FLEET, mix, run_cfg, conditions)
         for key, run_cfg in detector.grid_cells(cfg, levels)
     }
-    report = detector.run_conditions(grid, baselines, TH)
+    report = detector.score_runs(list(grid), [calib, *grid.values()], TH)
     return report, time.time() - start
 
 
@@ -398,11 +398,15 @@ def test_c8_snr_sweep(tmp_path):
     """21-point SNR sweep on normal data, 128 samples per point."""
     failures = []
     start = time.time()
-    mix = turbine.mixing_matrix(cli.config_defaults()["sweep_mixing_off_diagonal"])
-    cfg = turbine.SimConfig(samples_per_state=128)
-    points = detector.snr_sweep(FLEET, mix, cfg, list(range(-20, 1)), TH)
+    # The default sweep: -20..0 dB in 1 dB steps, 128 samples per point.
+    assert cli.main(["sweep", "--out", str(tmp_path)]) == 0
     elapsed = time.time() - start
-    sel = {(p.snr_db, p.sensor_condition, p.pipeline): p for p in points}
+    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")
+    Rates = namedtuple("Rates", "p_detect p_false_alarm")
+    sel = {}
+    for row in rows[1:]:
+        snr_db, pipeline, cond, p_detect, p_fa = row.split(",")
+        sel[(float(snr_db), cond, pipeline)] = Rates(float(p_detect), float(p_fa))
     if len(sel) != 21 * 2 * 2:
         failures.append(f"expected 84 sweep points, got {len(sel)}")
     for snr in range(-20, 1):
@@ -424,8 +428,6 @@ def test_c8_snr_sweep(tmp_path):
         hi = sel[(0.0, cond, "frame")].p_detect
         if hi < lo:
             failures.append(f"frame detection not improving with SNR ({cond})")
-    detector.write_sweep(points, tmp_path)
-    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")
     if len(rows) != 1 + 84:
         failures.append("sweep.csv row count off")
     if elapsed > 600:

@@ -679,6 +679,12 @@ class TestGenerateDetectSweep:
         assert cli.main(["detect", "--config", cfg, "--out", str(out), "--data", str(gen)]) == 1
         assert "calibration error" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+        # Every dataset loads before calibration: a missing one exits 2 even so.
+        missing = gen / "datasets" / "good_high" / "manifest.json"
+        missing.unlink()
+        assert cli.main(["detect", "--config", cfg, "--out", str(out), "--data", str(gen)]) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize(
         "data", ["missing_cell", "missing_calibration", "empty_dir", "detect_output", "empty"]
@@ -884,6 +890,18 @@ class TestGenerateDetectSweep:
         assert sweep_snrs(tmp_path, "-2:0:1", out) == [-2, -1, 0]
         echoed = json.loads((out / "config.json").read_text())
         assert echoed["snr_lo"] == -2.0 and echoed["snr_hi"] == 0.0
+
+    def test_plan_lists_sweep_like_grid(self):
+        # The sweep's run list: the calibration set, then one normal-state cell per
+        # sensor condition and SNR, as the grid's lists one per noise level.
+        plan = cli.load_plan(None, None, "-2:0:1")
+        sim = turbine.SimConfig(samples_per_state=plan.cfg["sweep_samples_per_point"])
+        assert plan.sweep[0] == (cli.CALIBRATION, detector.calibration_config(sim),
+                                 detector.NORMAL_ONLY)
+        levels = {"-2.0dB": -2.0, "-1.0dB": -1.0, "0.0dB": 0.0}
+        assert plan.sweep[1:] == [(key, run_cfg, detector.NORMAL_ONLY)
+                                  for key, run_cfg in detector.grid_cells(sim, levels)]
+        assert plan.datasets[0][0] == cli.CALIBRATION and len(plan.datasets) == 1 + 2 * 2
 
     def test_bad_snr_range(self, tmp_path):
         cfg = write_config(tmp_path)

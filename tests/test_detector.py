@@ -18,9 +18,8 @@ from framesense.detector import (
     detect,
     grid_cells,
     map_healths,
-    run_conditions,
     score_condition,
-    snr_sweep,
+    score_runs,
     write_results,
     write_sweep,
 )
@@ -53,6 +52,11 @@ def grid():
         key: turbine.generate_dataset(FLEET, MIX, run_cfg, conditions)
         for key, run_cfg in grid_cells(replace(CFG, samples_per_state=4), levels)
     }
+
+
+def score_grid(grid, **kwargs):
+    """``score_runs`` over the calibration set, then the grid's datasets."""
+    return score_runs(list(grid), [calibration_set(), *grid.values()], TH, **kwargs)
 
 
 class TestThresholds:
@@ -202,19 +206,27 @@ class TestZeroNoiseContracts:
 
 
 class TestRunsAndReports:
-    def test_run_conditions_report_shape(self, baselines, grid):
-        report = run_conditions(grid, baselines, TH, metadata={"samples": 4})
+    def test_run_conditions_report_shape(self, grid):
+        report = score_grid(grid, metadata={"samples": 4})
         assert len(report.stats) == 3 * 2 * 2 * 2  # states x sensor x noise x pipeline
+        assert report.metadata == {"samples": 4}
         st = report.lookup("normal", "good", "low", "basis")
         assert st.pct_correct == 100.0
 
-    def test_report_determinism(self, baselines, grid):
-        a = run_conditions(grid, baselines, TH).to_json_dict()
-        b = run_conditions(grid, baselines, TH).to_json_dict()
+    def test_score_runs_needs_one_key_per_dataset(self, grid):
+        # Keys name the datasets after the calibration set, one each.
+        datasets = [calibration_set(), *grid.values()]
+        for keys in (list(grid)[1:], [*grid, ("good", "extra")]):
+            with pytest.raises(ValueError):
+                score_runs(keys, datasets, TH)
+
+    def test_report_determinism(self, grid):
+        a = score_grid(grid).to_json_dict()
+        b = score_grid(grid).to_json_dict()
         assert a == b
 
-    def test_write_results_files(self, baselines, grid, tmp_path):
-        report = run_conditions(grid, baselines, TH)
+    def test_write_results_files(self, grid, tmp_path):
+        report = score_grid(grid)
         write_results(report, tmp_path)
         doc = json.loads((tmp_path / "results.json").read_text())
         assert len(doc["conditions"]) == 24
@@ -226,47 +238,52 @@ class TestRunsAndReports:
         assert len(rows) == 1 + 6 + 2
 
     def test_sweep_points_and_files(self, tmp_path):
-        pts = snr_sweep(
-            FLEET,
-            MIX,
-            replace(CFG, samples_per_state=4),
-            [-20, -10, 0],
-            TH,
-        )
-        assert len(pts) == 3 * 2 * 2  # grid x pipelines x sensor conditions
-        for pt in pts:
-            assert pt.p_false_alarm == pytest.approx(1.0 - pt.p_detect)
-        write_sweep(pts, tmp_path)
+        plan = cli.load_plan(None, None, "-20:0:10")
+        sweep = [(key, replace(run_cfg, samples_per_state=4), conditions)
+                 for key, run_cfg, conditions in plan.sweep]
+        assert [key for key, _, _ in sweep[:4]] == [
+            cli.CALIBRATION, ("good", "-20.0dB"), ("good", "-10.0dB"), ("good", "0.0dB")]
+        report = cli._score(plan, plan.sweep_mixing, sweep, None)
+        snrs = {level: run_cfg.snr_db for (_, level), run_cfg, _ in sweep[1:]}
+        write_sweep(report, snrs, tmp_path)
         rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")
         assert rows[0] == "snr_db,pipeline,sensor_condition,p_detect,p_fa"
-        assert len(rows) == 1 + len(pts)
-        curve = (tmp_path / "curves" / "basis_good_detect.dat").read_text().strip()
-        assert len(curve.split("\n")) == 3
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            snr_sweep(FLEET, MIX, CFG, [], TH)
+        assert len(rows) == 1 + 3 * 2 * 2  # grid x sensor conditions x pipelines
+        for row, st in zip(rows[1:], report.stats):
+            snr, pipeline, cond, p_detect, p_fa = row.split(",")
+            assert (float(snr), pipeline, cond) == (
+                snrs[st.noise_level], st.pipeline, st.sensor_condition)
+            assert float(p_detect) == st.pct_correct / 100.0
+            assert float(p_fa) == 1.0 - float(p_detect)
+        for pipeline in detector.PIPELINES:
+            for cond in detector.SENSOR_CONDITIONS:
+                for metric in ("detect", "fa"):
+                    curve = (tmp_path / "curves" / f"{pipeline}_{cond}_{metric}.dat").read_text()
+                    points = [line.split(" ") for line in curve.strip().split("\n")]
+                    assert [float(snr) for snr, _ in points] == [-20.0, -10.0, 0.0]
+                    expected = [row.split(",")[3 if metric == "detect" else 4]
+                                for row in rows[1:] if f",{pipeline},{cond}," in row]
+                    assert [p for _, p in points] == expected
 
     @pytest.mark.parametrize("samples", [3, 16])
     def test_sweep_matches_per_point_generation(self, samples):
-        # One dataset generated and scored per (sensor condition, SNR) point, with its
-        # own draw, gives the points the shared draw gives, in the same order.
+        # One dataset generated and scored per (sensor condition, SNR) cell, with its
+        # own draw, gives the statistics that one shared draw gives, in the same order.
         cfg = replace(CFG, samples_per_state=samples, rng_seed=77)
-        mix, grid = mixing_matrix(0.56), [-16.0, -8.5, -2.0, 6.0]
+        mix, levels = mixing_matrix(0.56), {f"{snr}dB": snr for snr in [-16.0, -8.5, -2.0, 6.0]}
         calib = calibration_set(cfg, mix)
         baselines = {kind: calibrate(calib, kind) for kind in detector.PIPELINES}
+        cells = list(grid_cells(cfg, levels))
         expected = []
-        levels = {f"{snr}dB": snr for snr in grid}
-        for (sensor_condition, level), run_cfg in grid_cells(cfg, levels):
+        for (sensor_condition, level), run_cfg in cells:
             ds = turbine.generate_dataset(FLEET, mix, run_cfg, detector.NORMAL_ONLY)
-            for st in score_condition(ds, "normal", baselines, TH, sensor_condition, level):
-                p = st.pct_correct / 100.0
-                expected.append((run_cfg.snr_db, st.pipeline, sensor_condition, p, 1.0 - p))
-        points = snr_sweep(FLEET, mix, cfg, grid, TH)
-        found = [(pt.snr_db, pt.pipeline, pt.sensor_condition, pt.p_detect, pt.p_false_alarm)
-                 for pt in points]
-        assert found == expected
-        assert len({pt.p_detect for pt in points}) > 2  # the grid spans distinct rates
+            expected += score_condition(ds, "normal", baselines, TH, sensor_condition, level)
+        runs = [(calibration_config(cfg), detector.NORMAL_ONLY)]
+        runs += [(run_cfg, detector.NORMAL_ONLY) for _, run_cfg in cells]
+        report = score_runs([key for key, _ in cells],
+                            turbine.generate_datasets(FLEET, mix, runs), TH)
+        assert report.stats == expected
+        assert len({st.correct for st in report.stats}) > 2  # the grid spans distinct rates
 
     def test_shared_draw_is_lazy(self):
         # The longest sweep at the default 128 samples per point, whose datasets
