@@ -6,9 +6,12 @@ directory so result files are self-describing.  ``generate``, ``detect`` and
 ``sweep`` build all they use from one plan, ``load_plan``, which checks every
 config key before any output and lists the grid's and the sweep's datasets
 alike; ``detect`` and ``sweep`` score theirs through ``detector.score_runs``.
-``generate`` writes its datasets in one process per available CPU.  Exit codes: 0 success, 1 domain violation
-(invalid scenario, or a demanded conclusion failed), 2 I/O or parse error or
-float64 overflow.
+``generate`` writes its datasets in one process per available CPU.  Its workers
+report only success or failure; after any failure it writes the plan again in
+one process, which reports the first failing dataset as a one-process run does.
+
+Exit codes: 0 success, 1 domain violation (invalid scenario, or a demanded
+conclusion failed), 2 I/O or parse error or float64 overflow.
 
 Each command imports the layers it runs, when it runs: besides ``frames``,
 ``validate`` loads ``scenario``, ``theorems`` ``scenario`` and ``mappings``, and
@@ -23,7 +26,6 @@ import gc
 import json
 import math
 import os
-import pickle
 import re
 import sys
 import warnings
@@ -259,8 +261,12 @@ def _check_run(sim: SimConfig, fleet, conditions, samples_key: str, snrs, snr_ke
         )
     if turbine.health_bound(fleet, sim, conditions) >= turbine.MAX_HEALTH:
         raise ValueError("config key 'fault_multiplier': summed healths could overflow float64")
+    # sigma falls as the SNR rises, and health_bound with it: the lowest SNR gives
+    # the largest healths and the highest the smallest sigma, so the SNRs that
+    # pass form one interval and its two ends decide for every point between.
+    snrs = sorted(snrs)
     try:
-        for snr_db in snrs:
+        for snr_db in snrs[:1] + snrs[-1:]:
             bound = turbine.health_bound(fleet, replace(sim, snr_db=snr_db), conditions)
             if bound >= turbine.MAX_HEALTH:
                 raise ValueError(f"snr_db {snr_db}: summed healths could overflow float64")
@@ -346,69 +352,39 @@ def _dataset_dir(root: Path, key: tuple) -> Path:
     return root / "datasets" / "_".join(key)
 
 
-def _write_share(plan: Plan, out: Path, indices) -> tuple | None:
-    """Generate and save the datasets at ``indices`` of ``plan.datasets``, in order,
-    stopping at the first that fails.  Returns that failure, ``(index, exception)``,
-    or None."""
+def _write(plan: Plan, out: Path, indices) -> None:
+    """Generate and save the datasets at ``indices`` of ``plan.datasets``, in order.
+    The first that fails raises."""
     from . import turbine
 
     for index in indices:
         key, run_cfg, conditions = plan.datasets[index]
-        try:
-            ds = turbine.generate_dataset(plan.fleet, plan.mixing, run_cfg, conditions)
-            turbine.save_dataset(ds, _dataset_dir(out, key))
-        except Exception as err:  # carried to the parent, which raises it
-            return index, err
-    return None
+        ds = turbine.generate_dataset(plan.fleet, plan.mixing, run_cfg, conditions)
+        turbine.save_dataset(ds, _dataset_dir(out, key))
 
 
-def _fork_share(plan: Plan, out: Path, indices) -> tuple:
-    """Fork a child that runs ``_write_share`` on ``indices`` and sends its result
-    back, pickled, through a pipe.  Returns ``(pid, read end of the pipe)``."""
-    read, write = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when a process with threads forks, and after
-            # ``import numpy`` OpenBLAS keeps a pool thread.  The child makes no
-            # BLAS call (``line_spectrum``, the Philox draw, ``np.save`` and
-            # sha256 are elementwise or I/O), and OpenBLAS resets its pool in a
-            # forked child.
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
+def _fork(plan: Plan, out: Path, indices) -> int:
+    """Fork a child that runs ``_write`` on ``indices``; return its pid.  The child
+    reports by its exit status alone: 0 when it wrote them all, else 1."""
+    with warnings.catch_warnings():
+        # Python 3.12+ warns when a process with threads forks, and after
+        # ``import numpy`` OpenBLAS keeps a pool thread.  The child makes no
+        # BLAS call (``line_spectrum``, the Philox draw, ``np.save`` and
+        # sha256 are elementwise or I/O), and OpenBLAS resets its pool in a
+        # forked child.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                                DeprecationWarning)
+        pid = os.fork()
     if pid:
-        os.close(write)
-        return pid, read
+        return pid
     # The child prints nothing and always leaves through os._exit, so it never
     # returns into main's caller nor runs the parent's atexit handlers.
     code = 1
     try:
-        os.close(read)
-        result = _write_share(plan, out, indices)
-        with open(write, "wb") as fh:
-            fh.write(pickle.dumps(result))
-        code = 0 if result is None else 1
+        _write(plan, out, indices)
+        code = 0
     finally:
         os._exit(code)
-
-
-def _collect(pid: int, read: int, indices) -> tuple | None:
-    """Read and reap a child of ``_fork_share``: its ``_write_share`` result or,
-    when it left none, a failure at the first dataset of its share."""
-    try:
-        with open(read, "rb") as fh:
-            data = fh.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if data and code in (0, 1):
-        return pickle.loads(data)
-    return indices[0], ChildProcessError(
-        f"dataset worker {pid} exited with status {code} and no result")
 
 
 def cmd_generate(args) -> int:
@@ -425,25 +401,28 @@ def cmd_generate(args) -> int:
     (out / "datasets").mkdir(exist_ok=True)
     sys.stdout.flush()
     sys.stderr.flush()
-    children = []  # (pid, read end of its result pipe, its share)
+    pids, ok = [], True
     try:
         for share in shares[1:]:
-            children.append((*_fork_share(plan, out, share), share))
-        own = _write_share(plan, out, shares[0])
+            pids.append(_fork(plan, out, share))
+        try:
+            _write(plan, out, shares[0])
+        except Exception:  # the one-process rewrite below reports it
+            ok = False
     finally:
-        others = [_collect(*child) for child in children]
-    failures = [failure for failure in [own, *others] if failure is not None]
-    # Report as one worker would: the datasets before the first failure in
-    # plan order, then that failure.  Datasets after it may have been written.
-    stop, error = min(failures, key=lambda failure: failure[0], default=(n, None))
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    ok = ok and not any(statuses)
+    # After any failure, write the plan again in one process: the first dataset
+    # that fails in plan order then stops the run with one process's report.
+    # Datasets after it may have been written.
     total = 0
-    for key, run_cfg, conditions in plan.datasets[:stop]:
+    for index, (key, run_cfg, conditions) in enumerate(plan.datasets):
+        if not ok:
+            _write(plan, out, [index])
         if key != CALIBRATION:
             samples = len(conditions) * run_cfg.samples_per_state
             total += samples
             print(f"wrote {_dataset_dir(out, key)} ({samples} samples)")
-    if error is not None:
-        raise error
     print(f"total labeled samples: {total}")
     return EXIT_OK
 

@@ -1,4 +1,5 @@
 import atexit
+import errno
 import gc
 import hashlib
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -829,6 +831,63 @@ class TestGenerateDetectSweep:
             else:
                 cli._check_run(sim, fleet, conditions, "samples_per_state", [], "")
 
+    def test_snr_ends_decide_like_every_point(self):
+        # _check_run checks an SNR list at its lowest and highest points; the
+        # reference is the loop over every point that it replaced.
+        fleet, conditions = turbine.default_fleet(), turbine.engine1_conditions()
+        sim = turbine.SimConfig(samples_per_state=4)
+
+        def refused_per_point(snrs):
+            try:
+                for snr_db in snrs:
+                    bound = turbine.health_bound(fleet, replace(sim, snr_db=snr_db), conditions)
+                    if bound >= turbine.MAX_HEALTH:
+                        raise ValueError(f"snr_db {snr_db}")
+            except ValueError:
+                return True
+            return False
+
+        def refused(snrs):
+            try:
+                cli._check_run(sim, fleet, conditions, "samples_per_state", snrs, "key")
+            except ValueError as err:
+                assert str(err).startswith("key: snr_db ")
+                return True
+            return False
+
+        def last_accepted(inside, outside):
+            while (mid := (inside + outside) / 2) not in (inside, outside):
+                if refused_per_point([mid]):
+                    outside = mid
+                else:
+                    inside = mid
+            return inside
+
+        rng = np.random.default_rng(24)
+        ends = [last_accepted(0.0, -1e4), last_accepted(0.0, 1e4)]
+        assert -6074 < ends[0] < -6073 and 6147 < ends[1] < 6148
+
+        def near(end):  # within 100 float64 steps of an end, or up to 30 dB from it
+            if rng.random() < 0.5:
+                return end + int(rng.integers(-100, 101)) * math.ulp(end)
+            return end + float(rng.uniform(-30.0, 30.0))
+
+        cases = [[end + k * math.ulp(end)] for end in ends for k in range(-100, 101)]
+        for _ in range(300):
+            # a range about one end, or from near the lower end to near the upper
+            first = rng.integers(2)
+            lo, hi = sorted([near(ends[first]), near(ends[rng.integers(first, 2)])])
+            try:
+                cases.append(cli._snr_grid(lo, hi, max(hi - lo, 1e-3) / int(rng.integers(1, 40))))
+            except ValueError:  # more than MAX_SWEEP_POINTS or not distinct
+                pass
+            levels = {f"l{i}": near(ends[rng.integers(2)]) if rng.random() < 0.7
+                      else float(rng.uniform(*ends)) for i in range(rng.integers(1, 5))}
+            cases.append(levels.values())
+        verdicts = [(refused(snrs), refused_per_point(snrs)) for snrs in cases]
+        assert all(mine == reference for mine, reference in verdicts)
+        assert 200 < sum(reference for _, reference in verdicts) < len(cases) - 200
+
     @pytest.mark.parametrize(
         "command,key",
         [("generate", "samples_per_state"), ("detect", "samples_per_state"),
@@ -1126,20 +1185,37 @@ class TestParallelGenerate:
             assert out == ("wrote g/datasets/good_low (12 samples)\n"
                            "wrote g/datasets/good_high (12 samples)\n")
 
-    def test_a_child_that_dies_is_an_io_error(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("blocked", [(), ("good_high",)], ids=["alone", "good_high_blocked"])
+    def test_a_child_that_dies_is_replayed(self, tmp_path, monkeypatch, capsys, blocked):
+        # A worker that dies leaves its datasets unwritten, and the one-process
+        # rewrite writes them; with good_high blocked the parent's share fails too.
+        serial = self.run(tmp_path, monkeypatch, capsys, 1, SMALL_CONFIG, "w1", blocked)
         parent = os.getpid()
-        write_share = cli._write_share
+        write = cli._write
 
         def dies_in_child(*args):
             if os.getpid() != parent:
                 os._exit(3)
-            return write_share(*args)
+            return write(*args)
 
-        monkeypatch.setattr(cli, "_write_share", dies_in_child)
-        code, out, err, _ = self.run(tmp_path, monkeypatch, capsys, 2, SMALL_CONFIG, "w2")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: dataset worker ")
-        assert err.endswith(" exited with status 3 and no result\n")
+        monkeypatch.setattr(cli, "_write", dies_in_child)
+        assert self.run(tmp_path, monkeypatch, capsys, 2, SMALL_CONFIG, "w2", blocked) == serial
+
+    def test_a_failing_fork_is_an_io_error(self, tmp_path, monkeypatch, capsys):
+        # The second of two forks fails: the first child is still reaped, and
+        # nothing is reported written.
+        fork, forks = os.fork, []
+
+        def second_fork_fails():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        code, out, err, _ = self.run(tmp_path, monkeypatch, capsys, 3, SMALL_CONFIG, "w3")
+        assert (code, out, err) == (2, "", "error: [Errno 11] Resource temporarily unavailable\n")
+        assert len(forks) == 2
 
     def test_only_the_fork_warning_is_ignored(self, tmp_path, monkeypatch, capsys):
         # Python 3.12+ warns on forking a process with threads; tests run with
