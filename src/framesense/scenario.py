@@ -20,8 +20,10 @@ import numpy as np
 from .frames import DEFAULT_TOL, check_tol, parse_complex
 
 
-# Most reading entries N*K*M a document may declare: 256 MiB of complex128.
-# The benchmark's spectral scenario has 786,432.
+# Most reading entries N*K*M a document may declare, silent parameters
+# included, though a Scenario holds the live parameters' readings only.  A
+# dense document is still parsed whole, into up to 256 MiB of complex128.
+# The benchmark's spectral scenario declares 786,432 and holds 5,376.
 MAX_READINGS = 2**24
 
 
@@ -76,6 +78,8 @@ class HealthMap:
             object.__setattr__(self, "rows", rows)
         elif self.kind == "general_linear":
             m = np.asarray(self.matrix, dtype=np.complex128)
+            if m.ndim != 2:
+                raise ValueError("health matrix must be 2-D")
             if m.shape[0] != self.n:
                 raise ValueError("matrix row count must equal health dimension")
             object.__setattr__(self, "matrix", m)
@@ -105,6 +109,13 @@ class HealthMap:
         return v @ self.matrix.T
 
 
+def _live_columns(readings: np.ndarray) -> tuple:
+    """The parameters of (N, K, M) ``readings`` with any nonzero reading, and
+    their (N, K, L) readings."""
+    params = np.flatnonzero(np.any(readings != 0, axis=(0, 1)))
+    return params, readings[:, :, params]
+
+
 def _int_set(indices) -> frozenset:
     """``indices`` as a frozenset of ints, kept as it is when it already is one."""
     if type(indices) is frozenset and set(map(type, indices)) <= {int}:
@@ -116,36 +127,50 @@ def _int_set(indices) -> frozenset:
 class Scenario:
     """Parameters, sensors, times, covering/partition, readings, health map.
 
-    ``readings[j, k, f]`` is sensor j's value for parameter f at time k; it
-    must vanish outside the sensor's covering set T_j.
+    Only the live parameters are stored: ``params`` holds their sorted
+    indices in 0..M-1, and ``values[j, k, l]`` is sensor j's reading of
+    parameter ``params[l]`` at time k.  The reading of every other parameter
+    is 0 by definition.  A reading must vanish outside the sensor's covering
+    set T_j.  :meth:`from_dense` builds one from an (N, K, M) array.
     """
 
     covering: tuple
     partition: tuple
-    readings: np.ndarray
+    params: np.ndarray
+    values: np.ndarray
+    M: int
     health: HealthMap
 
     def __post_init__(self):
-        r = np.asarray(self.readings, dtype=np.complex128)
-        if r.ndim != 3:
-            raise ValueError("readings must have shape (N, K, M)")
-        object.__setattr__(self, "readings", r)
+        v = np.asarray(self.values, dtype=np.complex128)
+        p = np.asarray(self.params, dtype=np.int64)
+        m = int(self.M)
+        if v.ndim != 3 or p.shape != v.shape[2:]:
+            raise ValueError("values must have shape (N, K, L) for L params")
+        if p.size and (p[0] < 0 or p[-1] >= m or np.any(p[1:] <= p[:-1])):
+            raise ValueError(f"params must be increasing indices in 0..{m - 1}")
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "params", p)
+        object.__setattr__(self, "M", m)
         object.__setattr__(self, "covering", tuple(map(_int_set, self.covering)))
         object.__setattr__(self, "partition", tuple(map(_int_set, self.partition)))
-        if len(self.covering) != r.shape[0] or len(self.partition) != r.shape[0]:
+        if len(self.covering) != v.shape[0] or len(self.partition) != v.shape[0]:
             raise ValueError("need one covering and one partition set per sensor")
+        h = self.health
+        if h.kind == "selection_matrix":
+            for i, (f, _) in enumerate(h.rows):
+                if not 0 <= f < m:
+                    raise ValueError(f"health row {i} selects parameter {f}, outside 0..{m - 1}")
+        elif h.matrix.shape[1] != m:
+            raise ValueError(f"health matrix has width {h.matrix.shape[1]}, expected M = {m}")
 
     @property
     def N(self) -> int:
-        return self.readings.shape[0]
+        return self.values.shape[0]
 
     @property
     def K(self) -> int:
-        return self.readings.shape[1]
-
-    @property
-    def M(self) -> int:
-        return self.readings.shape[2]
+        return self.values.shape[1]
 
     @property
     def n(self) -> int:
@@ -153,7 +178,24 @@ class Scenario:
 
     def health_images(self) -> np.ndarray:
         """All H(v_jk) as an (N, K, n) array."""
-        return self.health.apply(self.readings)
+        h = self.health
+        if h.kind != "selection_matrix":
+            return self.values @ h.matrix[:, self.params].T
+        f_idx = np.array([f for f, _ in h.rows])
+        scales = np.array([s for _, s in h.rows])
+        live = np.isin(f_idx, self.params)  # a silent parameter's image is 0
+        col = np.searchsorted(self.params, f_idx[live])
+        images = np.zeros((self.N, self.K, h.n), dtype=np.complex128)
+        images[:, :, live] = self.values[:, :, col] * scales[live]
+        return images
+
+    @classmethod
+    def from_dense(cls, covering, partition, readings, health) -> "Scenario":
+        """Keep the parameters of (N, K, M) ``readings`` with any nonzero reading."""
+        r = np.asarray(readings, dtype=np.complex128)
+        if r.ndim != 3:
+            raise ValueError("readings must have shape (N, K, M)")
+        return cls(covering, partition, *_live_columns(r), r.shape[2], health)
 
     @classmethod
     def from_factors(
@@ -165,12 +207,13 @@ class Scenario:
         if g.ndim != 2 or a.ndim != 2 or g.shape[1] != a.shape[1]:
             raise ValueError("factor arrays must be (N, M) and (K, M)")
         n_sensors, m = g.shape
-        readings = g[:, None, :] * a[None, :, :]
+        params = np.flatnonzero(np.any(g != 0, axis=0) & np.any(a != 0, axis=0))
+        values = g[:, None, params] * a[None, :, params]
         if covering is None:
             covering = [range(m)] * n_sensors
         if partition is None:
             partition = [range(j, m, n_sensors) for j in range(n_sensors)]
-        return cls(tuple(covering), tuple(partition), readings, health)
+        return cls(tuple(covering), tuple(partition), params, values, m, health)
 
 
 @dataclass(frozen=True)
@@ -276,14 +319,15 @@ def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> ValidityReport:
         stray = s.partition[j] - s.covering[j]
         if stray:
             violations.append(f"S_{j} is not contained in T_{j} (extra {sorted(stray)})")
+    params = s.params.tolist()
     for j in range(s.N):
-        outside = sorted(all_params - s.covering[j])
+        outside = [l for l, f in enumerate(params) if f not in s.covering[j]]
         if not outside:
             continue
-        block = np.abs(s.readings[j][:, outside])
+        block = np.abs(s.values[j][:, outside])
         if np.any(block > tol):
-            ks, fs = np.nonzero(block > tol)
-            k, f = int(ks[0]), outside[int(fs[0])]
+            ks, ls = np.nonzero(block > tol)
+            k, f = int(ks[0]), params[outside[int(ls[0])]]
             violations.append(
                 f"sensor {j} reports parameter {f} outside its covering "
                 f"(first at time {k})"
@@ -297,16 +341,14 @@ def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> Factorization:
     At each parameter f the N-by-K matrix of readings must have numerical
     rank at most one; otherwise :class:`NotPreSeparableError` lists the
     offending parameters.  The per-parameter gauge is fixed so that the
-    loudest sensor's factor is real and nonnegative.  Only parameters with a
-    nonzero reading are decomposed: an all-zero one has top singular value 0,
-    so it is silent and keeps both factors zero.
+    loudest sensor's factor is real and nonnegative.  Only the live
+    parameters are decomposed; every other one is silent and keeps both
+    factors zero, as does a live one whose top singular value is within tol.
     """
     check_tol(tol)
-    r = s.readings
-    nz = np.flatnonzero(np.any(r != 0, axis=(0, 1)))
-    signal = r[:, :, nz]  # max|r| is over these: every other reading is 0
-    scale = max(1.0, float(np.max(np.abs(signal)))) if nz.size else 1.0
-    u, sv, vh = np.linalg.svd(signal.transpose(2, 0, 1), full_matrices=False)
+    r, nz = s.values, s.params
+    scale = max(1.0, float(np.max(np.abs(r)))) if r.size else 1.0
+    u, sv, vh = np.linalg.svd(r.transpose(2, 0, 1), full_matrices=False)
     u0, top_sv, vh0 = u[:, :, 0], sv[:, 0], vh[:, 0, :]  # (F, N), (F,), (F, K)
     live = top_sv > tol * scale  # a silent parameter keeps both factors zero
     if sv.shape[1] > 1:
@@ -316,8 +358,8 @@ def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> Factorization:
     top = np.take_along_axis(u0, np.argmax(np.abs(u0), axis=1)[:, None], axis=1)
     phase = np.conj(top) / np.abs(top)  # (F, 1)
     root = np.sqrt(top_sv)[:, None]
-    gamma_hat = np.zeros((r.shape[0], r.shape[2]), dtype=np.complex128)
-    alpha_hat = np.zeros((r.shape[1], r.shape[2]), dtype=np.complex128)
+    gamma_hat = np.zeros((s.N, s.M), dtype=np.complex128)
+    alpha_hat = np.zeros((s.K, s.M), dtype=np.complex128)
     gamma_hat[:, nz] = np.where(live[:, None], root * u0 * phase, 0.0).T
     alpha_hat[:, nz] = np.where(live[:, None], root * vh0 * np.conj(phase), 0.0).T
     return Factorization(gamma_hat=gamma_hat, alpha_hat=alpha_hat)
@@ -491,7 +533,7 @@ def scenario_to_json_dict(s: Scenario) -> dict:
     The readings are written sparse, as ``{"shape": [N, K, M], "nonzero":
     [[j, k, f, value], ...]}`` with 1-based indices in row-major order.
     """
-    nonzero = np.nonzero(s.readings)
+    js, ks, ls = np.nonzero(s.values)  # params is sorted: row-major in (j, k, f)
     doc = {
         "M": s.M,
         "N": s.N,
@@ -499,11 +541,11 @@ def scenario_to_json_dict(s: Scenario) -> dict:
         "covering": [sorted(f + 1 for f in t) for t in s.covering],
         "partition": [sorted(f + 1 for f in t) for t in s.partition],
         "readings": {
-            "shape": list(s.readings.shape),
+            "shape": [s.N, s.K, s.M],
             "nonzero": [
                 [j + 1, k + 1, f + 1, _complex_out(z)]
-                for j, k, f, z in zip(*(i.tolist() for i in nonzero),
-                                      s.readings[nonzero].tolist())
+                for j, k, f, z in zip(js.tolist(), ks.tolist(), s.params[ls].tolist(),
+                                      s.values[js, ks, ls].tolist())
             ],
         },
     }
@@ -599,19 +641,22 @@ def _complex_array(value, shape: tuple) -> np.ndarray:
     return out
 
 
-def _readings(value, shape: tuple) -> np.ndarray:
-    """The readings of ``shape`` (N, K, M), from dense nested lists or from
-    ``{"shape": [N, K, M], "nonzero": [[j, k, f, value], ...]}`` with 1-based
-    indices, each (j, k, f) at most once and every other entry 0.
+def _readings(value, shape: tuple) -> tuple:
+    """The readings of ``shape`` (N, K, M) as ``Scenario``'s (params, values),
+    from dense nested lists or from ``{"shape": [N, K, M], "nonzero": [[j, k,
+    f, value], ...]}`` with 1-based indices, each (j, k, f) at most once and
+    every other entry 0.
 
     A shape of more than ``MAX_READINGS`` entries is refused before anything
     is allocated; the sparse form's ``shape`` must repeat the declared one.
+    The sparse form keeps a column per distinct f of its entries and never
+    allocates the N*K*M entries; dense lists keep their nonzero columns.
     """
     size = shape[0] * shape[1] * shape[2]
     if size > MAX_READINGS:
         raise ValueError(f"N*K*M = {size} entries, more than {MAX_READINGS}")
     if type(value) is not dict:
-        return _complex_array(value, shape)
+        return _live_columns(_complex_array(value, shape))
     if sorted(value) != ["nonzero", "shape"]:
         raise ValueError(f'expected keys "shape" and "nonzero", got {sorted(value)}')
     declared, entries = value["shape"], value["nonzero"]
@@ -620,18 +665,21 @@ def _readings(value, shape: tuple) -> np.ndarray:
         raise ValueError(f"shape {declared!r} is not the declared [N, K, M] {list(shape)}")
     if type(entries) is not list or any(type(e) is not list or len(e) != 4 for e in entries):
         raise TypeError("nonzero must be a list of [j, k, f, value] entries")
-    out = np.zeros(size, dtype=np.complex128)
-    if entries:
-        *index, values = zip(*entries)
-        _check_indices(index)
-        try:
-            flat = np.ravel_multi_index(np.array(index, dtype=np.int64) - 1, shape)
-        except ValueError:
-            raise ValueError("an entry (j, k, f) lies outside 1..N, 1..K, 1..M") from None
-        if len(set(flat.tolist())) != flat.size:
-            raise ValueError("an entry (j, k, f) appears more than once")
-        out[flat] = _complex_array(list(values), (flat.size,))
-    return out.reshape(shape)
+    if not entries:
+        return np.zeros(0, dtype=np.int64), np.zeros((*shape[:2], 0), dtype=np.complex128)
+    *index, values = zip(*entries)
+    _check_indices(index)
+    index = np.array(index, dtype=np.int64) - 1
+    try:
+        flat = np.ravel_multi_index(index, shape)
+    except ValueError:
+        raise ValueError("an entry (j, k, f) lies outside 1..N, 1..K, 1..M") from None
+    if len(set(flat.tolist())) != flat.size:
+        raise ValueError("an entry (j, k, f) appears more than once")
+    params, col = np.unique(index[2], return_inverse=True)
+    out = np.zeros((*shape[:2], params.size), dtype=np.complex128)
+    out[index[0], index[1], col] = _complex_array(list(values), (flat.size,))
+    return params, out
 
 
 def _selection_rows(value, n: int, M: int) -> list:
@@ -670,7 +718,7 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
     """
     shape = tuple(_read(doc, key, _count) for key in ("N", "K", "M"))
     N, M = shape[0], shape[2]
-    readings = _read(doc, "readings", lambda v: _readings(v, shape))
+    params, values = _read(doc, "readings", lambda v: _readings(v, shape))
     covering = _read(doc, "covering", lambda v: _index_sets(v, N, M))
     partition = _read(doc, "partition", lambda v: _index_sets(v, N, M))
     hdoc = _read(doc, "health", _of_type(dict))
@@ -684,4 +732,4 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
                        "health.matrix")
     else:
         raise ValueError(f"unknown health map kind {kind!r}")
-    return Scenario(tuple(covering), tuple(partition), readings, health)
+    return Scenario(tuple(covering), tuple(partition), params, values, M, health)

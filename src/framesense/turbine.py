@@ -537,11 +537,13 @@ def dataset_scenario(fleet, mixing, cfg: SimConfig, fleet_states_per_time) -> Sc
         raise ValueError("dataset_scenario builds noise-free spectra; cfg.snr_db must be None")
     bins = fleet_line_bins(fleet, cfg)
     n = cfg.dft_size
-    readings = np.zeros((SENSORS, len(fleet_states_per_time), n), dtype=np.complex128)
+    params = np.unique(np.concatenate([bins, n - bins]))
+    line_cols, mirror_cols = np.searchsorted(params, bins), np.searchsorted(params, n - bins)
+    values = np.zeros((SENSORS, len(fleet_states_per_time), params.size), dtype=np.complex128)
     for k, states in enumerate(fleet_states_per_time):
         magnitudes = np.abs(line_spectrum(fleet, states, mixing, cfg))
-        readings[:, k, bins] = magnitudes
-        readings[:, k, n - bins] = magnitudes
+        values[:, k, line_cols] = magnitudes
+        values[:, k, mirror_cols] = magnitudes
     owner = np.full(n, -1, dtype=int)
     for h in range(SENSORS):
         owner[bins[h * LINES_PER_ENGINE : (h + 1) * LINES_PER_ENGINE]] = h
@@ -552,4 +554,4 @@ def dataset_scenario(fleet, mixing, cfg: SimConfig, fleet_states_per_time) -> Sc
     )
     covering = (frozenset(range(n)),) * SENSORS
     health = HealthMap.selection(bins.size, [(int(b), 1.0) for b in bins])
-    return Scenario(covering, partition, readings, health)
+    return Scenario(covering, partition, params, values, n, health)

@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 
 from framesense import cli, detector, scenario, turbine
-from framesense.scenario import MAX_READINGS, scenario_from_json_dict, scenario_to_json_dict
+from framesense.scenario import (
+    MAX_READINGS,
+    HealthMap,
+    Scenario,
+    factor_readings,
+    scenario_from_json_dict,
+    scenario_to_json_dict,
+    volume_factors_constant,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HARMONIOUS = str(FIXTURES / "three_sensor_projection.json")
@@ -79,6 +87,19 @@ def spectral_doc(times):
         [cycle[k % len(cycle)] for k in range(times)],
     )
     return scenario_to_json_dict(scenario)
+
+
+def general_linear_doc():
+    """A general linear map over 3 sensors, 2 times and 6 parameters, two of
+    them silent.  The volume factors differ in scale from parameter to
+    parameter, so ``separate`` takes the regauge path."""
+    rng = np.random.default_rng(5)
+    gamma_hat = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    gamma_hat[:, [1, 4]] = 0
+    alpha_hat = (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))) \
+        * rng.uniform(0.5, 2.0, 6)
+    health = HealthMap.linear(rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)))
+    return scenario_to_json_dict(Scenario.from_factors(gamma_hat, alpha_hat, health))
 
 
 def peak_bytes(argv):
@@ -378,12 +399,26 @@ class TestValidate:
         assert cli.main(["validate", str(path)]) == 2
         assert "'health.n'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("source", ["harmonious", "isolated", "spectral"])
+    @pytest.mark.parametrize(
+        "source", ["harmonious", "isolated", "spectral", "silent_selected", "general_linear"])
     def test_dense_and_sparse_readings_give_identical_output(self, tmp_path, capsys,
                                                              monkeypatch, source):
+        n_reports = 8
         if source == "spectral":
             sparse, tol = spectral_doc(3), "1e-6"
             dense = dense_doc(sparse)
+        elif source == "silent_selected":
+            # health coordinate 2 selects parameter 2, which no sensor reads: its image is 0
+            path = silent_coordinate_scenario(tmp_path)
+            dense, sparse, tol = json.loads(path.read_text()), sparse_doc(path), "1e-9"
+            assert 2 not in {f for _, _, f, _ in sparse["readings"]["nonzero"]}
+            n_reports = 0
+        elif source == "general_linear":
+            sparse, tol = general_linear_doc(), "1e-9"
+            dense = dense_doc(sparse)
+            parsed = scenario_from_json_dict(sparse)
+            assert parsed.params.tolist() == [0, 2, 3, 5]
+            assert not volume_factors_constant(factor_readings(parsed))
         else:
             path = {"harmonious": HARMONIOUS, "isolated": ISOLATED}[source]
             dense, sparse, tol = json.loads(Path(path).read_text()), sparse_doc(path), "1e-9"
@@ -402,8 +437,22 @@ class TestValidate:
             reports = {str(p.relative_to(work)): p.read_bytes()
                        for p in sorted(work.rglob("theorem_*.json"))}
             outputs.append((codes, capsys.readouterr(), reports))
-        assert len(outputs[0][2]) == 8
+        assert len(outputs[0][2]) == n_reports
         assert outputs[0] == outputs[1]
+
+    def test_sparse_parse_never_allocates_the_dense_readings(self):
+        # The benchmark's shape: M = 8192 DFT bins, K = 24 times, 56 live bins.
+        doc = spectral_doc(24)
+        n_sensors, n_times, m = doc["readings"]["shape"]
+        assert (n_times, m) == (24, 8192)
+        tracemalloc.start()
+        try:
+            s = scenario_from_json_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.params.size == 56
+        assert peak < n_sensors * n_times * m * 16 / 2
 
     def test_invalid_scenario_exits_1(self, tmp_path, capsys):
         doc = json.loads(Path(HARMONIOUS).read_text())

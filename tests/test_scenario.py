@@ -32,13 +32,20 @@ from framesense.scenario import (
 )
 
 
+def dense(s):
+    """``s``'s readings as one (N, K, M) array, 0 at every silent parameter."""
+    out = np.zeros((s.N, s.K, s.M), dtype=complex)
+    out[:, :, s.params] = s.values
+    return out
+
+
 def three_sensor_projection_scenario():
     """Three sensors reporting 3 parameters once; health projects to C^2."""
     readings = np.array(
         [[[3, 1, 1]], [[1, 3, 4]], [[1, 1, 5]]], dtype=np.complex128
     )
     health = HealthMap.selection(2, [(0, 1.0), (1, 1.0)])
-    return Scenario(
+    return Scenario.from_dense(
         covering=({0, 1, 2},) * 3,
         partition=({0}, {1}, {2}),
         readings=readings,
@@ -68,7 +75,7 @@ class TestValidate:
 
     def test_two_sensor_split_is_valid(self):
         readings = np.ones((2, 1, 4), dtype=complex)
-        s = Scenario(
+        s = Scenario.from_dense(
             covering=({0, 1, 2, 3}, {0, 1, 2, 3}),
             partition=({0, 1}, {2, 3}),
             readings=readings,
@@ -78,7 +85,7 @@ class TestValidate:
 
     def test_overlapping_partition_named(self):
         readings = np.ones((2, 1, 2), dtype=complex)
-        s = Scenario(
+        s = Scenario.from_dense(
             covering=({0, 1}, {0, 1}),
             partition=({0, 1}, {1}),
             readings=readings,
@@ -90,7 +97,7 @@ class TestValidate:
 
     def test_support_violation_named(self):
         readings = np.ones((2, 1, 2), dtype=complex)  # sensor 0 reports f=1
-        s = Scenario(
+        s = Scenario.from_dense(
             covering=({0}, {0, 1}),
             partition=({0}, {1}),
             readings=readings,
@@ -101,7 +108,7 @@ class TestValidate:
 
     def test_partition_gap_named(self):
         readings = np.ones((2, 1, 3), dtype=complex)
-        s = Scenario(
+        s = Scenario.from_dense(
             covering=({0, 1, 2}, {0, 1, 2}),
             partition=({0}, {1}),
             readings=readings,
@@ -113,7 +120,7 @@ class TestValidate:
 
 class TestFactorReadings:
     def test_single_sensor_single_time_always_factors(self):
-        s = Scenario(
+        s = Scenario.from_dense(
             covering=({0, 1},),
             partition=({0, 1},),
             readings=np.array([[[2.0, -3.0]]], dtype=complex),
@@ -121,7 +128,7 @@ class TestFactorReadings:
         )
         fac = factor_readings(s)
         products = fac.gamma_hat[:, None, :] * fac.alpha_hat[None, :, :]
-        assert np.allclose(products, s.readings)
+        assert np.allclose(products, dense(s))
 
     def test_outer_product_roundtrip_randomized(self):
         rng = np.random.default_rng(9)
@@ -129,14 +136,14 @@ class TestFactorReadings:
             s = random_separable_scenario(rng)
             fac = factor_readings(s)
             products = fac.gamma_hat[:, None, :] * fac.alpha_hat[None, :, :]
-            scale = max(1.0, np.max(np.abs(s.readings)))
-            assert np.max(np.abs(products - s.readings)) <= 1e-8 * scale
+            scale = max(1.0, np.max(np.abs(dense(s))))
+            assert np.max(np.abs(products - dense(s))) <= 1e-8 * scale
 
     def test_rank_two_parameter_rejected(self):
         readings = np.zeros((2, 2, 2), dtype=complex)
         readings[:, :, 0] = np.eye(2)  # rank 2 at f=0
         readings[:, :, 1] = 1.0
-        s = Scenario(
+        s = Scenario.from_dense(
             covering=({0, 1}, {0, 1}),
             partition=({0}, {1}),
             readings=readings,
@@ -149,7 +156,7 @@ class TestFactorReadings:
     def test_silent_parameter_gets_zero_factors(self):
         readings = np.zeros((1, 1, 2), dtype=complex)
         readings[0, 0, 0] = 5.0
-        s = Scenario(
+        s = Scenario.from_dense(
             covering=({0, 1},),
             partition=({0, 1},),
             readings=readings,
@@ -161,7 +168,7 @@ class TestFactorReadings:
     @pytest.mark.filterwarnings("error")
     def test_all_zero_readings_factor_to_zero(self):
         everything = (range(5),) * 3
-        s = Scenario(everything, everything, np.zeros((3, 2, 5)), HealthMap.identity(5))
+        s = Scenario.from_dense(everything, everything, np.zeros((3, 2, 5)), HealthMap.identity(5))
         fac = factor_readings(s)
         assert np.array_equal(fac.gamma_hat, np.zeros((3, 5)))
         assert np.array_equal(fac.alpha_hat, np.zeros((2, 5)))
@@ -402,11 +409,63 @@ class TestSensorStatus:
         assert sensor_status(fac, assign, 1).status == "undefined"
 
 
+class TestLiveParameters:
+    def test_from_dense_keeps_columns_with_a_nonzero_reading(self):
+        readings = np.zeros((2, 2, 5), dtype=complex)
+        readings[1, 0, 3] = 2 - 1j
+        readings[0, 1, 1] = 4
+        readings[1, 1, 4] = -0.0  # a zero of either sign is silent
+        s = Scenario.from_dense((range(5),) * 2, (range(5),) * 2, readings, HealthMap.identity(5))
+        assert (s.N, s.K, s.M) == (2, 2, 5)
+        assert s.params.dtype == np.int64 and s.params.tolist() == [1, 3]
+        assert np.array_equal(dense(s), readings)
+
+    def test_from_factors_keeps_columns_where_both_factors_are_nonzero(self):
+        gamma_hat = np.array([[1.0, 0.0, 2.0, 3.0]])
+        alpha_hat = np.array([[1.0, 5.0, 0.0, 2.0]])
+        s = Scenario.from_factors(gamma_hat, alpha_hat, HealthMap.identity(4))
+        assert s.params.tolist() == [0, 3] and s.M == 4
+        assert np.array_equal(dense(s), (gamma_hat * alpha_hat)[:, None, :])
+
+    def test_params_must_be_increasing_and_in_range(self):
+        values = np.ones((1, 1, 2))
+        for params in ([1, 1], [2, 1], [-1, 0], [0, 3]):
+            with pytest.raises(ValueError, match="increasing indices in 0..2"):
+                Scenario(([0],), ([0],), params, values, 3, HealthMap.identity(1))
+
+    def test_health_map_that_does_not_fit_m_is_refused(self):
+        ev = (range(3),)
+        with pytest.raises(ValueError, match="health row 1 selects parameter 5, outside 0..2"):
+            Scenario.from_dense(ev, ev, np.ones((1, 2, 3)),
+                                HealthMap.selection(2, [(0, 1.0), (5, 1.0)]))
+        with pytest.raises(ValueError, match="health matrix has width 4, expected M = 3"):
+            Scenario.from_dense(ev, ev, np.ones((1, 2, 3)), HealthMap.linear(np.ones((2, 4))))
+        with pytest.raises(ValueError, match="health matrix must be 2-D"):
+            HealthMap.linear(np.ones(3))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_health_images_match_the_map_applied_to_dense_readings(self, seed):
+        rng = np.random.default_rng(seed)
+        n_sensors, n_times, m = (int(x) for x in rng.integers(1, 6, size=3))
+        readings = rng.standard_normal((n_sensors, n_times, m)) + 1j * rng.standard_normal(
+            (n_sensors, n_times, m))
+        readings[:, :, rng.random(m) < 0.5] = 0  # silent parameters, selected ones among them
+        everything = (range(m),) * n_sensors
+        rows = [(int(f), complex(rng.standard_normal(), 1.0)) for f in rng.integers(0, m, 4)]
+        selection = Scenario.from_dense(everything, everything, readings,
+                                        HealthMap.selection(4, rows))
+        assert np.array_equal(selection.health_images(), selection.health.apply(readings))
+        matrix = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        linear = Scenario.from_dense(everything, everything, readings, HealthMap.linear(matrix))
+        assert np.allclose(linear.health_images(), linear.health.apply(readings),
+                           rtol=1e-12, atol=1e-12)
+
+
 class TestScenarioJson:
     def test_roundtrip_selection(self):
         s = three_sensor_projection_scenario()
         back = scenario_from_json_dict(scenario_to_json_dict(s))
-        assert np.allclose(back.readings, s.readings)
+        assert np.allclose(dense(back), dense(s))
         assert back.covering == s.covering
         assert back.partition == s.partition
         assert back.health.rows == s.health.rows
@@ -434,14 +493,14 @@ class TestScenarioJson:
         readings[0, 1, 0] = 4
         readings[0, 0, 1] = 0.5
         readings[1, 1, 1] = -0.0  # a zero of either sign is left out
-        s = Scenario(([0, 1, 2],) * 2, ([0, 1], [2]), readings, HealthMap.identity(3))
+        s = Scenario.from_dense(([0, 1, 2],) * 2, ([0, 1], [2]), readings, HealthMap.identity(3))
         doc = scenario_to_json_dict(s)
         assert doc["readings"] == {
             "shape": [2, 2, 3],
             "nonzero": [[1, 1, 2, 0.5], [1, 2, 1, 4.0], [2, 1, 3, {"re": 2.0, "im": -1.0}]],
         }
         back = scenario_from_json_dict(json.loads(json.dumps(doc)))
-        assert np.array_equal(back.readings, readings)
+        assert np.array_equal(dense(back), readings)
 
     @pytest.mark.parametrize("readings", [[], {"shape": [1, 1, MAX_READINGS], "nonzero": 5}],
                              ids=["dense", "sparse"])
@@ -502,7 +561,7 @@ def test_factor_readings_matches_per_parameter_svd(n_sensors, n_times, kinds, se
         elif kind == "rank2":  # rank 1 only when N = 1 or K = 1
             readings[:, :, f] = outer() + outer()
     everything = (range(len(kinds)),) * n_sensors
-    s = Scenario(everything, everything, readings, HealthMap.identity(1))
+    s = Scenario.from_dense(everything, everything, readings, HealthMap.identity(1))
     gamma_hat, alpha_hat, offending = factor_reference(readings)
     if offending:
         with pytest.raises(NotPreSeparableError) as err:
@@ -553,9 +612,9 @@ def test_scenario_json_text_roundtrip(data, kind):
             data.draw(hnp.arrays(np.complex128, (n, m), elements=JSON_ENTRIES))
         )
     s = Scenario.from_factors(np.ones((n_sensors, m)), np.ones((n_times, m)), health)
-    s = Scenario(s.covering, s.partition, readings, health)
+    s = Scenario.from_dense(s.covering, s.partition, readings, health)
     back = scenario_from_json_dict(json.loads(json.dumps(scenario_to_json_dict(s))))
-    assert np.array_equal(back.readings, s.readings)
+    assert np.array_equal(dense(back), dense(s))
     assert (back.covering, back.partition) == (s.covering, s.partition)
     assert back.health.kind == kind
     if kind == "selection_matrix":

@@ -38,6 +38,7 @@ from framesense.turbine import (
     resolve_sigma,
     save_dataset,
 )
+from tests.test_scenario import dense
 
 FLEET = default_fleet()
 CFG = SimConfig(samples_per_state=4)
@@ -123,7 +124,7 @@ class TestEngineSignal:
 
     def test_normal_block_peaks_at_line_bins(self):
         model = FLEET[0]
-        spectrum = dataset_scenario(FLEET, np.eye(4), CFG, [normal_fleet_state()]).readings[0, 0]
+        spectrum = dense(dataset_scenario(FLEET, np.eye(4), CFG, [normal_fleet_state()]))[0, 0]
         own_bins = BINS[:7]
         expected = np.array(model.line_amplitudes) * CFG.dft_size / 2
         assert np.allclose(spectrum[own_bins], expected, rtol=1e-12)
@@ -239,7 +240,8 @@ class TestMixing:
         assert np.all(healths[:, :, 1] == 0.0)
         assert np.all(healths[:, :, 0] != 0.0)
         clean = replace(cfg, snr_db=None)
-        spectra = dataset_scenario(FLEET, mixing_matrix(0.1), clean, [normal_fleet_state()]).readings
+        scenario = dataset_scenario(FLEET, mixing_matrix(0.1), clean, [normal_fleet_state()])
+        spectra = dense(scenario)
         assert np.all(spectra[1] == 0.0)
         assert np.all(spectra[0, 0, BINS] != 0.0)
 
@@ -264,7 +266,7 @@ class TestDft:
         dead = FaultState.failure()
         states = (FaultState.normal(), dead, dead, dead)
         fleet = (model,) + FLEET[1:]
-        spectrum = dataset_scenario(fleet, np.eye(4), CFG, [states]).readings[0, 0]
+        spectrum = dense(dataset_scenario(fleet, np.eye(4), CFG, [states]))[0, 0]
         assert np.all(spectrum.imag == 0.0)
         spectrum = spectrum.real
         b = BINS[0]
@@ -347,7 +349,7 @@ def test_closed_form_matches_time_domain(
         reference = time_domain_spectrum(fleet, states, mixing, cfg, block)
         tol = 1e-8 * cfg.dft_size
         assert np.allclose(lines, reference[:, bins], rtol=0, atol=tol)
-        spectra = dataset_scenario(fleet, mixing, cfg, [states]).readings[:, 0]
+        spectra = dense(dataset_scenario(fleet, mixing, cfg, [states]))[:, 0]
         assert np.array_equal(spectra[:, bins], healths)
         assert np.allclose(spectra, np.abs(reference), rtol=0, atol=tol)
         off_bins = np.delete(spectra, np.concatenate([bins, cfg.dft_size - bins]), axis=-1)
