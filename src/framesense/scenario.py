@@ -8,6 +8,13 @@ profile, and a health map carries everything into a low-dimensional space
 C^n where the same factorization persists.  The predicates at the bottom
 (radiative, dominant, harmonious, operational) quantify which coordinates
 are being emitted, heard, and shared between sensors.
+
+Memory follows the L live parameters, those with a nonzero reading, not M:
+a scenario holds the live parameters' readings, T_j and S_j as rows of two
+(N, M) bool masks, and the raw factors hold the live columns alone.  On the
+benchmark's spectral scenario (L = 56 of M = 8192) ``theorems`` peaks at
+34.7 MiB with K = 24 times and 45.2 MiB with K = 240, about 30 MiB of it
+the interpreter and imports (2-vCPU VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -57,7 +64,8 @@ class HealthMap:
     """Deterministic map C^M -> C^n with H(0) = 0.
 
     kind = "selection_matrix": rows are scaled rows of the identity, given as
-    ``rows[i] = (f_i, scale_i)`` meaning output i reads ``scale_i * v[f_i]``.
+    ``rows[i] = (f_i, scale_i)`` meaning output i reads ``scale_i * v[f_i]``;
+    ``f_idx`` and ``scales`` hold the same rows as arrays.
     kind = "general_linear": an explicit n-by-M matrix.
     """
 
@@ -65,6 +73,8 @@ class HealthMap:
     kind: str
     rows: tuple | None = None
     matrix: np.ndarray | None = None
+    f_idx: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    scales: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -76,6 +86,8 @@ class HealthMap:
             if any(s == 0 for _, s in rows):
                 raise ValueError("selection scales must be nonzero")
             object.__setattr__(self, "rows", rows)
+            object.__setattr__(self, "f_idx", np.array([f for f, _ in rows], dtype=np.int64))
+            object.__setattr__(self, "scales", np.array([s for _, s in rows]))
         elif self.kind == "general_linear":
             m = np.asarray(self.matrix, dtype=np.complex128)
             if m.ndim != 2:
@@ -103,10 +115,25 @@ class HealthMap:
         """Image of one vector; also accepts stacked (..., M) arrays."""
         v = np.asarray(v, dtype=np.complex128)
         if self.kind == "selection_matrix":
-            f_idx = np.array([f for f, _ in self.rows])
-            scales = np.array([s for _, s in self.rows])
-            return v[..., f_idx] * scales
+            if self.f_idx.max() >= v.shape[-1]:  # not a silent parameter: no parameter at all
+                raise ValueError(f"selection reads parameter {self.f_idx.max()} of a vector "
+                                 f"of length {v.shape[-1]}")
+            return self.select(v, np.arange(v.shape[-1]))
         return v @ self.matrix.T
+
+    def select(self, v: np.ndarray, params: np.ndarray, scaled: bool = True) -> np.ndarray:
+        """A selection map's (..., n) outputs read from (..., L) ``v``, whose
+        column l holds parameter ``params[l]`` (sorted).
+
+        Output i is ``scale_i * v[..., l]`` where ``params[l] = f_i``, or
+        ``v[..., l]`` alone when not ``scaled``; it is 0 when f_i is not in
+        ``params``, since a silent parameter reads 0.
+        """
+        live = np.isin(self.f_idx, params)
+        col = np.searchsorted(params, self.f_idx[live])
+        out = np.zeros((*v.shape[:-1], self.n), dtype=np.complex128)
+        out[..., live] = v[..., col] * self.scales[live] if scaled else v[..., col]
+        return out
 
 
 def _live_columns(readings: np.ndarray) -> tuple:
@@ -116,26 +143,48 @@ def _live_columns(readings: np.ndarray) -> tuple:
     return params, readings[:, :, params]
 
 
-def _int_set(indices) -> frozenset:
-    """``indices`` as a frozenset of ints, kept as it is when it already is one."""
-    if type(indices) is frozenset and set(map(type, indices)) <= {int}:
-        return indices
-    return frozenset(map(int, indices))
+def _params(params, m: int) -> np.ndarray:
+    """``params`` as increasing int64 indices in 0..m-1, or ValueError."""
+    p = np.asarray(params, dtype=np.int64)
+    if p.ndim != 1 or p.size and (p[0] < 0 or p[-1] >= m or np.any(p[1:] <= p[:-1])):
+        raise ValueError(f"params must be increasing indices in 0..{m - 1}")
+    return p
+
+
+def _mask(sets, m: int, name: str) -> np.ndarray:
+    """Index sets as one (len(sets), m) bool mask: a bool array is kept as it
+    is, and any other ``sets`` is one iterable of indices in 0..m-1 per sensor."""
+    if isinstance(sets, np.ndarray) and sets.dtype == bool:
+        if sets.ndim != 2 or sets.shape[1] != m:
+            raise ValueError(f"{name} mask has shape {sets.shape}, expected (N, {m})")
+        return sets
+    mask = np.zeros((len(sets), m), dtype=bool)
+    for j, indices in enumerate(sets):
+        idx = np.fromiter(indices, dtype=np.int64)
+        stray = idx[(idx < 0) | (idx >= m)]
+        if stray.size:
+            raise ValueError(f"{name} set {j} holds parameters {sorted(set(stray.tolist()))}, "
+                             f"outside 0..{m - 1}")
+        mask[j, idx] = True
+    return mask
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Parameters, sensors, times, covering/partition, readings, health map.
 
-    Only the live parameters are stored: ``params`` holds their sorted
-    indices in 0..M-1, and ``values[j, k, l]`` is sensor j's reading of
-    parameter ``params[l]`` at time k.  The reading of every other parameter
-    is 0 by definition.  A reading must vanish outside the sensor's covering
-    set T_j.  :meth:`from_dense` builds one from an (N, K, M) array.
+    ``covering`` and ``partition`` are (N, M) bool masks: ``covering[j, f]``
+    when f is in sensor j's covering set T_j, ``partition[j, f]`` when f is
+    in its partition set S_j.  They may be given as one iterable of indices
+    in 0..M-1 per sensor instead.  Only the live parameters are stored:
+    ``params`` holds their sorted indices in 0..M-1, and ``values[j, k, l]``
+    is sensor j's reading of parameter ``params[l]`` at time k.  The reading
+    of every other parameter is 0 by definition.  A reading must vanish
+    outside T_j.  :meth:`from_dense` builds one from an (N, K, M) array.
     """
 
-    covering: tuple
-    partition: tuple
+    covering: np.ndarray
+    partition: np.ndarray
     params: np.ndarray
     values: np.ndarray
     M: int
@@ -147,13 +196,12 @@ class Scenario:
         m = int(self.M)
         if v.ndim != 3 or p.shape != v.shape[2:]:
             raise ValueError("values must have shape (N, K, L) for L params")
-        if p.size and (p[0] < 0 or p[-1] >= m or np.any(p[1:] <= p[:-1])):
-            raise ValueError(f"params must be increasing indices in 0..{m - 1}")
+        p = _params(p, m)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "params", p)
         object.__setattr__(self, "M", m)
-        object.__setattr__(self, "covering", tuple(map(_int_set, self.covering)))
-        object.__setattr__(self, "partition", tuple(map(_int_set, self.partition)))
+        object.__setattr__(self, "covering", _mask(self.covering, m, "covering"))
+        object.__setattr__(self, "partition", _mask(self.partition, m, "partition"))
         if len(self.covering) != v.shape[0] or len(self.partition) != v.shape[0]:
             raise ValueError("need one covering and one partition set per sensor")
         h = self.health
@@ -181,13 +229,7 @@ class Scenario:
         h = self.health
         if h.kind != "selection_matrix":
             return self.values @ h.matrix[:, self.params].T
-        f_idx = np.array([f for f, _ in h.rows])
-        scales = np.array([s for _, s in h.rows])
-        live = np.isin(f_idx, self.params)  # a silent parameter's image is 0
-        col = np.searchsorted(self.params, f_idx[live])
-        images = np.zeros((self.N, self.K, h.n), dtype=np.complex128)
-        images[:, :, live] = self.values[:, :, col] * scales[live]
-        return images
+        return h.select(self.values, self.params)
 
     @classmethod
     def from_dense(cls, covering, partition, readings, health) -> "Scenario":
@@ -210,31 +252,40 @@ class Scenario:
         params = np.flatnonzero(np.any(g != 0, axis=0) & np.any(a != 0, axis=0))
         values = g[:, None, params] * a[None, :, params]
         if covering is None:
-            covering = [range(m)] * n_sensors
-        if partition is None:
-            partition = [range(j, m, n_sensors) for j in range(n_sensors)]
-        return cls(tuple(covering), tuple(partition), params, values, m, health)
+            covering = np.ones((n_sensors, m), dtype=bool)
+        if partition is None:  # round-robin: parameter f goes to sensor f mod N
+            partition = np.arange(m) % n_sensors == np.arange(n_sensors)[:, None]
+        return cls(covering, partition, params, values, m, health)
 
 
 @dataclass(frozen=True)
 class Factorization:
     """Sensitivity/volume factors realizing separability.
 
-    ``gamma_hat`` (N, M) and ``alpha_hat`` (K, M) factor the raw readings;
+    ``gamma_hat`` (N, L) and ``alpha_hat`` (K, L) factor the raw readings of
+    the L parameters ``params`` of 0..M-1, as a :class:`Scenario` holds
+    them; both factors of every other parameter are 0 by definition.
     ``gamma`` (N, n) and ``alpha`` (K, n) factor the health images once
     :func:`separate` has filled them in.
     """
 
+    params: np.ndarray
     gamma_hat: np.ndarray
     alpha_hat: np.ndarray
+    M: int
     gamma: np.ndarray | None = None
     alpha: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "params", _params(self.params, self.M))
         for name in ("gamma_hat", "alpha_hat", "gamma", "alpha"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, np.asarray(val, dtype=np.complex128))
+        if self.gamma_hat.shape[1:] != self.params.shape \
+                or self.alpha_hat.shape[1:] != self.params.shape:
+            raise ValueError("raw factors must have shapes (N, L) and (K, L) for L params")
 
     @property
     def separated(self) -> bool:
@@ -251,7 +302,8 @@ class Factorization:
         """Factorization given directly in health space (identity raw factors)."""
         gamma = np.asarray(gamma, dtype=np.complex128)
         alpha = np.asarray(alpha, dtype=np.complex128)
-        return cls(gamma_hat=gamma, alpha_hat=alpha, gamma=gamma, alpha=alpha)
+        n = gamma.shape[1]
+        return cls(np.arange(n), gamma, alpha, n, gamma=gamma, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -299,35 +351,31 @@ def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Check the structural invariants; violations are data, not exceptions."""
     check_tol(tol)
     violations = []
-    all_params = set(range(s.M))
-    covered = set().union(*s.covering) if s.covering else set()
-    if covered != all_params:
-        missing = sorted(all_params - covered)
-        violations.append(f"covering misses parameters {missing}")
+    missing = np.flatnonzero(~s.covering.any(axis=0))
+    if missing.size:
+        violations.append(f"covering misses parameters {missing.tolist()}")
     for j in range(s.N):
         for l in range(j + 1, s.N):
-            overlap = s.partition[j] & s.partition[l]
-            if overlap:
+            overlap = np.flatnonzero(s.partition[j] & s.partition[l])
+            if overlap.size:
                 violations.append(
-                    f"partition sets S_{j} and S_{l} overlap at {sorted(overlap)}"
+                    f"partition sets S_{j} and S_{l} overlap at {overlap.tolist()}"
                 )
-    partitioned = set().union(*s.partition) if s.partition else set()
-    if partitioned != all_params:
-        missing = sorted(all_params - partitioned)
-        violations.append(f"partition misses parameters {missing}")
+    missing = np.flatnonzero(~s.partition.any(axis=0))
+    if missing.size:
+        violations.append(f"partition misses parameters {missing.tolist()}")
     for j in range(s.N):
-        stray = s.partition[j] - s.covering[j]
-        if stray:
-            violations.append(f"S_{j} is not contained in T_{j} (extra {sorted(stray)})")
-    params = s.params.tolist()
+        stray = np.flatnonzero(s.partition[j] & ~s.covering[j])
+        if stray.size:
+            violations.append(f"S_{j} is not contained in T_{j} (extra {stray.tolist()})")
     for j in range(s.N):
-        outside = [l for l, f in enumerate(params) if f not in s.covering[j]]
-        if not outside:
+        outside = np.flatnonzero(~s.covering[j, s.params])
+        if not outside.size:
             continue
         block = np.abs(s.values[j][:, outside])
         if np.any(block > tol):
             ks, ls = np.nonzero(block > tol)
-            k, f = int(ks[0]), params[outside[int(ls[0])]]
+            k, f = int(ks[0]), int(s.params[outside[ls[0]]])
             violations.append(
                 f"sensor {j} reports parameter {f} outside its covering "
                 f"(first at time {k})"
@@ -342,69 +390,68 @@ def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> Factorization:
     rank at most one; otherwise :class:`NotPreSeparableError` lists the
     offending parameters.  The per-parameter gauge is fixed so that the
     loudest sensor's factor is real and nonnegative.  Only the live
-    parameters are decomposed; every other one is silent and keeps both
-    factors zero, as does a live one whose top singular value is within tol.
+    parameters are decomposed, and the factors hold their columns alone:
+    every other parameter is silent, with both factors 0, as are those of a
+    live one whose top singular value is within tol.
     """
     check_tol(tol)
     r, nz = s.values, s.params
     scale = max(1.0, float(np.max(np.abs(r)))) if r.size else 1.0
     u, sv, vh = np.linalg.svd(r.transpose(2, 0, 1), full_matrices=False)
-    u0, top_sv, vh0 = u[:, :, 0], sv[:, 0], vh[:, 0, :]  # (F, N), (F,), (F, K)
-    live = top_sv > tol * scale  # a silent parameter keeps both factors zero
+    u0, top_sv, vh0 = u[:, :, 0], sv[:, 0], vh[:, 0, :]  # (L, N), (L,), (L, K)
+    live = top_sv > tol * scale  # a quiet parameter keeps both factors zero
     if sv.shape[1] > 1:
         offending = nz[live & (sv[:, 1] > tol * top_sv)]
         if offending.size:
             raise NotPreSeparableError(offending)
     top = np.take_along_axis(u0, np.argmax(np.abs(u0), axis=1)[:, None], axis=1)
-    phase = np.conj(top) / np.abs(top)  # (F, 1)
+    phase = np.conj(top) / np.abs(top)  # (L, 1)
     root = np.sqrt(top_sv)[:, None]
-    gamma_hat = np.zeros((s.N, s.M), dtype=np.complex128)
-    alpha_hat = np.zeros((s.K, s.M), dtype=np.complex128)
-    gamma_hat[:, nz] = np.where(live[:, None], root * u0 * phase, 0.0).T
-    alpha_hat[:, nz] = np.where(live[:, None], root * vh0 * np.conj(phase), 0.0).T
-    return Factorization(gamma_hat=gamma_hat, alpha_hat=alpha_hat)
+    gamma_hat = np.where(live[:, None], root * u0 * phase, 0.0).T
+    alpha_hat = np.where(live[:, None], root * vh0 * np.conj(phase), 0.0).T
+    return Factorization(nz, gamma_hat, alpha_hat, s.M)
 
 
 def volume_factors_constant(fac: Factorization, tol: float = DEFAULT_TOL) -> bool:
-    """True iff each time's volume factor is constant across parameters.
+    """True iff each time's volume factor is constant across all M parameters.
 
+    A silent parameter's volume is 0, so while some parameter is silent the
+    live volumes must be close to 0 as well: the mean is taken over all M.
     When this holds, any linear health map yields a separable scenario with
     gamma_j = A @ gamma_hat_j and a parameter-independent alpha_k.
     """
-    a = fac.alpha_hat
-    spread = np.max(np.abs(a - a.mean(axis=1, keepdims=True)), axis=1)
-    limit = tol * np.maximum(1.0, np.max(np.abs(a), axis=1))
+    a = fac.alpha_hat  # (K, L)
+    mean = a.sum(axis=1, keepdims=True) / fac.M
+    spread = np.max(np.abs(a - mean), axis=1, initial=0.0)
+    if a.shape[1] < fac.M:  # a silent column deviates by |mean|
+        spread = np.maximum(spread, np.abs(mean[:, 0]))
+    limit = tol * np.maximum(1.0, np.max(np.abs(a), axis=1, initial=0.0))
     return bool(np.all(spread <= limit))
 
 
-def constant_volume_regauge(
-    fac: Factorization, tol: float = DEFAULT_TOL
-) -> Factorization | None:
-    """Rewrite the factors so the volume factor is parameter-independent.
+def constant_volume_regauge(fac: Factorization, tol: float = DEFAULT_TOL) -> tuple | None:
+    """Rescale the factors so the volume factor is parameter-independent.
 
     The split of each reading into sensitivity and volume carries a free
     per-parameter scalar, so constancy across parameters is a property of
     one particular split.  A constant-volume split exists exactly when the
-    per-parameter volume columns are parallel; this absorbs the
-    per-parameter scale into the sensitivities and returns the rewritten
-    factorization, or None when no such split exists.
+    live volume columns are parallel; this absorbs the per-parameter scale
+    into the sensitivities and returns the rescaled (N, L) ``gamma_hat`` with
+    the common (K,) volume, or None when no such split exists.
     """
-    a = fac.alpha_hat  # (K, M)
+    a = fac.alpha_hat  # (K, L)
     norms = np.linalg.norm(a, axis=0)
     scale = float(norms.max()) if norms.size else 0.0
     live = norms > tol * max(1.0, scale)
-    if not np.any(live):
-        return fac  # everything silent: volumes are constantly zero
+    if not np.any(live):  # everything silent: volumes are constantly zero
+        return fac.gamma_hat, a.sum(axis=1) / fac.M
     u, sv, _ = np.linalg.svd(a[:, live])
     if sv.shape[0] > 1 and sv[1] > tol * sv[0]:
         return None
     common = u[:, 0] * sv[0]
     lam = np.zeros(a.shape[1], dtype=np.complex128)
     lam[live] = (common.conj() @ a[:, live]) / (np.linalg.norm(common) ** 2)
-    return Factorization(
-        gamma_hat=fac.gamma_hat * lam[None, :],
-        alpha_hat=np.repeat(common[:, None], a.shape[1], axis=1),
-    )
+    return fac.gamma_hat * lam[None, :], common
 
 
 def separate(s: Scenario, fac: Factorization, tol: float = DEFAULT_TOL) -> Factorization:
@@ -416,22 +463,25 @@ def separate(s: Scenario, fac: Factorization, tol: float = DEFAULT_TOL) -> Facto
     H(v_jk)(i) = gamma_j(i) * alpha_k(i) within tol.
     """
     h = s.health
-    if h.kind != "selection_matrix" and not volume_factors_constant(fac, tol):
-        fac = constant_volume_regauge(fac, tol)
-        if fac is None:
-            raise NotSeparableError(
-                "general linear health map requires a constant-volume "
-                "split of the factors, and none exists"
-            )
-    gamma = h.apply(fac.gamma_hat)
+    gamma_hat, alpha_hat = fac.gamma_hat, fac.alpha_hat
     if h.kind == "selection_matrix":
-        alpha = fac.alpha_hat[:, [f for f, _ in h.rows]]
+        gamma = h.select(gamma_hat, fac.params)
+        alpha = h.select(alpha_hat, fac.params, scaled=False)
     else:
-        const = fac.alpha_hat.mean(axis=1)
-        alpha = np.repeat(const[:, None], h.n, axis=1)
-    result = Factorization(
-        gamma_hat=fac.gamma_hat, alpha_hat=fac.alpha_hat, gamma=gamma, alpha=alpha
-    )
+        if volume_factors_constant(fac, tol):
+            volume = alpha_hat.sum(axis=1) / fac.M
+        else:
+            regauged = constant_volume_regauge(fac, tol)
+            if regauged is None:
+                raise NotSeparableError(
+                    "general linear health map requires a constant-volume "
+                    "split of the factors, and none exists"
+                )
+            gamma_hat, volume = regauged
+            alpha_hat = np.repeat(volume[:, None], fac.params.size, axis=1)
+        gamma = gamma_hat @ h.matrix[:, fac.params].T
+        alpha = np.repeat(volume[:, None], h.n, axis=1)
+    result = Factorization(fac.params, gamma_hat, alpha_hat, fac.M, gamma, alpha)
     images = s.health_images()
     err = np.max(np.abs(images - result.images()))
     if err > tol * max(1.0, float(np.max(np.abs(images)))):
@@ -538,8 +588,8 @@ def scenario_to_json_dict(s: Scenario) -> dict:
         "M": s.M,
         "N": s.N,
         "K": s.K,
-        "covering": [sorted(f + 1 for f in t) for t in s.covering],
-        "partition": [sorted(f + 1 for f in t) for t in s.partition],
+        "covering": [(np.flatnonzero(t) + 1).tolist() for t in s.covering],
+        "partition": [(np.flatnonzero(t) + 1).tolist() for t in s.partition],
         "readings": {
             "shape": [s.N, s.K, s.M],
             "nonzero": [
@@ -596,18 +646,20 @@ def _check_indices(columns) -> None:
         raise TypeError(f"expected int indices, found {sorted(t.__name__ for t in stray)}")
 
 
-def _index_sets(value, N: int, M: int) -> list:
-    """N 1-based index lists, each index in 1..M, as 0-based frozensets."""
+def _index_sets(value, N: int, M: int) -> np.ndarray:
+    """N 1-based index lists, each index in 1..M, as an (N, M) bool mask."""
     if type(value) is not list or any(type(t) is not list for t in value):
         raise TypeError(f"expected {N} lists of indices")
     _check_indices(value)
-    sets = [frozenset(f - 1 for f in t) for t in value]
-    if len(sets) != N:
-        raise ValueError(f"expected {N} index lists, one per sensor, got {len(sets)}")
-    stray = sorted(f + 1 for f in set().union(*sets) if not 0 <= f < M)
-    if stray:
+    if len(value) != N:
+        raise ValueError(f"expected {N} index lists, one per sensor, got {len(value)}")
+    if any(t and (min(t) < 1 or max(t) > M) for t in value):  # before an int64 can overflow
+        stray = sorted({f for f in chain.from_iterable(value) if not 1 <= f <= M})
         raise ValueError(f"parameter indices {stray} are outside 1..{M}")
-    return sets
+    mask = np.zeros((N, M), dtype=bool)
+    for row, indices in zip(mask, value):
+        row[np.array(indices, dtype=np.int64) - 1] = True
+    return mask
 
 
 def _complex_array(value, shape: tuple) -> np.ndarray:
@@ -732,4 +784,4 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
                        "health.matrix")
     else:
         raise ValueError(f"unknown health map kind {kind!r}")
-    return Scenario(tuple(covering), tuple(partition), params, values, M, health)
+    return Scenario(covering, partition, params, values, M, health)

@@ -549,9 +549,7 @@ def dataset_scenario(fleet, mixing, cfg: SimConfig, fleet_states_per_time) -> Sc
         owner[bins[h * LINES_PER_ENGINE : (h + 1) * LINES_PER_ENGINE]] = h
     leftover = np.nonzero(owner < 0)[0]
     owner[leftover] = leftover % SENSORS
-    partition = tuple(
-        frozenset(np.nonzero(owner == j)[0].tolist()) for j in range(SENSORS)
-    )
-    covering = (frozenset(range(n)),) * SENSORS
+    partition = owner == np.arange(SENSORS)[:, None]
+    covering = np.ones((SENSORS, n), dtype=bool)
     health = HealthMap.selection(bins.size, [(int(b), 1.0) for b in bins])
     return Scenario(covering, partition, params, values, n, health)

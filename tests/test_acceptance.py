@@ -317,7 +317,9 @@ def test_c6_zero_noise_simulation_contracts():
         fac = None
     if fac is not None:
         bins = turbine.fleet_line_bins(FLEET, cfg)
-        if not np.all(np.max(np.abs(fac.gamma_hat[:, bins]), axis=0) > 1e-6):
+        sensitivity = np.zeros(scenario.M)  # a parameter outside fac.params has none
+        sensitivity[fac.params] = np.max(np.abs(fac.gamma_hat), axis=0)
+        if not np.all(sensitivity[bins] > 1e-6):
             failures.append("some line bin has no sensitivity factor")
         assign = build_index_sets(scenario.health_images(), tol=1e-6)
         if not is_harmonious(fac, assign, tol=1e-6):

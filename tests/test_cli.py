@@ -24,6 +24,7 @@ from framesense.scenario import (
     factor_readings,
     scenario_from_json_dict,
     scenario_to_json_dict,
+    separate,
     volume_factors_constant,
 )
 
@@ -453,6 +454,18 @@ class TestValidate:
             tracemalloc.stop()
         assert s.params.size == 56
         assert peak < n_sensors * n_times * m * 16 / 2
+
+    def test_factoring_never_allocates_a_dense_factor(self):
+        # A dense (K, M) alpha_hat would be K*M*16 bytes; the factors hold 56 columns.
+        s = scenario_from_json_dict(spectral_doc(24))
+        tracemalloc.start()
+        try:
+            fac = separate(s, factor_readings(s, 1e-7), 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < s.K * s.M * 16 / 8
+        assert fac.alpha_hat.shape == (24, 56) and s.M == 8192
 
     def test_invalid_scenario_exits_1(self, tmp_path, capsys):
         doc = json.loads(Path(HARMONIOUS).read_text())

@@ -39,6 +39,15 @@ def dense(s):
     return out
 
 
+def dense_factors(fac):
+    """``fac``'s raw factors as (N, M) and (K, M) arrays, 0 at every silent parameter."""
+    gamma_hat = np.zeros((fac.gamma_hat.shape[0], fac.M), dtype=complex)
+    alpha_hat = np.zeros((fac.alpha_hat.shape[0], fac.M), dtype=complex)
+    gamma_hat[:, fac.params] = fac.gamma_hat
+    alpha_hat[:, fac.params] = fac.alpha_hat
+    return gamma_hat, alpha_hat
+
+
 def three_sensor_projection_scenario():
     """Three sensors reporting 3 parameters once; health projects to C^2."""
     readings = np.array(
@@ -163,22 +172,24 @@ class TestFactorReadings:
             health=HealthMap.identity(2),
         )
         fac = factor_readings(s)
-        assert fac.gamma_hat[0, 1] == 0 and fac.alpha_hat[0, 1] == 0
+        assert fac.params.tolist() == [0]  # parameter 1 has no column: both factors are 0
+        assert fac.gamma_hat.shape == (1, 1) and fac.alpha_hat.shape == (1, 1)
 
     @pytest.mark.filterwarnings("error")
     def test_all_zero_readings_factor_to_zero(self):
         everything = (range(5),) * 3
         s = Scenario.from_dense(everything, everything, np.zeros((3, 2, 5)), HealthMap.identity(5))
         fac = factor_readings(s)
-        assert np.array_equal(fac.gamma_hat, np.zeros((3, 5)))
-        assert np.array_equal(fac.alpha_hat, np.zeros((2, 5)))
+        assert fac.gamma_hat.shape == (3, 0) and fac.alpha_hat.shape == (2, 0)
+        gamma_hat, alpha_hat = dense_factors(fac)
+        assert np.array_equal(gamma_hat, np.zeros((3, 5)))
+        assert np.array_equal(alpha_hat, np.zeros((2, 5)))
 
     def test_gauge_makes_loudest_sensor_real_nonnegative(self):
         rng = np.random.default_rng(12)
         s = random_separable_scenario(rng, n=2, n_sensors=3, n_times=2, m=2)
         fac = factor_readings(s)
-        for f in range(s.M):
-            col = fac.gamma_hat[:, f]
+        for col in fac.gamma_hat.T:
             top = np.argmax(np.abs(col))
             assert col[top].imag == pytest.approx(0.0, abs=1e-12)
             assert col[top].real >= 0
@@ -186,16 +197,27 @@ class TestFactorReadings:
 
 class TestVolumeCondition:
     def test_constant_volumes(self):
-        fac = Factorization(
-            gamma_hat=np.ones((2, 3)), alpha_hat=np.ones((2, 3))
-        )
+        fac = Factorization(np.arange(3), np.ones((2, 3)), np.ones((2, 3)), 3)
         assert volume_factors_constant(fac)
 
     def test_varying_volumes(self):
-        fac = Factorization(
-            gamma_hat=np.ones((1, 3)), alpha_hat=np.array([[1.0, 2.0, 3.0]])
-        )
+        fac = Factorization(np.arange(3), np.ones((1, 3)), np.array([[1.0, 2.0, 3.0]]), 3)
         assert not volume_factors_constant(fac)
+
+    def test_silent_parameters_count_as_zero_volumes(self):
+        # Live volumes of 1 beside a silent parameter's 0 are not constant;
+        # live volumes at round-off are.
+        assert not volume_factors_constant(Factorization([0, 2], np.ones((1, 2)),
+                                                         np.ones((2, 2)), 3))
+        assert volume_factors_constant(Factorization([0, 2], np.ones((1, 2)),
+                                                     np.full((2, 2), 1e-12), 3))
+        assert volume_factors_constant(Factorization([], np.ones((1, 0)), np.ones((2, 0)), 3))
+
+    def test_factor_shapes_must_match_params(self):
+        with pytest.raises(ValueError, match=r"shapes \(N, L\) and \(K, L\)"):
+            Factorization([0, 2], np.ones((1, 3)), np.ones((2, 3)), 3)
+        with pytest.raises(ValueError, match="increasing indices in 0..2"):
+            Factorization([0, 3], np.ones((1, 2)), np.ones((2, 2)), 3)
 
 
 class TestSeparate:
@@ -442,6 +464,32 @@ class TestLiveParameters:
             Scenario.from_dense(ev, ev, np.ones((1, 2, 3)), HealthMap.linear(np.ones((2, 4))))
         with pytest.raises(ValueError, match="health matrix must be 2-D"):
             HealthMap.linear(np.ones(3))
+        with pytest.raises(ValueError, match="reads parameter 5 of a vector of length 3"):
+            HealthMap.selection(1, [(5, 1.0)]).apply(np.ones(3))
+
+    def test_index_sets_outside_0_to_m_minus_1_are_refused(self):
+        everything = [range(3)] * 2
+        with pytest.raises(ValueError, match=r"covering set 0 holds parameters \[7\], outside 0..2"):
+            Scenario.from_dense([{0, 1, 2, 7}, {0, 1, 2}], [{0, 1}, {2, 9}], np.ones((2, 1, 3)),
+                                HealthMap.identity(3))
+        with pytest.raises(ValueError, match=r"partition set 1 holds parameters \[-1, 9\], outside"):
+            Scenario.from_dense(everything, [{0, 1}, {2, 9, -1}], np.ones((2, 1, 3)),
+                                HealthMap.identity(3))
+        with pytest.raises(ValueError, match=r"covering mask has shape \(2, 4\), expected \(N, 3\)"):
+            Scenario.from_dense(np.ones((2, 4), dtype=bool), everything, np.ones((2, 1, 3)),
+                                HealthMap.identity(3))
+        with pytest.raises(ValueError, match="one covering and one partition set per sensor"):
+            Scenario.from_dense(np.ones((1, 3), dtype=bool), everything, np.ones((2, 1, 3)),
+                                HealthMap.identity(3))
+
+    def test_index_sets_are_held_as_masks(self):
+        s = Scenario.from_dense([{2, 0}, range(3)], [[0, 0], (1, 2)], np.ones((2, 1, 3)),
+                                HealthMap.identity(3))
+        assert s.covering.dtype == bool and s.covering.tolist() == [[True, False, True]] + [[True] * 3]
+        assert s.partition.tolist() == [[True, False, False], [False, True, True]]
+        default = Scenario.from_factors(np.ones((2, 5)), np.ones((1, 5)), HealthMap.identity(1))
+        assert np.array_equal(default.covering, np.ones((2, 5), dtype=bool))
+        assert [np.flatnonzero(t).tolist() for t in default.partition] == [[0, 2, 4], [1, 3]]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_health_images_match_the_map_applied_to_dense_readings(self, seed):
@@ -466,8 +514,8 @@ class TestScenarioJson:
         s = three_sensor_projection_scenario()
         back = scenario_from_json_dict(scenario_to_json_dict(s))
         assert np.allclose(dense(back), dense(s))
-        assert back.covering == s.covering
-        assert back.partition == s.partition
+        assert np.array_equal(back.covering, s.covering)
+        assert np.array_equal(back.partition, s.partition)
         assert back.health.rows == s.health.rows
 
     def test_roundtrip_linear(self):
@@ -569,8 +617,76 @@ def test_factor_readings_matches_per_parameter_svd(n_sensors, n_times, kinds, se
         assert list(err.value.offending) == offending
     else:
         fac = factor_readings(s)
-        assert np.array_equal(fac.gamma_hat, gamma_hat)
-        assert np.array_equal(fac.alpha_hat, alpha_hat)
+        assert fac.params.tolist() == np.flatnonzero(np.any(readings != 0, axis=(0, 1))).tolist()
+        assert all(map(np.array_equal, dense_factors(fac), (gamma_hat, alpha_hat)))
+
+
+def validate_reference(covering, partition, readings, tol=DEFAULT_TOL):
+    """The structural invariants checked set by set: ``covering`` and
+    ``partition`` are lists of 0-based index sets, ``readings`` is (N, K, M)."""
+    n_sensors, _, m = readings.shape
+    violations = []
+    all_params = set(range(m))
+    covered = set().union(*covering)
+    if covered != all_params:
+        violations.append(f"covering misses parameters {sorted(all_params - covered)}")
+    for j in range(n_sensors):
+        for l in range(j + 1, n_sensors):
+            overlap = partition[j] & partition[l]
+            if overlap:
+                violations.append(f"partition sets S_{j} and S_{l} overlap at {sorted(overlap)}")
+    partitioned = set().union(*partition)
+    if partitioned != all_params:
+        violations.append(f"partition misses parameters {sorted(all_params - partitioned)}")
+    for j in range(n_sensors):
+        stray = partition[j] - covering[j]
+        if stray:
+            violations.append(f"S_{j} is not contained in T_{j} (extra {sorted(stray)})")
+    for j in range(n_sensors):
+        outside = [f for f in range(m) if f not in covering[j]]
+        loud = np.abs(readings[j][:, outside]) > tol
+        if np.any(loud):
+            ks, ls = np.nonzero(loud)
+            violations.append(f"sensor {j} reports parameter {outside[ls[0]]} outside its "
+                              f"covering (first at time {ks[0]})")
+    return violations
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_validate_scenario_matches_set_rules(seed):
+    """Gaps, overlaps, partition entries outside the covering, readings outside
+    the covering, duplicate and unsorted indices: masks report what sets do."""
+    rng = np.random.default_rng(seed)
+    n_sensors, n_times, m = (int(x) for x in rng.integers(1, 5, size=3))
+
+    def index_lists():
+        """One shuffled list per sensor with one index repeated: every
+        parameter, or m random draws, which may leave gaps."""
+        lists = []
+        for _ in range(n_sensors):
+            picks = np.arange(1, m + 1) if rng.random() < 0.5 else rng.integers(1, m + 1, m)
+            lists.append(rng.permutation(np.append(picks, rng.choice(picks))).tolist())
+        return lists
+
+    covering = index_lists()
+    if rng.random() < 0.5:  # round robin, as from_factors makes it
+        partition = [list(range(j + 1, m + 1, n_sensors)) for j in range(n_sensors)]
+    else:
+        partition = index_lists()
+    readings = rng.choice(np.array([0, 0, 0, 1, -2j, 1e-12]), size=(n_sensors, n_times, m))
+    everything = [range(m)] * n_sensors
+    doc = scenario_to_json_dict(Scenario.from_dense(everything, everything, readings,
+                                                    HealthMap.identity(1)))
+    doc.update(covering=covering, partition=partition)
+    s = scenario_from_json_dict(doc)
+    sets = [[{f - 1 for f in t} for t in lists] for lists in (covering, partition)]
+    for t, mask in zip(sets, (s.covering, s.partition)):
+        assert [set(np.flatnonzero(row).tolist()) for row in mask] == t
+    assert validate_scenario(s).violations == validate_reference(*sets, readings)
+    back = scenario_from_json_dict(scenario_to_json_dict(s))
+    assert np.array_equal(back.covering, s.covering)
+    assert np.array_equal(back.partition, s.partition)
 
 
 def predicates_reference(gamma, alpha, tol):
@@ -615,7 +731,8 @@ def test_scenario_json_text_roundtrip(data, kind):
     s = Scenario.from_dense(s.covering, s.partition, readings, health)
     back = scenario_from_json_dict(json.loads(json.dumps(scenario_to_json_dict(s))))
     assert np.array_equal(dense(back), dense(s))
-    assert (back.covering, back.partition) == (s.covering, s.partition)
+    assert np.array_equal(back.covering, s.covering)
+    assert np.array_equal(back.partition, s.partition)
     assert back.health.kind == kind
     if kind == "selection_matrix":
         assert back.health.rows == s.health.rows
