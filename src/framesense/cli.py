@@ -159,8 +159,7 @@ def cmd_validate(args) -> int:
         print("pre-separable: yes")
         print(f"separable: no ({err})")
     if fac is not None:
-        assign = build_index_sets(s.health_images(), args.tol)
-        owners = assign.owners()
+        owners = build_index_sets(s.health_images(), args.tol)
         print("coordinate predicates (1-based):")
         print("  i  radiative  dominant  strongly_dominant  owner")
         predicates = zip(
@@ -173,8 +172,8 @@ def cmd_validate(args) -> int:
             print(f"  {i + 1}  {rad}  {dom}  {strong}  {owners[i] + 1}")
         print("sensor harmony:")
         for j in range(s.N):
-            harm = "harmonious" if is_j_harmonious(fac, assign, j, args.tol) else "disjoint"
-            status = sensor_status(fac, assign, j, args.tol).status
+            harm = "harmonious" if is_j_harmonious(fac, owners, j, args.tol) else "disjoint"
+            status = sensor_status(fac, owners, j, args.tol).status
             print(f"  j={j + 1}: {harm}, {status}")
     return EXIT_OK if report.ok else EXIT_DOMAIN
 
@@ -211,13 +210,11 @@ def cmd_theorems(args) -> int:
     except (NotPreSeparableError, NotSeparableError) as err:
         print(f"scenario is not separable: {err}", file=sys.stderr)
         return EXIT_DOMAIN
-    assign = build_index_sets(s.health_images(), args.tol)
+    owners = build_index_sets(s.health_images(), args.tol)
     reports = {
-        "basis_mapping": verify_basis_mapping(fac, assign, args.tol, failed=failed),
-        "frame_mapping": verify_frame_mapping(fac, assign, args.tol, failed=failed),
-        "projective_frame": verify_projective_frame(
-            fac, args.tol, failed=failed, assign=assign
-        ),
+        "basis_mapping": verify_basis_mapping(fac, owners, args.tol, failed=failed),
+        "frame_mapping": verify_frame_mapping(fac, owners, args.tol, failed=failed),
+        "projective_frame": verify_projective_frame(fac, owners, args.tol, failed=failed),
         "strong_dominance_frame": verify_strong_dominance_frame(fac, args.tol),
     }
     out = Path(args.out)

@@ -38,14 +38,9 @@ class FrameBounds(NamedTuple):
 
 @dataclass(frozen=True)
 class VectorSet:
-    """An indexed finite set of complex vectors of uniform dimension.
-
-    ``labels`` optionally tags each vector with an index tuple such as
-    ``(j, k)``; labels must be unique when present.
-    """
+    """An indexed finite set of complex vectors of uniform dimension."""
 
     matrix: np.ndarray
-    labels: tuple | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -54,13 +49,6 @@ class VectorSet:
         if not np.all(np.isfinite(m)):
             raise ValueError("vector entries must be finite")
         object.__setattr__(self, "matrix", m)
-        if self.labels is not None:
-            labels = tuple(tuple(lab) for lab in self.labels)
-            if len(labels) != m.shape[0]:
-                raise ValueError("one label per vector required")
-            if len(set(labels)) != len(labels):
-                raise ValueError("labels must be unique")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def count(self) -> int:
@@ -145,7 +133,7 @@ def canonical_dual(frame: VectorSet, tol: float = DEFAULT_TOL) -> VectorSet:
     if frame_bounds(frame).lower <= tol:
         raise NotAFrameError("set does not span; frame operator is singular")
     dual = np.linalg.solve(op, frame.matrix.T).T
-    return VectorSet(dual, frame.labels)
+    return VectorSet(dual)
 
 
 def reconstruct(x, frame: VectorSet, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -155,11 +143,10 @@ def reconstruct(x, frame: VectorSet, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def multiplicative_product(pair: MultiplicativeFactorPair) -> VectorSet:
-    """All NK coordinatewise products ``x_jk(i) = y_j(i) * z_k(i)``, labeled (j, k)."""
+    """All NK coordinatewise products ``x_jk(i) = y_j(i) * z_k(i)``, x_jk in row j*K + k."""
     y, z = pair.Y.matrix, pair.Z.matrix
     products = y[:, None, :] * z[None, :, :]
-    labels = tuple((j, k) for j in range(y.shape[0]) for k in range(z.shape[0]))
-    return VectorSet(products.reshape(-1, y.shape[1]), labels)
+    return VectorSet(products.reshape(-1, y.shape[1]))
 
 
 @dataclass(frozen=True)

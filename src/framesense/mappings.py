@@ -16,6 +16,9 @@ and strong dominance makes the raw magnitude images a frame on their own.
 Each verifier is conservative: it asserts nothing when its hypotheses fail,
 but still reports span diagnostics.
 
+Ownership is the (n,) int array ``owners`` that ``scenario.build_index_sets``
+returns: sensor j owns I_j = {i : owners[i] == j}.
+
 The detector's two pipelines are the identity-health-map case of these
 maps, with engine block j owned by sensor j; ``detector.map_healths``
 computes that case directly on real healths.
@@ -31,7 +34,6 @@ from .frames import DEFAULT_TOL, SpanCertificate, VectorSet, check_tol, span_cer
 from .scenario import (
     Factorization,
     HealthMap,
-    IndexAssignment,
     is_i_dominant,
     is_i_radiative,
     is_j_harmonious,
@@ -39,19 +41,16 @@ from .scenario import (
 )
 
 
-def basis_map(blocks, health: HealthMap, assign: IndexAssignment) -> np.ndarray:
+def basis_map(blocks, health: HealthMap, owners) -> np.ndarray:
     """Fuse stacked ``(..., N, M)`` blocks by reading each coordinate from its owner.
 
-    Coordinate i of the ``(..., n)`` output is sensor ``owners()[i]``'s health
+    Coordinate i of the ``(..., n)`` output is sensor ``owners[i]``'s health
     image at i; every other sensor's block is ignored.
     """
-    blocks = np.asarray(blocks, dtype=np.complex128)
-    if assign.n != health.n:
-        raise ValueError(
-            f"assignment covers {assign.n} coordinates, health space has {health.n}"
-        )
-    images = health.apply(blocks)
-    return images[..., assign.owners(), np.arange(health.n)]
+    owners = np.asarray(owners)
+    if owners.shape != (health.n,):
+        raise ValueError(f"owners has shape {owners.shape}, expected ({health.n},)")
+    return health.apply(blocks)[..., owners, np.arange(health.n)]
 
 
 def frame_map(blocks, health: HealthMap) -> np.ndarray:
@@ -179,7 +178,7 @@ def _coordinate_span_diagnostics(values: np.ndarray, tol: float) -> dict:
 
 def verify_basis_mapping(
     fac: Factorization,
-    assign: IndexAssignment,
+    owners,
     tol: float = DEFAULT_TOL,
     failed: int | None = None,
 ) -> TheoremReport:
@@ -193,20 +192,20 @@ def verify_basis_mapping(
     hyps = _radiative_dominant_checks(fac, tol)
     if not all(h.ok for h in hyps):
         return TheoremReport("basis_mapping", hyps, None, {"note": "hypotheses unmet"})
+    owners = np.asarray(owners)
     values = _peak_values(fac, failed)
-    owned = assign.owners()[:, None] == np.arange(values.shape[1])
-    selected = np.where(owned, values, 0.0)
+    selected = np.where(owners[:, None] == np.arange(values.shape[1]), values, 0.0)
     diag = _coordinate_span_diagnostics(selected, tol)
+    # each row keeps its owner's value alone, so no direction repeats
     nonzero = np.nonzero(np.abs(selected) > tol)[0].tolist()  # ascending
     diag["nonzero_directions"] = nonzero
-    diag["distinct_nonzero"] = len(set(nonzero))
-    n = values.shape[0]
+    diag["distinct_nonzero"] = len(nonzero)
     if failed is None:
-        conclusion = len(nonzero) == n and len(set(nonzero)) == n and diag["spans"]
+        conclusion = len(nonzero) == values.shape[0] and diag["spans"]
     else:
         hyps = hyps + (
             HypothesisCheck(
-                "owned_set_nonempty", len(assign.I[failed]) > 0, None,
+                "owned_set_nonempty", bool(np.any(owners == failed)), None,
                 f"sensor {failed} failed",
             ),
         )
@@ -214,12 +213,10 @@ def verify_basis_mapping(
     return TheoremReport("basis_mapping", hyps, conclusion, diag)
 
 
-def _harmony_check(fac: Factorization, assign, failed: int, tol: float):
-    if assign is None:
-        raise ValueError("failure injection needs the index assignment")
+def _harmony_check(fac: Factorization, owners, failed: int, tol: float):
     return HypothesisCheck(
         "harmonious_at_failed",
-        is_j_harmonious(fac, assign, failed, tol),
+        is_j_harmonious(fac, owners, failed, tol),
         None,
         f"sensor {failed} failed",
     )
@@ -227,7 +224,7 @@ def _harmony_check(fac: Factorization, assign, failed: int, tol: float):
 
 def verify_frame_mapping(
     fac: Factorization,
-    assign: IndexAssignment,
+    owners,
     tol: float = DEFAULT_TOL,
     failed: int | None = None,
 ) -> TheoremReport:
@@ -238,7 +235,7 @@ def verify_frame_mapping(
     """
     hyps = _radiative_dominant_checks(fac, tol)
     if failed is not None:
-        hyps = hyps + (_harmony_check(fac, assign, failed, tol),)
+        hyps = hyps + (_harmony_check(fac, owners, failed, tol),)
     if not all(h.ok for h in hyps[:2]):
         return TheoremReport("frame_mapping", hyps, None, {"note": "hypotheses unmet"})
     mags = np.abs(_peak_values(fac, failed))  # (n, N)
@@ -257,19 +254,18 @@ def verify_frame_mapping(
 
 def verify_projective_frame(
     fac: Factorization,
+    owners,
     tol: float = DEFAULT_TOL,
     failed: int | None = None,
-    assign: IndexAssignment | None = None,
 ) -> TheoremReport:
     """The full single-coordinate image set (all times) is a multiplicative frame.
 
-    With ``failed`` set, requires a harmonious scenario at that sensor
-    (``assign`` must then be given) and re-certifies the span with the failed
-    sensor silenced.
+    With ``failed`` set, requires a harmonious scenario at that sensor and
+    re-certifies the span with the failed sensor silenced.
     """
     hyps = _radiative_dominant_checks(fac, tol)
     if failed is not None:
-        hyps = hyps + (_harmony_check(fac, assign, failed, tol),)
+        hyps = hyps + (_harmony_check(fac, owners, failed, tol),)
     if not all(h.ok for h in hyps[:2]):
         return TheoremReport(
             "projective_frame", hyps, None, {"note": "hypotheses unmet"}

@@ -5,9 +5,12 @@ hear the parameters in its covering set T_j and bears primary responsibility
 for the partition set S_j.  Readings factor (when the scenario is
 pre-separable) into a per-sensor sensitivity profile and a per-time volume
 profile, and a health map carries everything into a low-dimensional space
-C^n where the same factorization persists.  The predicates at the bottom
-(radiative, dominant, harmonious, operational) quantify which coordinates
-are being emitted, heard, and shared between sensors.
+C^n where the same factorization persists.  There each coordinate has one
+owner, the sensor that hears it loudest: :func:`build_index_sets` returns
+them as the (n,) int array ``owners``, and sensor j's responsibility set is
+I_j = {i : owners[i] == j}.  The predicates at the bottom (radiative,
+dominant, harmonious, operational) quantify which coordinates are being
+emitted, heard, and shared between sensors.
 
 Memory follows the L live parameters, those with a nonzero reading, not M:
 a scenario holds the live parameters' readings, T_j and S_j as rows of two
@@ -306,38 +309,6 @@ class Factorization:
         return cls(np.arange(n), gamma, alpha, n, gamma=gamma, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class IndexAssignment:
-    """Covering sets J_j and the responsibility partition I_j of {0..n-1}."""
-
-    J: tuple
-    I: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "J", tuple(frozenset(j) for j in self.J))
-        object.__setattr__(
-            self, "I", tuple(tuple(sorted(int(i) for i in s)) for s in self.I)
-        )
-        seen = [i for s in self.I for i in s]
-        if len(seen) != len(set(seen)):
-            raise ValueError("responsibility sets I_j must be disjoint")
-        if set(seen) != set(range(len(seen))):
-            raise ValueError("responsibility sets must partition 0..n-1")
-        for j, owned in enumerate(self.I):
-            if not set(owned) <= self.J[j]:
-                raise ValueError(f"I_{j} is not contained in J_{j}")
-
-    @property
-    def n(self) -> int:
-        return sum(len(s) for s in self.I)
-
-    def owners(self) -> np.ndarray:
-        out = np.full(self.n, -1, dtype=int)
-        for j, owned in enumerate(self.I):
-            out[list(owned)] = j
-        return out
-
-
 @dataclass
 class ValidityReport:
     ok: bool
@@ -491,25 +462,20 @@ def separate(s: Scenario, fac: Factorization, tol: float = DEFAULT_TOL) -> Facto
     return result
 
 
-def build_index_sets(images: np.ndarray, tol: float = DEFAULT_TOL) -> IndexAssignment:
+def build_index_sets(images: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Assign each health coordinate to the sensor that hears it loudest.
 
-    ``images`` is the (N, K, n) array of health images.  J_j collects the
-    coordinates sensor j ever hears above tol; each coordinate then goes to
-    the sensor with the largest peak magnitude (ties to the smallest j).
-    Raises :class:`UncoverableIndexError` for coordinates in no J_j.
+    ``images`` is the (N, K, n) array of health images.  Returns the (n,)
+    ``owners``: coordinate i goes to the sensor with the largest peak
+    magnitude (ties to the smallest j), so I_j = {i : owners[i] == j}.  That
+    sensor hears i above tol; :class:`UncoverableIndexError` lists the
+    coordinates no sensor hears above tol.
     """
-    images = np.asarray(images)
-    peak = np.max(np.abs(images), axis=1)  # (N, n)
-    audible = peak > tol
-    silent = np.flatnonzero(~audible.any(axis=0))
+    peak = np.max(np.abs(np.asarray(images)), axis=1)  # (N, n)
+    silent = np.flatnonzero(~np.any(peak > tol, axis=0))
     if silent.size:
         raise UncoverableIndexError(silent)
-    owners = np.argmax(peak, axis=0)  # argmax ties break to smallest j
-    return IndexAssignment(
-        J=tuple(frozenset(np.flatnonzero(heard).tolist()) for heard in audible),
-        I=tuple(np.flatnonzero(owners == j).tolist() for j in range(len(peak))),
-    )
+    return np.argmax(peak, axis=0)  # argmax ties break to smallest j
 
 
 def is_i_radiative(fac: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -533,22 +499,18 @@ def is_strongly_i_dominant(fac: Factorization, tol: float = DEFAULT_TOL) -> np.n
     return (mags[-1] > tol) & (mags[-1] > (n_sensors - 1) * runner_up)
 
 
-def is_j_harmonious(
-    fac: Factorization, assign: IndexAssignment, j: int, tol: float = DEFAULT_TOL
-) -> bool:
+def is_j_harmonious(fac: Factorization, owners, j: int, tol: float = DEFAULT_TOL) -> bool:
     """Every coordinate sensor j owns is audible to some other sensor.
 
     Vacuously true when I_j is empty.  The negation (some owned coordinate
     heard only by j) is the j-disjoint case.
     """
-    others = np.delete(np.abs(fac.gamma[:, list(assign.I[j])]), j, axis=0)
+    others = np.delete(np.abs(fac.gamma[:, np.asarray(owners) == j]), j, axis=0)
     return bool(np.all(np.any(others > tol, axis=0)))
 
 
-def is_harmonious(
-    fac: Factorization, assign: IndexAssignment, tol: float = DEFAULT_TOL
-) -> bool:
-    return all(is_j_harmonious(fac, assign, j, tol) for j in range(len(assign.I)))
+def is_harmonious(fac: Factorization, owners, tol: float = DEFAULT_TOL) -> bool:
+    return all(is_j_harmonious(fac, owners, j, tol) for j in range(fac.gamma.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -557,16 +519,14 @@ class SensorStatus:
     failed: tuple = ()  # (position, coordinate) pairs within I_j
 
 
-def sensor_status(
-    fac: Factorization, assign: IndexAssignment, j: int, tol: float = DEFAULT_TOL
-) -> SensorStatus:
+def sensor_status(fac: Factorization, owners, j: int, tol: float = DEFAULT_TOL) -> SensorStatus:
     """Operational iff gamma_j is nonzero on every coordinate the sensor owns."""
-    owned = assign.I[j]
-    if not owned:
+    owned = np.flatnonzero(np.asarray(owners) == j)
+    if not owned.size:
         return SensorStatus(status="undefined")
-    silent = np.flatnonzero(np.abs(fac.gamma[j, list(owned)]) <= tol)
+    silent = np.flatnonzero(np.abs(fac.gamma[j, owned]) <= tol)
     if silent.size:
-        failed = tuple((int(ell), owned[ell]) for ell in silent)
+        failed = tuple(zip(silent.tolist(), owned[silent].tolist()))
         return SensorStatus(status="non_operational", failed=failed)
     return SensorStatus(status="operational")
 
@@ -726,7 +686,8 @@ def _readings(value, shape: tuple) -> tuple:
         flat = np.ravel_multi_index(index, shape)
     except ValueError:
         raise ValueError("an entry (j, k, f) lies outside 1..N, 1..K, 1..M") from None
-    if len(set(flat.tolist())) != flat.size:
+    ordered = np.sort(flat)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("an entry (j, k, f) appears more than once")
     params, col = np.unique(index[2], return_inverse=True)
     out = np.zeros((*shape[:2], params.size), dtype=np.complex128)

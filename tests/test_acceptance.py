@@ -36,7 +36,6 @@ from framesense.mappings import (
 from framesense.scenario import (
     Factorization,
     HealthMap,
-    IndexAssignment,
     Scenario,
     build_index_sets,
     factor_readings,
@@ -79,9 +78,9 @@ def test_c1_worked_mapping_example():
     """Fused stack (10,2)+(-1,7): selection gives (10,7), magnitude sum (11,9)."""
     failures = []
     health = HealthMap.identity(2)
-    assign = IndexAssignment(J=({0, 1}, {0, 1}), I=((0,), (1,)))
+    owners = np.array([0, 1])
     stack = np.array([[10, 2], [-1, 7]], dtype=complex)
-    b = basis_map(stack, health, assign)
+    b = basis_map(stack, health, owners)
     f = frame_map(stack, health)
     if not (b[0] == 10 and b[1] == 7):
         failures.append(f"basis map gave {b}")
@@ -208,8 +207,7 @@ def _random_separable(rng, all_audible=False):
             alpha[rng.integers(0, n_times), i] = 1.0 - 0.5j
     s = Scenario.from_factors(gamma, alpha, HealthMap.identity(n))
     fac = separate(s, factor_readings(s))
-    assign = build_index_sets(s.health_images())
-    return s, fac, assign
+    return s, fac, build_index_sets(s.health_images())
 
 
 def _disjoint_scenario(rng):
@@ -227,8 +225,8 @@ def _disjoint_scenario(rng):
     alpha = 0.5 + rng.uniform(0.0, 1.0, (1, n))
     s = Scenario.from_factors(gamma.astype(complex), alpha.astype(complex), HealthMap.identity(n))
     fac = separate(s, factor_readings(s))
-    assign = build_index_sets(s.health_images())
-    return fac, assign, isolated, tuple(sorted(int(i) for i in owned))
+    owners = build_index_sets(s.health_images())
+    return fac, owners, isolated, tuple(sorted(int(i) for i in owned))
 
 
 def _oracle_images(fac):
@@ -249,37 +247,37 @@ def test_c5_verifier_oracle_equivalence():
     rng = np.random.default_rng(4242)
     start = time.time()
     for trial in range(100):
-        _, fac, assign = _random_separable(rng)
+        _, fac, owners = _random_separable(rng)
         n = fac.gamma.shape[1]
         images = list(_oracle_images(fac))
         # basis selection: each coordinate's owner at its peak-volume time
         peak = np.argmax(np.abs(fac.alpha), axis=0)
-        owners = assign.owners()
         selected = [r for r, (i, j, k) in images if k == peak[i] and j == owners[i]]
-        basis_report = verify_basis_mapping(fac, assign)
+        basis_report = verify_basis_mapping(fac, owners)
         if basis_report.conclusion != (gauss_rank(selected) == n):
             failures.append(f"trial {trial}: basis verifier disagrees with oracle")
-        proj_report = verify_projective_frame(fac)
+        proj_report = verify_projective_frame(fac, owners)
         if proj_report.conclusion != (gauss_rank([r for r, _ in images]) == n):
             failures.append(f"trial {trial}: projective verifier disagrees with oracle")
         if failures:
             break
     for trial in range(30):
-        _, fac, assign = _random_separable(rng, all_audible=True)
-        if not is_harmonious(fac, assign):
+        _, fac, owners = _random_separable(rng, all_audible=True)
+        if not is_harmonious(fac, owners):
             failures.append(f"harmonious trial {trial}: construction not harmonious")
             break
         failed = int(rng.integers(0, fac.gamma.shape[0]))
-        report = verify_frame_mapping(fac, assign, failed=failed)
+        report = verify_frame_mapping(fac, owners, failed=failed)
         if not (report.applicable and report.conclusion):
             failures.append(f"harmonious trial {trial}: frame survival not certified")
             break
     for trial in range(30):
-        fac, assign, isolated, owned = _disjoint_scenario(rng)
-        if assign.I[isolated] != owned:
-            failures.append(f"disjoint trial {trial}: ownership {assign.I[isolated]} != {owned}")
+        fac, owners, isolated, owned = _disjoint_scenario(rng)
+        isolated_owns = tuple(np.flatnonzero(owners == isolated).tolist())
+        if isolated_owns != owned:
+            failures.append(f"disjoint trial {trial}: ownership {isolated_owns} != {owned}")
             break
-        report = verify_frame_mapping(fac, assign, failed=isolated)
+        report = verify_frame_mapping(fac, owners, failed=isolated)
         if report.applicable:
             failures.append(f"disjoint trial {trial}: harmony hypothesis not caught")
             break
@@ -321,8 +319,8 @@ def test_c6_zero_noise_simulation_contracts():
         sensitivity[fac.params] = np.max(np.abs(fac.gamma_hat), axis=0)
         if not np.all(sensitivity[bins] > 1e-6):
             failures.append("some line bin has no sensitivity factor")
-        assign = build_index_sets(scenario.health_images(), tol=1e-6)
-        if not is_harmonious(fac, assign, tol=1e-6):
+        owners = build_index_sets(scenario.health_images(), tol=1e-6)
+        if not is_harmonious(fac, owners, tol=1e-6):
             failures.append("generated scenario is not harmonious")
     # Detection contracts at zero noise, 64 samples per state.
     calib = turbine.generate_dataset(FLEET, mix, detector.calibration_config(cfg), detector.NORMAL_ONLY)

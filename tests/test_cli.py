@@ -21,6 +21,7 @@ from framesense.scenario import (
     MAX_READINGS,
     HealthMap,
     Scenario,
+    _readings,
     factor_readings,
     scenario_from_json_dict,
     scenario_to_json_dict,
@@ -454,6 +455,22 @@ class TestValidate:
             tracemalloc.stop()
         assert s.params.size == 56
         assert peak < n_sensors * n_times * m * 16 / 2
+
+    def test_sparse_parse_checks_repeated_entries_in_numpy(self):
+        # The K = 240 benchmark shape: 49,280 entries.  Checking for a repeated
+        # (j, k, f) with a Python set of the flat indices, an int object and a
+        # hash slot per entry, peaks at 133 bytes per entry; sorting, at 107.
+        readings = spectral_doc(240)["readings"]
+        entries = len(readings["nonzero"])
+        assert entries == 49280
+        tracemalloc.start()
+        try:
+            params, values = _readings(readings, (4, 240, 8192))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert params.size == 56 and values.shape == (4, 240, 56)
+        assert peak < 120 * entries
 
     def test_factoring_never_allocates_a_dense_factor(self):
         # A dense (K, M) alpha_hat would be K*M*16 bytes; the factors hold 56 columns.

@@ -24,7 +24,7 @@ from framesense.detector import (
     write_sweep,
 )
 from framesense.mappings import basis_map, frame_map
-from framesense.scenario import HealthMap, IndexAssignment
+from framesense.scenario import HealthMap
 from framesense.turbine import SimConfig, default_fleet, mixing_matrix, resolve_sigma
 
 FLEET = default_fleet()
@@ -93,10 +93,8 @@ class TestMapping:
             map_healths(np.zeros((4, 27)), "basis")
 
 
-# Every sensor covers all 28 coordinates and owns its engine's block of 7.
-ENGINE_BLOCKS = IndexAssignment(
-    J=(frozenset(range(28)),) * 4, I=tuple(tuple(range(7 * j, 7 * j + 7)) for j in range(4))
-)
+# Each sensor owns its engine's block of 7 coordinates.
+ENGINE_BLOCKS = np.arange(28) // 7
 
 
 @settings(max_examples=60, deadline=None)

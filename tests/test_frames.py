@@ -181,10 +181,15 @@ class TestMultiplicative:
         pair = MultiplicativeFactorPair(VectorSet([[1, 2]]), VectorSet([[3, 4]]))
         assert np.allclose(multiplicative_product(pair).matrix, [[3, 8]])
 
-    def test_labels_enumerate_pairs(self):
-        pair = MultiplicativeFactorPair(ONB2, VectorSet([[1, 1], [2, 2]]))
-        prod = multiplicative_product(pair)
-        assert prod.labels == ((0, 0), (0, 1), (1, 0), (1, 1))
+    def test_row_j_k_is_y_j_times_z_k(self):
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        z = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        prod = multiplicative_product(MultiplicativeFactorPair(VectorSet(y), VectorSet(z)))
+        assert prod.count == 6
+        for j in range(3):
+            for k in range(2):
+                assert np.array_equal(prod.matrix[j * 2 + k], y[j] * z[k])
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -299,10 +304,6 @@ class TestInvariantsRandomized:
     def test_vector_set_rejects_nan(self):
         with pytest.raises(ValueError):
             VectorSet([[np.nan, 0]])
-
-    def test_vector_set_rejects_duplicate_labels(self):
-        with pytest.raises(ValueError):
-            VectorSet([[1, 0], [0, 1]], labels=[(0, 0), (0, 0)])
 
 
 @settings(max_examples=40, deadline=None)

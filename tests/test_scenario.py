@@ -11,7 +11,6 @@ from framesense.scenario import (
     MAX_READINGS,
     Factorization,
     HealthMap,
-    IndexAssignment,
     NotPreSeparableError,
     NotSeparableError,
     Scenario,
@@ -297,25 +296,21 @@ class TestIndexSets:
             dtype=complex,
         )
         fac = Factorization.from_health_factors(gamma, np.ones((1, 5)))
-        assign = build_index_sets(fac.images())
-        assert assign.J == (
-            frozenset({0, 1, 2}),
-            frozenset({1, 2, 3}),
-            frozenset({1, 3, 4}),
-        )
-        assert assign.I == ((0, 2), (), (1, 3, 4))
+        audible, _ = index_sets_reference(fac.images())
+        assert audible == ({0, 1, 2}, {1, 2, 3}, {1, 3, 4})
+        assert build_index_sets(fac.images()).tolist() == [0, 2, 0, 2, 2]
 
     def test_single_sensor_owns_everything(self):
         fac = Factorization.from_health_factors(np.ones((1, 4)), np.ones((2, 4)))
-        assign = build_index_sets(fac.images())
-        assert assign.I == ((0, 1, 2, 3),)
+        assert build_index_sets(fac.images()).tolist() == [0, 0, 0, 0]
 
     def test_disjoint_hearing_forces_assignment(self):
         gamma = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=complex)
         fac = Factorization.from_health_factors(gamma, np.ones((1, 4)))
-        assign = build_index_sets(fac.images())
-        assert assign.I == ((0, 1), (2, 3))
-        assert assign.I == tuple(tuple(sorted(j)) for j in assign.J)
+        owners = build_index_sets(fac.images())
+        assert owners.tolist() == [0, 0, 1, 1]
+        audible, _ = index_sets_reference(fac.images())
+        assert audible == tuple(set(np.flatnonzero(owners == j).tolist()) for j in range(2))
 
     def test_silent_coordinate_reported(self):
         gamma = np.array([[1, 0], [1, 0]], dtype=complex)
@@ -327,14 +322,7 @@ class TestIndexSets:
     def test_ties_break_to_smallest_sensor(self):
         gamma = np.array([[2, 2], [2, 2]], dtype=complex)
         fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
-        assign = build_index_sets(fac.images())
-        assert assign.I == ((0, 1), ())
-
-    def test_invalid_assignment_rejected(self):
-        with pytest.raises(ValueError):
-            IndexAssignment(J=({0, 1},), I=((0, 0),))
-        with pytest.raises(ValueError):
-            IndexAssignment(J=({0},), I=((0, 2),))
+        assert build_index_sets(fac.images()).tolist() == [0, 0]
 
 
 class TestPredicates:
@@ -373,62 +361,66 @@ class TestPredicates:
     def test_everyone_hears_everything_is_harmonious(self):
         gamma = np.abs(np.random.default_rng(2).standard_normal((3, 4))) + 0.1
         fac = Factorization.from_health_factors(gamma.astype(complex), np.ones((1, 4)))
-        assign = build_index_sets(fac.images())
-        assert is_harmonious(fac, assign)
+        assert is_harmonious(fac, build_index_sets(fac.images()))
 
     def test_isolated_sensor_is_disjoint(self):
         # Third sensor is the only one hearing coordinate 2.
         gamma = np.array([[2, 1, 0], [1, 2, 0], [0, 0, 5]], dtype=complex)
         fac = Factorization.from_health_factors(gamma, np.ones((1, 3)))
-        assign = build_index_sets(fac.images())
-        assert is_j_harmonious(fac, assign, 0)
-        assert is_j_harmonious(fac, assign, 1)
-        assert not is_j_harmonious(fac, assign, 2)
-        assert not is_harmonious(fac, assign)
+        owners = build_index_sets(fac.images())
+        assert is_j_harmonious(fac, owners, 0)
+        assert is_j_harmonious(fac, owners, 1)
+        assert not is_j_harmonious(fac, owners, 2)
+        assert not is_harmonious(fac, owners)
 
     def test_single_sensor_is_disjoint(self):
         fac = Factorization.from_health_factors(np.ones((1, 2)), np.ones((1, 2)))
-        assign = build_index_sets(fac.images())
-        assert not is_j_harmonious(fac, assign, 0)
+        assert not is_j_harmonious(fac, build_index_sets(fac.images()), 0)
 
     def test_empty_owned_set_vacuously_harmonious(self):
         gamma = np.array([[2, 2], [1, 1]], dtype=complex)
         fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
-        assign = build_index_sets(fac.images())
-        assert assign.I[1] == ()
-        assert is_j_harmonious(fac, assign, 1)
+        owners = build_index_sets(fac.images())
+        assert not np.any(owners == 1)
+        assert is_j_harmonious(fac, owners, 1)
+
+    def test_owners_as_a_list_select_like_an_array(self):
+        gamma = np.array([[2, 1, 0], [1, 2, 0], [0, 0, 5]], dtype=complex)
+        fac = Factorization.from_health_factors(gamma, np.ones((1, 3)))
+        owners = [0, 1, 2]
+        assert [is_j_harmonious(fac, owners, j) for j in range(3)] == [True, True, False]
+        assert sensor_status(fac, owners, 2).status == "operational"
 
 
 class TestSensorStatus:
     def setup_method(self):
         gamma = np.array([[2, 1, 0.5], [1, 2, 0]], dtype=complex)
         self.fac = Factorization.from_health_factors(gamma, np.ones((1, 3)))
-        self.assign = build_index_sets(self.fac.images())
+        self.owners = build_index_sets(self.fac.images())
 
     def test_operational(self):
-        assert sensor_status(self.fac, self.assign, 0).status == "operational"
+        assert sensor_status(self.fac, self.owners, 0).status == "operational"
 
     def test_fully_zeroed(self):
         gamma = self.fac.gamma.copy()
         gamma[0] = 0
         dead = Factorization.from_health_factors(gamma, self.fac.alpha)
-        status = sensor_status(dead, self.assign, 0)
+        status = sensor_status(dead, self.owners, 0)
         assert status.status == "non_operational"
-        assert [i for _, i in status.failed] == list(self.assign.I[0])
+        assert status.failed == ((0, 0), (1, 2))  # sensor 0 owns coordinates 0 and 2
 
     def test_partial_zeroing_lists_single_position(self):
         gamma = self.fac.gamma.copy()
         gamma[0, 2] = 0
         hurt = Factorization.from_health_factors(gamma, self.fac.alpha)
-        status = sensor_status(hurt, self.assign, 0)
+        status = sensor_status(hurt, self.owners, 0)
         assert status.status == "non_operational"
         assert len(status.failed) == 1 and status.failed[0][1] == 2
 
     def test_empty_owned_set_is_undefined(self):
         gamma = np.array([[2, 2], [1, 1]], dtype=complex)
         fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
-        assign = build_index_sets(fac.images())
-        assert sensor_status(fac, assign, 1).status == "undefined"
+        assert sensor_status(fac, build_index_sets(fac.images()), 1).status == "undefined"
 
 
 class TestLiveParameters:
@@ -687,6 +679,49 @@ def test_validate_scenario_matches_set_rules(seed):
     back = scenario_from_json_dict(scenario_to_json_dict(s))
     assert np.array_equal(back.covering, s.covering)
     assert np.array_equal(back.partition, s.partition)
+
+
+def index_sets_reference(images, tol=DEFAULT_TOL):
+    """Ownership set by set: J_j holds the coordinates sensor j hears above
+    tol at some time, and I_j those whose loudest sensor is j (the smallest j
+    on ties).  Raises UncoverableIndexError for the coordinates in no J_j."""
+    peak = np.max(np.abs(images), axis=1)  # (N, n)
+    n_sensors, n = peak.shape
+    audible = tuple({i for i in range(n) if peak[j, i] > tol} for j in range(n_sensors))
+    silent = sorted(set(range(n)) - set().union(*audible))
+    if silent:
+        raise UncoverableIndexError(silent)
+    owned = tuple(set() for _ in range(n_sensors))
+    for i in range(n):
+        loudest = max(peak[:, i])
+        owned[min(j for j in range(n_sensors) if peak[j, i] == loudest)].add(i)
+    return audible, owned
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([DEFAULT_TOL, 1e-6]))
+def test_owners_match_set_ownership(seed, tol):
+    """owners == j is I_j, its owner hears each coordinate (I_j within J_j), and
+    silent coordinates are reported as the sets report them."""
+    rng = np.random.default_rng(seed)
+    n_sensors, n_times, n = (int(x) for x in rng.integers(1, 6, size=3))
+    # Few distinct moduli make ties common; some sit at, just above or below tol.
+    moduli = np.array([0.0, tol / 2, tol, tol * (1 + 1e-9), 2 * tol, 0.5, 1.0, 3.0])
+    phases = np.array([1, -1, 1j, -1j])  # exact, so equal moduli stay equal
+    images = moduli[rng.integers(0, moduli.size, (n_sensors, n_times, n))] \
+        * phases[rng.integers(0, 4, (n_sensors, n_times, n))]
+    images[:, :, rng.random(n) < 0.2] *= tol  # whole coordinates near silence
+    try:
+        audible, owned = index_sets_reference(images, tol)
+    except UncoverableIndexError as err:
+        with pytest.raises(UncoverableIndexError) as ours:
+            build_index_sets(images, tol)
+        assert ours.value.indices == err.indices
+        return
+    owners = build_index_sets(images, tol)
+    assert owners.shape == (n,)
+    assert tuple(set(np.flatnonzero(owners == j).tolist()) for j in range(n_sensors)) == owned
+    assert all(i in audible[j] for i, j in enumerate(owners.tolist()))
 
 
 def predicates_reference(gamma, alpha, tol):

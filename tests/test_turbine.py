@@ -772,18 +772,18 @@ class TestScenarioBridge:
     def test_harmonious_with_positive_mixing(self):
         s = dataset_scenario(FLEET, mixing_matrix(0.1), self.cfg, self.states)
         fac = separate(s, factor_readings(s, tol=1e-7), tol=1e-6)
-        assign = build_index_sets(s.health_images(), tol=1e-6)
-        assert assign.I == tuple(tuple(range(7 * j, 7 * (j + 1))) for j in range(4))
-        assert is_harmonious(fac, assign, tol=1e-6)
+        owners = build_index_sets(s.health_images(), tol=1e-6)
+        assert owners.tolist() == [j for j in range(4) for _ in range(7)]
+        assert is_harmonious(fac, owners, tol=1e-6)
 
     def test_sensor_failure_maps_to_non_operational(self):
         cfg = SimConfig(samples_per_state=1, failed_sensors={0})
         s = dataset_scenario(FLEET, mixing_matrix(0.1), cfg, self.states)
         fac = separate(s, factor_readings(s, tol=1e-7), tol=1e-6)
         healthy = dataset_scenario(FLEET, mixing_matrix(0.1), self.cfg, self.states)
-        assign = build_index_sets(healthy.health_images(), tol=1e-6)
-        assert sensor_status(fac, assign, 0, tol=1e-6).status == "non_operational"
-        assert sensor_status(fac, assign, 1, tol=1e-6).status == "operational"
+        owners = build_index_sets(healthy.health_images(), tol=1e-6)
+        assert sensor_status(fac, owners, 0, tol=1e-6).status == "non_operational"
+        assert sensor_status(fac, owners, 1, tol=1e-6).status == "operational"
 
     def test_engine_failure_keeps_sensors_operational(self):
         states = [
@@ -792,9 +792,9 @@ class TestScenarioBridge:
         ]
         s = dataset_scenario(FLEET, mixing_matrix(0.1), self.cfg, states)
         fac = separate(s, factor_readings(s, tol=1e-7), tol=1e-6)
-        assign = build_index_sets(s.health_images(), tol=1e-6)
+        owners = build_index_sets(s.health_images(), tol=1e-6)
         for j in range(4):
-            assert sensor_status(fac, assign, j, tol=1e-6).status == "operational"
+            assert sensor_status(fac, owners, j, tol=1e-6).status == "operational"
         # the dead engine's coordinates stop radiating at the failed time
         assert np.max(np.abs(fac.alpha[0, :7])) <= 1e-6
         assert np.min(np.abs(fac.alpha[1, :7])) > 1e-6
