@@ -5,11 +5,11 @@ coordinate collapses below ``dead_lo`` times its calibrated baseline, fault
 when any coordinate exceeds ``fault_hi`` times baseline, normal otherwise.
 The detector runs identically on both fusion pipelines (basis selection and
 magnitude sum); each pipeline calibrates its own baseline from a zero-noise
-normal run.  The pipelines are the identity-health-map case of
-``mappings.basis_map`` and ``mappings.frame_map``, computed directly on the
-real health tensor.  Scoring follows engine 1: a sample is correct when the
-engine-1 verdict matches the ground-truth engine-1 state, and the combined
-score additionally accepts a fault verdict under a true failure.
+normal run.  The pipelines are ``frames.basis_map`` and ``frames.frame_map``
+applied to the real health tensor, with sensor j owning engine block j.
+Scoring follows engine 1: a sample is correct when the engine-1 verdict
+matches the ground-truth engine-1 state, and the combined score additionally
+accepts a fault verdict under a true failure.
 
 One scorer, ``score_runs``, serves ``detect`` and ``sweep`` on the datasets it
 is given (the detector generates none); ``write_results`` and ``write_sweep``
@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import turbine
+from .frames import basis_map, frame_map
 from .turbine import SENSORS, Dataset, SimConfig
 
 PIPELINES = ("basis", "frame")
@@ -62,10 +63,9 @@ def map_healths(healths, kind: str) -> np.ndarray:
     if kind == "basis":
         if n % SENSORS:
             raise ValueError(f"{n} health coordinates do not split into {SENSORS} engine blocks")
-        owners = np.repeat(np.arange(SENSORS), n // SENSORS)
-        return healths[..., owners, np.arange(n)]
+        return basis_map(healths, np.repeat(np.arange(SENSORS), n // SENSORS))
     if kind == "frame":
-        return np.abs(healths).sum(axis=-2)
+        return frame_map(healths)
     raise ValueError(f"unknown mapping kind {kind!r}")
 
 

@@ -5,6 +5,13 @@ reconstruction, and multiplicative (coordinatewise-product) frame
 construction with certified bound intervals.  All sets are finite and all
 operations are pure functions of immutable inputs.
 
+The two fusion maps live here too.  ``basis_map`` reads each health
+coordinate from the one sensor that owns it, and ``frame_map`` sums the
+coordinate's magnitudes over all sensors.  Both take stacked ``(..., N, n)``
+health images.  The theorem verifiers in ``mappings`` certify the images of
+these maps, and the detector fuses its health tensor with them, with sensor j
+owning engine block j.
+
 Conventions: a vector set is stored as the rows of an ``(m, n)`` complex
 matrix; the inner product is ``<x, y> = sum_i x[i] * conj(y[i])``.
 """
@@ -228,3 +235,38 @@ def span_certificate(vectors: VectorSet, tol: float = DEFAULT_TOL) -> SpanCertif
     # <y, w> = conj(m @ conj(y)) ~ 0 for every row w.
     witness = vh[-1] / np.linalg.norm(vh[-1])
     return SpanCertificate(False, witness, smallest, float(sigma[0]))
+
+
+def owner_vector(owners, N: int, n: int) -> np.ndarray:
+    """``owners`` as the (n,) int array that gives each of n coordinates one of N sensors.
+
+    Anything else is a ValueError naming the wrong shape, the dtype or the
+    entries outside 0..N-1.
+    """
+    owners = np.asarray(owners)
+    if owners.shape != (n,):
+        raise ValueError(f"owners has shape {owners.shape}, expected ({n},)")
+    if not np.issubdtype(owners.dtype, np.integer):
+        raise ValueError(f"owners must be sensor indices, got dtype {owners.dtype}")
+    stray = owners[(owners < 0) | (owners >= N)]
+    if stray.size:
+        raise ValueError(f"owners {np.unique(stray).tolist()} are outside 0..{N - 1}")
+    return owners
+
+
+def basis_map(images, owners) -> np.ndarray:
+    """Fuse stacked ``(..., N, n)`` health images by reading each coordinate from its owner.
+
+    Coordinate i of the ``(..., n)`` output is sensor ``owners[i]``'s image at
+    i; every other sensor's image is ignored.
+    """
+    images = np.asarray(images)
+    return images[..., owner_vector(owners, *images.shape[-2:]), np.arange(images.shape[-1])]
+
+
+def frame_map(images) -> np.ndarray:
+    """Fuse stacked ``(..., N, n)`` health images by summing magnitudes over sensors.
+
+    The ``(..., n)`` output is real: float64 for complex128 or float64 images.
+    """
+    return np.abs(images).sum(axis=-2)

@@ -1,6 +1,6 @@
-"""Maps from stacked sensor output into health space, and their guarantees.
+"""Theorem verifiers for the two maps that fuse N sensors into one health vector.
 
-Two ways to fuse N sensors' readings into one health vector:
+The maps themselves are ``frames.basis_map`` and ``frames.frame_map``:
 
 * the basis selection map reads each coordinate from the single sensor that
   owns it, ignoring everyone else — sharp, but a dead sensor silently zeroes
@@ -8,7 +8,7 @@ Two ways to fuse N sensors' readings into one health vector:
 * the magnitude-sum map adds |image| contributions from every sensor, so a
   coordinate survives as long as anyone can hear it.
 
-The verify_* functions check, on a concrete separated scenario, the
+The verify_* functions here check, on a concrete separated scenario, the
 structural guarantees behind those maps: selection images form a basis (and
 lose rank when an owner dies), magnitude images contain a multiplicative
 frame (and keep spanning through a failure when the scenario is harmonious),
@@ -17,11 +17,9 @@ Each verifier is conservative: it asserts nothing when its hypotheses fail,
 but still reports span diagnostics.
 
 Ownership is the (n,) int array ``owners`` that ``scenario.build_index_sets``
-returns: sensor j owns I_j = {i : owners[i] == j}.
-
-The detector's two pipelines are the identity-health-map case of these
-maps, with engine block j owned by sensor j; ``detector.map_healths``
-computes that case directly on real healths.
+returns: sensor j owns I_j = {i : owners[i] == j}.  ``verify_basis_mapping``
+certifies the images of ``basis_map`` itself, the function the detector's
+basis pipeline calls.
 """
 
 from __future__ import annotations
@@ -30,37 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import DEFAULT_TOL, SpanCertificate, VectorSet, check_tol, span_certificate
+from .frames import DEFAULT_TOL, SpanCertificate, VectorSet, basis_map, check_tol, span_certificate
 from .scenario import (
     Factorization,
-    HealthMap,
     is_i_dominant,
     is_i_radiative,
     is_j_harmonious,
     is_strongly_i_dominant,
 )
-
-
-def basis_map(blocks, health: HealthMap, owners) -> np.ndarray:
-    """Fuse stacked ``(..., N, M)`` blocks by reading each coordinate from its owner.
-
-    Coordinate i of the ``(..., n)`` output is sensor ``owners[i]``'s health
-    image at i; every other sensor's block is ignored.
-    """
-    owners = np.asarray(owners)
-    if owners.shape != (health.n,):
-        raise ValueError(f"owners has shape {owners.shape}, expected ({health.n},)")
-    return health.apply(blocks)[..., owners, np.arange(health.n)]
-
-
-def frame_map(blocks, health: HealthMap) -> np.ndarray:
-    """Fuse stacked ``(..., N, M)`` blocks by summing magnitude images over sensors.
-
-    Output is complex-typed with zero imaginary part so every mapping output
-    shares one vector type.
-    """
-    blocks = np.asarray(blocks, dtype=np.complex128)
-    return np.abs(health.apply(blocks)).sum(axis=-2).astype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -192,20 +167,18 @@ def verify_basis_mapping(
     hyps = _radiative_dominant_checks(fac, tol)
     if not all(h.ok for h in hyps):
         return TheoremReport("basis_mapping", hyps, None, {"note": "hypotheses unmet"})
-    owners = np.asarray(owners)
-    values = _peak_values(fac, failed)
-    selected = np.where(owners[:, None] == np.arange(values.shape[1]), values, 0.0)
-    diag = _coordinate_span_diagnostics(selected, tol)
-    # each row keeps its owner's value alone, so no direction repeats
-    nonzero = np.nonzero(np.abs(selected) > tol)[0].tolist()  # ascending
+    selected = basis_map(_peak_values(fac, failed).T, owners)  # (n,)
+    # the image of coordinate i is e_i * selected[i], so no direction repeats
+    diag = _coordinate_span_diagnostics(selected[:, None], tol)
+    nonzero = np.flatnonzero(np.abs(selected) > tol).tolist()
     diag["nonzero_directions"] = nonzero
     diag["distinct_nonzero"] = len(nonzero)
     if failed is None:
-        conclusion = len(nonzero) == values.shape[0] and diag["spans"]
+        conclusion = len(nonzero) == selected.size and diag["spans"]
     else:
         hyps = hyps + (
             HypothesisCheck(
-                "owned_set_nonempty", bool(np.any(owners == failed)), None,
+                "owned_set_nonempty", bool(np.any(np.asarray(owners) == failed)), None,
                 f"sensor {failed} failed",
             ),
         )

@@ -27,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .frames import DEFAULT_TOL, check_tol, parse_complex
+from .frames import DEFAULT_TOL, check_tol, owner_vector, parse_complex
 
 
 # Most reading entries N*K*M a document may declare, silent parameters
@@ -505,7 +505,8 @@ def is_j_harmonious(fac: Factorization, owners, j: int, tol: float = DEFAULT_TOL
     Vacuously true when I_j is empty.  The negation (some owned coordinate
     heard only by j) is the j-disjoint case.
     """
-    others = np.delete(np.abs(fac.gamma[:, np.asarray(owners) == j]), j, axis=0)
+    owners = owner_vector(owners, *fac.gamma.shape)
+    others = np.delete(np.abs(fac.gamma[:, owners == j]), j, axis=0)
     return bool(np.all(np.any(others > tol, axis=0)))
 
 
@@ -521,7 +522,7 @@ class SensorStatus:
 
 def sensor_status(fac: Factorization, owners, j: int, tol: float = DEFAULT_TOL) -> SensorStatus:
     """Operational iff gamma_j is nonzero on every coordinate the sensor owns."""
-    owned = np.flatnonzero(np.asarray(owners) == j)
+    owned = np.flatnonzero(owner_vector(owners, *fac.gamma.shape) == j)
     if not owned.size:
         return SensorStatus(status="undefined")
     silent = np.flatnonzero(np.abs(fac.gamma[j, owned]) <= tol)
@@ -679,7 +680,8 @@ def _readings(value, shape: tuple) -> tuple:
         raise TypeError("nonzero must be a list of [j, k, f, value] entries")
     if not entries:
         return np.zeros(0, dtype=np.int64), np.zeros((*shape[:2], 0), dtype=np.complex128)
-    *index, values = zip(*entries)
+    index = [[e[c] for e in entries] for c in range(3)]
+    values = [e[3] for e in entries]
     _check_indices(index)
     index = np.array(index, dtype=np.int64) - 1
     try:
@@ -691,7 +693,7 @@ def _readings(value, shape: tuple) -> tuple:
         raise ValueError("an entry (j, k, f) appears more than once")
     params, col = np.unique(index[2], return_inverse=True)
     out = np.zeros((*shape[:2], params.size), dtype=np.complex128)
-    out[index[0], index[1], col] = _complex_array(list(values), (flat.size,))
+    out[index[0], index[1], col] = _complex_array(values, (flat.size,))
     return params, out
 
 

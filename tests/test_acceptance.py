@@ -19,15 +19,15 @@ from framesense.frames import (
     MultiplicativeFactorPair,
     VectorSet,
     analysis,
+    basis_map,
     canonical_dual,
     frame_bounds,
+    frame_map,
     mf_bound_certificate,
     multiplicative_product,
     reconstruct,
 )
 from framesense.mappings import (
-    basis_map,
-    frame_map,
     verify_basis_mapping,
     verify_frame_mapping,
     verify_projective_frame,
@@ -80,8 +80,8 @@ def test_c1_worked_mapping_example():
     health = HealthMap.identity(2)
     owners = np.array([0, 1])
     stack = np.array([[10, 2], [-1, 7]], dtype=complex)
-    b = basis_map(stack, health, owners)
-    f = frame_map(stack, health)
+    b = basis_map(health.apply(stack), owners)
+    f = frame_map(health.apply(stack))
     if not (b[0] == 10 and b[1] == 7):
         failures.append(f"basis map gave {b}")
     if not (f[0] == 11 and f[1] == 9):

@@ -23,7 +23,7 @@ from framesense.detector import (
     write_results,
     write_sweep,
 )
-from framesense.mappings import basis_map, frame_map
+from framesense.frames import basis_map, frame_map
 from framesense.scenario import HealthMap
 from framesense.turbine import SimConfig, default_fleet, mixing_matrix, resolve_sigma
 
@@ -109,8 +109,8 @@ def test_map_healths_is_the_identity_map_case_of_the_general_maps(data):
         healths[..., dead, :] = 0.0
     identity = HealthMap.identity(28)
     expected = {
-        "basis": basis_map(healths, identity, ENGINE_BLOCKS).real,
-        "frame": frame_map(healths, identity).real,
+        "basis": basis_map(identity.apply(healths), ENGINE_BLOCKS).real,
+        "frame": frame_map(identity.apply(healths)),
     }
     for kind in detector.PIPELINES:
         mapped = map_healths(healths, kind)

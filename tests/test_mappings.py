@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framesense.frames import DEFAULT_TOL, VectorSet, span_certificate
+from framesense.frames import DEFAULT_TOL, VectorSet, basis_map, frame_map, span_certificate
 from framesense.mappings import (
-    basis_map,
-    frame_map,
     verify_basis_mapping,
     verify_frame_mapping,
     verify_projective_frame,
@@ -19,6 +17,9 @@ from framesense.scenario import (
     HealthMap,
     build_index_sets,
     factor_readings,
+    is_harmonious,
+    is_j_harmonious,
+    sensor_status,
     separate,
 )
 from tests.test_scenario import three_sensor_projection_scenario
@@ -38,56 +39,56 @@ def separated_fixture():
 
 class TestMaps:
     def test_basis_map_selects_owned_coordinates(self):
-        out = basis_map(STACK, IDENTITY2, TWO_SENSOR_OWNERS)
+        out = basis_map(IDENTITY2.apply(STACK), TWO_SENSOR_OWNERS)
         assert np.array_equal(out, [10, 7])
 
     def test_frame_map_sums_magnitudes(self):
-        out = frame_map(STACK, IDENTITY2)
+        out = frame_map(IDENTITY2.apply(STACK))
         assert np.array_equal(out, [11, 9])
-        assert out.dtype == np.complex128
+        assert out.dtype == np.float64
 
     def test_maps_disagree_on_the_same_stack(self):
-        b = basis_map(STACK, IDENTITY2, TWO_SENSOR_OWNERS)
-        f = frame_map(STACK, IDENTITY2)
+        b = basis_map(IDENTITY2.apply(STACK), TWO_SENSOR_OWNERS)
+        f = frame_map(IDENTITY2.apply(STACK))
         assert not np.allclose(b, f)
 
     def test_zero_stack_maps_to_zero(self):
-        zero = np.zeros((2, 2), dtype=complex)
-        assert np.allclose(basis_map(zero, IDENTITY2, TWO_SENSOR_OWNERS), 0)
-        assert np.allclose(frame_map(zero, IDENTITY2), 0)
+        zero = IDENTITY2.apply(np.zeros((2, 2), dtype=complex))
+        assert np.allclose(basis_map(zero, TWO_SENSOR_OWNERS), 0)
+        assert np.allclose(frame_map(zero), 0)
 
     def test_single_owner_copies_whole_image(self):
-        out = basis_map(np.array([[4, 5j]]), IDENTITY2, [0, 0])
+        out = basis_map(IDENTITY2.apply(np.array([[4, 5j]])), [0, 0])
         assert np.allclose(out, [4, 5j])
 
     def test_per_sensor_basis_images(self):
         # One live sensor at a time: its image masked to the coordinates it owns.
         only = np.zeros((2, 2, 2), dtype=complex)
         only[0, 0], only[1, 1] = STACK[0], STACK[1]
-        out = basis_map(only, IDENTITY2, TWO_SENSOR_OWNERS)
+        out = basis_map(IDENTITY2.apply(only), TWO_SENSOR_OWNERS)
         assert np.array_equal(out, [[10, 0], [0, 7]])
 
     def test_basis_image_of_failed_sensor_is_zero(self):
         failed = STACK.copy()
         failed[0] = 0
-        assert np.array_equal(basis_map(failed, IDENTITY2, TWO_SENSOR_OWNERS), [0, 7])
+        assert np.array_equal(basis_map(IDENTITY2.apply(failed), TWO_SENSOR_OWNERS), [0, 7])
 
     def test_empty_owned_set_gives_zero_image(self):
         # Sensor 1 owns nothing, so its block never reaches the output.
         other = STACK.copy()
         other[1] = [123, -4j]
-        assert np.array_equal(basis_map(STACK, IDENTITY2, [0, 0]), [10, 2])
-        assert np.array_equal(basis_map(other, IDENTITY2, [0, 0]), [10, 2])
+        assert np.array_equal(basis_map(IDENTITY2.apply(STACK), [0, 0]), [10, 2])
+        assert np.array_equal(basis_map(IDENTITY2.apply(other), [0, 0]), [10, 2])
 
     def test_magnitude_image_single_block(self):
-        assert np.array_equal(frame_map(STACK[1:], IDENTITY2), [1, 7])
+        assert np.array_equal(frame_map(IDENTITY2.apply(STACK[1:])), [1, 7])
 
     def test_stacked_blocks_map_like_each_stack(self):
         rng = np.random.default_rng(8)
         stacks = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
         stacks[0, 1, 0] = 0  # a failed sensor in one stack
-        b = basis_map(stacks, IDENTITY2, TWO_SENSOR_OWNERS)
-        f = frame_map(stacks, IDENTITY2)
+        b = basis_map(IDENTITY2.apply(stacks), TWO_SENSOR_OWNERS)
+        f = frame_map(IDENTITY2.apply(stacks))
         assert b.shape == f.shape == (3, 5, 2)
         for idx in np.ndindex(3, 5):
             assert np.array_equal(b[idx], [stacks[idx][0, 0], stacks[idx][1, 1]])
@@ -97,9 +98,9 @@ class TestMaps:
         rng = np.random.default_rng(6)
         for _ in range(25):
             stack = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-            health = HealthMap.identity(4)
-            b = np.abs(basis_map(stack, health, [0, 0, 1, 2]))
-            f = frame_map(stack, health).real
+            images = HealthMap.identity(4).apply(stack)
+            b = np.abs(basis_map(images, [0, 0, 1, 2]))
+            f = frame_map(images)
             assert np.all(f >= b - 1e-12)
 
     def test_zeroing_a_block(self):
@@ -107,17 +108,17 @@ class TestMaps:
         # contributed to unchanged and zeroes its owned basis coordinates.
         stack2 = STACK.copy()
         stack2[1] = 0
-        f1 = frame_map(STACK, IDENTITY2).real
-        f2 = frame_map(stack2, IDENTITY2).real
+        f1 = frame_map(IDENTITY2.apply(STACK))
+        f2 = frame_map(IDENTITY2.apply(stack2))
         assert np.all(f2 <= f1 + 1e-12)
-        b2 = basis_map(stack2, IDENTITY2, TWO_SENSOR_OWNERS)
+        b2 = basis_map(IDENTITY2.apply(stack2), TWO_SENSOR_OWNERS)
         assert b2[1] == 0
 
     def test_assignment_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            basis_map(STACK, HealthMap.identity(3), TWO_SENSOR_OWNERS)
+            basis_map(HealthMap.identity(3).apply(np.ones((2, 3))), TWO_SENSOR_OWNERS)
         with pytest.raises(ValueError):
-            basis_map(STACK, IDENTITY2, [0])
+            basis_map(IDENTITY2.apply(STACK), [0])
 
 
 class TestProjectionSets:
@@ -300,6 +301,37 @@ class TestVerifiers:
             for failed in (None, 0, 1, 2):
                 as_list = verify(fac, owners.tolist(), failed=failed).to_json_dict()
                 assert as_list == verify(fac, owners, failed=failed).to_json_dict()
+
+
+# Every public entry point that reads an owner vector, on the three-sensor
+# fixture (N = 3 sensors, n = 2 coordinates).
+OWNER_READERS = {
+    "basis_map": lambda fac, owners: basis_map(fac.images().swapaxes(0, 1), owners),
+    "verify_basis_mapping": lambda fac, owners: verify_basis_mapping(fac, owners),
+    "verify_basis_mapping_failed": lambda fac, owners: verify_basis_mapping(fac, owners, failed=0),
+    "verify_frame_mapping_failed": lambda fac, owners: verify_frame_mapping(fac, owners, failed=0),
+    "verify_projective_frame_failed":
+        lambda fac, owners: verify_projective_frame(fac, owners, failed=0),
+    "is_j_harmonious": lambda fac, owners: is_j_harmonious(fac, owners, 0),
+    "is_harmonious": is_harmonious,
+    "sensor_status": lambda fac, owners: sensor_status(fac, owners, 0),
+}
+BAD_OWNERS = {
+    "short": ([1], r"owners has shape \(1,\), expected \(2,\)"),
+    "long": ([0, 1, 2], r"owners has shape \(3,\), expected \(2,\)"),
+    "out_of_range": ([0, 5], r"owners \[5\] are outside 0\.\.2"),
+    "negative": ([-1, 0], r"owners \[-1\] are outside 0\.\.2"),
+    "not_indices": ([0.0, 1.0], r"owners must be sensor indices, got dtype float64"),
+}
+
+
+@pytest.mark.parametrize("owners, message", BAD_OWNERS.values(), ids=BAD_OWNERS)
+@pytest.mark.parametrize("reader", OWNER_READERS.values(), ids=OWNER_READERS)
+def test_every_owner_reader_refuses_a_bad_owner_vector(reader, owners, message):
+    _, fac, good = separated_fixture()
+    reader(fac, good)  # the fixture's own owners pass
+    with pytest.raises(ValueError, match=message):
+        reader(fac, owners)
 
 
 def single_coordinate_rows(values):
