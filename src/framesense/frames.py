@@ -254,13 +254,22 @@ def owner_vector(owners, N: int, n: int) -> np.ndarray:
     return owners
 
 
+def _stacked(images) -> np.ndarray:
+    """``images`` as an array of stacked ``(..., N, n)`` health images; fewer
+    than 2 dimensions is a ValueError naming the expected shape."""
+    images = np.asarray(images)
+    if images.ndim < 2:
+        raise ValueError(f"health images have shape {images.shape}, expected (..., N, n)")
+    return images
+
+
 def basis_map(images, owners) -> np.ndarray:
     """Fuse stacked ``(..., N, n)`` health images by reading each coordinate from its owner.
 
     Coordinate i of the ``(..., n)`` output is sensor ``owners[i]``'s image at
     i; every other sensor's image is ignored.
     """
-    images = np.asarray(images)
+    images = _stacked(images)
     return images[..., owner_vector(owners, *images.shape[-2:]), np.arange(images.shape[-1])]
 
 
@@ -269,4 +278,4 @@ def frame_map(images) -> np.ndarray:
 
     The ``(..., n)`` output is real: float64 for complex128 or float64 images.
     """
-    return np.abs(images).sum(axis=-2)
+    return np.abs(_stacked(images)).sum(axis=-2)

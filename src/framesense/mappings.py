@@ -213,13 +213,11 @@ def verify_frame_mapping(
         return TheoremReport("frame_mapping", hyps, None, {"note": "hypotheses unmet"})
     mags = np.abs(_peak_values(fac, failed))  # (n, N)
     diag = _coordinate_span_diagnostics(mags, tol)
-    loudest, loudest_j = mags.max(axis=1), mags.argmax(axis=1)  # smallest j on ties
-    heard = np.flatnonzero(loudest > tol)
+    top, top_j = mags.max(axis=1), mags.argmax(axis=1)  # smallest j on ties
+    heard = np.flatnonzero(top > tol)
     diag["per_coordinate_basis"] = [
         {"coordinate": i, "magnitude": mag, "label": [i, j]}
-        for i, mag, j in zip(
-            heard.tolist(), loudest[heard].tolist(), loudest_j[heard].tolist()
-        )
+        for i, mag, j in zip(heard.tolist(), top[heard].tolist(), top_j[heard].tolist())
     ]
     conclusion = diag["spans"] if all(h.ok for h in hyps) else None
     return TheoremReport("frame_mapping", hyps, conclusion, diag)
@@ -256,11 +254,14 @@ def verify_strong_dominance_frame(
 ) -> TheoremReport:
     """Under strong dominance the NK magnitude images form a multiplicative frame.
 
-    Extracts the candidate basis (per coordinate: the loudest sensor paired
-    with the loudest time), certifies its independence, and certifies that
-    the full magnitude image set spans.  Needs more sensors than health
-    dimensions; when that fails the span check still runs but no conclusion
-    is asserted.
+    Extracts the candidate basis (per coordinate: the sensor of largest
+    |gamma| paired with the time of largest |alpha|), certifies its
+    independence, and certifies that the full magnitude image set spans.
+    Needs more sensors than health dimensions; when that fails the span
+    check still runs but no conclusion is asserted.  Each coordinate's
+    ``dominance_ratio`` is (N - 1) * runner-up / top of its |gamma| column,
+    which a per-coordinate gauge leaves unchanged and strong dominance needs
+    below 1; it is None where the column is 0.
     """
     gamma, alpha = fac.gamma, fac.alpha
     n_sensors, n = gamma.shape
@@ -284,10 +285,8 @@ def verify_strong_dominance_frame(
     ranked = np.sort(np.abs(gamma), axis=0)  # ascending per coordinate
     runner_up = ranked[-2] if n_sensors > 1 else np.zeros(n)
     diag["dominance_margins"] = [
-        {"coordinate": i, "loudest": loud, "runner_up_bound": bound}
-        for i, (loud, bound) in enumerate(
-            zip(ranked[-1].tolist(), ((n_sensors - 1) * runner_up).tolist())
-        )
+        {"coordinate": i, "dominance_ratio": (n_sensors - 1) * second / top if top else None}
+        for i, (top, second) in enumerate(zip(ranked[-1].tolist(), runner_up.tolist()))
     ]
     cand_cert = span_certificate(VectorSet(candidate), tol)
     diag["candidate_basis_independent"] = cand_cert.spans

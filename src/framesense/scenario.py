@@ -6,7 +6,7 @@ for the partition set S_j.  Readings factor (when the scenario is
 pre-separable) into a per-sensor sensitivity profile and a per-time volume
 profile, and a health map carries everything into a low-dimensional space
 C^n where the same factorization persists.  There each coordinate has one
-owner, the sensor that hears it loudest: :func:`build_index_sets` returns
+owner, the sensor that hears it best: :func:`build_index_sets` returns
 them as the (n,) int array ``owners``, and sensor j's responsibility set is
 I_j = {i : owners[i] == j}.  The predicates at the bottom (radiative,
 dominant, harmonious, operational) quantify which coordinates are being
@@ -360,7 +360,7 @@ def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> Factorization:
     At each parameter f the N-by-K matrix of readings must have numerical
     rank at most one; otherwise :class:`NotPreSeparableError` lists the
     offending parameters.  The per-parameter gauge is fixed so that the
-    loudest sensor's factor is real and nonnegative.  Only the live
+    strongest sensor's factor is real and nonnegative.  Only the live
     parameters are decomposed, and the factors hold their columns alone:
     every other parameter is silent, with both factors 0, as are those of a
     live one whose top singular value is within tol.
@@ -381,23 +381,6 @@ def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> Factorization:
     gamma_hat = np.where(live[:, None], root * u0 * phase, 0.0).T
     alpha_hat = np.where(live[:, None], root * vh0 * np.conj(phase), 0.0).T
     return Factorization(nz, gamma_hat, alpha_hat, s.M)
-
-
-def volume_factors_constant(fac: Factorization, tol: float = DEFAULT_TOL) -> bool:
-    """True iff each time's volume factor is constant across all M parameters.
-
-    A silent parameter's volume is 0, so while some parameter is silent the
-    live volumes must be close to 0 as well: the mean is taken over all M.
-    When this holds, any linear health map yields a separable scenario with
-    gamma_j = A @ gamma_hat_j and a parameter-independent alpha_k.
-    """
-    a = fac.alpha_hat  # (K, L)
-    mean = a.sum(axis=1, keepdims=True) / fac.M
-    spread = np.max(np.abs(a - mean), axis=1, initial=0.0)
-    if a.shape[1] < fac.M:  # a silent column deviates by |mean|
-        spread = np.maximum(spread, np.abs(mean[:, 0]))
-    limit = tol * np.maximum(1.0, np.max(np.abs(a), axis=1, initial=0.0))
-    return bool(np.all(spread <= limit))
 
 
 def constant_volume_regauge(fac: Factorization, tol: float = DEFAULT_TOL) -> tuple | None:
@@ -428,10 +411,12 @@ def constant_volume_regauge(fac: Factorization, tol: float = DEFAULT_TOL) -> tup
 def separate(s: Scenario, fac: Factorization, tol: float = DEFAULT_TOL) -> Factorization:
     """Fill in the health-space factors gamma and alpha.
 
-    Two routes are supported: a selection health map (always works), or a
-    general linear map when a constant-volume split of the factors exists
-    (regauging when needed).  The result satisfies
-    H(v_jk)(i) = gamma_j(i) * alpha_k(i) within tol.
+    A selection health map always separates.  A general linear map mixes
+    parameters, so it needs one volume factor shared by all of them:
+    :func:`constant_volume_regauge` moves each parameter's free scale into
+    its sensitivity, and NotSeparableError is raised when no such split
+    exists.  The result satisfies H(v_jk)(i) = gamma_j(i) * alpha_k(i)
+    within tol.
     """
     h = s.health
     gamma_hat, alpha_hat = fac.gamma_hat, fac.alpha_hat
@@ -439,17 +424,14 @@ def separate(s: Scenario, fac: Factorization, tol: float = DEFAULT_TOL) -> Facto
         gamma = h.select(gamma_hat, fac.params)
         alpha = h.select(alpha_hat, fac.params, scaled=False)
     else:
-        if volume_factors_constant(fac, tol):
-            volume = alpha_hat.sum(axis=1) / fac.M
-        else:
-            regauged = constant_volume_regauge(fac, tol)
-            if regauged is None:
-                raise NotSeparableError(
-                    "general linear health map requires a constant-volume "
-                    "split of the factors, and none exists"
-                )
-            gamma_hat, volume = regauged
-            alpha_hat = np.repeat(volume[:, None], fac.params.size, axis=1)
+        regauged = constant_volume_regauge(fac, tol)
+        if regauged is None:
+            raise NotSeparableError(
+                "general linear health map requires a constant-volume "
+                "split of the factors, and none exists"
+            )
+        gamma_hat, volume = regauged
+        alpha_hat = np.repeat(volume[:, None], fac.params.size, axis=1)
         gamma = gamma_hat @ h.matrix[:, fac.params].T
         alpha = np.repeat(volume[:, None], h.n, axis=1)
     result = Factorization(fac.params, gamma_hat, alpha_hat, fac.M, gamma, alpha)
@@ -463,7 +445,7 @@ def separate(s: Scenario, fac: Factorization, tol: float = DEFAULT_TOL) -> Facto
 
 
 def build_index_sets(images: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Assign each health coordinate to the sensor that hears it loudest.
+    """Assign each health coordinate to the sensor that hears it best.
 
     ``images`` is the (N, K, n) array of health images.  Returns the (n,)
     ``owners``: coordinate i goes to the sensor with the largest peak
@@ -491,7 +473,7 @@ def is_i_dominant(fac: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
 def is_strongly_i_dominant(fac: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Per coordinate i: one audible sensor out-hears every other by (N - 1), strictly.
 
-    Only the loudest sensor can qualify, so it is compared with the runner-up.
+    Only the strongest sensor can qualify, so it is compared with the runner-up.
     """
     mags = np.sort(np.abs(fac.gamma), axis=0)  # (N, n), ascending per coordinate
     n_sensors = mags.shape[0]

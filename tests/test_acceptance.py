@@ -105,10 +105,10 @@ def test_c2_three_sensor_multiplicative_frame():
     if not np.allclose(np.sort(mags, axis=0), np.sort(expected, axis=0), atol=1e-9):
         failures.append(f"magnitude image set {mags} != expected")
     for margin in report.diagnostics["dominance_margins"]:
-        # loudest sensor beats (N-1) x runner-up: the 3 > 2*1 margin
-        if not margin["loudest"] > margin["runner_up_bound"]:
+        # the top sensor beats (N-1) x runner-up: the 3 > 2*1 margin, a ratio of 2/3
+        if not margin["dominance_ratio"] < 1:
             failures.append(f"margin violated at {margin}")
-        if abs(margin["loudest"] / margin["runner_up_bound"] - 1.5) > 1e-9:
+        if abs(1 / margin["dominance_ratio"] - 1.5) > 1e-9:
             failures.append(f"margin ratio off at {margin}")
     check(2, "three-sensor set certified as a multiplicative frame for C^2", failures)
 

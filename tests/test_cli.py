@@ -22,16 +22,17 @@ from framesense.scenario import (
     HealthMap,
     Scenario,
     _readings,
+    constant_volume_regauge,
     factor_readings,
     scenario_from_json_dict,
     scenario_to_json_dict,
     separate,
-    volume_factors_constant,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HARMONIOUS = str(FIXTURES / "three_sensor_projection.json")
 ISOLATED = str(FIXTURES / "isolated_sensor.json")
+GENERAL_LINEAR = str(FIXTURES / "general_linear.json")
 
 SMALL_CONFIG = {"samples_per_state": 4, "sweep_samples_per_point": 4}
 
@@ -420,7 +421,7 @@ class TestValidate:
             dense = dense_doc(sparse)
             parsed = scenario_from_json_dict(sparse)
             assert parsed.params.tolist() == [0, 2, 3, 5]
-            assert not volume_factors_constant(factor_readings(parsed))
+            assert constant_volume_regauge(factor_readings(parsed)) is not None
         else:
             path = {"harmonious": HARMONIOUS, "isolated": ISOLATED}[source]
             dense, sparse, tol = json.loads(Path(path).read_text()), sparse_doc(path), "1e-9"
@@ -523,6 +524,24 @@ class TestTheorems:
         assert not basis["diagnostics"]["spans"]
         assert frame["conclusion"] is True
         assert frame["diagnostics"]["spans"]
+
+    @pytest.mark.parametrize("fail_sensor, basis", [
+        (None, True), ("1", True), ("2", True), ("3", None),
+    ])
+    def test_general_linear_fixture_conclusions(self, tmp_path, fail_sensor, basis):
+        # A general linear map whose volume columns are all equal.  A failed
+        # owner (sensor 1 or 2) degrades the selection images as predicted;
+        # sensor 3 owns nothing, so the basis verifier asserts nothing.
+        out_dir = tmp_path / "reports"
+        argv = ["theorems", GENERAL_LINEAR, "--out", str(out_dir)]
+        assert cli.main(argv + (["--fail-sensor", fail_sensor] if fail_sensor else [])) == 0
+        conclusions = {
+            name: json.loads((out_dir / f"theorem_{name}.json").read_text())["conclusion"]
+            for name in ("basis_mapping", "frame_mapping", "projective_frame",
+                         "strong_dominance_frame")
+        }
+        assert conclusions == {"basis_mapping": basis, "frame_mapping": True,
+                               "projective_frame": True, "strong_dominance_frame": True}
 
     def test_disjoint_failure_loses_span(self, tmp_path):
         out_dir = tmp_path / "reports"

@@ -147,7 +147,7 @@ def test_manifest_edits_through_detect_data(generated, data, tmp_path_factory):
 
 
 SCENARIOS = {}
-for _name in ("three_sensor_projection.json", "isolated_sensor.json"):
+for _name in ("three_sensor_projection.json", "isolated_sensor.json", "general_linear.json"):
     SCENARIOS["dense_" + _name] = json.loads((FIXTURES / _name).read_text())
     SCENARIOS["sparse_" + _name] = scenario_to_json_dict(
         scenario_from_json_dict(SCENARIOS["dense_" + _name]))

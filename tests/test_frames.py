@@ -356,3 +356,13 @@ def test_span_certificate_matches_full_svd(count, dim, rank, seed):
         assert np.max(np.abs(matrix @ cert.witness.conj())) <= 1e-9 * max(1.0, sigma[0])
         if rank == dim - 1:  # a one-dimensional null space: the same line
             assert abs(np.vdot(last, cert.witness)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("images", [np.ones(3), np.float64(1.0)], ids=["1-d", "0-d"])
+@pytest.mark.parametrize("fuse", [
+    lambda images: frames.basis_map(images, [0, 1, 2]),
+    frames.frame_map,
+], ids=["basis_map", "frame_map"])
+def test_fusion_maps_refuse_unstacked_images(fuse, images):
+    with pytest.raises(ValueError, match=r"expected \(\.\.\., N, n\)"):
+        fuse(images)

@@ -253,8 +253,8 @@ class TestVerifiers:
         _, fac, _ = separated_fixture()
         report = verify_strong_dominance_frame(fac)
         for margin in report.diagnostics["dominance_margins"]:
-            assert margin["loudest"] > margin["runner_up_bound"]
-            assert margin["loudest"] / margin["runner_up_bound"] == pytest.approx(1.5)
+            assert margin["dominance_ratio"] < 1
+            assert 1 / margin["dominance_ratio"] == pytest.approx(1.5)
 
     def test_strong_dominance_rejects_ties(self):
         gamma = np.array([[1, 2], [1, 0.5]], dtype=complex)
@@ -396,3 +396,53 @@ def test_closed_form_span_diagnostics_match_dense_svd(n_sensors, times, n, zero_
             witness = diag["witness"]
             assert np.linalg.norm(witness) == pytest.approx(1.0)
             assert np.all(np.abs(rows @ witness.conj()) <= tol)
+
+
+def gauge_view(report):
+    """``report``'s gauge-free content: the fields that must match exactly,
+    and the numbers that must match to rounding (None where absent)."""
+    doc = report.to_json_dict()
+    diag = doc["diagnostics"]
+    exact = {key: doc[key] for key in ("applicable", "conclusion", "hypotheses")}
+    exact.update({key: diag.get(key) for key in ("spans", "missing_coordinates")})
+    numbers = [diag.get(key) for key in ("smallest_singular_value", "largest_singular_value")]
+    numbers += [b["magnitude"] for b in diag.get("per_coordinate_basis", [])]
+    numbers += [m["dominance_ratio"] for m in diag.get("dominance_margins", [])]
+    return exact, numbers
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_sensors=st.integers(1, 4),
+    times=st.integers(1, 3),
+    n=st.integers(1, 5),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reports_are_unchanged_by_a_per_coordinate_gauge(n_sensors, times, n, zero_frac, seed):
+    # gamma_j(i) * c_i with alpha_k(i) / c_i leaves every image unchanged, so
+    # it must leave every report unchanged too, up to rounding.
+    rng = np.random.default_rng(seed)
+
+    def factor(count):
+        # Moduli in [1/4, 4] or exactly 0, far from tol before and after the gauge.
+        f = 4.0 ** rng.uniform(-1, 1, (count, n)) * np.exp(2j * np.pi * rng.random((count, n)))
+        f[rng.random((count, n)) < zero_frac] = 0.0
+        return f
+
+    gamma, alpha = factor(n_sensors), factor(times)
+    c = 4.0 ** rng.uniform(-1, 1, n) * np.exp(2j * np.pi * rng.random(n))
+    pair = (Factorization.from_health_factors(gamma, alpha),
+            Factorization.from_health_factors(gamma * c, alpha / c))
+    owners = rng.integers(0, n_sensors, n)
+    runs = [lambda fac: verify_strong_dominance_frame(fac)]
+    for verify in (verify_basis_mapping, verify_frame_mapping, verify_projective_frame):
+        for failed in (None, *range(n_sensors)):
+            runs.append(lambda fac, verify=verify, failed=failed:
+                        verify(fac, owners, failed=failed))
+    for run in runs:
+        (exact, numbers), (exact_gauged, numbers_gauged) = (gauge_view(run(fac)) for fac in pair)
+        assert exact_gauged == exact
+        assert [x is None for x in numbers_gauged] == [x is None for x in numbers]
+        assert [x for x in numbers_gauged if x is not None] == pytest.approx(
+            [x for x in numbers if x is not None], rel=1e-12, abs=1e-12)

@@ -27,7 +27,6 @@ from framesense.scenario import (
     sensor_status,
     separate,
     validate_scenario,
-    volume_factors_constant,
 )
 
 
@@ -195,23 +194,6 @@ class TestFactorReadings:
 
 
 class TestVolumeCondition:
-    def test_constant_volumes(self):
-        fac = Factorization(np.arange(3), np.ones((2, 3)), np.ones((2, 3)), 3)
-        assert volume_factors_constant(fac)
-
-    def test_varying_volumes(self):
-        fac = Factorization(np.arange(3), np.ones((1, 3)), np.array([[1.0, 2.0, 3.0]]), 3)
-        assert not volume_factors_constant(fac)
-
-    def test_silent_parameters_count_as_zero_volumes(self):
-        # Live volumes of 1 beside a silent parameter's 0 are not constant;
-        # live volumes at round-off are.
-        assert not volume_factors_constant(Factorization([0, 2], np.ones((1, 2)),
-                                                         np.ones((2, 2)), 3))
-        assert volume_factors_constant(Factorization([0, 2], np.ones((1, 2)),
-                                                     np.full((2, 2), 1e-12), 3))
-        assert volume_factors_constant(Factorization([], np.ones((1, 0)), np.ones((2, 0)), 3))
-
     def test_factor_shapes_must_match_params(self):
         with pytest.raises(ValueError, match=r"shapes \(N, L\) and \(K, L\)"):
             Factorization([0, 2], np.ones((1, 3)), np.ones((2, 3)), 3)

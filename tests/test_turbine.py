@@ -764,10 +764,10 @@ class TestScenarioBridge:
     def test_volumes_vary_across_frequencies(self):
         # Different lines carry different loudness, so no constant-volume
         # split of the factors exists for this data.
-        from framesense.scenario import volume_factors_constant
+        from framesense.scenario import constant_volume_regauge
 
         s = dataset_scenario(FLEET, mixing_matrix(0.1), self.cfg, self.states)
-        assert not volume_factors_constant(factor_readings(s, tol=1e-7), tol=1e-6)
+        assert constant_volume_regauge(factor_readings(s, tol=1e-7), tol=1e-6) is None
 
     def test_harmonious_with_positive_mixing(self):
         s = dataset_scenario(FLEET, mixing_matrix(0.1), self.cfg, self.states)
