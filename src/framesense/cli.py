@@ -139,13 +139,13 @@ def cmd_validate(args) -> int:
     )
 
     s = _load_scenario(args.scenario)
-    report = validate_scenario(s, args.tol)
+    violations = validate_scenario(s, args.tol)
     print(f"scenario: N={s.N} sensors, M={s.M} parameters, K={s.K} times, n={s.n}")
-    if report.ok:
+    if not violations:
         print("validity: OK")
     else:
         print("validity: INVALID")
-        for v in report.violations:
+        for v in violations:
             print(f"  - {v}")
     fac = None
     try:
@@ -175,7 +175,7 @@ def cmd_validate(args) -> int:
             harm = "harmonious" if is_j_harmonious(fac, owners, j, args.tol) else "disjoint"
             status = sensor_status(fac, owners, j, args.tol).status
             print(f"  j={j + 1}: {harm}, {status}")
-    return EXIT_OK if report.ok else EXIT_DOMAIN
+    return EXIT_DOMAIN if violations else EXIT_OK
 
 
 def cmd_theorems(args) -> int:
@@ -199,10 +199,10 @@ def cmd_theorems(args) -> int:
     if failed is not None and not 0 <= failed < s.N:
         print(f"--fail-sensor {args.fail_sensor} out of range", file=sys.stderr)
         return EXIT_IO
-    report = validate_scenario(s, args.tol)
-    if not report.ok:
+    violations = validate_scenario(s, args.tol)
+    if violations:
         print("scenario is invalid:", file=sys.stderr)
-        for v in report.violations:
+        for v in violations:
             print(f"  - {v}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
@@ -563,7 +563,9 @@ def _report(err: Exception) -> int:
         print(f"domain error: health coordinates {[i + 1 for i in err.indices]} are silent "
               "for every sensor", file=sys.stderr)
         return EXIT_DOMAIN
-    if isinstance(err, json.JSONDecodeError):
+    # json's decoder recurses once per nesting level, so a file nested too
+    # deep to decode raises RecursionError.
+    if isinstance(err, (json.JSONDecodeError, RecursionError)):
         print(f"parse error: {err}", file=sys.stderr)
     elif isinstance(err, FileNotFoundError):
         print(f"file not found: {err.filename}", file=sys.stderr)
@@ -598,7 +600,7 @@ def main(argv=None) -> int:
         # A value so extreme that float64 arithmetic overflows exits 2, not with inf results.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
-    except (ValueError, OSError, FloatingPointError) as err:
+    except (ValueError, OSError, FloatingPointError, RecursionError) as err:
         return _report(err)
 
 

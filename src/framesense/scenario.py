@@ -12,6 +12,12 @@ I_j = {i : owners[i] == j}.  The predicates at the bottom (radiative,
 dominant, harmonious, operational) quantify which coordinates are being
 emitted, heard, and shared between sensors.
 
+Each stage hands the next a plain value: :func:`validate_scenario` a list of
+violations, :func:`factor_readings` the raw factors ``(gamma_hat,
+alpha_hat)``, and :func:`separate` a :class:`Factorization`, the
+health-space factors ``gamma`` and ``alpha`` that every predicate and
+verifier reads.
+
 Memory follows the L live parameters, those with a nonzero reading, not M:
 a scenario holds the live parameters' readings, T_j and S_j as rows of two
 (N, M) bool masks, and the raw factors hold the live columns alone.  On the
@@ -263,63 +269,29 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Sensitivity/volume factors realizing separability.
+    """Health-space factors realizing separability: ``gamma`` (N, n) and
+    ``alpha`` (K, n), with H(v_jk)(i) = gamma_j(i) * alpha_k(i)."""
 
-    ``gamma_hat`` (N, L) and ``alpha_hat`` (K, L) factor the raw readings of
-    the L parameters ``params`` of 0..M-1, as a :class:`Scenario` holds
-    them; both factors of every other parameter are 0 by definition.
-    ``gamma`` (N, n) and ``alpha`` (K, n) factor the health images once
-    :func:`separate` has filled them in.
-    """
-
-    params: np.ndarray
-    gamma_hat: np.ndarray
-    alpha_hat: np.ndarray
-    M: int
-    gamma: np.ndarray | None = None
-    alpha: np.ndarray | None = None
+    gamma: np.ndarray
+    alpha: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "M", int(self.M))
-        object.__setattr__(self, "params", _params(self.params, self.M))
-        for name in ("gamma_hat", "alpha_hat", "gamma", "alpha"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, np.asarray(val, dtype=np.complex128))
-        if self.gamma_hat.shape[1:] != self.params.shape \
-                or self.alpha_hat.shape[1:] != self.params.shape:
-            raise ValueError("raw factors must have shapes (N, L) and (K, L) for L params")
-
-    @property
-    def separated(self) -> bool:
-        return self.gamma is not None and self.alpha is not None
+        gamma = np.asarray(self.gamma, dtype=np.complex128)
+        alpha = np.asarray(self.alpha, dtype=np.complex128)
+        if gamma.ndim != 2 or alpha.ndim != 2 or gamma.shape[1] != alpha.shape[1]:
+            raise ValueError(f"factors have shapes {gamma.shape} and {alpha.shape}, "
+                             "expected (N, n) and (K, n)")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "alpha", alpha)
 
     def images(self) -> np.ndarray:
         """Health images gamma_j(i) * alpha_k(i) as an (N, K, n) array."""
-        if not self.separated:
-            raise ValueError("health-space factors not filled in; run separate()")
         return self.gamma[:, None, :] * self.alpha[None, :, :]
 
-    @classmethod
-    def from_health_factors(cls, gamma, alpha) -> "Factorization":
-        """Factorization given directly in health space (identity raw factors)."""
-        gamma = np.asarray(gamma, dtype=np.complex128)
-        alpha = np.asarray(alpha, dtype=np.complex128)
-        n = gamma.shape[1]
-        return cls(np.arange(n), gamma, alpha, n, gamma=gamma, alpha=alpha)
 
-
-@dataclass
-class ValidityReport:
-    ok: bool
-    violations: list = field(default_factory=list)
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> ValidityReport:
-    """Check the structural invariants; violations are data, not exceptions."""
+def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> list:
+    """Check the structural invariants and return the violations found, as
+    messages; an empty list means the scenario is valid."""
     check_tol(tol)
     violations = []
     missing = np.flatnonzero(~s.covering.any(axis=0))
@@ -351,19 +323,20 @@ def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> ValidityReport:
                 f"sensor {j} reports parameter {f} outside its covering "
                 f"(first at time {k})"
             )
-    return ValidityReport(ok=not violations, violations=violations)
+    return violations
 
 
-def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> Factorization:
+def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> tuple:
     """Extract rank-1 factors of the readings at every parameter.
 
-    At each parameter f the N-by-K matrix of readings must have numerical
-    rank at most one; otherwise :class:`NotPreSeparableError` lists the
-    offending parameters.  The per-parameter gauge is fixed so that the
-    strongest sensor's factor is real and nonnegative.  Only the live
-    parameters are decomposed, and the factors hold their columns alone:
-    every other parameter is silent, with both factors 0, as are those of a
-    live one whose top singular value is within tol.
+    Returns the raw factors ``(gamma_hat, alpha_hat)`` of shapes (N, L) and
+    (K, L), whose column l factors the readings of parameter ``s.params[l]``.
+    At each parameter the N-by-K matrix of readings must have numerical rank
+    at most one; otherwise :class:`NotPreSeparableError` lists the offending
+    parameters.  The per-parameter gauge is fixed so that the strongest
+    sensor's factor is real and nonnegative.  Only the live parameters are
+    decomposed: every other parameter is silent, with both factors 0, as are
+    those of a live one whose top singular value is within tol.
     """
     check_tol(tol)
     r, nz = s.values, s.params
@@ -380,68 +353,71 @@ def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> Factorization:
     root = np.sqrt(top_sv)[:, None]
     gamma_hat = np.where(live[:, None], root * u0 * phase, 0.0).T
     alpha_hat = np.where(live[:, None], root * vh0 * np.conj(phase), 0.0).T
-    return Factorization(nz, gamma_hat, alpha_hat, s.M)
+    return gamma_hat, alpha_hat
 
 
-def constant_volume_regauge(fac: Factorization, tol: float = DEFAULT_TOL) -> tuple | None:
-    """Rescale the factors so the volume factor is parameter-independent.
+def constant_volume_regauge(raw: tuple, M: int, tol: float = DEFAULT_TOL) -> tuple | None:
+    """Rescale the raw factors so the volume factor is parameter-independent.
 
-    The split of each reading into sensitivity and volume carries a free
-    per-parameter scalar, so constancy across parameters is a property of
-    one particular split.  A constant-volume split exists exactly when the
-    live volume columns are parallel; this absorbs the per-parameter scale
-    into the sensitivities and returns the rescaled (N, L) ``gamma_hat`` with
-    the common (K,) volume, or None when no such split exists.
+    ``raw`` is the ``(gamma_hat, alpha_hat)`` pair :func:`factor_readings`
+    returns, and ``M`` the scenario's parameter count.  The split of each
+    reading into sensitivity and volume carries a free per-parameter
+    scalar, so constancy across parameters is a property of one particular
+    split.  A constant-volume split exists exactly when the live volume
+    columns are parallel; this absorbs the per-parameter scale into the
+    sensitivities and returns the rescaled (N, L) ``gamma_hat`` with the
+    common (K,) volume, or None when no such split exists.  When every
+    volume column is within tol, the common volume is their mean over all M
+    parameters, a silent parameter counting as a zero column.
     """
-    a = fac.alpha_hat  # (K, L)
+    gamma_hat, a = raw  # (N, L), (K, L)
     norms = np.linalg.norm(a, axis=0)
     scale = float(norms.max()) if norms.size else 0.0
     live = norms > tol * max(1.0, scale)
     if not np.any(live):  # everything silent: volumes are constantly zero
-        return fac.gamma_hat, a.sum(axis=1) / fac.M
+        return gamma_hat, a.sum(axis=1) / M
     u, sv, _ = np.linalg.svd(a[:, live])
     if sv.shape[0] > 1 and sv[1] > tol * sv[0]:
         return None
     common = u[:, 0] * sv[0]
     lam = np.zeros(a.shape[1], dtype=np.complex128)
     lam[live] = (common.conj() @ a[:, live]) / (np.linalg.norm(common) ** 2)
-    return fac.gamma_hat * lam[None, :], common
+    return gamma_hat * lam[None, :], common
 
 
-def separate(s: Scenario, fac: Factorization, tol: float = DEFAULT_TOL) -> Factorization:
-    """Fill in the health-space factors gamma and alpha.
+def separate(s: Scenario, raw: tuple, tol: float = DEFAULT_TOL) -> Factorization:
+    """Carry the raw factors of :func:`factor_readings` into health space.
 
-    A selection health map always separates.  A general linear map mixes
+    ``raw`` is the ``(gamma_hat, alpha_hat)`` pair over ``s.params``.  A
+    selection health map always separates.  A general linear map mixes
     parameters, so it needs one volume factor shared by all of them:
     :func:`constant_volume_regauge` moves each parameter's free scale into
     its sensitivity, and NotSeparableError is raised when no such split
-    exists.  The result satisfies H(v_jk)(i) = gamma_j(i) * alpha_k(i)
-    within tol.
+    exists.  The returned factors satisfy H(v_jk)(i) = gamma_j(i) *
+    alpha_k(i) within tol, or NotSeparableError says by how much they miss.
     """
     h = s.health
-    gamma_hat, alpha_hat = fac.gamma_hat, fac.alpha_hat
     if h.kind == "selection_matrix":
-        gamma = h.select(gamma_hat, fac.params)
-        alpha = h.select(alpha_hat, fac.params, scaled=False)
+        gamma_hat, alpha_hat = raw
+        fac = Factorization(h.select(gamma_hat, s.params),
+                            h.select(alpha_hat, s.params, scaled=False))
     else:
-        regauged = constant_volume_regauge(fac, tol)
+        regauged = constant_volume_regauge(raw, s.M, tol)
         if regauged is None:
             raise NotSeparableError(
                 "general linear health map requires a constant-volume "
                 "split of the factors, and none exists"
             )
         gamma_hat, volume = regauged
-        alpha_hat = np.repeat(volume[:, None], fac.params.size, axis=1)
-        gamma = gamma_hat @ h.matrix[:, fac.params].T
-        alpha = np.repeat(volume[:, None], h.n, axis=1)
-    result = Factorization(fac.params, gamma_hat, alpha_hat, fac.M, gamma, alpha)
+        fac = Factorization(gamma_hat @ h.matrix[:, s.params].T,
+                            np.repeat(volume[:, None], h.n, axis=1))
     images = s.health_images()
-    err = np.max(np.abs(images - result.images()))
+    err = np.max(np.abs(images - fac.images()))
     if err > tol * max(1.0, float(np.max(np.abs(images)))):
         raise NotSeparableError(
             f"factor products deviate from health images by {err:.3e}"
         )
-    return result
+    return fac
 
 
 def build_index_sets(images: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

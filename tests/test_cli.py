@@ -128,6 +128,18 @@ def silent_coordinate_scenario(tmp_path):
     return path
 
 
+def off_product_doc():
+    """Readings of all ones for 10 sensors, 10 times and 1 parameter, with the
+    first sensor's first reading raised by 5e-9.  At the default tol the
+    readings pass the rank-1 test, but their rank-1 factors miss that
+    reading by about 4e-9."""
+    readings = np.ones((10, 10, 1))
+    readings[0, 0, 0] += 5e-9
+    s = Scenario.from_dense(({0},) * 10, ({0},) + (set(),) * 9, readings,
+                            HealthMap.identity(1))
+    return s, scenario_to_json_dict(s)
+
+
 class TestValidate:
     def test_harmonious_fixture(self, capsys):
         assert cli.main(["validate", HARMONIOUS]) == 0
@@ -421,7 +433,7 @@ class TestValidate:
             dense = dense_doc(sparse)
             parsed = scenario_from_json_dict(sparse)
             assert parsed.params.tolist() == [0, 2, 3, 5]
-            assert constant_volume_regauge(factor_readings(parsed)) is not None
+            assert constant_volume_regauge(factor_readings(parsed), parsed.M) is not None
         else:
             path = {"harmonious": HARMONIOUS, "isolated": ISOLATED}[source]
             dense, sparse, tol = json.loads(Path(path).read_text()), sparse_doc(path), "1e-9"
@@ -480,12 +492,29 @@ class TestValidate:
         s = scenario_from_json_dict(spectral_doc(24))
         tracemalloc.start()
         try:
-            fac = separate(s, factor_readings(s, 1e-7), 1e-6)
+            raw = factor_readings(s, 1e-7)
+            separate(s, raw, 1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < s.K * s.M * 16 / 8
-        assert fac.alpha_hat.shape == (24, 56) and s.M == 8192
+        assert raw[1].shape == (24, 56) and s.M == 8192
+
+    def test_factor_products_off_the_images_are_not_separable(self, tmp_path, capsys):
+        s, doc = off_product_doc()
+        with pytest.raises(scenario.NotSeparableError, match="factor products deviate"):
+            separate(s, factor_readings(s))
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "validity: OK\npre-separable: yes\n" in out
+        assert "\nseparable: no (factor products deviate from health images by " in out
+        out_dir = tmp_path / "reports"
+        assert cli.main(["theorems", str(path), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "scenario is not separable: factor products deviate from health images by ")
+        assert not out_dir.exists()
 
     def test_invalid_scenario_exits_1(self, tmp_path, capsys):
         doc = json.loads(Path(HARMONIOUS).read_text())
@@ -1110,6 +1139,26 @@ class TestGenerateDetectSweep:
         assert cli.main(["generate", "--config", cfg, "--out", str(out), "--seed", "99"]) == 0
         echoed = json.loads((out / "config.json").read_text())
         assert echoed["rng_seed"] == 99
+
+
+def test_json_nested_too_deep_is_a_parse_error(tmp_path, capsys):
+    # json's decoder recurses once per nesting level and gives up long before 100,000.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    cfg = write_config(tmp_path)
+    gen = tmp_path / "gen"
+    assert cli.main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+    shutil.copy(deep, gen / "datasets" / "calibration" / "manifest.json")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    runs = [["theorems", str(deep)], ["detect", "--config", cfg, "--data", str(gen)]]
+    runs += [[command, "--config", str(deep)] for command in ("generate", "detect", "sweep")]
+    for argv in [["validate", str(deep)]] + [argv + ["--out", str(out)] for argv in runs]:
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: maximum recursion depth exceeded")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
 
 
 def test_module_entrypoint_smoke():

@@ -144,7 +144,7 @@ class TestProjectionSets:
         # Coordinate 0 peaks at time 1 (|alpha| = 2), coordinate 1 at time 0 (3).
         gamma = np.ones((2, 2), dtype=complex)
         alpha = np.array([[1, 3], [2, 1]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, alpha)
+        fac = Factorization(gamma, alpha)
         report = verify_frame_mapping(fac, TWO_SENSOR_OWNERS)
         basis = report.diagnostics["per_coordinate_basis"]
         assert [b["magnitude"] for b in basis] == [2.0, 3.0]
@@ -153,7 +153,7 @@ class TestProjectionSets:
         )
 
     def test_silent_coordinate_rejected(self):
-        fac = Factorization.from_health_factors(
+        fac = Factorization(
             np.ones((2, 2)), np.array([[1, 0], [2, 0]])
         )
         report = verify_frame_mapping(fac, TWO_SENSOR_OWNERS)
@@ -163,7 +163,7 @@ class TestProjectionSets:
 
     def test_full_set_cardinality(self):
         _, fac, owners = separated_fixture()
-        two_times = Factorization.from_health_factors(
+        two_times = Factorization(
             fac.gamma, np.vstack([fac.alpha, 2 * fac.alpha])
         )
         for f, times in ((fac, 1), (two_times, 2)):
@@ -188,7 +188,7 @@ class TestProjectionSets:
         # Sensor 0 is silent at coordinate 0, so its image there is zero and
         # sensor 1 supplies that coordinate's basis vector.
         gamma = np.array([[0, 1], [1, 1]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
+        fac = Factorization(gamma, np.ones((1, 2)))
         report = verify_frame_mapping(fac, TWO_SENSOR_OWNERS, failed=1)
         assert report.diagnostics["missing_coordinates"] == [0]
         healthy = verify_frame_mapping(fac, TWO_SENSOR_OWNERS)
@@ -221,7 +221,7 @@ class TestVerifiers:
 
     def test_frame_mapping_disjoint_failure_loses_exactly_owned_coords(self):
         gamma = np.array([[2, 1, 0], [1, 2, 0], [0, 0, 5]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 3)))
+        fac = Factorization(gamma, np.ones((1, 3)))
         owners = build_index_sets(fac.images())
         report = verify_frame_mapping(fac, owners, failed=2)
         assert not report.applicable  # harmony fails at the isolated sensor
@@ -258,14 +258,14 @@ class TestVerifiers:
 
     def test_strong_dominance_rejects_ties(self):
         gamma = np.array([[1, 2], [1, 0.5]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
+        fac = Factorization(gamma, np.ones((1, 2)))
         report = verify_strong_dominance_frame(fac)
         assert not report.applicable
         assert report.conclusion is None
 
     def test_strong_dominance_needs_enough_sensors(self):
         gamma = np.array([[3, 1, 1], [1, 3, 1]], dtype=complex)  # n=3 > N=2
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 3)))
+        fac = Factorization(gamma, np.ones((1, 3)))
         report = verify_strong_dominance_frame(fac)
         assert not report.applicable
         assert report.conclusion is None
@@ -274,7 +274,7 @@ class TestVerifiers:
     def test_conservative_when_not_radiative(self):
         gamma = np.ones((2, 2), dtype=complex)
         alpha = np.array([[1, 0]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, alpha)
+        fac = Factorization(gamma, alpha)
         for report in (
             verify_basis_mapping(fac, TWO_SENSOR_OWNERS),
             verify_frame_mapping(fac, TWO_SENSOR_OWNERS),
@@ -371,7 +371,7 @@ def test_closed_form_span_diagnostics_match_dense_svd(n_sensors, times, n, zero_
 
     gamma, alpha = factor(n_sensors), factor(times)
     failed = data.draw(st.sampled_from([None, *range(n_sensors)]))
-    fac = Factorization.from_health_factors(gamma, alpha)
+    fac = Factorization(gamma, alpha)
     owners = build_index_sets(fac.images(), tol)
     images = gamma.T[:, :, None] * alpha.T[:, None, :]  # (n, N, K)
     if failed is not None:
@@ -432,8 +432,8 @@ def test_reports_are_unchanged_by_a_per_coordinate_gauge(n_sensors, times, n, ze
 
     gamma, alpha = factor(n_sensors), factor(times)
     c = 4.0 ** rng.uniform(-1, 1, n) * np.exp(2j * np.pi * rng.random(n))
-    pair = (Factorization.from_health_factors(gamma, alpha),
-            Factorization.from_health_factors(gamma * c, alpha / c))
+    pair = (Factorization(gamma, alpha),
+            Factorization(gamma * c, alpha / c))
     owners = rng.integers(0, n_sensors, n)
     runs = [lambda fac: verify_strong_dominance_frame(fac)]
     for verify in (verify_basis_mapping, verify_frame_mapping, verify_projective_frame):

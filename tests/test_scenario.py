@@ -37,12 +37,12 @@ def dense(s):
     return out
 
 
-def dense_factors(fac):
-    """``fac``'s raw factors as (N, M) and (K, M) arrays, 0 at every silent parameter."""
-    gamma_hat = np.zeros((fac.gamma_hat.shape[0], fac.M), dtype=complex)
-    alpha_hat = np.zeros((fac.alpha_hat.shape[0], fac.M), dtype=complex)
-    gamma_hat[:, fac.params] = fac.gamma_hat
-    alpha_hat[:, fac.params] = fac.alpha_hat
+def dense_factors(s, raw):
+    """The raw factors ``raw`` of ``s``, over ``s.params``, as (N, M) and (K, M)
+    arrays, 0 at every silent parameter."""
+    gamma_hat = np.zeros((s.N, s.M), dtype=complex)
+    alpha_hat = np.zeros((s.K, s.M), dtype=complex)
+    gamma_hat[:, s.params], alpha_hat[:, s.params] = raw
     return gamma_hat, alpha_hat
 
 
@@ -78,7 +78,7 @@ def random_separable_scenario(rng, n=None, n_sensors=None, n_times=None, m=None)
 class TestValidate:
     def test_valid_scenario(self):
         s = three_sensor_projection_scenario()
-        assert validate_scenario(s).ok
+        assert validate_scenario(s) == []
 
     def test_two_sensor_split_is_valid(self):
         readings = np.ones((2, 1, 4), dtype=complex)
@@ -88,7 +88,7 @@ class TestValidate:
             readings=readings,
             health=HealthMap.identity(4),
         )
-        assert validate_scenario(s).ok
+        assert validate_scenario(s) == []
 
     def test_overlapping_partition_named(self):
         readings = np.ones((2, 1, 2), dtype=complex)
@@ -98,9 +98,8 @@ class TestValidate:
             readings=readings,
             health=HealthMap.identity(2),
         )
-        report = validate_scenario(s)
-        assert not report.ok
-        assert any("overlap" in v for v in report.violations)
+        violations = validate_scenario(s)
+        assert any("overlap" in v for v in violations)
 
     def test_support_violation_named(self):
         readings = np.ones((2, 1, 2), dtype=complex)  # sensor 0 reports f=1
@@ -110,8 +109,7 @@ class TestValidate:
             readings=readings,
             health=HealthMap.identity(2),
         )
-        report = validate_scenario(s)
-        assert any("outside its covering" in v for v in report.violations)
+        assert any("outside its covering" in v for v in validate_scenario(s))
 
     def test_partition_gap_named(self):
         readings = np.ones((2, 1, 3), dtype=complex)
@@ -121,8 +119,7 @@ class TestValidate:
             readings=readings,
             health=HealthMap.identity(3),
         )
-        report = validate_scenario(s)
-        assert any("partition misses" in v for v in report.violations)
+        assert any("partition misses" in v for v in validate_scenario(s))
 
 
 class TestFactorReadings:
@@ -133,16 +130,16 @@ class TestFactorReadings:
             readings=np.array([[[2.0, -3.0]]], dtype=complex),
             health=HealthMap.identity(2),
         )
-        fac = factor_readings(s)
-        products = fac.gamma_hat[:, None, :] * fac.alpha_hat[None, :, :]
+        gamma_hat, alpha_hat = factor_readings(s)
+        products = gamma_hat[:, None, :] * alpha_hat[None, :, :]
         assert np.allclose(products, dense(s))
 
     def test_outer_product_roundtrip_randomized(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             s = random_separable_scenario(rng)
-            fac = factor_readings(s)
-            products = fac.gamma_hat[:, None, :] * fac.alpha_hat[None, :, :]
+            gamma_hat, alpha_hat = factor_readings(s)
+            products = gamma_hat[:, None, :] * alpha_hat[None, :, :]
             scale = max(1.0, np.max(np.abs(dense(s))))
             assert np.max(np.abs(products - dense(s))) <= 1e-8 * scale
 
@@ -169,45 +166,47 @@ class TestFactorReadings:
             readings=readings,
             health=HealthMap.identity(2),
         )
-        fac = factor_readings(s)
-        assert fac.params.tolist() == [0]  # parameter 1 has no column: both factors are 0
-        assert fac.gamma_hat.shape == (1, 1) and fac.alpha_hat.shape == (1, 1)
+        gamma_hat, alpha_hat = factor_readings(s)
+        assert s.params.tolist() == [0]  # parameter 1 has no column: both factors are 0
+        assert gamma_hat.shape == (1, 1) and alpha_hat.shape == (1, 1)
 
     @pytest.mark.filterwarnings("error")
     def test_all_zero_readings_factor_to_zero(self):
         everything = (range(5),) * 3
         s = Scenario.from_dense(everything, everything, np.zeros((3, 2, 5)), HealthMap.identity(5))
-        fac = factor_readings(s)
-        assert fac.gamma_hat.shape == (3, 0) and fac.alpha_hat.shape == (2, 0)
-        gamma_hat, alpha_hat = dense_factors(fac)
+        raw = factor_readings(s)
+        assert raw[0].shape == (3, 0) and raw[1].shape == (2, 0)
+        gamma_hat, alpha_hat = dense_factors(s, raw)
         assert np.array_equal(gamma_hat, np.zeros((3, 5)))
         assert np.array_equal(alpha_hat, np.zeros((2, 5)))
 
     def test_gauge_makes_loudest_sensor_real_nonnegative(self):
         rng = np.random.default_rng(12)
         s = random_separable_scenario(rng, n=2, n_sensors=3, n_times=2, m=2)
-        fac = factor_readings(s)
-        for col in fac.gamma_hat.T:
+        gamma_hat, _ = factor_readings(s)
+        for col in gamma_hat.T:
             top = np.argmax(np.abs(col))
             assert col[top].imag == pytest.approx(0.0, abs=1e-12)
             assert col[top].real >= 0
 
 
-class TestVolumeCondition:
-    def test_factor_shapes_must_match_params(self):
-        with pytest.raises(ValueError, match=r"shapes \(N, L\) and \(K, L\)"):
-            Factorization([0, 2], np.ones((1, 3)), np.ones((2, 3)), 3)
-        with pytest.raises(ValueError, match="increasing indices in 0..2"):
-            Factorization([0, 3], np.ones((1, 2)), np.ones((2, 2)), 3)
+class TestFactorization:
+    def test_factor_shapes_must_match(self):
+        for gamma, alpha in ((np.ones((1, 3)), np.ones((2, 2))),
+                             (np.ones(3), np.ones((2, 3))),
+                             (np.ones((1, 3)), np.ones((2, 3, 1)))):
+            with pytest.raises(ValueError, match=r"expected \(N, n\) and \(K, n\)"):
+                Factorization(gamma, alpha)
 
 
 class TestSeparate:
     def test_identity_selection_copies_factors(self):
         rng = np.random.default_rng(4)
         s = random_separable_scenario(rng, n=3, m=3)
-        fac = separate(s, factor_readings(s))
-        assert np.allclose(fac.gamma, fac.gamma_hat)
-        assert np.allclose(fac.alpha, fac.alpha_hat)
+        gamma_hat, alpha_hat = raw = factor_readings(s)
+        fac = separate(s, raw)
+        assert np.allclose(fac.gamma, gamma_hat)
+        assert np.allclose(fac.alpha, alpha_hat)
 
     def test_three_sensor_projection_products(self):
         s = three_sensor_projection_scenario()
@@ -277,18 +276,18 @@ class TestIndexSets:
             ],
             dtype=complex,
         )
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 5)))
+        fac = Factorization(gamma, np.ones((1, 5)))
         audible, _ = index_sets_reference(fac.images())
         assert audible == ({0, 1, 2}, {1, 2, 3}, {1, 3, 4})
         assert build_index_sets(fac.images()).tolist() == [0, 2, 0, 2, 2]
 
     def test_single_sensor_owns_everything(self):
-        fac = Factorization.from_health_factors(np.ones((1, 4)), np.ones((2, 4)))
+        fac = Factorization(np.ones((1, 4)), np.ones((2, 4)))
         assert build_index_sets(fac.images()).tolist() == [0, 0, 0, 0]
 
     def test_disjoint_hearing_forces_assignment(self):
         gamma = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 4)))
+        fac = Factorization(gamma, np.ones((1, 4)))
         owners = build_index_sets(fac.images())
         assert owners.tolist() == [0, 0, 1, 1]
         audible, _ = index_sets_reference(fac.images())
@@ -296,40 +295,40 @@ class TestIndexSets:
 
     def test_silent_coordinate_reported(self):
         gamma = np.array([[1, 0], [1, 0]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
+        fac = Factorization(gamma, np.ones((1, 2)))
         with pytest.raises(UncoverableIndexError) as err:
             build_index_sets(fac.images())
         assert err.value.indices == (1,)
 
     def test_ties_break_to_smallest_sensor(self):
         gamma = np.array([[2, 2], [2, 2]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
+        fac = Factorization(gamma, np.ones((1, 2)))
         assert build_index_sets(fac.images()).tolist() == [0, 0]
 
 
 class TestPredicates:
     def test_radiative_all_ones(self):
-        fac = Factorization.from_health_factors(np.ones((2, 3)), np.ones((2, 3)))
+        fac = Factorization(np.ones((2, 3)), np.ones((2, 3)))
         assert is_i_radiative(fac).tolist() == [True] * 3
 
     def test_transmitter_off_not_radiative(self):
         alpha = np.array([[1, 0], [1, 0]], dtype=complex)
-        fac = Factorization.from_health_factors(np.ones((2, 2)), alpha)
+        fac = Factorization(np.ones((2, 2)), alpha)
         assert is_i_radiative(fac).tolist() == [True, False]
 
     def test_dominant_and_not(self):
         gamma = np.array([[1, 0], [2, 0]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
+        fac = Factorization(gamma, np.ones((1, 2)))
         assert is_i_dominant(fac).tolist() == [True, False]
 
     def test_strong_dominance_three_sensors(self):
         gamma = np.array([[3, 1], [1, 3], [1, 1]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
+        fac = Factorization(gamma, np.ones((1, 2)))
         assert is_strongly_i_dominant(fac).tolist() == [True, True]
 
     def test_tie_is_not_strong(self):
         gamma = np.array([[1, 1], [1, 1]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
+        fac = Factorization(gamma, np.ones((1, 2)))
         assert is_i_dominant(fac)[0]
         assert not is_strongly_i_dominant(fac)[0]
 
@@ -337,18 +336,18 @@ class TestPredicates:
         rng = np.random.default_rng(44)
         for _ in range(50):
             gamma = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-            fac = Factorization.from_health_factors(gamma, np.ones((1, 4)))
+            fac = Factorization(gamma, np.ones((1, 4)))
             assert np.all(is_i_dominant(fac)[is_strongly_i_dominant(fac)])
 
     def test_everyone_hears_everything_is_harmonious(self):
         gamma = np.abs(np.random.default_rng(2).standard_normal((3, 4))) + 0.1
-        fac = Factorization.from_health_factors(gamma.astype(complex), np.ones((1, 4)))
+        fac = Factorization(gamma.astype(complex), np.ones((1, 4)))
         assert is_harmonious(fac, build_index_sets(fac.images()))
 
     def test_isolated_sensor_is_disjoint(self):
         # Third sensor is the only one hearing coordinate 2.
         gamma = np.array([[2, 1, 0], [1, 2, 0], [0, 0, 5]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 3)))
+        fac = Factorization(gamma, np.ones((1, 3)))
         owners = build_index_sets(fac.images())
         assert is_j_harmonious(fac, owners, 0)
         assert is_j_harmonious(fac, owners, 1)
@@ -356,19 +355,19 @@ class TestPredicates:
         assert not is_harmonious(fac, owners)
 
     def test_single_sensor_is_disjoint(self):
-        fac = Factorization.from_health_factors(np.ones((1, 2)), np.ones((1, 2)))
+        fac = Factorization(np.ones((1, 2)), np.ones((1, 2)))
         assert not is_j_harmonious(fac, build_index_sets(fac.images()), 0)
 
     def test_empty_owned_set_vacuously_harmonious(self):
         gamma = np.array([[2, 2], [1, 1]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
+        fac = Factorization(gamma, np.ones((1, 2)))
         owners = build_index_sets(fac.images())
         assert not np.any(owners == 1)
         assert is_j_harmonious(fac, owners, 1)
 
     def test_owners_as_a_list_select_like_an_array(self):
         gamma = np.array([[2, 1, 0], [1, 2, 0], [0, 0, 5]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 3)))
+        fac = Factorization(gamma, np.ones((1, 3)))
         owners = [0, 1, 2]
         assert [is_j_harmonious(fac, owners, j) for j in range(3)] == [True, True, False]
         assert sensor_status(fac, owners, 2).status == "operational"
@@ -377,7 +376,7 @@ class TestPredicates:
 class TestSensorStatus:
     def setup_method(self):
         gamma = np.array([[2, 1, 0.5], [1, 2, 0]], dtype=complex)
-        self.fac = Factorization.from_health_factors(gamma, np.ones((1, 3)))
+        self.fac = Factorization(gamma, np.ones((1, 3)))
         self.owners = build_index_sets(self.fac.images())
 
     def test_operational(self):
@@ -386,7 +385,7 @@ class TestSensorStatus:
     def test_fully_zeroed(self):
         gamma = self.fac.gamma.copy()
         gamma[0] = 0
-        dead = Factorization.from_health_factors(gamma, self.fac.alpha)
+        dead = Factorization(gamma, self.fac.alpha)
         status = sensor_status(dead, self.owners, 0)
         assert status.status == "non_operational"
         assert status.failed == ((0, 0), (1, 2))  # sensor 0 owns coordinates 0 and 2
@@ -394,14 +393,14 @@ class TestSensorStatus:
     def test_partial_zeroing_lists_single_position(self):
         gamma = self.fac.gamma.copy()
         gamma[0, 2] = 0
-        hurt = Factorization.from_health_factors(gamma, self.fac.alpha)
+        hurt = Factorization(gamma, self.fac.alpha)
         status = sensor_status(hurt, self.owners, 0)
         assert status.status == "non_operational"
         assert len(status.failed) == 1 and status.failed[0][1] == 2
 
     def test_empty_owned_set_is_undefined(self):
         gamma = np.array([[2, 2], [1, 1]], dtype=complex)
-        fac = Factorization.from_health_factors(gamma, np.ones((1, 2)))
+        fac = Factorization(gamma, np.ones((1, 2)))
         assert sensor_status(fac, build_index_sets(fac.images()), 1).status == "undefined"
 
 
@@ -590,9 +589,9 @@ def test_factor_readings_matches_per_parameter_svd(n_sensors, n_times, kinds, se
             factor_readings(s)
         assert list(err.value.offending) == offending
     else:
-        fac = factor_readings(s)
-        assert fac.params.tolist() == np.flatnonzero(np.any(readings != 0, axis=(0, 1))).tolist()
-        assert all(map(np.array_equal, dense_factors(fac), (gamma_hat, alpha_hat)))
+        raw = factor_readings(s)
+        assert s.params.tolist() == np.flatnonzero(np.any(readings != 0, axis=(0, 1))).tolist()
+        assert all(map(np.array_equal, dense_factors(s, raw), (gamma_hat, alpha_hat)))
 
 
 def validate_reference(covering, partition, readings, tol=DEFAULT_TOL):
@@ -657,7 +656,7 @@ def test_validate_scenario_matches_set_rules(seed):
     sets = [[{f - 1 for f in t} for t in lists] for lists in (covering, partition)]
     for t, mask in zip(sets, (s.covering, s.partition)):
         assert [set(np.flatnonzero(row).tolist()) for row in mask] == t
-    assert validate_scenario(s).violations == validate_reference(*sets, readings)
+    assert validate_scenario(s) == validate_reference(*sets, readings)
     back = scenario_from_json_dict(scenario_to_json_dict(s))
     assert np.array_equal(back.covering, s.covering)
     assert np.array_equal(back.partition, s.partition)
@@ -767,7 +766,7 @@ def test_array_predicates_match_per_coordinate_rules(data, tol):
     n = data.draw(st.integers(1, 5))
     gamma = data.draw(hnp.arrays(complex, (n_sensors, n), elements=ENTRIES))
     alpha = data.draw(hnp.arrays(complex, (data.draw(st.integers(1, 3)), n), elements=ENTRIES))
-    fac = Factorization.from_health_factors(gamma, alpha)
+    fac = Factorization(gamma, alpha)
     rad, dom, strong = predicates_reference(gamma, alpha, tol)
     assert is_i_radiative(fac, tol).tolist() == rad
     assert is_i_dominant(fac, tol).tolist() == dom
