@@ -6,6 +6,10 @@ directory so result files are self-describing.  ``generate``, ``detect`` and
 ``sweep`` build all they use from one plan, ``load_plan``, which checks every
 config key before any output and lists the grid's and the sweep's datasets
 alike; ``detect`` and ``sweep`` score theirs through ``detector.score_runs``.
+Every report is the plain dict its file holds: ``theorems`` dumps each
+verifier's return value, and ``detect`` writes ``score_runs``' entries with
+the thresholds and ``{"config": <the resolved config>}`` as metadata.
+``validate`` and ``theorems`` take ``--tol`` in ``0 < tol < 1``.
 ``generate`` writes its datasets in one process per available CPU.  Its workers
 report only success or failure; after any failure it writes the plan again in
 one process, which reports the first failing dataset as a one-process run does.
@@ -222,16 +226,16 @@ def cmd_theorems(args) -> int:
     ok = True
     for name, rep in reports.items():
         with open(out / f"theorem_{name}.json", "w") as fh:
-            json.dump(rep.to_json_dict(), fh, indent=2, sort_keys=True)
+            json.dump(rep, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        if not rep.applicable:
+        if not rep["applicable"]:
             verdict = "hypotheses unmet (no conclusion asserted)"
-        elif rep.conclusion:
+        elif rep["conclusion"]:
             verdict = "verified"
         else:
             verdict = "FAILED"
             ok = False
-        spans = rep.diagnostics.get("spans")
+        spans = rep["diagnostics"].get("spans")
         if spans is not None:
             verdict += f" [images {'span' if spans else 'do not span'}]"
         print(f"{name}: {verdict}")
@@ -437,8 +441,7 @@ def _score(plan: Plan, mixing, runs, data):
         found = [turbine.load_dataset(_dataset_dir(Path(data), key), plan.fleet, mixing,
                                       run_cfg, conditions)
                  for key, run_cfg, conditions in runs]
-    return detector.score_runs([key for key, _, _ in runs[1:]], found, plan.thresholds,
-                               metadata={"config": plan.cfg})
+    return detector.score_runs([key for key, _, _ in runs[1:]], found, plan.thresholds)
 
 
 def cmd_detect(args) -> int:
@@ -446,13 +449,13 @@ def cmd_detect(args) -> int:
 
     plan = load_plan(args.config, args.seed)
     out = Path(args.out)
-    report = _score(plan, plan.mixing, plan.datasets, args.data)
+    stats = _score(plan, plan.mixing, plan.datasets, args.data)
     echo_config(plan.cfg, out)
-    detector.write_results(report, out)
-    for st in report.stats:
+    detector.write_results(stats, plan.thresholds, {"config": plan.cfg}, out)
+    for st in stats:
         print(
-            f"{st.engine_state}/{st.sensor_condition}/{st.noise_level}/{st.pipeline}: "
-            f"correct {st.pct_correct:.2f}%"
+            f"{st['engine_state']}/{st['sensor_condition']}/{st['noise_level']}/{st['pipeline']}: "
+            f"correct {st['pct_correct']:.2f}%"
         )
     print(f"results written to {out}")
     return EXIT_OK
@@ -482,9 +485,9 @@ def cmd_sweep(args) -> int:
     plan = load_plan(args.config, args.seed, args.snr_range)
     out = Path(args.out)
     echo_config(plan.cfg, out)
-    report = _score(plan, plan.sweep_mixing, plan.sweep, None)
+    stats = _score(plan, plan.sweep_mixing, plan.sweep, None)
     snrs = {level: run_cfg.snr_db for (_, level), run_cfg, _ in plan.sweep[1:]}
-    detector.write_sweep(report, snrs, out)
+    detector.write_sweep(stats, snrs, out)
     print(f"{len(snrs)}-point sweep written to {out}")
     return EXIT_OK
 

@@ -12,8 +12,9 @@ matches the ground-truth engine-1 state, and the combined score additionally
 accepts a fault verdict under a true failure.
 
 One scorer, ``score_runs``, serves ``detect`` and ``sweep`` on the datasets it
-is given (the detector generates none); ``write_results`` and ``write_sweep``
-write its report as the condition table or as SNR curves.
+is given (the detector generates none).  It returns ``results.json``'s condition
+entries as plain dicts, in grid order; ``write_results`` and ``write_sweep``
+write them as the condition table or as SNR curves.
 """
 
 from __future__ import annotations
@@ -102,31 +103,6 @@ def detect(mapped, mu, th: DetectorThresholds) -> np.ndarray:
     return np.where(failure, "failure", np.where(fault, "fault", "normal"))
 
 
-@dataclass
-class ConditionStats:
-    engine_state: str
-    sensor_condition: str
-    noise_level: str
-    pipeline: str
-    samples: int
-    correct: int
-    combined_correct: int
-    verdict_counts: dict
-
-    @property
-    def pct_correct(self) -> float:
-        return 100.0 * self.correct / self.samples
-
-    @property
-    def pct_combined(self) -> float:
-        return 100.0 * self.combined_correct / self.samples
-
-    @property
-    def pct_false_alarm(self) -> float:
-        """Non-normal verdict rate; meaningful on normal-state data."""
-        return 100.0 - 100.0 * self.verdict_counts.get("normal", 0) / self.samples
-
-
 def score_condition(
     dataset: Dataset,
     condition_name: str,
@@ -135,75 +111,33 @@ def score_condition(
     sensor_condition: str,
     noise_level: str,
 ) -> list:
-    """Per-pipeline statistics for one condition of one dataset.
+    """Per-pipeline entries of ``results.json`` for one condition of one dataset.
 
     ``baselines`` maps each pipeline in ``PIPELINES`` to its calibrated ``mu``.
+    ``pct_false_alarm``, the non-normal verdict rate, is meaningful on
+    normal-state data.
     """
     c = dataset.condition_names.index(condition_name)
     truth = dataset.conditions[c][1][0].kind  # engine-1 ground truth
     truth = {"normal": "normal", "gear_fault": "fault", "failure": "failure"}[truth]
+    samples = dataset.healths.shape[1]
     out = []
     for kind in PIPELINES:
         verdicts = detect(map_healths(dataset.healths[c], kind), baselines[kind], th)[:, 0]
         counts = {v: int(np.count_nonzero(verdicts == v)) for v in VERDICTS}
         combined = counts[truth] + (counts["fault"] if truth == "failure" else 0)
-        out.append(
-            ConditionStats(
-                engine_state=condition_name,
-                sensor_condition=sensor_condition,
-                noise_level=noise_level,
-                pipeline=kind,
-                samples=dataset.healths.shape[1],
-                correct=counts[truth],
-                combined_correct=combined,
-                verdict_counts=counts,
-            )
-        )
+        out.append({
+            "engine_state": condition_name,
+            "sensor_condition": sensor_condition,
+            "noise_level": noise_level,
+            "pipeline": kind,
+            "samples": samples,
+            "pct_correct": 100.0 * counts[truth] / samples,
+            "pct_combined": 100.0 * combined / samples,
+            "pct_false_alarm": 100.0 - 100.0 * counts["normal"] / samples,
+            "verdict_counts": counts,
+        })
     return out
-
-
-@dataclass
-class DetectionReport:
-    """Statistics of a grid run, in the grid's (sensor, noise level) order."""
-
-    stats: list
-    thresholds: DetectorThresholds
-    metadata: dict
-
-    def __post_init__(self):
-        self._by_key = {
-            (st.engine_state, st.sensor_condition, st.noise_level, st.pipeline): st
-            for st in self.stats
-        }
-
-    def lookup(self, engine_state, sensor_condition, noise_level, pipeline) -> ConditionStats:
-        return self._by_key[(engine_state, sensor_condition, noise_level, pipeline)]
-
-    def to_json_dict(self) -> dict:
-        # results.json lists the cells sorted by (sensor condition, noise level)
-        # name; the sort is stable, so states and pipelines keep their order.
-        stats = sorted(self.stats, key=lambda st: (st.sensor_condition, st.noise_level))
-        return {
-            "thresholds": {
-                "fault_hi": self.thresholds.fault_hi,
-                "dead_lo": self.thresholds.dead_lo,
-            },
-            "metadata": self.metadata,
-            "conditions": [
-                {
-                    "engine_state": st.engine_state,
-                    "sensor_condition": st.sensor_condition,
-                    "noise_level": st.noise_level,
-                    "pipeline": st.pipeline,
-                    "samples": st.samples,
-                    "pct_correct": st.pct_correct,
-                    "pct_combined": st.pct_combined,
-                    "pct_false_alarm": st.pct_false_alarm,
-                    "verdict_counts": st.verdict_counts,
-                }
-                for st in stats
-            ],
-        }
 
 
 def grid_cells(cfg: SimConfig, noise_levels: dict):
@@ -223,12 +157,14 @@ def calibration_config(cfg: SimConfig) -> SimConfig:
     return replace(cfg, snr_db=None, failed_sensors=frozenset(), samples_per_state=4)
 
 
-def score_runs(keys, datasets, th: DetectorThresholds, metadata=None) -> DetectionReport:
+def score_runs(keys, datasets, th: DetectorThresholds) -> list:
     """Calibrate both pipelines on the first of ``datasets``, then score every engine
     state of each later dataset under its ``(sensor_condition, noise_level)`` in ``keys``.
 
-    Datasets may come lazily, each scored and dropped in turn.  Each cell's rate
-    is binomial, but cells that share one noise draw are correlated."""
+    Returns the ``results.json`` condition entries of ``score_condition``, in grid
+    order: by dataset, then engine state, then pipeline.  Datasets may come lazily,
+    each scored and dropped in turn.  Each cell's rate is binomial, but cells that
+    share one noise draw are correlated."""
     datasets = iter(datasets)
     calib = next(datasets)
     baselines = {kind: calibrate(calib, kind) for kind in PIPELINES}
@@ -238,51 +174,60 @@ def score_runs(keys, datasets, th: DetectorThresholds, metadata=None) -> Detecti
             stats.extend(
                 score_condition(dataset, name, baselines, th, sensor_condition, noise_level)
             )
-    return DetectionReport(stats=stats, thresholds=th, metadata=metadata or {})
+    return stats
 
 
-def write_results(report: DetectionReport, out_dir) -> Path:
-    """Write results.json plus the condition-table results.csv.
+def write_results(stats: list, thresholds: DetectorThresholds, metadata: dict, out_dir) -> Path:
+    """Write results.json plus the condition-table results.csv for ``score_runs``' entries.
 
+    results.json lists the entries sorted by (sensor condition, noise level)
+    name; the sort is stable, so states and pipelines keep their grid order.
     results.csv has one ``basis_<level>,frame_<level>`` column pair per noise
-    level, in the report's order, and one row per engine state and sensor
-    condition, plus a combined fault-or-failure row for the failure state.
+    level, in grid order, and one row per engine state and sensor condition,
+    plus a combined fault-or-failure row for the failure state.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    doc = {
+        "thresholds": {"fault_hi": thresholds.fault_hi, "dead_lo": thresholds.dead_lo},
+        "metadata": metadata,
+        "conditions": sorted(stats, key=lambda st: (st["sensor_condition"], st["noise_level"])),
+    }
     with open(out / "results.json", "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    levels = list(dict.fromkeys(st.noise_level for st in report.stats))
+    by_key = {(st["engine_state"], st["sensor_condition"], st["noise_level"], st["pipeline"]): st
+              for st in stats}
+    levels = list(dict.fromkeys(st["noise_level"] for st in stats))
     columns = [(level, pipeline) for level in levels for pipeline in PIPELINES]
     rows = ["condition," + ",".join(f"{p}_{level}" for level, p in columns)]
-    for engine_state in dict.fromkeys(st.engine_state for st in report.stats):
+    for engine_state in dict.fromkeys(st["engine_state"] for st in stats):
         for sensor_condition in SENSOR_CONDITIONS:
-            cells = [report.lookup(engine_state, sensor_condition, *col) for col in columns]
+            cells = [by_key[(engine_state, sensor_condition, *col)] for col in columns]
             rows.append(
                 f"{engine_state}_{sensor_condition},"
-                + ",".join(f"{st.pct_correct:.2f}" for st in cells)
+                + ",".join(f"{st['pct_correct']:.2f}" for st in cells)
             )
             if engine_state == "failure":
                 rows.append(
                     f"{engine_state}_{sensor_condition}_combined,"
-                    + ",".join(f"{st.pct_combined:.2f}" for st in cells)
+                    + ",".join(f"{st['pct_combined']:.2f}" for st in cells)
                 )
     (out / "results.csv").write_text("\n".join(rows) + "\n")
     return out
 
 
-def write_sweep(report: DetectionReport, snrs, out_dir) -> Path:
+def write_sweep(stats: list, snrs, out_dir) -> Path:
     """Write sweep.csv plus one plain plot-data file per curve.
 
-    ``report`` scores normal-state runs, and ``snrs`` maps each of its noise levels to
-    an SNR in dB.  Every non-normal verdict on normal data is a false alarm, so
-    p_fa = 1 - p_detect pointwise."""
+    ``stats`` are ``score_runs``' entries for normal-state runs, and ``snrs`` maps
+    each of their noise levels to an SNR in dB.  Every non-normal verdict on normal
+    data is a false alarm, so p_fa = 1 - p_detect pointwise."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # (snr_db, pipeline, sensor_condition, p_detect) per statistic, in report order
-    points = [(snrs[st.noise_level], st.pipeline, st.sensor_condition, st.pct_correct / 100.0)
-              for st in report.stats]
+    # (snr_db, pipeline, sensor_condition, p_detect) per entry, in grid order
+    points = [(snrs[st["noise_level"]], st["pipeline"], st["sensor_condition"],
+               st["pct_correct"] / 100.0) for st in stats]
     rows = ["snr_db,pipeline,sensor_condition,p_detect,p_fa"]
     rows += [f"{snr!r},{pipeline},{cond},{p!r},{1.0 - p!r}" for snr, pipeline, cond, p in points]
     (out / "sweep.csv").write_text("\n".join(rows) + "\n")

@@ -27,9 +27,12 @@ DEFAULT_TOL = 1e-9
 
 
 def check_tol(tol: float) -> None:
-    """Reject a tolerance outside ``0 < tol < inf`` (NaN included)."""
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    """Reject a tolerance outside ``0 < tol < 1`` (NaN included).
+
+    The relative tests compare a value with tol times a bound on it, which
+    tol >= 1 would make vacuous."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol!r}")
 
 
 class NotAFrameError(ValueError):

@@ -16,6 +16,13 @@ and strong dominance makes the raw magnitude images a frame on their own.
 Each verifier is conservative: it asserts nothing when its hypotheses fail,
 but still reports span diagnostics.
 
+Each returns its report as the plain dict that ``theorems`` writes to
+``theorem_<name>.json``: ``name``, ``hypotheses`` (each ``{"name", "ok",
+"per_coordinate", "note"}``, ``per_coordinate`` a list or None),
+``applicable`` (every hypothesis holds), ``conclusion`` (None unless
+applicable) and ``diagnostics``.  A witness vector is written as
+``[[re, im], ...]``.
+
 Ownership is the (n,) int array ``owners`` that ``scenario.build_index_sets``
 returns: sensor j owns I_j = {i : owners[i] == j}.  ``verify_basis_mapping``
 certifies the images of ``basis_map`` itself, the function the detector's
@@ -23,8 +30,6 @@ basis pipeline calls.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,70 +43,32 @@ from .scenario import (
 )
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
-    name: str
-    ok: bool
-    per_coordinate: tuple | None = None
-    note: str = ""
+def _hypothesis(name: str, ok: bool, per_coordinate=None, note: str = "") -> dict:
+    return {"name": name, "ok": ok, "per_coordinate": per_coordinate, "note": note}
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    """Outcome of one structural verification run."""
-
-    name: str
-    hypotheses: tuple
-    conclusion: bool | None  # None when some hypothesis failed
-    diagnostics: dict
-
-    @property
-    def applicable(self) -> bool:
-        return all(h.ok for h in self.hypotheses)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "hypotheses": [
-                {
-                    "name": h.name,
-                    "ok": h.ok,
-                    "per_coordinate": list(h.per_coordinate)
-                    if h.per_coordinate is not None
-                    else None,
-                    "note": h.note,
-                }
-                for h in self.hypotheses
-            ],
-            "applicable": self.applicable,
-            "conclusion": self.conclusion,
-            "diagnostics": {
-                key: _jsonable(value) for key, value in self.diagnostics.items()
-            },
-        }
+def _coordinate_check(name: str, flags: np.ndarray) -> dict:
+    return _hypothesis(name, bool(flags.all()), flags.tolist())
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return [[z.real, z.imag] for z in value.ravel()]
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _report(name: str, hypotheses: list, conclusion: bool | None, diagnostics: dict) -> dict:
+    """A verifier's report as ``theorems`` writes it.  It is applicable when
+    every hypothesis holds, and asserts ``conclusion`` only then."""
+    applicable = all(h["ok"] for h in hypotheses)
+    return {
+        "name": name,
+        "hypotheses": hypotheses,
+        "applicable": applicable,
+        "conclusion": conclusion if applicable else None,
+        "diagnostics": diagnostics,
+    }
 
 
-def _coordinate_check(name: str, flags: np.ndarray) -> HypothesisCheck:
-    return HypothesisCheck(name, bool(flags.all()), tuple(flags.tolist()))
-
-
-def _radiative_dominant_checks(fac: Factorization, tol: float):
-    return (
+def _radiative_dominant_checks(fac: Factorization, tol: float) -> list:
+    return [
         _coordinate_check("radiative", is_i_radiative(fac, tol)),
         _coordinate_check("dominant", is_i_dominant(fac, tol)),
-    )
+    ]
 
 
 def _image_values(fac: Factorization, failed: int | None) -> np.ndarray:
@@ -126,12 +93,14 @@ def _peak_values(fac: Factorization, failed: int | None) -> np.ndarray:
 
 
 def _span_diagnostics(cert: SpanCertificate, heard: np.ndarray) -> dict:
+    """The span fields of a report; the witness is written as ``[[re, im], ...]``."""
+    witness = cert.witness
     return {
         "spans": cert.spans,
         "smallest_singular_value": cert.smallest_singular_value,
         "largest_singular_value": cert.largest_singular_value,
         "missing_coordinates": np.flatnonzero(~heard).tolist(),
-        "witness": cert.witness,
+        "witness": None if witness is None else np.stack([witness.real, witness.imag], -1).tolist(),
     }
 
 
@@ -156,7 +125,7 @@ def verify_basis_mapping(
     owners,
     tol: float = DEFAULT_TOL,
     failed: int | None = None,
-) -> TheoremReport:
+) -> dict:
     """Selection images of the radiative set form a basis plus the zero vector.
 
     The selection keeps each coordinate's value from its owner only.  With
@@ -165,8 +134,8 @@ def verify_basis_mapping(
     spanning, missing exactly the owned coordinates.
     """
     hyps = _radiative_dominant_checks(fac, tol)
-    if not all(h.ok for h in hyps):
-        return TheoremReport("basis_mapping", hyps, None, {"note": "hypotheses unmet"})
+    if not all(h["ok"] for h in hyps):
+        return _report("basis_mapping", hyps, None, {"note": "hypotheses unmet"})
     selected = basis_map(_peak_values(fac, failed).T, owners)  # (n,)
     # the image of coordinate i is e_i * selected[i], so no direction repeats
     diag = _coordinate_span_diagnostics(selected[:, None], tol)
@@ -174,25 +143,19 @@ def verify_basis_mapping(
     diag["nonzero_directions"] = nonzero
     diag["distinct_nonzero"] = len(nonzero)
     if failed is None:
-        conclusion = len(nonzero) == selected.size and diag["spans"]
-    else:
-        hyps = hyps + (
-            HypothesisCheck(
-                "owned_set_nonempty", bool(np.any(np.asarray(owners) == failed)), None,
-                f"sensor {failed} failed",
-            ),
-        )
-        conclusion = (not diag["spans"]) if all(h.ok for h in hyps) else None
-    return TheoremReport("basis_mapping", hyps, conclusion, diag)
+        return _report("basis_mapping", hyps, len(nonzero) == selected.size and diag["spans"], diag)
+    owns = bool(np.any(np.asarray(owners) == failed))
+    hyps.append(_hypothesis("owned_set_nonempty", owns, note=f"sensor {failed} failed"))
+    return _report("basis_mapping", hyps, not diag["spans"], diag)
 
 
-def _harmony_check(fac: Factorization, owners, failed: int, tol: float):
-    return HypothesisCheck(
-        "harmonious_at_failed",
-        is_j_harmonious(fac, owners, failed, tol),
-        None,
-        f"sensor {failed} failed",
-    )
+def _failure_checks(fac: Factorization, owners, failed: int | None, tol: float) -> list:
+    """The radiative and dominant checks, plus harmony at ``failed`` when it is set."""
+    hyps = _radiative_dominant_checks(fac, tol)
+    if failed is not None:
+        harmonious = is_j_harmonious(fac, owners, failed, tol)
+        hyps.append(_hypothesis("harmonious_at_failed", harmonious, note=f"sensor {failed} failed"))
+    return hyps
 
 
 def verify_frame_mapping(
@@ -200,17 +163,15 @@ def verify_frame_mapping(
     owners,
     tol: float = DEFAULT_TOL,
     failed: int | None = None,
-) -> TheoremReport:
+) -> dict:
     """Magnitude images of the radiative set contain a multiplicative frame.
 
     With ``failed`` set the scenario must be harmonious at that sensor; the
     images (with the failed sensor silenced) are then still certified to span.
     """
-    hyps = _radiative_dominant_checks(fac, tol)
-    if failed is not None:
-        hyps = hyps + (_harmony_check(fac, owners, failed, tol),)
-    if not all(h.ok for h in hyps[:2]):
-        return TheoremReport("frame_mapping", hyps, None, {"note": "hypotheses unmet"})
+    hyps = _failure_checks(fac, owners, failed, tol)
+    if not all(h["ok"] for h in hyps[:2]):
+        return _report("frame_mapping", hyps, None, {"note": "hypotheses unmet"})
     mags = np.abs(_peak_values(fac, failed))  # (n, N)
     diag = _coordinate_span_diagnostics(mags, tol)
     top, top_j = mags.max(axis=1), mags.argmax(axis=1)  # smallest j on ties
@@ -219,8 +180,7 @@ def verify_frame_mapping(
         {"coordinate": i, "magnitude": mag, "label": [i, j]}
         for i, mag, j in zip(heard.tolist(), top[heard].tolist(), top_j[heard].tolist())
     ]
-    conclusion = diag["spans"] if all(h.ok for h in hyps) else None
-    return TheoremReport("frame_mapping", hyps, conclusion, diag)
+    return _report("frame_mapping", hyps, diag["spans"], diag)
 
 
 def verify_projective_frame(
@@ -228,30 +188,25 @@ def verify_projective_frame(
     owners,
     tol: float = DEFAULT_TOL,
     failed: int | None = None,
-) -> TheoremReport:
+) -> dict:
     """The full single-coordinate image set (all times) is a multiplicative frame.
 
     With ``failed`` set, requires a harmonious scenario at that sensor and
     re-certifies the span with the failed sensor silenced.
     """
-    hyps = _radiative_dominant_checks(fac, tol)
-    if failed is not None:
-        hyps = hyps + (_harmony_check(fac, owners, failed, tol),)
-    if not all(h.ok for h in hyps[:2]):
-        return TheoremReport(
-            "projective_frame", hyps, None, {"note": "hypotheses unmet"}
-        )
+    hyps = _failure_checks(fac, owners, failed, tol)
+    if not all(h["ok"] for h in hyps[:2]):
+        return _report("projective_frame", hyps, None, {"note": "hypotheses unmet"})
     values = _image_values(fac, failed)
     diag = _coordinate_span_diagnostics(values, tol)
     diag["cardinality"] = values.size
-    conclusion = diag["spans"] if all(h.ok for h in hyps) else None
-    return TheoremReport("projective_frame", hyps, conclusion, diag)
+    return _report("projective_frame", hyps, diag["spans"], diag)
 
 
 def verify_strong_dominance_frame(
     fac: Factorization,
     tol: float = DEFAULT_TOL,
-) -> TheoremReport:
+) -> dict:
     """Under strong dominance the NK magnitude images form a multiplicative frame.
 
     Extracts the candidate basis (per coordinate: the sensor of largest
@@ -265,15 +220,12 @@ def verify_strong_dominance_frame(
     """
     gamma, alpha = fac.gamma, fac.alpha
     n_sensors, n = gamma.shape
-    hyps = (
-        HypothesisCheck("multiple_sensors", n_sensors > 1),
-        HypothesisCheck(
-            "dimension_at_most_sensors", n <= n_sensors,
-            note=f"n={n}, N={n_sensors}",
-        ),
+    hyps = [
+        _hypothesis("multiple_sensors", n_sensors > 1),
+        _hypothesis("dimension_at_most_sensors", n <= n_sensors, note=f"n={n}, N={n_sensors}"),
         _coordinate_check("radiative", is_i_radiative(fac, tol)),
         _coordinate_check("strongly_dominant", is_strongly_i_dominant(fac, tol)),
-    )
+    ]
     w_all = np.abs(gamma[:, None, :] * alpha[None, :, :])  # (N, K, n)
     w_set = VectorSet(w_all.reshape(-1, n).astype(np.complex128))
     diag = _span_diagnostics(span_certificate(w_set, tol), np.any(w_all > tol, axis=(0, 1)))
@@ -281,15 +233,13 @@ def verify_strong_dominance_frame(
     j_star = np.argmax(np.abs(gamma), axis=0)
     k_star = np.argmax(np.abs(alpha), axis=0)
     candidate = gamma[j_star] * alpha[k_star]
-    diag["candidate_basis_labels"] = list(zip(j_star.tolist(), k_star.tolist()))
+    diag["candidate_basis_labels"] = np.stack([j_star, k_star], -1).tolist()
     ranked = np.sort(np.abs(gamma), axis=0)  # ascending per coordinate
     runner_up = ranked[-2] if n_sensors > 1 else np.zeros(n)
     diag["dominance_margins"] = [
         {"coordinate": i, "dominance_ratio": (n_sensors - 1) * second / top if top else None}
         for i, (top, second) in enumerate(zip(ranked[-1].tolist(), runner_up.tolist()))
     ]
-    cand_cert = span_certificate(VectorSet(candidate), tol)
-    diag["candidate_basis_independent"] = cand_cert.spans
-    applicable = all(h.ok for h in hyps)
-    conclusion = (diag["spans"] and cand_cert.spans) if applicable else None
-    return TheoremReport("strong_dominance_frame", hyps, conclusion, diag)
+    independent = span_certificate(VectorSet(candidate), tol).spans
+    diag["candidate_basis_independent"] = independent
+    return _report("strong_dominance_frame", hyps, diag["spans"] and independent, diag)

@@ -396,6 +396,7 @@ def separate(s: Scenario, raw: tuple, tol: float = DEFAULT_TOL) -> Factorization
     exists.  The returned factors satisfy H(v_jk)(i) = gamma_j(i) *
     alpha_k(i) within tol, or NotSeparableError says by how much they miss.
     """
+    check_tol(tol)
     h = s.health
     if h.kind == "selection_matrix":
         gamma_hat, alpha_hat = raw

@@ -42,6 +42,7 @@ from framesense.scenario import (
     is_harmonious,
     separate,
 )
+from tests.test_detector import lookup
 
 
 def check(criterion: int, description: str, failures: list):
@@ -98,13 +99,13 @@ def test_c2_three_sensor_multiplicative_frame():
         s = scenario_from_json_dict(json.load(fh))
     fac = separate(s, factor_readings(s))
     report = verify_strong_dominance_frame(fac)
-    if not (report.applicable and report.conclusion):
+    if not (report["applicable"] and report["conclusion"]):
         failures.append("strong-dominance certification did not pass")
     mags = np.abs(fac.gamma[:, None, :] * fac.alpha[None, :, :]).reshape(-1, 2)
     expected = np.array([[3, 1], [1, 3], [1, 1]], dtype=float)
     if not np.allclose(np.sort(mags, axis=0), np.sort(expected, axis=0), atol=1e-9):
         failures.append(f"magnitude image set {mags} != expected")
-    for margin in report.diagnostics["dominance_margins"]:
+    for margin in report["diagnostics"]["dominance_margins"]:
         # the top sensor beats (N-1) x runner-up: the 3 > 2*1 margin, a ratio of 2/3
         if not margin["dominance_ratio"] < 1:
             failures.append(f"margin violated at {margin}")
@@ -254,10 +255,10 @@ def test_c5_verifier_oracle_equivalence():
         peak = np.argmax(np.abs(fac.alpha), axis=0)
         selected = [r for r, (i, j, k) in images if k == peak[i] and j == owners[i]]
         basis_report = verify_basis_mapping(fac, owners)
-        if basis_report.conclusion != (gauss_rank(selected) == n):
+        if basis_report["conclusion"] != (gauss_rank(selected) == n):
             failures.append(f"trial {trial}: basis verifier disagrees with oracle")
         proj_report = verify_projective_frame(fac, owners)
-        if proj_report.conclusion != (gauss_rank([r for r, _ in images]) == n):
+        if proj_report["conclusion"] != (gauss_rank([r for r, _ in images]) == n):
             failures.append(f"trial {trial}: projective verifier disagrees with oracle")
         if failures:
             break
@@ -268,7 +269,7 @@ def test_c5_verifier_oracle_equivalence():
             break
         failed = int(rng.integers(0, fac.gamma.shape[0]))
         report = verify_frame_mapping(fac, owners, failed=failed)
-        if not (report.applicable and report.conclusion):
+        if not (report["applicable"] and report["conclusion"]):
             failures.append(f"harmonious trial {trial}: frame survival not certified")
             break
     for trial in range(30):
@@ -278,10 +279,10 @@ def test_c5_verifier_oracle_equivalence():
             failures.append(f"disjoint trial {trial}: ownership {isolated_owns} != {owned}")
             break
         report = verify_frame_mapping(fac, owners, failed=isolated)
-        if report.applicable:
+        if report["applicable"]:
             failures.append(f"disjoint trial {trial}: harmony hypothesis not caught")
             break
-        diag = report.diagnostics
+        diag = report["diagnostics"]
         if diag["spans"] or tuple(diag["missing_coordinates"]) != owned:
             failures.append(
                 f"disjoint trial {trial}: span loss at {diag['missing_coordinates']}"
@@ -330,16 +331,16 @@ def test_c6_zero_noise_simulation_contracts():
     ds = turbine.generate_dataset(FLEET, mix, failed_cfg, turbine.engine1_conditions())
     for name in ds.condition_names:
         stats = detector.score_condition(ds, name, baselines, TH, "s1_failed", "zero")
-        basis = next(st for st in stats if st.pipeline == "basis")
-        if basis.verdict_counts["failure"] != basis.samples:
+        basis = next(st for st in stats if st["pipeline"] == "basis")
+        if basis["verdict_counts"]["failure"] != basis["samples"]:
             failures.append(f"basis verdicts not all failure under {name}")
     frame = next(
         st
         for st in detector.score_condition(ds, "normal", baselines, TH, "s1_failed", "zero")
-        if st.pipeline == "frame"
+        if st["pipeline"] == "frame"
     )
-    if frame.pct_correct != 100.0:
-        failures.append(f"frame normal-survival {frame.pct_correct}% != 100%")
+    if frame["pct_correct"] != 100.0:
+        failures.append(f"frame normal-survival {frame['pct_correct']}% != 100%")
     elapsed = time.time() - start
     if elapsed > 60:
         failures.append(f"took {elapsed:.1f}s > 60s")
@@ -358,15 +359,15 @@ def condition_report():
         key: turbine.generate_dataset(FLEET, mix, run_cfg, conditions)
         for key, run_cfg in detector.grid_cells(cfg, levels)
     }
-    report = detector.score_runs(list(grid), [calib, *grid.values()], TH)
-    return report, time.time() - start
+    stats = detector.score_runs(list(grid), [calib, *grid.values()], TH)
+    return stats, time.time() - start
 
 
 def test_c7_condition_table(condition_report):
     """Directional reproduction of the 12-condition detection table."""
-    report, elapsed = condition_report
+    stats, elapsed = condition_report
     failures = []
-    pct = lambda *key: report.lookup(*key).pct_correct
+    pct = lambda *key: lookup(stats, *key)["pct_correct"]
     for state in ("normal", "fault"):
         for pipeline in ("basis", "frame"):
             value = pct(state, "good", "low", pipeline)
@@ -381,7 +382,7 @@ def test_c7_condition_table(condition_report):
     for noise in ("low", "high"):
         if pct("failure", "s1_failed", noise, "basis") != 100.0:
             failures.append(f"basis failure detection not exact at {noise} noise")
-    if report.lookup("failure", "s1_failed", "low", "frame").pct_combined < 95.0:
+    if lookup(stats, "failure", "s1_failed", "low", "frame")["pct_combined"] < 95.0:
         failures.append("frame combined fault-or-failure below 95%")
     # orderings: magnitude sum >= selection whenever the owner sensor is dead
     for state in ("normal", "fault"):

@@ -17,11 +17,18 @@ import numpy as np
 import pytest
 
 from framesense import cli, detector, scenario, turbine
+from framesense.mappings import (
+    verify_basis_mapping,
+    verify_frame_mapping,
+    verify_projective_frame,
+    verify_strong_dominance_frame,
+)
 from framesense.scenario import (
     MAX_READINGS,
     HealthMap,
     Scenario,
     _readings,
+    build_index_sets,
     constant_volume_regauge,
     factor_readings,
     scenario_from_json_dict,
@@ -611,12 +618,33 @@ class TestTheorems:
             spans = doc["diagnostics"]["spans"] if doc["applicable"] else None
             assert (doc["applicable"], doc["conclusion"], spans) == triple, name
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("fixture", [HARMONIOUS, ISOLATED, GENERAL_LINEAR])
+    def test_each_report_file_is_the_verifier_dict(self, tmp_path, fixture):
+        # theorems writes what each verifier returns, with no failure and with each one.
+        s = scenario_from_json_dict(json.loads(Path(fixture).read_text()))
+        fac = separate(s, factor_readings(s))
+        owners = build_index_sets(s.health_images())
+        for failed in (None, *range(s.N)):
+            out_dir = tmp_path / f"reports_{failed}"
+            fail = [] if failed is None else ["--fail-sensor", str(failed + 1)]
+            assert cli.main(["theorems", fixture, "--out", str(out_dir), *fail]) == 0
+            expected = {
+                "basis_mapping": verify_basis_mapping(fac, owners, failed=failed),
+                "frame_mapping": verify_frame_mapping(fac, owners, failed=failed),
+                "projective_frame": verify_projective_frame(fac, owners, failed=failed),
+                "strong_dominance_frame": verify_strong_dominance_frame(fac),
+            }
+            for name, report in expected.items():
+                assert json.loads((out_dir / f"theorem_{name}.json").read_text()) == report, name
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "1", "2"])
     def test_non_finite_or_non_positive_tol_exits_2(self, tmp_path, capsys, tol):
+        # A tol of 1 or more is refused too: every relative test would be vacuous.
         for command in (["validate"], ["theorems", "--out", str(tmp_path / "o")]):
             assert cli.main(command + [HARMONIOUS, f"--tol={tol}"]) == 2
             captured = capsys.readouterr()
-            assert "tol must be a positive finite number" in captured.err
+            assert "tol must satisfy 0 < tol < 1" in captured.err
+            assert captured.err.count("\n") == 1
             assert "silent" not in captured.err and captured.out == ""
         assert not (tmp_path / "o").exists()
 
@@ -1072,6 +1100,21 @@ class TestGenerateDetectSweep:
         # selection pipeline sees a dead sensor as engine failure
         assert table["normal_s1_failed"][0] == "0.00"
         assert table["normal_s1_failed"][1] == "100.00"
+
+    def test_results_json_holds_the_scored_entries_thresholds_and_config(self, tmp_path):
+        cfg = write_config(tmp_path, {"fault_hi": 2.5, "dead_lo": 0.2})
+        out = tmp_path / "run"
+        assert cli.main(["detect", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "results.json").read_text())
+        echoed = json.loads((out / "config.json").read_text())
+        assert doc["metadata"] == {"config": echoed}
+        assert doc["thresholds"] == {"fault_hi": 2.5, "dead_lo": 0.2}
+        plan = cli.load_plan(cfg, None)
+        stats = cli._score(plan, plan.mixing, plan.datasets, None)
+        # sorted by (sensor condition, noise level) name, grid order within each cell
+        assert doc["conditions"] == sorted(
+            stats, key=lambda st: (st["sensor_condition"], st["noise_level"]))
+        assert [st["noise_level"] for st in doc["conditions"][:6]] == ["high"] * 6
 
     def test_sweep_range_flag(self, tmp_path):
         out = tmp_path / "sweep"

@@ -54,9 +54,16 @@ def grid():
     }
 
 
-def score_grid(grid, **kwargs):
+def score_grid(grid):
     """``score_runs`` over the calibration set, then the grid's datasets."""
-    return score_runs(list(grid), [calibration_set(), *grid.values()], TH, **kwargs)
+    return score_runs(list(grid), [calibration_set(), *grid.values()], TH)
+
+
+def lookup(stats, *key):
+    """The entry of ``stats`` under ``key``: its engine state, sensor condition,
+    noise level and pipeline."""
+    fields = ("engine_state", "sensor_condition", "noise_level", "pipeline")
+    return next(st for st in stats if tuple(st[f] for f in fields) == key)
 
 
 class TestThresholds:
@@ -192,24 +199,22 @@ class TestZeroNoiseContracts:
         ds = turbine.generate_dataset(FLEET, MIX, cfg, turbine.engine1_conditions())
         for name in ds.condition_names:
             stats = score_condition(ds, name, baselines, TH, "s1_failed", "any")
-            basis = next(st for st in stats if st.pipeline == "basis")
-            assert basis.verdict_counts["failure"] == basis.samples
+            basis = next(st for st in stats if st["pipeline"] == "basis")
+            assert basis["verdict_counts"]["failure"] == basis["samples"]
 
     def test_frame_survival_at_zero_noise(self, baselines):
         cfg = replace(CFG, failed_sensors=frozenset({0}))
         ds = turbine.generate_dataset(FLEET, MIX, cfg, turbine.engine1_conditions())
         stats = score_condition(ds, "normal", baselines, TH, "s1_failed", "zero")
-        frame = next(st for st in stats if st.pipeline == "frame")
-        assert frame.pct_correct == 100.0
+        frame = next(st for st in stats if st["pipeline"] == "frame")
+        assert frame["pct_correct"] == 100.0
 
 
 class TestRunsAndReports:
     def test_run_conditions_report_shape(self, grid):
-        report = score_grid(grid, metadata={"samples": 4})
-        assert len(report.stats) == 3 * 2 * 2 * 2  # states x sensor x noise x pipeline
-        assert report.metadata == {"samples": 4}
-        st = report.lookup("normal", "good", "low", "basis")
-        assert st.pct_correct == 100.0
+        stats = score_grid(grid)
+        assert len(stats) == 3 * 2 * 2 * 2  # states x sensor x noise x pipeline
+        assert lookup(stats, "normal", "good", "low", "basis")["pct_correct"] == 100.0
 
     def test_score_runs_needs_one_key_per_dataset(self, grid):
         # Keys name the datasets after the calibration set, one each.
@@ -219,13 +224,10 @@ class TestRunsAndReports:
                 score_runs(keys, datasets, TH)
 
     def test_report_determinism(self, grid):
-        a = score_grid(grid).to_json_dict()
-        b = score_grid(grid).to_json_dict()
-        assert a == b
+        assert score_grid(grid) == score_grid(grid)
 
     def test_write_results_files(self, grid, tmp_path):
-        report = score_grid(grid)
-        write_results(report, tmp_path)
+        write_results(score_grid(grid), TH, {}, tmp_path)
         doc = json.loads((tmp_path / "results.json").read_text())
         assert len(doc["conditions"]) == 24
         rows = (tmp_path / "results.csv").read_text().strip().split("\n")
@@ -241,17 +243,17 @@ class TestRunsAndReports:
                  for key, run_cfg, conditions in plan.sweep]
         assert [key for key, _, _ in sweep[:4]] == [
             cli.CALIBRATION, ("good", "-20.0dB"), ("good", "-10.0dB"), ("good", "0.0dB")]
-        report = cli._score(plan, plan.sweep_mixing, sweep, None)
+        stats = cli._score(plan, plan.sweep_mixing, sweep, None)
         snrs = {level: run_cfg.snr_db for (_, level), run_cfg, _ in sweep[1:]}
-        write_sweep(report, snrs, tmp_path)
+        write_sweep(stats, snrs, tmp_path)
         rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")
         assert rows[0] == "snr_db,pipeline,sensor_condition,p_detect,p_fa"
         assert len(rows) == 1 + 3 * 2 * 2  # grid x sensor conditions x pipelines
-        for row, st in zip(rows[1:], report.stats):
+        for row, st in zip(rows[1:], stats):
             snr, pipeline, cond, p_detect, p_fa = row.split(",")
             assert (float(snr), pipeline, cond) == (
-                snrs[st.noise_level], st.pipeline, st.sensor_condition)
-            assert float(p_detect) == st.pct_correct / 100.0
+                snrs[st["noise_level"]], st["pipeline"], st["sensor_condition"])
+            assert float(p_detect) == st["pct_correct"] / 100.0
             assert float(p_fa) == 1.0 - float(p_detect)
         for pipeline in detector.PIPELINES:
             for cond in detector.SENSOR_CONDITIONS:
@@ -278,10 +280,10 @@ class TestRunsAndReports:
             expected += score_condition(ds, "normal", baselines, TH, sensor_condition, level)
         runs = [(calibration_config(cfg), detector.NORMAL_ONLY)]
         runs += [(run_cfg, detector.NORMAL_ONLY) for _, run_cfg in cells]
-        report = score_runs([key for key, _ in cells],
-                            turbine.generate_datasets(FLEET, mix, runs), TH)
-        assert report.stats == expected
-        assert len({st.correct for st in report.stats}) > 2  # the grid spans distinct rates
+        stats = score_runs([key for key, _ in cells],
+                           turbine.generate_datasets(FLEET, mix, runs), TH)
+        assert stats == expected
+        assert len({st["pct_correct"] for st in stats}) > 2  # the grid spans distinct rates
 
     def test_shared_draw_is_lazy(self):
         # The longest sweep at the default 128 samples per point, whose datasets
@@ -364,15 +366,15 @@ def test_score_condition_counts_match_per_sample_rule(data):
     bases = {kind: mu for kind in detector.PIPELINES}
     for stats in score_condition(ds, name, bases, TH, "good", "low"):
         verdicts = [
-            reference_verdicts(reference_map(h, stats.pipeline), mu, TH)[0]
+            reference_verdicts(reference_map(h, stats["pipeline"]), mu, TH)[0]
             for h in healths[0]
         ]
         counts = {v: verdicts.count(v) for v in ("normal", "fault", "failure")}
         combined = counts[truth] + (counts["fault"] if truth == "failure" else 0)
-        assert stats.verdict_counts == counts
-        assert stats.samples == samples
-        assert stats.correct == counts[truth]
-        assert stats.combined_correct == combined
+        assert stats["verdict_counts"] == counts
+        assert stats["samples"] == samples
+        assert stats["pct_correct"] == 100.0 * counts[truth] / samples
+        assert stats["pct_combined"] == 100.0 * combined / samples
 
 
 @settings(max_examples=80, deadline=None)

@@ -128,7 +128,7 @@ class TestProjectionSets:
         # All N = 3 sensors' images of each coordinate at its one time: the
         # frame operator is diagonal with entries 3^2 + 1^2 + 1^2 = 11.
         _, fac, owners = separated_fixture()
-        diag = verify_frame_mapping(fac, owners).diagnostics
+        diag = verify_frame_mapping(fac, owners)["diagnostics"]
         assert diag["smallest_singular_value"] == pytest.approx(np.sqrt(11))
         assert diag["largest_singular_value"] == pytest.approx(np.sqrt(11))
         basis = diag["per_coordinate_basis"]
@@ -136,7 +136,7 @@ class TestProjectionSets:
 
     def test_radiative_set_values_are_single_coordinate(self):
         _, fac, owners = separated_fixture()
-        diag = verify_basis_mapping(fac, owners).diagnostics
+        diag = verify_basis_mapping(fac, owners)["diagnostics"]
         assert diag["nonzero_directions"] == [0, 1]
         assert diag["missing_coordinates"] == []
 
@@ -146,9 +146,9 @@ class TestProjectionSets:
         alpha = np.array([[1, 3], [2, 1]], dtype=complex)
         fac = Factorization(gamma, alpha)
         report = verify_frame_mapping(fac, TWO_SENSOR_OWNERS)
-        basis = report.diagnostics["per_coordinate_basis"]
+        basis = report["diagnostics"]["per_coordinate_basis"]
         assert [b["magnitude"] for b in basis] == [2.0, 3.0]
-        assert report.diagnostics["largest_singular_value"] == pytest.approx(
+        assert report["diagnostics"]["largest_singular_value"] == pytest.approx(
             np.sqrt(2) * 3
         )
 
@@ -157,9 +157,9 @@ class TestProjectionSets:
             np.ones((2, 2)), np.array([[1, 0], [2, 0]])
         )
         report = verify_frame_mapping(fac, TWO_SENSOR_OWNERS)
-        assert report.hypotheses[0].per_coordinate == (True, False)
-        assert report.conclusion is None
-        assert report.diagnostics == {"note": "hypotheses unmet"}
+        assert report["hypotheses"][0]["per_coordinate"] == [True, False]
+        assert report["conclusion"] is None
+        assert report["diagnostics"] == {"note": "hypotheses unmet"}
 
     def test_full_set_cardinality(self):
         _, fac, owners = separated_fixture()
@@ -168,18 +168,18 @@ class TestProjectionSets:
         )
         for f, times in ((fac, 1), (two_times, 2)):
             report = verify_projective_frame(f, owners, failed=0)
-            assert report.diagnostics["cardinality"] == 2 * 3 * times  # n * N * K
+            assert report["diagnostics"]["cardinality"] == 2 * 3 * times  # n * N * K
 
     def test_basis_selection_keeps_owner_vectors(self):
         # n basis directions, one per owner; every other selected image is zero.
         _, fac, owners = separated_fixture()
-        diag = verify_basis_mapping(fac, owners).diagnostics
+        diag = verify_basis_mapping(fac, owners)["diagnostics"]
         assert diag["distinct_nonzero"] == 2
         assert diag["smallest_singular_value"] == pytest.approx(3.0)
 
     def test_magnitude_map_values(self):
         _, fac, owners = separated_fixture()
-        basis = verify_frame_mapping(fac, owners).diagnostics["per_coordinate_basis"]
+        basis = verify_frame_mapping(fac, owners)["diagnostics"]["per_coordinate_basis"]
         loudest = np.max(np.abs(fac.gamma * fac.alpha[0]), axis=0)
         assert [b["magnitude"] for b in basis] == pytest.approx(loudest)
         assert all(b["magnitude"] >= 0 for b in basis)
@@ -190,9 +190,9 @@ class TestProjectionSets:
         gamma = np.array([[0, 1], [1, 1]], dtype=complex)
         fac = Factorization(gamma, np.ones((1, 2)))
         report = verify_frame_mapping(fac, TWO_SENSOR_OWNERS, failed=1)
-        assert report.diagnostics["missing_coordinates"] == [0]
+        assert report["diagnostics"]["missing_coordinates"] == [0]
         healthy = verify_frame_mapping(fac, TWO_SENSOR_OWNERS)
-        labels = [b["label"] for b in healthy.diagnostics["per_coordinate_basis"]]
+        labels = [b["label"] for b in healthy["diagnostics"]["per_coordinate_basis"]]
         assert labels == [[0, 1], [1, 0]]
 
 
@@ -200,50 +200,50 @@ class TestVerifiers:
     def test_basis_mapping_on_fixture(self):
         _, fac, owners = separated_fixture()
         report = verify_basis_mapping(fac, owners)
-        assert report.applicable and report.conclusion
-        assert report.diagnostics["distinct_nonzero"] == 2
+        assert report["applicable"] and report["conclusion"]
+        assert report["diagnostics"]["distinct_nonzero"] == 2
 
     def test_basis_mapping_degrades_under_failure(self):
         _, fac, owners = separated_fixture()
         report = verify_basis_mapping(fac, owners, failed=0)
-        assert report.applicable and report.conclusion
-        assert 0 in report.diagnostics["missing_coordinates"]
+        assert report["applicable"] and report["conclusion"]
+        assert 0 in report["diagnostics"]["missing_coordinates"]
 
     def test_frame_mapping_on_fixture(self):
         _, fac, owners = separated_fixture()
         report = verify_frame_mapping(fac, owners)
-        assert report.applicable and report.conclusion
+        assert report["applicable"] and report["conclusion"]
 
     def test_frame_mapping_survives_failure_when_harmonious(self):
         _, fac, owners = separated_fixture()
         report = verify_frame_mapping(fac, owners, failed=0)
-        assert report.applicable and report.conclusion
+        assert report["applicable"] and report["conclusion"]
 
     def test_frame_mapping_disjoint_failure_loses_exactly_owned_coords(self):
         gamma = np.array([[2, 1, 0], [1, 2, 0], [0, 0, 5]], dtype=complex)
         fac = Factorization(gamma, np.ones((1, 3)))
         owners = build_index_sets(fac.images())
         report = verify_frame_mapping(fac, owners, failed=2)
-        assert not report.applicable  # harmony fails at the isolated sensor
-        assert report.conclusion is None
-        assert not report.diagnostics["spans"]
-        assert report.diagnostics["missing_coordinates"] == np.flatnonzero(owners == 2).tolist()
+        assert not report["applicable"]  # harmony fails at the isolated sensor
+        assert report["conclusion"] is None
+        assert not report["diagnostics"]["spans"]
+        assert report["diagnostics"]["missing_coordinates"] == np.flatnonzero(owners == 2).tolist()
 
     def test_projective_frame_on_fixture(self):
         _, fac, owners = separated_fixture()
         report = verify_projective_frame(fac, owners)
-        assert report.applicable and report.conclusion
-        assert report.diagnostics["cardinality"] == 6
+        assert report["applicable"] and report["conclusion"]
+        assert report["diagnostics"]["cardinality"] == 6
 
     def test_projective_frame_with_failure(self):
         _, fac, owners = separated_fixture()
         report = verify_projective_frame(fac, owners, failed=0)
-        assert report.applicable and report.conclusion
+        assert report["applicable"] and report["conclusion"]
 
     def test_strong_dominance_on_fixture(self):
         _, fac, _ = separated_fixture()
         report = verify_strong_dominance_frame(fac)
-        assert report.applicable and report.conclusion
+        assert report["applicable"] and report["conclusion"]
         mags = np.abs(
             fac.gamma[:, None, :] * fac.alpha[None, :, :]
         ).reshape(-1, 2)
@@ -252,7 +252,7 @@ class TestVerifiers:
     def test_strong_dominance_margins_on_fixture(self):
         _, fac, _ = separated_fixture()
         report = verify_strong_dominance_frame(fac)
-        for margin in report.diagnostics["dominance_margins"]:
+        for margin in report["diagnostics"]["dominance_margins"]:
             assert margin["dominance_ratio"] < 1
             assert 1 / margin["dominance_ratio"] == pytest.approx(1.5)
 
@@ -260,16 +260,16 @@ class TestVerifiers:
         gamma = np.array([[1, 2], [1, 0.5]], dtype=complex)
         fac = Factorization(gamma, np.ones((1, 2)))
         report = verify_strong_dominance_frame(fac)
-        assert not report.applicable
-        assert report.conclusion is None
+        assert not report["applicable"]
+        assert report["conclusion"] is None
 
     def test_strong_dominance_needs_enough_sensors(self):
         gamma = np.array([[3, 1, 1], [1, 3, 1]], dtype=complex)  # n=3 > N=2
         fac = Factorization(gamma, np.ones((1, 3)))
         report = verify_strong_dominance_frame(fac)
-        assert not report.applicable
-        assert report.conclusion is None
-        assert "spans" in report.diagnostics  # diagnostics still reported
+        assert not report["applicable"]
+        assert report["conclusion"] is None
+        assert "spans" in report["diagnostics"]  # diagnostics still reported
 
     def test_conservative_when_not_radiative(self):
         gamma = np.ones((2, 2), dtype=complex)
@@ -280,8 +280,8 @@ class TestVerifiers:
             verify_frame_mapping(fac, TWO_SENSOR_OWNERS),
             verify_projective_frame(fac, TWO_SENSOR_OWNERS),
         ):
-            assert not report.applicable
-            assert report.conclusion is None
+            assert not report["applicable"]
+            assert report["conclusion"] is None
 
     def test_reports_serialize_to_json(self):
         _, fac, owners = separated_fixture()
@@ -292,15 +292,14 @@ class TestVerifiers:
             verify_projective_frame(fac, owners, failed=1),
             verify_strong_dominance_frame(fac),
         ):
-            doc = report.to_json_dict()
-            assert json.loads(json.dumps(doc)) == doc
+            assert json.loads(json.dumps(report)) == report
 
     def test_owners_as_a_list_give_the_same_reports(self):
         _, fac, owners = separated_fixture()
         for verify in (verify_basis_mapping, verify_frame_mapping, verify_projective_frame):
             for failed in (None, 0, 1, 2):
-                as_list = verify(fac, owners.tolist(), failed=failed).to_json_dict()
-                assert as_list == verify(fac, owners, failed=failed).to_json_dict()
+                as_list = verify(fac, owners.tolist(), failed=failed)
+                assert as_list == verify(fac, owners, failed=failed)
 
 
 # Every public entry point that reads an owner vector, on the three-sensor
@@ -384,7 +383,7 @@ def test_closed_form_span_diagnostics_match_dense_svd(n_sensors, times, n, zero_
         (verify_projective_frame(fac, owners, tol, failed), images),
     )
     for report, values in cases:
-        diag = report.diagnostics
+        diag = report["diagnostics"]
         rows = single_coordinate_rows(values)
         ref = span_certificate(VectorSet(rows), tol)
         assert diag["spans"] == ref.spans
@@ -393,7 +392,7 @@ def test_closed_form_span_diagnostics_match_dense_svd(n_sensors, times, n, zero_
         for key in ("smallest_singular_value", "largest_singular_value"):
             assert diag[key] == pytest.approx(getattr(ref, key), rel=1e-12, abs=1e-12)
         if not diag["spans"]:
-            witness = diag["witness"]
+            witness = np.array(diag["witness"]) @ [1, 1j]  # [[re, im], ...] -> complex
             assert np.linalg.norm(witness) == pytest.approx(1.0)
             assert np.all(np.abs(rows @ witness.conj()) <= tol)
 
@@ -401,9 +400,8 @@ def test_closed_form_span_diagnostics_match_dense_svd(n_sensors, times, n, zero_
 def gauge_view(report):
     """``report``'s gauge-free content: the fields that must match exactly,
     and the numbers that must match to rounding (None where absent)."""
-    doc = report.to_json_dict()
-    diag = doc["diagnostics"]
-    exact = {key: doc[key] for key in ("applicable", "conclusion", "hypotheses")}
+    diag = report["diagnostics"]
+    exact = {key: report[key] for key in ("applicable", "conclusion", "hypotheses")}
     exact.update({key: diag.get(key) for key in ("spans", "missing_coordinates")})
     numbers = [diag.get(key) for key in ("smallest_singular_value", "largest_singular_value")]
     numbers += [b["magnitude"] for b in diag.get("per_coordinate_basis", [])]

@@ -215,6 +215,14 @@ class TestSeparate:
         expected = np.array([[[3, 1]], [[1, 3]], [[1, 1]]], dtype=complex)
         assert np.allclose(products, expected)
 
+    @pytest.mark.parametrize("tol", [1.0, 2.0])
+    def test_tol_of_one_or_more_refused(self, tol):
+        # At tol >= 1 the deviation check is vacuous: it would accept factors
+        # that miss the images entirely.
+        s = three_sensor_projection_scenario()
+        with pytest.raises(ValueError, match="tol must satisfy 0 < tol < 1"):
+            separate(s, factor_readings(s), tol)
+
     def test_scaled_selection_row_moves_into_gamma(self):
         rng = np.random.default_rng(8)
         gamma_hat = rng.standard_normal((2, 3))
