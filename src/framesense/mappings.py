@@ -24,16 +24,23 @@ applicable) and ``diagnostics``.  A witness vector is written as
 ``[[re, im], ...]``.
 
 Ownership is the (n,) int array ``owners`` that ``scenario.build_index_sets``
-returns: sensor j owns I_j = {i : owners[i] == j}.  ``verify_basis_mapping``
-certifies the images of ``basis_map`` itself, the function the detector's
-basis pipeline calls.
+returns: sensor j owns I_j = {i : owners[i] == j}.
+
+The basis, frame and projective sets hold single-coordinate rows, so all three
+read one audibility table, never the (n, N, K) images: ``G = |gamma|^T`` with
+the failed sensor's column zeroed, and ``a_inf`` and ``a_2``, the max and 2-norm
+of each coordinate's |alpha|.  Coordinate i's singular value is
+``G[i, owners[i]] * a_inf[i]`` (basis), ``||G[i]|| * a_inf[i]`` (frame) or
+``||G[i]|| * a_2[i]`` (projective); it is heard when ``max(G[i]) * a_inf[i] > tol``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .frames import DEFAULT_TOL, SpanCertificate, VectorSet, basis_map, check_tol, span_certificate
+from .frames import (
+    DEFAULT_TOL, SpanCertificate, VectorSet, check_tol, owner_vector, span_certificate,
+)
 from .scenario import (
     Factorization,
     is_i_dominant,
@@ -71,25 +78,13 @@ def _radiative_dominant_checks(fac: Factorization, tol: float) -> list:
     ]
 
 
-def _image_values(fac: Factorization, failed: int | None) -> np.ndarray:
-    """Single-coordinate image values gamma_j(i) * alpha_k(i) as an (n, N, K) array.
-
-    A failed sensor's gamma row is zeroed.
-    """
-    gamma = fac.gamma.T.copy()  # (n, N)
+def _audibility(fac: Factorization, failed: int | None) -> tuple:
+    """The audibility table ``(G, a_inf, a_2)``; sensor j at time k hears
+    coordinate i at modulus ``G[i, j] * |alpha_k(i)|``."""
+    g = np.abs(fac.gamma.T)
     if failed is not None:
-        gamma[:, failed] = 0.0
-    return gamma[:, :, None] * fac.alpha.T[:, None, :]
-
-
-def _peak_values(fac: Factorization, failed: int | None) -> np.ndarray:
-    """The (n, N) radiative-set values, at each coordinate's peak time.
-
-    The peak time of coordinate i maximizes |alpha_k(i)|, the smallest k on ties.
-    """
-    n = fac.alpha.shape[1]
-    peak = np.argmax(np.abs(fac.alpha), axis=0)
-    return _image_values(fac, failed)[np.arange(n), :, peak]
+        g[:, failed] = 0.0
+    return g, np.abs(fac.alpha).max(axis=0), np.linalg.norm(fac.alpha, axis=0)
 
 
 def _span_diagnostics(cert: SpanCertificate, heard: np.ndarray) -> dict:
@@ -104,20 +99,21 @@ def _span_diagnostics(cert: SpanCertificate, heard: np.ndarray) -> dict:
     }
 
 
-def _coordinate_span_diagnostics(values: np.ndarray, tol: float) -> dict:
-    """Span diagnostics of the rows ``e_i * values[i, ...]``, in closed form.
-
-    Their frame operator is ``diag(||values[i]||^2)``, so the singular values
-    are the row norms, and e_i of the weakest coordinate is the witness.
-    """
+def _coordinate_span_diagnostics(norms: np.ndarray, loudest: np.ndarray, tol: float) -> dict:
+    """Span diagnostics of rows ``e_i * v`` from each coordinate's ``norms`` and
+    ``loudest`` modulus: the frame operator is ``diag(norms**2)``, so the norms
+    are the singular values and e_i of the weakest coordinate is the witness;
+    coordinate i is heard when ``loudest[i] > tol``."""
     check_tol(tol)
-    per = values.reshape(values.shape[0], -1)
-    norms = np.linalg.norm(per, axis=1)
     weakest = int(np.argmin(norms))  # smallest i on ties
     spans = bool(norms[weakest] ** 2 > tol)  # the test span_certificate applies
-    witness = None if spans else np.eye(len(norms), dtype=np.complex128)[weakest]
-    cert = SpanCertificate(spans, witness, float(norms[weakest]), float(norms.max()))
-    return _span_diagnostics(cert, np.any(np.abs(per) > tol, axis=1))
+    return {
+        "spans": spans,
+        "smallest_singular_value": float(norms[weakest]),
+        "largest_singular_value": float(norms.max()),
+        "missing_coordinates": np.flatnonzero(~(loudest > tol)).tolist(),
+        "witness": None if spans else [[float(i == weakest), 0.0] for i in range(norms.size)],
+    }
 
 
 def verify_basis_mapping(
@@ -136,10 +132,11 @@ def verify_basis_mapping(
     hyps = _radiative_dominant_checks(fac, tol)
     if not all(h["ok"] for h in hyps):
         return _report("basis_mapping", hyps, None, {"note": "hypotheses unmet"})
-    selected = basis_map(_peak_values(fac, failed).T, owners)  # (n,)
-    # the image of coordinate i is e_i * selected[i], so no direction repeats
-    diag = _coordinate_span_diagnostics(selected[:, None], tol)
-    nonzero = np.flatnonzero(np.abs(selected) > tol).tolist()
+    g, a_inf, _ = _audibility(fac, failed)
+    # the image of coordinate i is e_i * its owner's value, so no direction repeats
+    selected = g[np.arange(len(g)), owner_vector(owners, *g.shape[::-1])] * a_inf
+    diag = _coordinate_span_diagnostics(selected, selected, tol)
+    nonzero = np.flatnonzero(selected > tol).tolist()
     diag["nonzero_directions"] = nonzero
     diag["distinct_nonzero"] = len(nonzero)
     if failed is None:
@@ -172,9 +169,9 @@ def verify_frame_mapping(
     hyps = _failure_checks(fac, owners, failed, tol)
     if not all(h["ok"] for h in hyps[:2]):
         return _report("frame_mapping", hyps, None, {"note": "hypotheses unmet"})
-    mags = np.abs(_peak_values(fac, failed))  # (n, N)
-    diag = _coordinate_span_diagnostics(mags, tol)
-    top, top_j = mags.max(axis=1), mags.argmax(axis=1)  # smallest j on ties
+    g, a_inf, _ = _audibility(fac, failed)
+    top, top_j = g.max(axis=1) * a_inf, g.argmax(axis=1)  # smallest j on ties
+    diag = _coordinate_span_diagnostics(np.linalg.norm(g, axis=1) * a_inf, top, tol)
     heard = np.flatnonzero(top > tol)
     diag["per_coordinate_basis"] = [
         {"coordinate": i, "magnitude": mag, "label": [i, j]}
@@ -197,9 +194,9 @@ def verify_projective_frame(
     hyps = _failure_checks(fac, owners, failed, tol)
     if not all(h["ok"] for h in hyps[:2]):
         return _report("projective_frame", hyps, None, {"note": "hypotheses unmet"})
-    values = _image_values(fac, failed)
-    diag = _coordinate_span_diagnostics(values, tol)
-    diag["cardinality"] = values.size
+    g, a_inf, a_2 = _audibility(fac, failed)
+    diag = _coordinate_span_diagnostics(np.linalg.norm(g, axis=1) * a_2, g.max(axis=1) * a_inf, tol)
+    diag["cardinality"] = g.size * len(fac.alpha)
     return _report("projective_frame", hyps, diag["spans"], diag)
 
 

@@ -22,7 +22,7 @@ Memory follows the L live parameters, those with a nonzero reading, not M:
 a scenario holds the live parameters' readings, T_j and S_j as rows of two
 (N, M) bool masks, and the raw factors hold the live columns alone.  On the
 benchmark's spectral scenario (L = 56 of M = 8192) ``theorems`` peaks at
-34.7 MiB with K = 24 times and 45.2 MiB with K = 240, about 30 MiB of it
+34.9 MiB with K = 24 times and 44.4 MiB with K = 240, about 30 MiB of it
 the interpreter and imports (2-vCPU VM, one BLAS thread).
 """
 
@@ -138,8 +138,11 @@ class HealthMap:
         ``v[..., l]`` alone when not ``scaled``; it is 0 when f_i is not in
         ``params``, since a silent parameter reads 0.
         """
-        live = np.isin(self.f_idx, params)
-        col = np.searchsorted(params, self.f_idx[live])
+        # Sorted lookup, not np.isin: under numpy 2.4 np.isin imports numpy.ma.
+        col = np.searchsorted(params, self.f_idx)  # where f_i sits, or would sit
+        live = col < len(params)
+        live[live] = params[col[live]] == self.f_idx[live]
+        col = col[live]
         out = np.zeros((*v.shape[:-1], self.n), dtype=np.complex128)
         out[..., live] = v[..., col] * self.scales[live] if scaled else v[..., col]
         return out

@@ -1218,10 +1218,12 @@ def test_module_entrypoint_smoke():
 # What the ``framesense`` console script runs.
 CLI_ENTRY = "import sys; from framesense.cli import main; sys.exit(main())"
 # The same, with an atexit handler registered before main's that reports on
-# stderr the framesense modules the run loaded; it must still run at exit.
+# stderr the framesense modules the run loaded, and numpy.ma if it was loaded;
+# it must still run at exit.
 CLI_LOADED = (
     "import atexit, sys; atexit.register(lambda: print(sorted("
-    "m for m in sys.modules if m.startswith('framesense.')), file=sys.stderr)); "
+    "m for m in sys.modules if m.startswith('framesense.') or m == 'numpy.ma'), "
+    "file=sys.stderr)); "
     "from framesense.cli import main; sys.exit(main())"
 )
 # What ``generate``, ``detect`` and ``sweep`` load: no scenario algebra.
@@ -1238,11 +1240,18 @@ class TestProcess:
     """Commands run as the console script runs them: each in a fresh process."""
 
     def test_each_command_loads_only_its_layers(self, tmp_path):
+        # No command loads numpy.ma. The spectral scenario's selection map
+        # reads 28 of 56 live parameters spread over 8192, where np.isin
+        # would sort with np.unique, which imports numpy.ma.
         (tmp_path / "c.json").write_text(json.dumps(SMALL_CONFIG))
+        (tmp_path / "spectral.json").write_text(json.dumps(spectral_doc(3)))
         dataset_args = ["--config", "c.json", "--seed", "3"]
         commands = [
             (["validate", HARMONIOUS], ["cli", "frames", "scenario"]),
+            (["validate", "spectral.json"], ["cli", "frames", "scenario"]),
             (["theorems", HARMONIOUS, "--out", "t"], ["cli", "frames", "mappings", "scenario"]),
+            (["theorems", "spectral.json", "--out", "ts"],
+             ["cli", "frames", "mappings", "scenario"]),
             (["generate", *dataset_args, "--out", "g"], RUN_LAYERS),
             (["detect", *dataset_args, "--data", "g", "--out", "d"], RUN_LAYERS),
             (["sweep", *dataset_args, "--snr-range", "-2:0:1", "--out", "s"], RUN_LAYERS),

@@ -395,6 +395,18 @@ def test_closed_form_span_diagnostics_match_dense_svd(n_sensors, times, n, zero_
             witness = np.array(diag["witness"]) @ [1, 1j]  # [[re, im], ...] -> complex
             assert np.linalg.norm(witness) == pytest.approx(1.0)
             assert np.all(np.abs(rows @ witness.conj()) <= tol)
+    basis, frame, projective = (report["diagnostics"] for report, _ in cases)
+    selected = np.abs(cases[0][1]).max(axis=1)  # each coordinate's owner value
+    assert basis["nonzero_directions"] == np.flatnonzero(selected > tol).tolist()
+    assert basis["distinct_nonzero"] == np.count_nonzero(selected > tol)
+    mags = np.abs(peak)
+    top = mags.max(axis=1)
+    heard = np.flatnonzero(top > tol)
+    entries = frame["per_coordinate_basis"]
+    assert [e["coordinate"] for e in entries] == heard.tolist()
+    assert [e["label"] for e in entries] == [[i, int(np.argmax(mags[i]))] for i in heard]
+    assert [e["magnitude"] for e in entries] == pytest.approx(top[heard].tolist(), rel=1e-12)
+    assert projective["cardinality"] == images.size
 
 
 def gauge_view(report):

@@ -236,6 +236,21 @@ class TestSeparate:
         assert np.allclose(f2.gamma[:, 1], 2.5 * f1.gamma[:, 1])
         assert np.allclose(f2.alpha, f1.alpha)
 
+    def test_select_reads_silent_parameters_as_zero(self):
+        # Rows 5 (between live parameters) and 9 (past the last) read 0.
+        health = HealthMap.selection(4, [(1, 2.0), (5, 1.0), (6, 3.0), (9, 1.0)])
+        v = np.array([[10.0, 20.0, 30.0], [1.0, 2.0, 3.0j]])
+        params = np.array([1, 4, 6])
+        assert np.array_equal(health.select(v, params), [[20, 0, 90, 0], [2, 0, 9j, 0]])
+        assert np.array_equal(health.select(v, params, scaled=False),
+                              [[10, 0, 30, 0], [1, 0, 3j, 0]])
+
+    def test_select_with_no_live_parameters_reads_zeros(self):
+        health = HealthMap.selection(2, [(0, 1.0), (3, 2.0)])
+        out = health.select(np.zeros((3, 0)), np.array([], dtype=np.int64))
+        assert out.shape == (3, 2) and out.dtype == np.complex128
+        assert not out.any()
+
     def test_general_linear_with_constant_volumes(self):
         rng = np.random.default_rng(15)
         gamma_hat = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
