@@ -153,7 +153,8 @@ def cmd_validate(args) -> int:
             print(f"  - {v}")
     fac = None
     try:
-        fac = separate(s, factor_readings(s, args.tol), args.tol)
+        factor_readings(s, args.tol)
+        fac = separate(s, args.tol)
         print("pre-separable: yes")
         print(f"separable: yes ({s.health.kind} health map)")
     except NotPreSeparableError as err:
@@ -161,7 +162,8 @@ def cmd_validate(args) -> int:
         print("separable: no")
     except NotSeparableError as err:
         print("pre-separable: yes")
-        print(f"separable: no ({err})")
+        coords = [i + 1 for i in err.offending]
+        print(f"separable: no ({f'rank > 1 at coordinates {coords}' if coords else err})")
     if fac is not None:
         owners = build_index_sets(s.health_images(), args.tol)
         print("coordinate predicates (1-based):")
@@ -210,7 +212,8 @@ def cmd_theorems(args) -> int:
             print(f"  - {v}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        fac = separate(s, factor_readings(s, args.tol), args.tol)
+        factor_readings(s, args.tol)
+        fac = separate(s, args.tol)
     except (NotPreSeparableError, NotSeparableError) as err:
         print(f"scenario is not separable: {err}", file=sys.stderr)
         return EXIT_DOMAIN

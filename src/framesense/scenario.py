@@ -5,24 +5,27 @@ hear the parameters in its covering set T_j and bears primary responsibility
 for the partition set S_j.  Readings factor (when the scenario is
 pre-separable) into a per-sensor sensitivity profile and a per-time volume
 profile, and a health map carries everything into a low-dimensional space
-C^n where the same factorization persists.  There each coordinate has one
+C^n.  The scenario is separable when the health images factor the same way,
+H(v_jk)(i) = gamma_j(i) * alpha_k(i): at each coordinate i the N-by-K matrix
+of images has rank at most one within tol.  In C^n each coordinate has one
 owner, the sensor that hears it best: :func:`build_index_sets` returns
 them as the (n,) int array ``owners``, and sensor j's responsibility set is
 I_j = {i : owners[i] == j}.  The predicates at the bottom (radiative,
 dominant, harmonious, operational) quantify which coordinates are being
 emitted, heard, and shared between sensors.
 
-Each stage hands the next a plain value: :func:`validate_scenario` a list of
+Each stage returns a plain value: :func:`validate_scenario` a list of
 violations, :func:`factor_readings` the raw factors ``(gamma_hat,
-alpha_hat)``, and :func:`separate` a :class:`Factorization`, the
-health-space factors ``gamma`` and ``alpha`` that every predicate and
-verifier reads.
+alpha_hat)`` of the readings, and :func:`separate` a :class:`Factorization`,
+the rank-1 factors ``gamma`` and ``alpha`` of the health images that every
+predicate and verifier reads.  Both factor by one rule, whatever the health
+map's kind, with one liveness threshold and one balanced gauge.
 
 Memory follows the L live parameters, those with a nonzero reading, not M:
 a scenario holds the live parameters' readings, T_j and S_j as rows of two
 (N, M) bool masks, and the raw factors hold the live columns alone.  On the
 benchmark's spectral scenario (L = 56 of M = 8192) ``theorems`` peaks at
-34.9 MiB with K = 24 times and 44.4 MiB with K = 240, about 30 MiB of it
+34.0 MiB with K = 24 times and 43.5 MiB with K = 240, about 30 MiB of it
 the interpreter and imports (2-vCPU VM, one BLAS thread).
 """
 
@@ -54,7 +57,16 @@ class NotPreSeparableError(ValueError):
 
 
 class NotSeparableError(ValueError):
-    """No supported health-map route carries the factorization into C^n."""
+    """The health images do not factor as gamma_j(i) * alpha_k(i) within tol.
+
+    ``offending`` lists the coordinates whose N-by-K image matrix has rank
+    > 1; it is empty when each has rank 1 but the factors' products still
+    miss the images.
+    """
+
+    def __init__(self, message: str, offending=()):
+        self.offending = tuple(int(i) for i in offending)
+        super().__init__(message)
 
 
 class UncoverableIndexError(ValueError):
@@ -130,13 +142,12 @@ class HealthMap:
             return self.select(v, np.arange(v.shape[-1]))
         return v @ self.matrix.T
 
-    def select(self, v: np.ndarray, params: np.ndarray, scaled: bool = True) -> np.ndarray:
+    def select(self, v: np.ndarray, params: np.ndarray) -> np.ndarray:
         """A selection map's (..., n) outputs read from (..., L) ``v``, whose
         column l holds parameter ``params[l]`` (sorted).
 
-        Output i is ``scale_i * v[..., l]`` where ``params[l] = f_i``, or
-        ``v[..., l]`` alone when not ``scaled``; it is 0 when f_i is not in
-        ``params``, since a silent parameter reads 0.
+        Output i is ``scale_i * v[..., l]`` where ``params[l] = f_i``; it is 0
+        when f_i is not in ``params``, since a silent parameter reads 0.
         """
         # Sorted lookup, not np.isin: under numpy 2.4 np.isin imports numpy.ma.
         col = np.searchsorted(params, self.f_idx)  # where f_i sits, or would sit
@@ -144,7 +155,7 @@ class HealthMap:
         live[live] = params[col[live]] == self.f_idx[live]
         col = col[live]
         out = np.zeros((*v.shape[:-1], self.n), dtype=np.complex128)
-        out[..., live] = v[..., col] * self.scales[live] if scaled else v[..., col]
+        out[..., live] = v[..., col] * self.scales[live]
         return out
 
 
@@ -329,6 +340,31 @@ def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> list:
     return violations
 
 
+def _rank1_factors(stack: np.ndarray, tol: float) -> tuple:
+    """Rank-1 factors of each N-by-K matrix of the (L, N, K) ``stack``.
+
+    Returns ``(gamma, alpha, offending)``: gamma (L, N) and alpha (L, K), with
+    ``stack[l]`` close to the outer product of ``gamma[l]`` and ``alpha[l]``,
+    and an (L,) bool marking the matrices of rank > 1.  Matrix l is live when
+    its top singular value s1 exceeds ``tol * max(1, max|stack|)``; a quiet
+    one keeps both factors 0 and is never offending.  A live one is offending
+    when its second singular value exceeds ``tol * s1``.  The gauge makes the
+    strongest sensor's entry of gamma real and nonnegative and gives both
+    factors the norm sqrt(s1).
+    """
+    scale = max(1.0, float(np.max(np.abs(stack)))) if stack.size else 1.0
+    u, sv, vh = np.linalg.svd(stack, full_matrices=False)
+    u0, top_sv, vh0 = u[:, :, 0], sv[:, 0], vh[:, 0, :]  # (L, N), (L,), (L, K)
+    live = top_sv > tol * scale
+    offending = live & (sv[:, 1] > tol * top_sv) if sv.shape[1] > 1 else np.zeros_like(live)
+    top = np.take_along_axis(u0, np.argmax(np.abs(u0), axis=1)[:, None], axis=1)
+    phase = np.conj(top) / np.abs(top)  # (L, 1)
+    root = np.sqrt(top_sv)[:, None]
+    gamma = np.where(live[:, None], root * u0 * phase, 0.0)
+    alpha = np.where(live[:, None], root * vh0 * np.conj(phase), 0.0)
+    return gamma, alpha, offending
+
+
 def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> tuple:
     """Extract rank-1 factors of the readings at every parameter.
 
@@ -342,85 +378,36 @@ def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> tuple:
     those of a live one whose top singular value is within tol.
     """
     check_tol(tol)
-    r, nz = s.values, s.params
-    scale = max(1.0, float(np.max(np.abs(r)))) if r.size else 1.0
-    u, sv, vh = np.linalg.svd(r.transpose(2, 0, 1), full_matrices=False)
-    u0, top_sv, vh0 = u[:, :, 0], sv[:, 0], vh[:, 0, :]  # (L, N), (L,), (L, K)
-    live = top_sv > tol * scale  # a quiet parameter keeps both factors zero
-    if sv.shape[1] > 1:
-        offending = nz[live & (sv[:, 1] > tol * top_sv)]
-        if offending.size:
-            raise NotPreSeparableError(offending)
-    top = np.take_along_axis(u0, np.argmax(np.abs(u0), axis=1)[:, None], axis=1)
-    phase = np.conj(top) / np.abs(top)  # (L, 1)
-    root = np.sqrt(top_sv)[:, None]
-    gamma_hat = np.where(live[:, None], root * u0 * phase, 0.0).T
-    alpha_hat = np.where(live[:, None], root * vh0 * np.conj(phase), 0.0).T
-    return gamma_hat, alpha_hat
+    gamma_hat, alpha_hat, offending = _rank1_factors(s.values.transpose(2, 0, 1), tol)
+    if offending.any():
+        raise NotPreSeparableError(s.params[offending])
+    return gamma_hat.T, alpha_hat.T
 
 
-def constant_volume_regauge(raw: tuple, M: int, tol: float = DEFAULT_TOL) -> tuple | None:
-    """Rescale the raw factors so the volume factor is parameter-independent.
+def separate(s: Scenario, tol: float = DEFAULT_TOL) -> Factorization:
+    """Factor the health images: H(v_jk)(i) = gamma_j(i) * alpha_k(i).
 
-    ``raw`` is the ``(gamma_hat, alpha_hat)`` pair :func:`factor_readings`
-    returns, and ``M`` the scenario's parameter count.  The split of each
-    reading into sensitivity and volume carries a free per-parameter
-    scalar, so constancy across parameters is a property of one particular
-    split.  A constant-volume split exists exactly when the live volume
-    columns are parallel; this absorbs the per-parameter scale into the
-    sensitivities and returns the rescaled (N, L) ``gamma_hat`` with the
-    common (K,) volume, or None when no such split exists.  When every
-    volume column is within tol, the common volume is their mean over all M
-    parameters, a silent parameter counting as a zero column.
-    """
-    gamma_hat, a = raw  # (N, L), (K, L)
-    norms = np.linalg.norm(a, axis=0)
-    scale = float(norms.max()) if norms.size else 0.0
-    live = norms > tol * max(1.0, scale)
-    if not np.any(live):  # everything silent: volumes are constantly zero
-        return gamma_hat, a.sum(axis=1) / M
-    u, sv, _ = np.linalg.svd(a[:, live])
-    if sv.shape[0] > 1 and sv[1] > tol * sv[0]:
-        return None
-    common = u[:, 0] * sv[0]
-    lam = np.zeros(a.shape[1], dtype=np.complex128)
-    lam[live] = (common.conj() @ a[:, live]) / (np.linalg.norm(common) ** 2)
-    return gamma_hat * lam[None, :], common
-
-
-def separate(s: Scenario, raw: tuple, tol: float = DEFAULT_TOL) -> Factorization:
-    """Carry the raw factors of :func:`factor_readings` into health space.
-
-    ``raw`` is the ``(gamma_hat, alpha_hat)`` pair over ``s.params``.  A
-    selection health map always separates.  A general linear map mixes
-    parameters, so it needs one volume factor shared by all of them:
-    :func:`constant_volume_regauge` moves each parameter's free scale into
-    its sensitivity, and NotSeparableError is raised when no such split
-    exists.  The returned factors satisfy H(v_jk)(i) = gamma_j(i) *
-    alpha_k(i) within tol, or NotSeparableError says by how much they miss.
+    The scenario is separable when, at every health coordinate i, the N-by-K
+    matrix of images H(v_jk)(i) has numerical rank at most one; its rank-1
+    factors are then that coordinate's columns of ``gamma`` and ``alpha``.
+    Every coordinate is factored by the rule :func:`factor_readings` applies
+    to each parameter's readings, with tol taken relative to the largest
+    image, so the result depends on the images alone, never on the health
+    map's kind or on parameters it ignores.  :class:`NotSeparableError` lists
+    the coordinates of rank > 1, or says by how much the factors' products
+    miss the images when that exceeds ``tol * max(1, max|images|)``.
     """
     check_tol(tol)
-    h = s.health
-    if h.kind == "selection_matrix":
-        gamma_hat, alpha_hat = raw
-        fac = Factorization(h.select(gamma_hat, s.params),
-                            h.select(alpha_hat, s.params, scaled=False))
-    else:
-        regauged = constant_volume_regauge(raw, s.M, tol)
-        if regauged is None:
-            raise NotSeparableError(
-                "general linear health map requires a constant-volume "
-                "split of the factors, and none exists"
-            )
-        gamma_hat, volume = regauged
-        fac = Factorization(gamma_hat @ h.matrix[:, s.params].T,
-                            np.repeat(volume[:, None], h.n, axis=1))
     images = s.health_images()
+    gamma, alpha, offending = _rank1_factors(images.transpose(2, 0, 1), tol)
+    if offending.any():
+        offending = np.flatnonzero(offending)
+        raise NotSeparableError(
+            f"health images have rank > 1 at coordinate indices {offending.tolist()}", offending)
+    fac = Factorization(gamma.T, alpha.T)
     err = np.max(np.abs(images - fac.images()))
     if err > tol * max(1.0, float(np.max(np.abs(images)))):
-        raise NotSeparableError(
-            f"factor products deviate from health images by {err:.3e}"
-        )
+        raise NotSeparableError(f"factor products deviate from health images by {err:.3e}")
     return fac
 
 

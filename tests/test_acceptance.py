@@ -97,7 +97,7 @@ def test_c2_three_sensor_multiplicative_frame():
         from framesense.scenario import scenario_from_json_dict
 
         s = scenario_from_json_dict(json.load(fh))
-    fac = separate(s, factor_readings(s))
+    fac = separate(s)
     report = verify_strong_dominance_frame(fac)
     if not (report["applicable"] and report["conclusion"]):
         failures.append("strong-dominance certification did not pass")
@@ -207,7 +207,7 @@ def _random_separable(rng, all_audible=False):
         if np.max(np.abs(alpha[:, i])) < 0.5:
             alpha[rng.integers(0, n_times), i] = 1.0 - 0.5j
     s = Scenario.from_factors(gamma, alpha, HealthMap.identity(n))
-    fac = separate(s, factor_readings(s))
+    fac = separate(s)
     return s, fac, build_index_sets(s.health_images())
 
 
@@ -225,7 +225,7 @@ def _disjoint_scenario(rng):
     gamma[isolated, owned] = 2.0
     alpha = 0.5 + rng.uniform(0.0, 1.0, (1, n))
     s = Scenario.from_factors(gamma.astype(complex), alpha.astype(complex), HealthMap.identity(n))
-    fac = separate(s, factor_readings(s))
+    fac = separate(s)
     owners = build_index_sets(s.health_images())
     return fac, owners, isolated, tuple(sorted(int(i) for i in owned))
 
@@ -310,8 +310,8 @@ def test_c6_zero_noise_simulation_contracts():
     cfg = turbine.SimConfig(samples_per_state=64)
     scenario = turbine.dataset_scenario(FLEET, mix, cfg, states)
     try:
-        gamma_hat, _ = raw = factor_readings(scenario, tol=1e-7)
-        fac = separate(scenario, raw, tol=1e-6)
+        gamma_hat, _ = factor_readings(scenario, tol=1e-7)
+        fac = separate(scenario, tol=1e-6)
     except Exception as err:  # pragma: no cover - failure is reported below
         failures.append(f"separability failed: {err}")
         fac = None

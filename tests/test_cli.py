@@ -29,7 +29,6 @@ from framesense.scenario import (
     Scenario,
     _readings,
     build_index_sets,
-    constant_volume_regauge,
     factor_readings,
     scenario_from_json_dict,
     scenario_to_json_dict,
@@ -101,8 +100,9 @@ def spectral_doc(times):
 
 def general_linear_doc():
     """A general linear map over 3 sensors, 2 times and 6 parameters, two of
-    them silent.  The volume factors differ in scale from parameter to
-    parameter, so ``separate`` takes the regauge path."""
+    them silent.  The volume columns are parallel but differ in scale from
+    parameter to parameter, so the images, each mixing the four live
+    parameters, still have rank 1 at every coordinate."""
     rng = np.random.default_rng(5)
     gamma_hat = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
     gamma_hat[:, [1, 4]] = 0
@@ -297,11 +297,10 @@ class TestValidate:
             assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("scale,validate_code", [(1e308, 2), (1e200, 0)])
+    @pytest.mark.parametrize("scale,validate_code", [(1e308, 2)])
     def test_overflowing_selection_scale_exits_2(self, tmp_path, capsys, scale, validate_code):
         # At 1e308 the images pass float64, and validate used to exit 0 and
-        # report a separable scenario found from inf; at 1e200 only the
-        # squares theorems takes do.
+        # report a separable scenario found from inf.
         doc = json.loads(Path(HARMONIOUS).read_text())
         doc["health"]["rows"][0][2] = scale
         path = tmp_path / "huge.json"
@@ -311,6 +310,22 @@ class TestValidate:
         assert cli.main(["theorems", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: overflow encountered")
         assert not out.exists()
+
+    def test_huge_selection_scale_silences_the_quiet_coordinate(self, tmp_path, capsys):
+        # Images of 1e200 at coordinate 1 make the harmonious fixture's images
+        # near 1 at coordinate 2 silent, within tol * max|images|.  Each factor
+        # carries the root of 1e200, so squaring one cannot overflow.
+        doc = json.loads(Path(HARMONIOUS).read_text())
+        doc["health"]["rows"][0][2] = 1e200
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 0
+        assert "\n  2  no  no  no  2\n" in capsys.readouterr().out
+        out = tmp_path / "o"
+        assert cli.main(["theorems", str(path), "--out", str(out)]) == 0
+        verdicts = capsys.readouterr().out.splitlines()[:4]
+        assert all("hypotheses unmet" in v for v in verdicts), verdicts
+        assert len(list(out.glob("theorem_*.json"))) == 4
 
     @pytest.mark.parametrize(
         "edit",
@@ -440,7 +455,6 @@ class TestValidate:
             dense = dense_doc(sparse)
             parsed = scenario_from_json_dict(sparse)
             assert parsed.params.tolist() == [0, 2, 3, 5]
-            assert constant_volume_regauge(factor_readings(parsed), parsed.M) is not None
         else:
             path = {"harmonious": HARMONIOUS, "isolated": ISOLATED}[source]
             dense, sparse, tol = json.loads(Path(path).read_text()), sparse_doc(path), "1e-9"
@@ -500,7 +514,7 @@ class TestValidate:
         tracemalloc.start()
         try:
             raw = factor_readings(s, 1e-7)
-            separate(s, raw, 1e-6)
+            separate(s, 1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -510,7 +524,7 @@ class TestValidate:
     def test_factor_products_off_the_images_are_not_separable(self, tmp_path, capsys):
         s, doc = off_product_doc()
         with pytest.raises(scenario.NotSeparableError, match="factor products deviate"):
-            separate(s, factor_readings(s))
+            separate(s)
         path = tmp_path / "off.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["validate", str(path)]) == 0
@@ -522,6 +536,53 @@ class TestValidate:
         assert capsys.readouterr().err.startswith(
             "scenario is not separable: factor products deviate from health images by ")
         assert not out_dir.exists()
+
+    def test_images_of_rank_two_are_not_separable(self, tmp_path, capsys):
+        # Each parameter's readings have rank 1, but the one coordinate mixes
+        # two parameters with independent factors: its images have rank 2.
+        rng = np.random.default_rng(6)
+        gamma_hat, alpha_hat = rng.standard_normal((3, 2)), rng.standard_normal((2, 2))
+        s = Scenario.from_factors(gamma_hat, alpha_hat, HealthMap.linear([[1.0, 0.5]]))
+        with pytest.raises(scenario.NotSeparableError) as err:
+            separate(s)
+        assert err.value.offending == (0,)
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(scenario_to_json_dict(s)))
+        assert cli.main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "validity: OK\npre-separable: yes\nseparable: no (rank > 1 at coordinates [1])\n" in out
+        out_dir = tmp_path / "reports"
+        assert cli.main(["theorems", str(path), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "scenario is not separable: health images have rank > 1 at coordinate indices [0]\n")
+        assert not out_dir.exists()
+
+    def test_parameters_the_map_ignores_change_no_verdict(self, tmp_path, capsys, monkeypatch):
+        # Coordinate 1 reads parameter 0 alone, with images of about 3e-8.
+        # Adding 1000 live parameters of weight 0 leaves the images as they
+        # were, and so the validate table and every report.
+        outputs = []
+        for extra in (0, 1000):
+            gamma_hat = np.ones((2, 1 + extra))
+            gamma_hat[:, 0] = [1e-8, 0.5e-8]
+            alpha_hat = np.ones((2, 1 + extra)) * [[3.0], [2.0]]
+            matrix = np.zeros((1, 1 + extra))
+            matrix[0, 0] = 1.0
+            s = Scenario.from_factors(gamma_hat, alpha_hat, HealthMap.linear(matrix))
+            work = tmp_path / str(extra)
+            work.mkdir()
+            monkeypatch.chdir(work)
+            Path("s.json").write_text(json.dumps(scenario_to_json_dict(s)))
+            codes = [cli.main(["validate", "s.json", "--tol", "1e-9"])]
+            table = capsys.readouterr().out.split("\n", 1)[1]  # past the line giving M
+            assert "\n  1  yes  yes  yes  1\n" in table
+            for fail in ([], ["--fail-sensor", "1"], ["--fail-sensor", "2"]):
+                codes.append(cli.main(["theorems", "s.json", "--tol", "1e-9",
+                                       "--out", "r" + "".join(fail[1:]), *fail]))
+            reports = {str(p): p.read_bytes() for p in sorted(Path().rglob("theorem_*.json"))}
+            outputs.append((codes, table, capsys.readouterr(), reports))
+        assert len(outputs[0][3]) == 12
+        assert outputs[0] == outputs[1]
 
     def test_invalid_scenario_exits_1(self, tmp_path, capsys):
         doc = json.loads(Path(HARMONIOUS).read_text())
@@ -622,7 +683,7 @@ class TestTheorems:
     def test_each_report_file_is_the_verifier_dict(self, tmp_path, fixture):
         # theorems writes what each verifier returns, with no failure and with each one.
         s = scenario_from_json_dict(json.loads(Path(fixture).read_text()))
-        fac = separate(s, factor_readings(s))
+        fac = separate(s)
         owners = build_index_sets(s.health_images())
         for failed in (None, *range(s.N)):
             out_dir = tmp_path / f"reports_{failed}"

@@ -16,7 +16,6 @@ from framesense.scenario import (
     Factorization,
     HealthMap,
     build_index_sets,
-    factor_readings,
     is_harmonious,
     is_j_harmonious,
     sensor_status,
@@ -33,7 +32,7 @@ STACK = np.array([[10, 2], [-1, 7]], dtype=complex)
 
 def separated_fixture():
     s = three_sensor_projection_scenario()
-    fac = separate(s, factor_readings(s))
+    fac = separate(s)
     return s, fac, build_index_sets(s.health_images())
 
 

@@ -203,14 +203,14 @@ class TestSeparate:
     def test_identity_selection_copies_factors(self):
         rng = np.random.default_rng(4)
         s = random_separable_scenario(rng, n=3, m=3)
-        gamma_hat, alpha_hat = raw = factor_readings(s)
-        fac = separate(s, raw)
+        gamma_hat, alpha_hat = factor_readings(s)
+        fac = separate(s)
         assert np.allclose(fac.gamma, gamma_hat)
         assert np.allclose(fac.alpha, alpha_hat)
 
     def test_three_sensor_projection_products(self):
         s = three_sensor_projection_scenario()
-        fac = separate(s, factor_readings(s))
+        fac = separate(s)
         products = fac.gamma[:, None, :] * fac.alpha[None, :, :]
         expected = np.array([[[3, 1]], [[1, 3]], [[1, 1]]], dtype=complex)
         assert np.allclose(products, expected)
@@ -221,9 +221,10 @@ class TestSeparate:
         # that miss the images entirely.
         s = three_sensor_projection_scenario()
         with pytest.raises(ValueError, match="tol must satisfy 0 < tol < 1"):
-            separate(s, factor_readings(s), tol)
+            separate(s, tol)
 
-    def test_scaled_selection_row_moves_into_gamma(self):
+    def test_scaled_selection_row_splits_between_factors(self):
+        # The balanced gauge gives each factor the root of the row's scale.
         rng = np.random.default_rng(8)
         gamma_hat = rng.standard_normal((2, 3))
         alpha_hat = rng.standard_normal((2, 3))
@@ -231,10 +232,11 @@ class TestSeparate:
         scaled = HealthMap.selection(2, [(0, 1.0), (1, 2.5)])
         s1 = Scenario.from_factors(gamma_hat, alpha_hat, plain)
         s2 = Scenario.from_factors(gamma_hat, alpha_hat, scaled)
-        f1 = separate(s1, factor_readings(s1))
-        f2 = separate(s2, factor_readings(s2))
-        assert np.allclose(f2.gamma[:, 1], 2.5 * f1.gamma[:, 1])
-        assert np.allclose(f2.alpha, f1.alpha)
+        f1, f2 = separate(s1), separate(s2)
+        assert np.allclose(f2.images()[:, :, 1], 2.5 * f1.images()[:, :, 1])
+        assert np.allclose(f2.images()[:, :, 0], f1.images()[:, :, 0])
+        assert np.allclose(np.abs(f2.gamma[:, 1]), np.sqrt(2.5) * np.abs(f1.gamma[:, 1]))
+        assert np.allclose(np.abs(f2.alpha[:, 1]), np.sqrt(2.5) * np.abs(f1.alpha[:, 1]))
 
     def test_select_reads_silent_parameters_as_zero(self):
         # Rows 5 (between live parameters) and 9 (past the last) read 0.
@@ -242,8 +244,6 @@ class TestSeparate:
         v = np.array([[10.0, 20.0, 30.0], [1.0, 2.0, 3.0j]])
         params = np.array([1, 4, 6])
         assert np.array_equal(health.select(v, params), [[20, 0, 90, 0], [2, 0, 9j, 0]])
-        assert np.array_equal(health.select(v, params, scaled=False),
-                              [[10, 0, 30, 0], [1, 0, 3j, 0]])
 
     def test_select_with_no_live_parameters_reads_zeros(self):
         health = HealthMap.selection(2, [(0, 1.0), (3, 2.0)])
@@ -259,22 +259,25 @@ class TestSeparate:
         )
         health = HealthMap.linear(rng.standard_normal((2, 4)))
         s = Scenario.from_factors(gamma_hat, alpha_hat, health)
-        fac = separate(s, factor_readings(s))
+        fac = separate(s)
         assert np.allclose(fac.images(), s.health_images(), atol=1e-9)
 
-    def test_general_linear_with_varying_volumes_rejected(self):
-        # Volume columns (1,1) and (2,3) are not parallel, so no split with
-        # parameter-independent volumes exists.
+    def test_general_linear_with_varying_volumes_separates(self):
+        # Volume columns (1,1) and (2,3) are not parallel, but both sensors
+        # see the image [3, 4] over the two times: rank 1, so it factors.
         gamma_hat = np.ones((2, 2))
         alpha_hat = np.array([[1.0, 2.0], [1.0, 3.0]])
         health = HealthMap.linear(np.ones((1, 2)))
         s = Scenario.from_factors(gamma_hat, alpha_hat, health)
-        with pytest.raises(NotSeparableError):
-            separate(s, factor_readings(s))
+        fac = separate(s)
+        gamma, alpha = fac.gamma[:, 0], fac.alpha[:, 0]
+        assert np.allclose(gamma / gamma[0], [1, 1])
+        assert np.allclose(3 * alpha / alpha[0], [3, 4])
+        assert np.allclose(fac.images(), [[[3], [4]], [[3], [4]]])
 
     def test_opaque_health_map_rejected(self):
-        # Only selection and general linear maps exist, and separate() has a
-        # route for each; any other kind is refused when the map is built.
+        # Only selection and general linear maps exist; any other kind is
+        # refused when the map is built.
         with pytest.raises(ValueError, match="unknown health map kind"):
             HealthMap(n=2, kind="opaque")
 
@@ -282,7 +285,7 @@ class TestSeparate:
         rng = np.random.default_rng(31)
         for _ in range(20):
             s = random_separable_scenario(rng)
-            fac = separate(s, factor_readings(s))
+            fac = separate(s)
             images = s.health_images()
             scale = max(1.0, np.max(np.abs(images)))
             assert np.max(np.abs(images - fac.images())) <= 1e-8 * scale
@@ -615,6 +618,37 @@ def test_factor_readings_matches_per_parameter_svd(n_sensors, n_times, kinds, se
         raw = factor_readings(s)
         assert s.params.tolist() == np.flatnonzero(np.any(readings != 0, axis=(0, 1))).tolist()
         assert all(map(np.array_equal, dense_factors(s, raw), (gamma_hat, alpha_hat)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_sensors=st.integers(1, 4),
+    n_times=st.integers(1, 4),
+    m=st.integers(1, 5),
+    n=st.integers(1, 4),
+    dense_map=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_separate_matches_per_coordinate_svd(n_sensors, n_times, m, n, dense_map, seed):
+    # Whatever the map's kind, separate factors each coordinate's images by
+    # the per-parameter rule of factor_readings.
+    rng = np.random.default_rng(seed)
+    gamma_hat = rng.standard_normal((n_sensors, m)) + 1j * rng.standard_normal((n_sensors, m))
+    alpha_hat = rng.standard_normal((n_times, m)) + 1j * rng.standard_normal((n_times, m))
+    gamma_hat[:, rng.random(m) < 0.3] = 0.0
+    if dense_map:  # sparse rows: a row reading one parameter is rank 1, two usually not
+        health = HealthMap.linear(rng.standard_normal((n, m)) * (rng.random((n, m)) < 0.4))
+    else:
+        health = HealthMap.selection(n, [(int(f), rng.uniform(0.5, 2)) for f in rng.integers(0, m, n)])
+    s = Scenario.from_factors(gamma_hat, alpha_hat, health)
+    gamma, alpha, offending = factor_reference(s.health_images())
+    if offending:
+        with pytest.raises(NotSeparableError) as err:
+            separate(s)
+        assert list(err.value.offending) == offending
+    else:
+        fac = separate(s)
+        assert np.array_equal(fac.gamma, gamma) and np.array_equal(fac.alpha, alpha)
 
 
 def validate_reference(covering, partition, readings, tol=DEFAULT_TOL):

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from framesense import turbine
+from framesense.mappings import (
+    verify_basis_mapping,
+    verify_frame_mapping,
+    verify_projective_frame,
+    verify_strong_dominance_frame,
+)
 from framesense.scenario import (
+    HealthMap,
     build_index_sets,
     factor_readings,
     is_harmonious,
@@ -754,7 +761,8 @@ class TestScenarioBridge:
     def test_zero_noise_scenario_is_valid_and_separable(self):
         s = dataset_scenario(FLEET, mixing_matrix(0.1), self.cfg, self.states)
         assert validate_scenario(s) == []
-        fac = separate(s, factor_readings(s, tol=1e-7), tol=1e-6)
+        factor_readings(s, tol=1e-7)
+        fac = separate(s, tol=1e-6)
         assert fac.images().shape == (4, 2, 28)
 
     def test_noisy_cfg_refused(self):
@@ -762,16 +770,36 @@ class TestScenarioBridge:
             dataset_scenario(FLEET, mixing_matrix(0.1), replace(self.cfg, snr_db=8.0), self.states)
 
     def test_volumes_vary_across_frequencies(self):
-        # Different lines carry different loudness, so no constant-volume
-        # split of the factors exists for this data.
-        from framesense.scenario import constant_volume_regauge
-
+        # Different lines carry different loudness, so the coordinates' volume
+        # factors are not parallel; each coordinate's images still factor.
         s = dataset_scenario(FLEET, mixing_matrix(0.1), self.cfg, self.states)
-        assert constant_volume_regauge(factor_readings(s, tol=1e-7), s.M, tol=1e-6) is None
+        sv = np.linalg.svd(separate(s, tol=1e-6).alpha, compute_uv=False)
+        assert sv[1] > 1e-6 * sv[0]
+
+    def test_selection_written_as_a_matrix_gives_the_same_reports(self):
+        # The equal general_linear map has the same images, so the same
+        # factors and the same reports, with no failure and with each one.
+        cycle = [states for _, states in turbine.engine1_conditions()]
+        s = dataset_scenario(FLEET, mixing_matrix(0.1), SimConfig(), cycle * 2)
+        matrix = np.zeros((s.n, s.M), dtype=complex)
+        matrix[np.arange(s.n), s.health.f_idx] = s.health.scales
+        dense_map = replace(s, health=HealthMap.linear(matrix))
+        facs = [separate(sc, tol=1e-6) for sc in (s, dense_map)]
+        assert np.array_equal(facs[0].gamma, facs[1].gamma)
+        assert np.array_equal(facs[0].alpha, facs[1].alpha)
+        owners = [build_index_sets(sc.health_images(), tol=1e-6) for sc in (s, dense_map)]
+        assert np.array_equal(*owners)
+        for failed in (None, *range(s.N)):
+            reports = [(verify_basis_mapping(fac, own, 1e-6, failed=failed),
+                        verify_frame_mapping(fac, own, 1e-6, failed=failed),
+                        verify_projective_frame(fac, own, 1e-6, failed=failed),
+                        verify_strong_dominance_frame(fac, 1e-6))
+                       for fac, own in zip(facs, owners)]
+            assert reports[0] == reports[1]
 
     def test_harmonious_with_positive_mixing(self):
         s = dataset_scenario(FLEET, mixing_matrix(0.1), self.cfg, self.states)
-        fac = separate(s, factor_readings(s, tol=1e-7), tol=1e-6)
+        fac = separate(s, tol=1e-6)
         owners = build_index_sets(s.health_images(), tol=1e-6)
         assert owners.tolist() == [j for j in range(4) for _ in range(7)]
         assert is_harmonious(fac, owners, tol=1e-6)
@@ -779,7 +807,7 @@ class TestScenarioBridge:
     def test_sensor_failure_maps_to_non_operational(self):
         cfg = SimConfig(samples_per_state=1, failed_sensors={0})
         s = dataset_scenario(FLEET, mixing_matrix(0.1), cfg, self.states)
-        fac = separate(s, factor_readings(s, tol=1e-7), tol=1e-6)
+        fac = separate(s, tol=1e-6)
         healthy = dataset_scenario(FLEET, mixing_matrix(0.1), self.cfg, self.states)
         owners = build_index_sets(healthy.health_images(), tol=1e-6)
         assert sensor_status(fac, owners, 0, tol=1e-6).status == "non_operational"
@@ -791,7 +819,7 @@ class TestScenarioBridge:
             normal_fleet_state(),
         ]
         s = dataset_scenario(FLEET, mixing_matrix(0.1), self.cfg, states)
-        fac = separate(s, factor_readings(s, tol=1e-7), tol=1e-6)
+        fac = separate(s, tol=1e-6)
         owners = build_index_sets(s.health_images(), tol=1e-6)
         for j in range(4):
             assert sensor_status(fac, owners, j, tol=1e-6).status == "operational"
