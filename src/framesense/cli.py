@@ -214,8 +214,14 @@ def cmd_theorems(args) -> int:
     try:
         factor_readings(s, args.tol)
         fac = separate(s, args.tol)
-    except (NotPreSeparableError, NotSeparableError) as err:
-        print(f"scenario is not separable: {err}", file=sys.stderr)
+    except NotPreSeparableError as err:
+        print("scenario is not separable: readings have rank > 1 at parameters "
+              f"{[f + 1 for f in err.offending]}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except NotSeparableError as err:
+        coords = [i + 1 for i in err.offending]
+        reason = f"health images have rank > 1 at coordinates {coords}" if coords else err
+        print(f"scenario is not separable: {reason}", file=sys.stderr)
         return EXIT_DOMAIN
     owners = build_index_sets(s.health_images(), args.tol)
     reports = {

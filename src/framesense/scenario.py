@@ -18,8 +18,10 @@ Each stage returns a plain value: :func:`validate_scenario` a list of
 violations, :func:`factor_readings` the raw factors ``(gamma_hat,
 alpha_hat)`` of the readings, and :func:`separate` a :class:`Factorization`,
 the rank-1 factors ``gamma`` and ``alpha`` of the health images that every
-predicate and verifier reads.  Both factor by one rule, whatever the health
-map's kind, with one liveness threshold and one balanced gauge.
+predicate and verifier reads.  Both factor by one rule, with one liveness
+threshold and one balanced gauge.  A health map of either JSON form is one
+linear map, and the images are the readings times its (n, L) block on the
+live parameters.
 
 Memory follows the L live parameters, those with a nonzero reading, not M:
 a scenario holds the live parameters' readings, T_j and S_j as rows of two
@@ -31,7 +33,7 @@ the interpreter and imports (2-vCPU VM, one BLAS thread).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -82,46 +84,40 @@ class UncoverableIndexError(ValueError):
 
 @dataclass(frozen=True)
 class HealthMap:
-    """Deterministic map C^M -> C^n with H(0) = 0.
+    """Linear map C^M -> C^n: output i is ``sum_c weights[i, c] * v[cols[c]]``.
 
-    kind = "selection_matrix": rows are scaled rows of the identity, given as
-    ``rows[i] = (f_i, scale_i)`` meaning output i reads ``scale_i * v[f_i]``;
-    ``f_idx`` and ``scales`` hold the same rows as arrays.
-    kind = "general_linear": an explicit n-by-M matrix.
+    ``cols`` holds the sorted parameters the map reads and ``weights`` their
+    (n, C) block.  ``kind`` is only the JSON form: a "selection_matrix" map
+    has one nonzero weight per row, and a "general_linear" map reads every
+    parameter, its n-by-M matrix being the weights.
     """
 
-    n: int
     kind: str
-    rows: tuple | None = None
-    matrix: np.ndarray | None = None
-    f_idx: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    scales: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    cols: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("health dimension must be positive")
-        if self.kind == "selection_matrix":
-            if self.rows is None or len(self.rows) != self.n:
-                raise ValueError("selection map needs one (f, scale) row per output")
-            rows = tuple((int(f), complex(s)) for f, s in self.rows)
-            if any(s == 0 for _, s in rows):
-                raise ValueError("selection scales must be nonzero")
-            object.__setattr__(self, "rows", rows)
-            object.__setattr__(self, "f_idx", np.array([f for f, _ in rows], dtype=np.int64))
-            object.__setattr__(self, "scales", np.array([s for _, s in rows]))
-        elif self.kind == "general_linear":
-            m = np.asarray(self.matrix, dtype=np.complex128)
-            if m.ndim != 2:
-                raise ValueError("health matrix must be 2-D")
-            if m.shape[0] != self.n:
-                raise ValueError("matrix row count must equal health dimension")
-            object.__setattr__(self, "matrix", m)
-        else:
+        if self.kind not in ("selection_matrix", "general_linear"):
             raise ValueError(f"unknown health map kind {self.kind!r}")
+        if len(self.weights) < 1:
+            raise ValueError("health dimension must be positive")
+
+    @property
+    def n(self) -> int:
+        return len(self.weights)
 
     @classmethod
     def selection(cls, n, rows) -> "HealthMap":
-        return cls(n=n, kind="selection_matrix", rows=tuple(rows))
+        """Output i reads ``scale * v[f]`` for ``rows[i] = (f, scale)``."""
+        rows = [(int(f), complex(s)) for f, s in rows]
+        if len(rows) != n:
+            raise ValueError("selection map needs one (f, scale) row per output")
+        if any(s == 0 for _, s in rows):
+            raise ValueError("selection scales must be nonzero")
+        cols = np.array(sorted({f for f, _ in rows}), dtype=np.int64)
+        weights = np.zeros((n, cols.size), dtype=np.complex128)
+        weights[np.arange(n), np.searchsorted(cols, [f for f, _ in rows])] = [s for _, s in rows]
+        return cls("selection_matrix", cols, weights)
 
     @classmethod
     def identity(cls, n) -> "HealthMap":
@@ -130,33 +126,15 @@ class HealthMap:
     @classmethod
     def linear(cls, matrix) -> "HealthMap":
         matrix = np.asarray(matrix, dtype=np.complex128)
-        return cls(n=matrix.shape[0], kind="general_linear", matrix=matrix)
+        if matrix.ndim != 2:
+            raise ValueError("health matrix must be 2-D")
+        return cls("general_linear", np.arange(matrix.shape[1]), matrix)
 
-    def apply(self, v) -> np.ndarray:
-        """Image of one vector; also accepts stacked (..., M) arrays."""
-        v = np.asarray(v, dtype=np.complex128)
-        if self.kind == "selection_matrix":
-            if self.f_idx.max() >= v.shape[-1]:  # not a silent parameter: no parameter at all
-                raise ValueError(f"selection reads parameter {self.f_idx.max()} of a vector "
-                                 f"of length {v.shape[-1]}")
-            return self.select(v, np.arange(v.shape[-1]))
-        return v @ self.matrix.T
-
-    def select(self, v: np.ndarray, params: np.ndarray) -> np.ndarray:
-        """A selection map's (..., n) outputs read from (..., L) ``v``, whose
-        column l holds parameter ``params[l]`` (sorted).
-
-        Output i is ``scale_i * v[..., l]`` where ``params[l] = f_i``; it is 0
-        when f_i is not in ``params``, since a silent parameter reads 0.
-        """
-        # Sorted lookup, not np.isin: under numpy 2.4 np.isin imports numpy.ma.
-        col = np.searchsorted(params, self.f_idx)  # where f_i sits, or would sit
-        live = col < len(params)
-        live[live] = params[col[live]] == self.f_idx[live]
-        col = col[live]
-        out = np.zeros((*v.shape[:-1], self.n), dtype=np.complex128)
-        out[..., live] = v[..., col] * self.scales[live]
-        return out
+    def block(self, params: np.ndarray) -> np.ndarray:
+        """The (n, L) weights on the sorted ``params``, 0 on one the map does not read."""
+        # Sorted lookup, not np.isin or np.unique: under numpy 2.4 both import numpy.ma.
+        pos = np.minimum(np.searchsorted(self.cols, params), self.cols.size - 1)
+        return np.where(self.cols[pos] == params, self.weights[:, pos], 0)
 
 
 def _live_columns(readings: np.ndarray) -> tuple:
@@ -228,12 +206,12 @@ class Scenario:
         if len(self.covering) != v.shape[0] or len(self.partition) != v.shape[0]:
             raise ValueError("need one covering and one partition set per sensor")
         h = self.health
-        if h.kind == "selection_matrix":
-            for i, (f, _) in enumerate(h.rows):
-                if not 0 <= f < m:
-                    raise ValueError(f"health row {i} selects parameter {f}, outside 0..{m - 1}")
-        elif h.matrix.shape[1] != m:
-            raise ValueError(f"health matrix has width {h.matrix.shape[1]}, expected M = {m}")
+        if h.kind == "general_linear" and h.cols.size != m:
+            raise ValueError(f"health matrix has width {h.cols.size}, expected M = {m}")
+        i, c = np.nonzero(h.weights * ((h.cols < 0) | (h.cols >= m)))  # row-major order
+        if i.size:
+            raise ValueError(f"health row {i[0]} selects parameter {h.cols[c[0]]}, "
+                             f"outside 0..{m - 1}")
 
     @property
     def N(self) -> int:
@@ -249,10 +227,7 @@ class Scenario:
 
     def health_images(self) -> np.ndarray:
         """All H(v_jk) as an (N, K, n) array."""
-        h = self.health
-        if h.kind != "selection_matrix":
-            return self.values @ h.matrix[:, self.params].T
-        return h.select(self.values, self.params)
+        return self.values @ self.health.block(self.params).T
 
     @classmethod
     def from_dense(cls, covering, partition, readings, health) -> "Scenario":
@@ -510,21 +485,13 @@ def scenario_to_json_dict(s: Scenario) -> dict:
         },
     }
     h = s.health
-    if h.kind == "selection_matrix":
-        doc["health"] = {
-            "kind": "selection_matrix",
-            "n": h.n,
-            "rows": [
-                [i + 1, f + 1, _complex_out(scale)]
-                for i, (f, scale) in enumerate(h.rows)
-            ],
-        }
+    doc["health"] = {"kind": h.kind, "n": h.n}
+    if h.kind == "selection_matrix":  # one nonzero weight per row, found in row order
+        rows, c = np.nonzero(h.weights)
+        doc["health"]["rows"] = [[i + 1, f + 1, _complex_out(w)] for i, f, w in zip(
+            rows.tolist(), h.cols[c].tolist(), h.weights[rows, c].tolist())]
     else:
-        doc["health"] = {
-            "kind": "general_linear",
-            "n": h.n,
-            "matrix": [[_complex_out(complex(z)) for z in row] for row in h.matrix],
-        }
+        doc["health"]["matrix"] = [[_complex_out(z) for z in row] for row in h.weights.tolist()]
     return doc
 
 
@@ -694,6 +661,9 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
     elif kind == "general_linear":
         health = _read(hdoc, "matrix", lambda v: HealthMap.linear(_complex_array(v, (None, M))),
                        "health.matrix")
+        if "n" in hdoc and _read(hdoc, "n", _count, "health.n") != health.n:  # n is optional
+            raise ValueError(f"scenario key 'health.n' has a bad value: {hdoc['n']}, "
+                             f"but the matrix has {health.n} rows")
     else:
         raise ValueError(f"unknown health map kind {kind!r}")
     return Scenario(covering, partition, params, values, M, health)

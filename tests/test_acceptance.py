@@ -78,11 +78,10 @@ def gauss_rank(matrix, tol: float = 1e-9) -> int:
 def test_c1_worked_mapping_example():
     """Fused stack (10,2)+(-1,7): selection gives (10,7), magnitude sum (11,9)."""
     failures = []
-    health = HealthMap.identity(2)
     owners = np.array([0, 1])
-    stack = np.array([[10, 2], [-1, 7]], dtype=complex)
-    b = basis_map(health.apply(stack), owners)
-    f = frame_map(health.apply(stack))
+    stack = np.array([[10, 2], [-1, 7]], dtype=complex)  # its own image under the identity map
+    b = basis_map(stack, owners)
+    f = frame_map(stack)
     if not (b[0] == 10 and b[1] == 7):
         failures.append(f"basis map gave {b}")
     if not (f[0] == 11 and f[1] == 9):

@@ -197,6 +197,9 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         assert cli.main(["validate", str(path)]) == 0
         assert "pre-separable: no (rank > 1 at parameters [6])" in capsys.readouterr().out
+        assert cli.main(["theorems", str(path), "--out", str(tmp_path / "reports")]) == 1
+        assert capsys.readouterr().err == (
+            "scenario is not separable: readings have rank > 1 at parameters [6]\n")
 
     def test_silent_health_coordinate_is_a_domain_error(self, tmp_path, capsys):
         path = silent_coordinate_scenario(tmp_path)
@@ -254,6 +257,12 @@ class TestValidate:
             ),
             (lambda doc: doc["health"]["rows"][0].__setitem__(2, [1.0]), "'health.rows'"),
             (lambda doc: doc.update(N=0, covering=[], partition=[], readings=[]), "'N'"),
+            (
+                lambda doc: doc.__setitem__(
+                    "health", {"kind": "general_linear", "n": 7, "matrix": [[1, 0, 0], [0, 1, 0]]}
+                ),
+                "'health.n'",
+            ),
         ],
         ids=[
             "covering_deleted",
@@ -284,6 +293,7 @@ class TestValidate:
             "matrix_empty",
             "list_for_a_selection_scale",
             "no_sensors",
+            "matrix_rows_not_n",
         ],
     )
     def test_bad_scenario_document_exits_2(self, tmp_path, capsys, edit, key):
@@ -554,7 +564,7 @@ class TestValidate:
         out_dir = tmp_path / "reports"
         assert cli.main(["theorems", str(path), "--out", str(out_dir)]) == 1
         assert capsys.readouterr().err == (
-            "scenario is not separable: health images have rank > 1 at coordinate indices [0]\n")
+            "scenario is not separable: health images have rank > 1 at coordinates [1]\n")
         assert not out_dir.exists()
 
     def test_parameters_the_map_ignores_change_no_verdict(self, tmp_path, capsys, monkeypatch):

@@ -14,7 +14,6 @@ from framesense.mappings import (
 )
 from framesense.scenario import (
     Factorization,
-    HealthMap,
     build_index_sets,
     is_harmonious,
     is_j_harmonious,
@@ -23,10 +22,10 @@ from framesense.scenario import (
 )
 from tests.test_scenario import three_sensor_projection_scenario
 
-# Fixed worked example used throughout: two sensors, identity health map on
-# C^2, sensor 0 owns coordinate 0 and sensor 1 owns coordinate 1.
+# Fixed worked example used throughout: two sensors whose images under the
+# identity health map on C^2 are their rows of STACK, sensor 0 owning
+# coordinate 0 and sensor 1 coordinate 1.
 TWO_SENSOR_OWNERS = np.array([0, 1])
-IDENTITY2 = HealthMap.identity(2)
 STACK = np.array([[10, 2], [-1, 7]], dtype=complex)
 
 
@@ -38,56 +37,56 @@ def separated_fixture():
 
 class TestMaps:
     def test_basis_map_selects_owned_coordinates(self):
-        out = basis_map(IDENTITY2.apply(STACK), TWO_SENSOR_OWNERS)
+        out = basis_map(STACK, TWO_SENSOR_OWNERS)
         assert np.array_equal(out, [10, 7])
 
     def test_frame_map_sums_magnitudes(self):
-        out = frame_map(IDENTITY2.apply(STACK))
+        out = frame_map(STACK)
         assert np.array_equal(out, [11, 9])
         assert out.dtype == np.float64
 
     def test_maps_disagree_on_the_same_stack(self):
-        b = basis_map(IDENTITY2.apply(STACK), TWO_SENSOR_OWNERS)
-        f = frame_map(IDENTITY2.apply(STACK))
+        b = basis_map(STACK, TWO_SENSOR_OWNERS)
+        f = frame_map(STACK)
         assert not np.allclose(b, f)
 
     def test_zero_stack_maps_to_zero(self):
-        zero = IDENTITY2.apply(np.zeros((2, 2), dtype=complex))
+        zero = np.zeros((2, 2), dtype=complex)
         assert np.allclose(basis_map(zero, TWO_SENSOR_OWNERS), 0)
         assert np.allclose(frame_map(zero), 0)
 
     def test_single_owner_copies_whole_image(self):
-        out = basis_map(IDENTITY2.apply(np.array([[4, 5j]])), [0, 0])
+        out = basis_map(np.array([[4, 5j]]), [0, 0])
         assert np.allclose(out, [4, 5j])
 
     def test_per_sensor_basis_images(self):
         # One live sensor at a time: its image masked to the coordinates it owns.
         only = np.zeros((2, 2, 2), dtype=complex)
         only[0, 0], only[1, 1] = STACK[0], STACK[1]
-        out = basis_map(IDENTITY2.apply(only), TWO_SENSOR_OWNERS)
+        out = basis_map(only, TWO_SENSOR_OWNERS)
         assert np.array_equal(out, [[10, 0], [0, 7]])
 
     def test_basis_image_of_failed_sensor_is_zero(self):
         failed = STACK.copy()
         failed[0] = 0
-        assert np.array_equal(basis_map(IDENTITY2.apply(failed), TWO_SENSOR_OWNERS), [0, 7])
+        assert np.array_equal(basis_map(failed, TWO_SENSOR_OWNERS), [0, 7])
 
     def test_empty_owned_set_gives_zero_image(self):
         # Sensor 1 owns nothing, so its block never reaches the output.
         other = STACK.copy()
         other[1] = [123, -4j]
-        assert np.array_equal(basis_map(IDENTITY2.apply(STACK), [0, 0]), [10, 2])
-        assert np.array_equal(basis_map(IDENTITY2.apply(other), [0, 0]), [10, 2])
+        assert np.array_equal(basis_map(STACK, [0, 0]), [10, 2])
+        assert np.array_equal(basis_map(other, [0, 0]), [10, 2])
 
     def test_magnitude_image_single_block(self):
-        assert np.array_equal(frame_map(IDENTITY2.apply(STACK[1:])), [1, 7])
+        assert np.array_equal(frame_map(STACK[1:]), [1, 7])
 
     def test_stacked_blocks_map_like_each_stack(self):
         rng = np.random.default_rng(8)
         stacks = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
         stacks[0, 1, 0] = 0  # a failed sensor in one stack
-        b = basis_map(IDENTITY2.apply(stacks), TWO_SENSOR_OWNERS)
-        f = frame_map(IDENTITY2.apply(stacks))
+        b = basis_map(stacks, TWO_SENSOR_OWNERS)
+        f = frame_map(stacks)
         assert b.shape == f.shape == (3, 5, 2)
         for idx in np.ndindex(3, 5):
             assert np.array_equal(b[idx], [stacks[idx][0, 0], stacks[idx][1, 1]])
@@ -97,9 +96,8 @@ class TestMaps:
         rng = np.random.default_rng(6)
         for _ in range(25):
             stack = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-            images = HealthMap.identity(4).apply(stack)
-            b = np.abs(basis_map(images, [0, 0, 1, 2]))
-            f = frame_map(images)
+            b = np.abs(basis_map(stack, [0, 0, 1, 2]))
+            f = frame_map(stack)
             assert np.all(f >= b - 1e-12)
 
     def test_zeroing_a_block(self):
@@ -107,17 +105,17 @@ class TestMaps:
         # contributed to unchanged and zeroes its owned basis coordinates.
         stack2 = STACK.copy()
         stack2[1] = 0
-        f1 = frame_map(IDENTITY2.apply(STACK))
-        f2 = frame_map(IDENTITY2.apply(stack2))
+        f1 = frame_map(STACK)
+        f2 = frame_map(stack2)
         assert np.all(f2 <= f1 + 1e-12)
-        b2 = basis_map(IDENTITY2.apply(stack2), TWO_SENSOR_OWNERS)
+        b2 = basis_map(stack2, TWO_SENSOR_OWNERS)
         assert b2[1] == 0
 
     def test_assignment_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            basis_map(HealthMap.identity(3).apply(np.ones((2, 3))), TWO_SENSOR_OWNERS)
+            basis_map(np.ones((2, 3), dtype=complex), TWO_SENSOR_OWNERS)
         with pytest.raises(ValueError):
-            basis_map(IDENTITY2.apply(STACK), [0])
+            basis_map(STACK, [0])
 
 
 class TestProjectionSets:

@@ -37,6 +37,13 @@ def dense(s):
     return out
 
 
+def health_matrix(health, m):
+    """``health`` as its n-by-M matrix, 0 in every column it does not read."""
+    out = np.zeros((health.n, m), dtype=complex)
+    out[:, health.cols] = health.weights
+    return out
+
+
 def dense_factors(s, raw):
     """The raw factors ``raw`` of ``s``, over ``s.params``, as (N, M) and (K, M)
     arrays, 0 at every silent parameter."""
@@ -238,16 +245,18 @@ class TestSeparate:
         assert np.allclose(np.abs(f2.gamma[:, 1]), np.sqrt(2.5) * np.abs(f1.gamma[:, 1]))
         assert np.allclose(np.abs(f2.alpha[:, 1]), np.sqrt(2.5) * np.abs(f1.alpha[:, 1]))
 
-    def test_select_reads_silent_parameters_as_zero(self):
+    def test_block_reads_silent_parameters_as_zero(self):
         # Rows 5 (between live parameters) and 9 (past the last) read 0.
         health = HealthMap.selection(4, [(1, 2.0), (5, 1.0), (6, 3.0), (9, 1.0)])
         v = np.array([[10.0, 20.0, 30.0], [1.0, 2.0, 3.0j]])
         params = np.array([1, 4, 6])
-        assert np.array_equal(health.select(v, params), [[20, 0, 90, 0], [2, 0, 9j, 0]])
+        block = health.block(params)
+        assert np.array_equal(block, health_matrix(health, 10)[:, params])
+        assert np.array_equal(v @ block.T, [[20, 0, 90, 0], [2, 0, 9j, 0]])
 
-    def test_select_with_no_live_parameters_reads_zeros(self):
+    def test_block_with_no_live_parameters_reads_zeros(self):
         health = HealthMap.selection(2, [(0, 1.0), (3, 2.0)])
-        out = health.select(np.zeros((3, 0)), np.array([], dtype=np.int64))
+        out = np.zeros((3, 0)) @ health.block(np.array([], dtype=np.int64)).T
         assert out.shape == (3, 2) and out.dtype == np.complex128
         assert not out.any()
 
@@ -279,7 +288,7 @@ class TestSeparate:
         # Only selection and general linear maps exist; any other kind is
         # refused when the map is built.
         with pytest.raises(ValueError, match="unknown health map kind"):
-            HealthMap(n=2, kind="opaque")
+            HealthMap("opaque", np.arange(2), np.eye(2))
 
     def test_product_identity_randomized(self):
         rng = np.random.default_rng(31)
@@ -463,8 +472,9 @@ class TestLiveParameters:
             Scenario.from_dense(ev, ev, np.ones((1, 2, 3)), HealthMap.linear(np.ones((2, 4))))
         with pytest.raises(ValueError, match="health matrix must be 2-D"):
             HealthMap.linear(np.ones(3))
-        with pytest.raises(ValueError, match="reads parameter 5 of a vector of length 3"):
-            HealthMap.selection(1, [(5, 1.0)]).apply(np.ones(3))
+        with pytest.raises(ValueError, match="health row 1 selects parameter -1, outside 0..2"):
+            Scenario.from_dense(ev, ev, np.ones((1, 2, 3)),
+                                HealthMap.selection(2, [(0, 1.0), (-1, 1.0)]))
 
     def test_index_sets_outside_0_to_m_minus_1_are_refused(self):
         everything = [range(3)] * 2
@@ -490,22 +500,35 @@ class TestLiveParameters:
         assert np.array_equal(default.covering, np.ones((2, 5), dtype=bool))
         assert [np.flatnonzero(t).tolist() for t in default.partition] == [[0, 2, 4], [1, 3]]
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_health_images_match_the_map_applied_to_dense_readings(self, seed):
+    @pytest.mark.parametrize("seed,rows", [
+        *((seed, None) for seed in range(6)),
+        (6, [(1, 2.0), (0, 1j), (1, -0.5)]),  # rows 0 and 2 read one parameter
+        (7, [(0, 1.0), (2, 3.0 - 1j)]),  # row 1 reads a silent parameter
+    ])
+    def test_health_images_match_the_map_applied_to_dense_readings(self, seed, rows):
         rng = np.random.default_rng(seed)
         n_sensors, n_times, m = (int(x) for x in rng.integers(1, 6, size=3))
+        m = m if rows is None else 3
         readings = rng.standard_normal((n_sensors, n_times, m)) + 1j * rng.standard_normal(
             (n_sensors, n_times, m))
-        readings[:, :, rng.random(m) < 0.5] = 0  # silent parameters, selected ones among them
+        silent = rng.random(m) < 0.5 if rows is None else np.arange(m) == 2
+        readings[:, :, silent] = 0  # silent parameters, selected ones among them
         everything = (range(m),) * n_sensors
-        rows = [(int(f), complex(rng.standard_normal(), 1.0)) for f in rng.integers(0, m, 4)]
-        selection = Scenario.from_dense(everything, everything, readings,
-                                        HealthMap.selection(4, rows))
-        assert np.array_equal(selection.health_images(), selection.health.apply(readings))
+        if rows is None:
+            rows = [(int(f), complex(rng.standard_normal(), 1.0)) for f in rng.integers(0, m, 4)]
         matrix = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
-        linear = Scenario.from_dense(everything, everything, readings, HealthMap.linear(matrix))
-        assert np.allclose(linear.health_images(), linear.health.apply(readings),
-                           rtol=1e-12, atol=1e-12)
+        docs = {}
+        for health in (HealthMap.selection(len(rows), rows), HealthMap.linear(matrix)):
+            s = Scenario.from_dense(everything, everything, readings, health)
+            dense_map = health_matrix(health, m)
+            assert np.array_equal(health.block(s.params), dense_map[:, s.params])
+            assert np.allclose(s.health_images(), readings @ dense_map.T, rtol=1e-12, atol=1e-12)
+            docs[health.kind] = json.loads(json.dumps(scenario_to_json_dict(s)))
+            back = scenario_from_json_dict(docs[health.kind]).health
+            assert back.kind == health.kind
+            assert np.array_equal(health_matrix(back, m), dense_map)
+        written = docs["selection_matrix"]["health"]["rows"]
+        assert [r[:2] for r in written] == [[i + 1, f + 1] for i, (f, _) in enumerate(rows)]
 
 
 class TestScenarioJson:
@@ -515,7 +538,7 @@ class TestScenarioJson:
         assert np.allclose(dense(back), dense(s))
         assert np.array_equal(back.covering, s.covering)
         assert np.array_equal(back.partition, s.partition)
-        assert back.health.rows == s.health.rows
+        assert np.array_equal(health_matrix(back.health, 3), health_matrix(s.health, 3))
 
     def test_roundtrip_linear(self):
         rng = np.random.default_rng(3)
@@ -523,7 +546,7 @@ class TestScenarioJson:
         s = Scenario.from_factors(np.ones((2, 3)), np.ones((1, 3)), health)
         doc = scenario_to_json_dict(s)
         back = scenario_from_json_dict(doc)
-        assert np.allclose(back.health.matrix, health.matrix)
+        assert np.allclose(health_matrix(back.health, 3), health_matrix(health, 3))
         # a linear map takes n from its matrix, so a document may leave it out
         del doc["health"]["n"]
         assert scenario_from_json_dict(doc).health.n == 2
@@ -807,10 +830,7 @@ def test_scenario_json_text_roundtrip(data, kind):
     assert np.array_equal(back.covering, s.covering)
     assert np.array_equal(back.partition, s.partition)
     assert back.health.kind == kind
-    if kind == "selection_matrix":
-        assert back.health.rows == s.health.rows
-    else:
-        assert np.array_equal(back.health.matrix, s.health.matrix)
+    assert np.array_equal(health_matrix(back.health, m), health_matrix(s.health, m))
 
 
 ENTRIES = st.sampled_from([0, 0.5, 1, 1, 2, 3, -2, 1j, 1e-12])

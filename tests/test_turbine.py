@@ -782,7 +782,7 @@ class TestScenarioBridge:
         cycle = [states for _, states in turbine.engine1_conditions()]
         s = dataset_scenario(FLEET, mixing_matrix(0.1), SimConfig(), cycle * 2)
         matrix = np.zeros((s.n, s.M), dtype=complex)
-        matrix[np.arange(s.n), s.health.f_idx] = s.health.scales
+        matrix[:, s.health.cols] = s.health.weights
         dense_map = replace(s, health=HealthMap.linear(matrix))
         facs = [separate(sc, tol=1e-6) for sc in (s, dense_map)]
         assert np.array_equal(facs[0].gamma, facs[1].gamma)
