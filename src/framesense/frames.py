@@ -5,6 +5,17 @@ reconstruction, and multiplicative (coordinatewise-product) frame
 construction with certified bound intervals.  All sets are finite and all
 operations are pure functions of immutable inputs.
 
+Every tol test here and in ``scenario`` and ``mappings``, for a tol that
+passes :func:`check_tol`, follows one of two rules, so that no verdict
+depends on the units of the readings:
+
+* span rule: a set spans when ``sigma_min > sqrt(tol) * sigma_max``, in
+  ratio form and never squared (equivalently frame bounds ``A > tol * B``);
+* magnitude rule: a modulus x counts when ``x > tol * scale``, ``scale``
+  being the largest modulus of its kind in the object under test.
+
+The rank-1 test ``sigma2 > tol * sigma1`` already has the span rule's form.
+
 The two fusion maps live here too.  ``basis_map`` reads each health
 coordinate from the one sensor that owns it, and ``frame_map`` sums the
 coordinate's magnitudes over all sensors.  Both take stacked ``(..., N, n)``
@@ -29,8 +40,8 @@ DEFAULT_TOL = 1e-9
 def check_tol(tol: float) -> None:
     """Reject a tolerance outside ``0 < tol < 1`` (NaN included).
 
-    The relative tests compare a value with tol times a bound on it, which
-    tol >= 1 would make vacuous."""
+    Both rules of the module docstring compare a value with tol (or its
+    root) times a bound on it, which tol >= 1 would make vacuous."""
     if not 0 < tol < 1:
         raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol!r}")
 
@@ -140,7 +151,8 @@ def frame_bounds(frame: VectorSet) -> FrameBounds:
 def canonical_dual(frame: VectorSet, tol: float = DEFAULT_TOL) -> VectorSet:
     """The dual frame ``{F^-1 x_h}``; its bounds are (1/B, 1/A)."""
     op = frame_operator(frame)
-    if frame_bounds(frame).lower <= tol:
+    lower, upper = frame_bounds(frame)
+    if lower <= tol * upper:
         raise NotAFrameError("set does not span; frame operator is singular")
     dual = np.linalg.solve(op, frame.matrix.T).T
     return VectorSet(dual)
@@ -159,61 +171,32 @@ def multiplicative_product(pair: MultiplicativeFactorPair) -> VectorSet:
     return VectorSet(products.reshape(-1, y.shape[1]))
 
 
-@dataclass(frozen=True)
-class MultiplicativeBoundCertificate:
-    """Certified interval for the frame bounds of a coordinatewise product set.
-
-    ``lower`` is ``min_modulus**2 * lower_Y``; the interval (``lower``,
-    ``upper``) contains the product set's true bounds.
-    """
-
-    lower: float
-    upper: float
-    min_modulus: float
-    witness_k: int
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.lower, self.upper)
-
-
 def mf_bound_certificate(
     pair: MultiplicativeFactorPair, y_bounds: FrameBounds, tol: float = DEFAULT_TOL
-) -> MultiplicativeBoundCertificate:
-    """Frame-bound interval for ``multiplicative_product(pair)``.
+) -> FrameBounds:
+    """Schur's frame-bound interval for ``multiplicative_product(pair)``.
 
-    Requires Y to be a frame with bounds ``y_bounds`` and some z_k with all
-    coordinate moduli strictly positive.  The certified interval is
+    The product set's frame operator is the entrywise product of Y's and
+    Z's, so with ``d_i = sum_k |z_k(i)|**2``, the diagonal of Z's, Schur's
+    theorem on Hadamard products gives the interval
 
-        [ m_z**2 * A_Y,  K * B_Y * max_k ||z_k||_inf**2 ]
+        [ A_Y * min(d),  B_Y * max(d) ]
 
-    with ``m_z`` the best (largest) minimum modulus over the z_k.
+    for Y with bounds ``y_bounds``.  It needs every coordinate heard by some
+    z_k, ``min(d) > tol * max(d)``, and refuses with ValueError otherwise.
     """
-    z = pair.Z.matrix
-    min_mods = np.min(np.abs(z), axis=1)
-    witness_k = int(np.argmax(min_mods))
-    m_z = float(min_mods[witness_k])
-    if m_z <= tol:
-        raise ValueError(
-            "no factor z_k has strictly nonvanishing coordinates; "
-            "lower bound hypothesis fails"
-        )
-    max_inf_sq = float(np.max(np.abs(z)) ** 2)
-    k_count = z.shape[0]
-    return MultiplicativeBoundCertificate(
-        lower=m_z**2 * y_bounds.lower,
-        upper=k_count * y_bounds.upper * max_inf_sq,
-        min_modulus=m_z,
-        witness_k=witness_k,
-    )
+    d = np.sum(np.abs(pair.Z.matrix) ** 2, axis=0)
+    if d.min() <= tol * d.max():
+        raise ValueError("some coordinate vanishes in every z_k; lower bound hypothesis fails")
+    return FrameBounds(y_bounds.lower * float(d.min()), y_bounds.upper * float(d.max()))
 
 
 @dataclass(frozen=True)
 class SpanCertificate:
     """Either a span certification or an orthogonal unit witness vector.
 
-    ``spans`` holds when the squared smallest singular value of the stacked
-    matrix, which is the lower frame bound, exceeds tol.
+    ``spans`` holds by the span rule: the smallest singular value of the
+    stacked matrix exceeds sqrt(tol) times the largest.
     """
 
     spans: bool
@@ -231,13 +214,13 @@ def span_certificate(vectors: VectorSet, tol: float = DEFAULT_TOL) -> SpanCertif
     _, s, vh = np.linalg.svd(m, full_matrices=vectors.count < vectors.dim)
     sigma = np.zeros(vectors.dim)
     sigma[: s.shape[0]] = s
-    smallest = float(sigma[-1])
-    if smallest**2 > tol:
-        return SpanCertificate(True, None, smallest, float(sigma[0]))
+    smallest, largest = float(sigma[-1]), float(sigma[0])
+    if smallest > np.sqrt(tol) * largest:
+        return SpanCertificate(True, None, smallest, largest)
     # conj(vh[-1]) spans the null space of m, so y = vh[-1] satisfies
     # <y, w> = conj(m @ conj(y)) ~ 0 for every row w.
     witness = vh[-1] / np.linalg.norm(vh[-1])
-    return SpanCertificate(False, witness, smallest, float(sigma[0]))
+    return SpanCertificate(False, witness, smallest, largest)
 
 
 def owner_vector(owners, N: int, n: int) -> np.ndarray:

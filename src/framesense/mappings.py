@@ -31,7 +31,9 @@ read one audibility table, never the (n, N, K) images: ``G = |gamma|^T`` with
 the failed sensor's column zeroed, and ``a_inf`` and ``a_2``, the max and 2-norm
 of each coordinate's |alpha|.  Coordinate i's singular value is
 ``G[i, owners[i]] * a_inf[i]`` (basis), ``||G[i]|| * a_inf[i]`` (frame) or
-``||G[i]|| * a_2[i]`` (projective); it is heard when ``max(G[i]) * a_inf[i] > tol``.
+``||G[i]|| * a_2[i]`` (projective).  Every set spans by the span rule of
+``frames``, and coordinate i is heard when ``max(G[i]) * a_inf[i] > tol *
+fac.scale``, the loudest image of the unfailed scenario.
 """
 
 from __future__ import annotations
@@ -99,19 +101,20 @@ def _span_diagnostics(cert: SpanCertificate, heard: np.ndarray) -> dict:
     }
 
 
-def _coordinate_span_diagnostics(norms: np.ndarray, loudest: np.ndarray, tol: float) -> dict:
+def _coordinate_span_diagnostics(norms: np.ndarray, loudest: np.ndarray, scale: float,
+                                 tol: float) -> dict:
     """Span diagnostics of rows ``e_i * v`` from each coordinate's ``norms`` and
     ``loudest`` modulus: the frame operator is ``diag(norms**2)``, so the norms
     are the singular values and e_i of the weakest coordinate is the witness;
-    coordinate i is heard when ``loudest[i] > tol``."""
+    coordinate i is heard when ``loudest[i] > tol * scale``."""
     check_tol(tol)
     weakest = int(np.argmin(norms))  # smallest i on ties
-    spans = bool(norms[weakest] ** 2 > tol)  # the test span_certificate applies
+    spans = bool(norms[weakest] > np.sqrt(tol) * norms.max())  # span_certificate's test
     return {
         "spans": spans,
         "smallest_singular_value": float(norms[weakest]),
         "largest_singular_value": float(norms.max()),
-        "missing_coordinates": np.flatnonzero(~(loudest > tol)).tolist(),
+        "missing_coordinates": np.flatnonzero(~(loudest > tol * scale)).tolist(),
         "witness": None if spans else [[float(i == weakest), 0.0] for i in range(norms.size)],
     }
 
@@ -135,8 +138,8 @@ def verify_basis_mapping(
     g, a_inf, _ = _audibility(fac, failed)
     # the image of coordinate i is e_i * its owner's value, so no direction repeats
     selected = g[np.arange(len(g)), owner_vector(owners, *g.shape[::-1])] * a_inf
-    diag = _coordinate_span_diagnostics(selected, selected, tol)
-    nonzero = np.flatnonzero(selected > tol).tolist()
+    diag = _coordinate_span_diagnostics(selected, selected, fac.scale, tol)
+    nonzero = np.flatnonzero(selected > tol * fac.scale).tolist()
     diag["nonzero_directions"] = nonzero
     diag["distinct_nonzero"] = len(nonzero)
     if failed is None:
@@ -171,8 +174,8 @@ def verify_frame_mapping(
         return _report("frame_mapping", hyps, None, {"note": "hypotheses unmet"})
     g, a_inf, _ = _audibility(fac, failed)
     top, top_j = g.max(axis=1) * a_inf, g.argmax(axis=1)  # smallest j on ties
-    diag = _coordinate_span_diagnostics(np.linalg.norm(g, axis=1) * a_inf, top, tol)
-    heard = np.flatnonzero(top > tol)
+    diag = _coordinate_span_diagnostics(np.linalg.norm(g, axis=1) * a_inf, top, fac.scale, tol)
+    heard = np.flatnonzero(top > tol * fac.scale)
     diag["per_coordinate_basis"] = [
         {"coordinate": i, "magnitude": mag, "label": [i, j]}
         for i, mag, j in zip(heard.tolist(), top[heard].tolist(), top_j[heard].tolist())
@@ -195,7 +198,8 @@ def verify_projective_frame(
     if not all(h["ok"] for h in hyps[:2]):
         return _report("projective_frame", hyps, None, {"note": "hypotheses unmet"})
     g, a_inf, a_2 = _audibility(fac, failed)
-    diag = _coordinate_span_diagnostics(np.linalg.norm(g, axis=1) * a_2, g.max(axis=1) * a_inf, tol)
+    diag = _coordinate_span_diagnostics(
+        np.linalg.norm(g, axis=1) * a_2, g.max(axis=1) * a_inf, fac.scale, tol)
     diag["cardinality"] = g.size * len(fac.alpha)
     return _report("projective_frame", hyps, diag["spans"], diag)
 
@@ -225,7 +229,8 @@ def verify_strong_dominance_frame(
     ]
     w_all = np.abs(gamma[:, None, :] * alpha[None, :, :])  # (N, K, n)
     w_set = VectorSet(w_all.reshape(-1, n).astype(np.complex128))
-    diag = _span_diagnostics(span_certificate(w_set, tol), np.any(w_all > tol, axis=(0, 1)))
+    heard = np.any(w_all > tol * w_all.max(), axis=(0, 1))
+    diag = _span_diagnostics(span_certificate(w_set, tol), heard)
     diag["cardinality"] = w_set.count
     j_star = np.argmax(np.abs(gamma), axis=0)
     k_star = np.argmax(np.abs(alpha), axis=0)

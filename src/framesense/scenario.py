@@ -7,12 +7,12 @@ pre-separable) into a per-sensor sensitivity profile and a per-time volume
 profile, and a health map carries everything into a low-dimensional space
 C^n.  The scenario is separable when the health images factor the same way,
 H(v_jk)(i) = gamma_j(i) * alpha_k(i): at each coordinate i the N-by-K matrix
-of images has rank at most one within tol.  In C^n each coordinate has one
-owner, the sensor that hears it best: :func:`build_index_sets` returns
-them as the (n,) int array ``owners``, and sensor j's responsibility set is
-I_j = {i : owners[i] == j}.  The predicates at the bottom (radiative,
-dominant, harmonious, operational) quantify which coordinates are being
-emitted, heard, and shared between sensors.
+of images has rank at most one within tol, by the rules ``frames`` states.
+In C^n each coordinate has one owner, the sensor that hears it best:
+:func:`build_index_sets` returns them as the (n,) int array ``owners``, and
+sensor j's responsibility set is I_j = {i : owners[i] == j}.  The predicates
+at the bottom (radiative, dominant, harmonious, operational) quantify which
+coordinates are being emitted, heard, and shared between sensors.
 
 Each stage returns a plain value: :func:`validate_scenario` a list of
 violations, :func:`factor_readings` the raw factors ``(gamma_hat,
@@ -34,6 +34,7 @@ the interpreter and imports (2-vCPU VM, one BLAS thread).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -277,6 +278,16 @@ class Factorization:
         """Health images gamma_j(i) * alpha_k(i) as an (N, K, n) array."""
         return self.gamma[:, None, :] * self.alpha[None, :, :]
 
+    @cached_property
+    def peaks(self) -> np.ndarray:
+        """(N, n) gauge-free peak images ``|gamma_j(i)| * max_k |alpha_k(i)|``."""
+        return np.abs(self.gamma) * np.abs(self.alpha).max(axis=0, initial=0.0)
+
+    @cached_property
+    def scale(self) -> float:
+        """max|images|, the scale of every magnitude test on the factors."""
+        return float(self.peaks.max(initial=0.0))
+
 
 def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> list:
     """Check the structural invariants and return the violations found, as
@@ -286,13 +297,15 @@ def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> list:
     missing = np.flatnonzero(~s.covering.any(axis=0))
     if missing.size:
         violations.append(f"covering misses parameters {missing.tolist()}")
-    for j in range(s.N):
-        for l in range(j + 1, s.N):
-            overlap = np.flatnonzero(s.partition[j] & s.partition[l])
-            if overlap.size:
-                violations.append(
-                    f"partition sets S_{j} and S_{l} overlap at {overlap.tolist()}"
-                )
+    # Only sensors holding a parameter that two partition sets claim can overlap.
+    shared = np.flatnonzero(s.partition.sum(axis=0) > 1)
+    claims = s.partition[:, shared]
+    holders = np.flatnonzero(claims.any(axis=1))
+    for a, j in enumerate(holders.tolist()):
+        later = holders[a + 1:]
+        for l in later[np.any(claims[later] & claims[j], axis=1)].tolist():
+            overlap = shared[claims[j] & claims[l]]
+            violations.append(f"partition sets S_{j} and S_{l} overlap at {overlap.tolist()}")
     missing = np.flatnonzero(~s.partition.any(axis=0))
     if missing.size:
         violations.append(f"partition misses parameters {missing.tolist()}")
@@ -300,18 +313,12 @@ def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> list:
         stray = np.flatnonzero(s.partition[j] & ~s.covering[j])
         if stray.size:
             violations.append(f"S_{j} is not contained in T_{j} (extra {stray.tolist()})")
-    for j in range(s.N):
-        outside = np.flatnonzero(~s.covering[j, s.params])
-        if not outside.size:
-            continue
-        block = np.abs(s.values[j][:, outside])
-        if np.any(block > tol):
-            ks, ls = np.nonzero(block > tol)
-            k, f = int(ks[0]), int(s.params[outside[ls[0]]])
-            violations.append(
-                f"sensor {j} reports parameter {f} outside its covering "
-                f"(first at time {k})"
-            )
+    mags = np.abs(s.values)
+    loud = (mags > tol * mags.max(initial=0.0)) & ~s.covering[:, None, s.params]
+    for j in np.flatnonzero(loud.any(axis=(1, 2))).tolist():
+        ks, ls = np.nonzero(loud[j])
+        violations.append(f"sensor {j} reports parameter {s.params[ls[0]]} outside its "
+                          f"covering (first at time {ks[0]})")
     return violations
 
 
@@ -321,13 +328,13 @@ def _rank1_factors(stack: np.ndarray, tol: float) -> tuple:
     Returns ``(gamma, alpha, offending)``: gamma (L, N) and alpha (L, K), with
     ``stack[l]`` close to the outer product of ``gamma[l]`` and ``alpha[l]``,
     and an (L,) bool marking the matrices of rank > 1.  Matrix l is live when
-    its top singular value s1 exceeds ``tol * max(1, max|stack|)``; a quiet
-    one keeps both factors 0 and is never offending.  A live one is offending
+    its top singular value s1 exceeds ``tol * max|stack|``; a quiet one keeps
+    both factors 0 and is never offending.  A live one is offending
     when its second singular value exceeds ``tol * s1``.  The gauge makes the
     strongest sensor's entry of gamma real and nonnegative and gives both
     factors the norm sqrt(s1).
     """
-    scale = max(1.0, float(np.max(np.abs(stack)))) if stack.size else 1.0
+    scale = np.max(np.abs(stack), initial=0.0)
     u, sv, vh = np.linalg.svd(stack, full_matrices=False)
     u0, top_sv, vh0 = u[:, :, 0], sv[:, 0], vh[:, 0, :]  # (L, N), (L,), (L, K)
     live = top_sv > tol * scale
@@ -350,7 +357,7 @@ def factor_readings(s: Scenario, tol: float = DEFAULT_TOL) -> tuple:
     parameters.  The per-parameter gauge is fixed so that the strongest
     sensor's factor is real and nonnegative.  Only the live parameters are
     decomposed: every other parameter is silent, with both factors 0, as are
-    those of a live one whose top singular value is within tol.
+    those of one whose top singular value is at most tol * max|readings|.
     """
     check_tol(tol)
     gamma_hat, alpha_hat, offending = _rank1_factors(s.values.transpose(2, 0, 1), tol)
@@ -370,7 +377,7 @@ def separate(s: Scenario, tol: float = DEFAULT_TOL) -> Factorization:
     image, so the result depends on the images alone, never on the health
     map's kind or on parameters it ignores.  :class:`NotSeparableError` lists
     the coordinates of rank > 1, or says by how much the factors' products
-    miss the images when that exceeds ``tol * max(1, max|images|)``.
+    miss the images when that exceeds ``tol * max|images|``.
     """
     check_tol(tol)
     images = s.health_images()
@@ -381,7 +388,7 @@ def separate(s: Scenario, tol: float = DEFAULT_TOL) -> Factorization:
             f"health images have rank > 1 at coordinate indices {offending.tolist()}", offending)
     fac = Factorization(gamma.T, alpha.T)
     err = np.max(np.abs(images - fac.images()))
-    if err > tol * max(1.0, float(np.max(np.abs(images)))):
+    if err > tol * np.max(np.abs(images), initial=0.0):
         raise NotSeparableError(f"factor products deviate from health images by {err:.3e}")
     return fac
 
@@ -392,24 +399,26 @@ def build_index_sets(images: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     ``images`` is the (N, K, n) array of health images.  Returns the (n,)
     ``owners``: coordinate i goes to the sensor with the largest peak
     magnitude (ties to the smallest j), so I_j = {i : owners[i] == j}.  That
-    sensor hears i above tol; :class:`UncoverableIndexError` lists the
-    coordinates no sensor hears above tol.
+    sensor hears i above ``tol * max|images|``, :func:`separate`'s floor;
+    :class:`UncoverableIndexError` lists the coordinates no sensor hears so.
     """
     peak = np.max(np.abs(np.asarray(images)), axis=1)  # (N, n)
-    silent = np.flatnonzero(~np.any(peak > tol, axis=0))
+    silent = np.flatnonzero(~np.any(peak > tol * peak.max(initial=0.0), axis=0))
     if silent.size:
         raise UncoverableIndexError(silent)
     return np.argmax(peak, axis=0)  # argmax ties break to smallest j
 
 
 def is_i_radiative(fac: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Per coordinate i: some time emits it, |alpha_k(i)| > tol for some k."""
-    return np.any(np.abs(fac.alpha) > tol, axis=0)
+    """Per coordinate i: some image of i is audible, its peak image
+    ``fac.peaks[j, i]`` above ``tol * fac.scale`` for some sensor j."""
+    return np.any(fac.peaks > tol * fac.scale, axis=0)
 
 
 def is_i_dominant(fac: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Per coordinate i: some sensor hears it, |gamma_j(i)| > tol for some j."""
-    return np.any(np.abs(fac.gamma) > tol, axis=0)
+    """Per coordinate i: some sensor hears it, which no gauge-free test tells
+    from :func:`is_i_radiative`; the two stay separate hypotheses."""
+    return is_i_radiative(fac, tol)
 
 
 def is_strongly_i_dominant(fac: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -420,18 +429,19 @@ def is_strongly_i_dominant(fac: Factorization, tol: float = DEFAULT_TOL) -> np.n
     mags = np.sort(np.abs(fac.gamma), axis=0)  # (N, n), ascending per coordinate
     n_sensors = mags.shape[0]
     runner_up = mags[-2] if n_sensors > 1 else 0.0
-    return (mags[-1] > tol) & (mags[-1] > (n_sensors - 1) * runner_up)
+    return is_i_radiative(fac, tol) & (mags[-1] > (n_sensors - 1) * runner_up)
 
 
 def is_j_harmonious(fac: Factorization, owners, j: int, tol: float = DEFAULT_TOL) -> bool:
-    """Every coordinate sensor j owns is audible to some other sensor.
+    """Every coordinate sensor j owns is audible to some other sensor, with a
+    peak image above ``tol * fac.scale``.
 
     Vacuously true when I_j is empty.  The negation (some owned coordinate
     heard only by j) is the j-disjoint case.
     """
     owners = owner_vector(owners, *fac.gamma.shape)
-    others = np.delete(np.abs(fac.gamma[:, owners == j]), j, axis=0)
-    return bool(np.all(np.any(others > tol, axis=0)))
+    others = np.delete(fac.peaks[:, owners == j], j, axis=0)
+    return bool(np.all(np.any(others > tol * fac.scale, axis=0)))
 
 
 def is_harmonious(fac: Factorization, owners, tol: float = DEFAULT_TOL) -> bool:
@@ -445,11 +455,12 @@ class SensorStatus:
 
 
 def sensor_status(fac: Factorization, owners, j: int, tol: float = DEFAULT_TOL) -> SensorStatus:
-    """Operational iff gamma_j is nonzero on every coordinate the sensor owns."""
+    """Operational iff sensor j hears every coordinate it owns, its peak image
+    above ``tol * fac.scale``."""
     owned = np.flatnonzero(owner_vector(owners, *fac.gamma.shape) == j)
     if not owned.size:
         return SensorStatus(status="undefined")
-    silent = np.flatnonzero(np.abs(fac.gamma[j, owned]) <= tol)
+    silent = np.flatnonzero(fac.peaks[j, owned] <= tol * fac.scale)
     if silent.size:
         failed = tuple(zip(silent.tolist(), owned[silent].tolist()))
         return SensorStatus(status="non_operational", failed=failed)

@@ -323,19 +323,19 @@ class TestValidate:
 
     def test_huge_selection_scale_silences_the_quiet_coordinate(self, tmp_path, capsys):
         # Images of 1e200 at coordinate 1 make the harmonious fixture's images
-        # near 1 at coordinate 2 silent, within tol * max|images|.  Each factor
-        # carries the root of 1e200, so squaring one cannot overflow.
+        # near 1 at coordinate 2 silent, within tol * max|images|, the floor
+        # separate and build_index_sets share.  Each factor carries the root
+        # of 1e200, so squaring one cannot overflow.
         doc = json.loads(Path(HARMONIOUS).read_text())
         doc["health"]["rows"][0][2] = 1e200
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
-        assert cli.main(["validate", str(path)]) == 0
-        assert "\n  2  no  no  no  2\n" in capsys.readouterr().out
+        assert cli.main(["validate", str(path)]) == 1
+        assert "health coordinates [2] are silent" in capsys.readouterr().err
         out = tmp_path / "o"
-        assert cli.main(["theorems", str(path), "--out", str(out)]) == 0
-        verdicts = capsys.readouterr().out.splitlines()[:4]
-        assert all("hypotheses unmet" in v for v in verdicts), verdicts
-        assert len(list(out.glob("theorem_*.json"))) == 4
+        assert cli.main(["theorems", str(path), "--out", str(out)]) == 1
+        assert "health coordinates [2] are silent" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit",

@@ -198,7 +198,7 @@ class TestMultiplicative:
     def test_certificate_onb_times_ones(self):
         pair = MultiplicativeFactorPair(ONB2, VectorSet([[1, 1]]))
         cert = mf_bound_certificate(pair, frame_bounds(ONB2))
-        assert cert.interval == (1.0, 1.0)
+        assert tuple(cert) == (1.0, 1.0)
         actual = frame_bounds(multiplicative_product(pair))
         assert cert.lower <= actual.lower + 1e-12
         assert actual.upper <= cert.upper + 1e-12
@@ -206,7 +206,7 @@ class TestMultiplicative:
     def test_certificate_skew_times_ones(self):
         pair = MultiplicativeFactorPair(SKEW3, VectorSet([[1, 1]]))
         cert = mf_bound_certificate(pair, frame_bounds(SKEW3))
-        assert np.allclose(cert.interval, (4.0, 18.0))
+        assert np.allclose(tuple(cert), (4.0, 18.0))
 
     def test_certificate_scales_quadratically(self):
         z = VectorSet([[1, 2]])
@@ -216,7 +216,10 @@ class TestMultiplicative:
         assert np.allclose([c3.lower, c3.upper], [9 * c1.lower, 9 * c1.upper])
 
     def test_certificate_requires_nonvanishing_factor(self):
-        pair = MultiplicativeFactorPair(ONB2, VectorSet([[1, 0], [0, 1]]))
+        # Each coordinate heard by some z_k is enough: ONB2 as Z is certified.
+        cert = mf_bound_certificate(MultiplicativeFactorPair(ONB2, ONB2), frame_bounds(ONB2))
+        assert tuple(cert) == (1.0, 1.0)
+        pair = MultiplicativeFactorPair(ONB2, VectorSet([[1, 0], [2, 0]]))
         with pytest.raises(ValueError):
             mf_bound_certificate(pair, frame_bounds(ONB2))
 
@@ -224,7 +227,7 @@ class TestMultiplicative:
         # Z the frame, Y the nonvanishing factor: certify the swapped pair.
         pair = MultiplicativeFactorPair(VectorSet([[1, 1]]), ONB2)
         cert = mf_bound_certificate(MultiplicativeFactorPair(pair.Z, pair.Y), frame_bounds(ONB2))
-        assert cert.interval == (1.0, 1.0)
+        assert tuple(cert) == (1.0, 1.0)
 
     def test_containment_randomized(self):
         rng = np.random.default_rng(17)
@@ -238,6 +241,61 @@ class TestMultiplicative:
             actual = frame_bounds(multiplicative_product(pair))
             assert cert.lower <= actual.lower + 1e-9
             assert actual.upper <= cert.upper + 1e-9
+
+
+def random_pair(rng):
+    """A random complex factor pair whose Z has 1 to 4 vectors, some entries 0."""
+    n = int(rng.integers(1, 7))
+    y, z = (rng.standard_normal((count, n, 2)) @ [1, 1j]
+            for count in (int(rng.integers(1, 3 * n + 1)), int(rng.integers(1, 5))))
+    z[rng.random(z.shape) < 0.3] = 0
+    return MultiplicativeFactorPair(VectorSet(y), VectorSet(z))
+
+
+class TestSchur:
+    """The product set's frame operator is the entrywise product of its
+    factors', so Schur's theorem bounds its eigenvalues."""
+
+    def test_product_frame_operator_is_the_entrywise_product(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            pair = random_pair(rng)
+            schur = frame_operator(pair.Y) * frame_operator(pair.Z)
+            op = frame_operator(multiplicative_product(pair))
+            assert np.max(np.abs(op - schur)) <= 1e-12 * np.max(np.abs(schur))
+
+    def test_interval_contains_the_true_bounds_and_is_never_looser(self):
+        rng = np.random.default_rng(11)
+        certified = old_holds = 0
+        for _ in range(200):
+            pair = random_pair(rng)
+            y_bounds = frame_bounds(pair.Y)
+            try:
+                cert = mf_bound_certificate(pair, y_bounds)
+            except ValueError:
+                continue
+            certified += 1
+            actual = frame_bounds(multiplicative_product(pair))
+            assert cert.lower <= actual.lower * (1 + 1e-9) + 1e-12
+            assert actual.upper <= cert.upper * (1 + 1e-9)
+            z = np.abs(pair.Z.matrix)
+            m_z = z.min(axis=1).max()  # the earlier hypothesis: some z_k nonvanishing
+            if m_z > DEFAULT_TOL:
+                old_holds += 1
+                assert m_z**2 * y_bounds.lower <= cert.lower * (1 + 1e-12)
+                assert cert.upper <= len(z) * y_bounds.upper * z.max() ** 2 * (1 + 1e-12)
+        assert certified > old_holds > 0
+
+    def test_diagonal_support_pair_is_certified(self):
+        # No z_k is nonvanishing, but every coordinate is heard by one of them.
+        z = VectorSet(np.diag([2.0, 3.0, 1.0]))
+        assert np.abs(z.matrix).min(axis=1).max() == 0
+        pair = MultiplicativeFactorPair(VectorSet(np.eye(3) + 0.5), z)
+        y_bounds = frame_bounds(pair.Y)
+        cert = mf_bound_certificate(pair, y_bounds)
+        assert np.allclose(tuple(cert), (y_bounds.lower * 1.0, y_bounds.upper * 9.0))
+        actual = frame_bounds(multiplicative_product(pair))
+        assert cert.lower <= actual.lower + 1e-12 and actual.upper <= cert.upper + 1e-12
 
 
 class TestSpanCertificate:
@@ -269,7 +327,8 @@ class TestSpanCertificate:
             vs = VectorSet(
                 rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
             )
-            assert span_certificate(vs).spans == (frame_bounds(vs).lower > DEFAULT_TOL)
+            bounds = frame_bounds(vs)
+            assert span_certificate(vs).spans == (bounds.lower > DEFAULT_TOL * bounds.upper)
 
 
 class TestSerialization:

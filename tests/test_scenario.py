@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -127,6 +129,24 @@ class TestValidate:
             health=HealthMap.identity(3),
         )
         assert any("partition misses" in v for v in validate_scenario(s))
+
+    def test_overlaps_are_found_without_a_pass_over_every_sensor_pair(self):
+        # 5,000 sensors hearing one parameter that only the first is responsible
+        # for: no parameter is claimed twice, so no pair needs a comparison.
+        n_sensors = 5000
+        partition = np.zeros((n_sensors, 1), dtype=bool)
+        partition[0] = True
+        readings = np.ones((n_sensors, 1, 1), dtype=complex)
+        s = Scenario.from_dense(np.ones((n_sensors, 1), dtype=bool), partition, readings,
+                                HealthMap.identity(1))
+        start = time.perf_counter()
+        assert validate_scenario(s) == []
+        assert time.perf_counter() - start < 2
+        partition = partition.copy()
+        partition[[3, 7, 4999]] = True  # claimed four times: six pairs, in (j, l) order
+        pairs = [(0, 3), (0, 7), (0, 4999), (3, 7), (3, 4999), (7, 4999)]
+        assert validate_scenario(dataclasses.replace(s, partition=partition)) == [
+            f"partition sets S_{j} and S_{l} overlap at [0]" for j, l in pairs]
 
 
 class TestFactorReadings:
@@ -588,7 +608,7 @@ class TestScenarioJson:
 def factor_reference(readings, tol=DEFAULT_TOL):
     """The per-parameter rule: one SVD per parameter, the loudest sensor's factor real."""
     n_sensors, n_times, m = readings.shape
-    scale = max(1.0, float(np.max(np.abs(readings))))
+    scale = np.max(np.abs(readings))
     gamma_hat = np.zeros((n_sensors, m), dtype=complex)
     alpha_hat = np.zeros((n_times, m), dtype=complex)
     offending = []
@@ -676,7 +696,8 @@ def test_separate_matches_per_coordinate_svd(n_sensors, n_times, m, n, dense_map
 
 def validate_reference(covering, partition, readings, tol=DEFAULT_TOL):
     """The structural invariants checked set by set: ``covering`` and
-    ``partition`` are lists of 0-based index sets, ``readings`` is (N, K, M)."""
+    ``partition`` are lists of 0-based index sets, ``readings`` is (N, K, M).
+    A reading outside the covering counts above tol times the loudest reading."""
     n_sensors, _, m = readings.shape
     violations = []
     all_params = set(range(m))
@@ -697,7 +718,7 @@ def validate_reference(covering, partition, readings, tol=DEFAULT_TOL):
             violations.append(f"S_{j} is not contained in T_{j} (extra {sorted(stray)})")
     for j in range(n_sensors):
         outside = [f for f in range(m) if f not in covering[j]]
-        loud = np.abs(readings[j][:, outside]) > tol
+        loud = np.abs(readings[j][:, outside]) > tol * np.max(np.abs(readings))
         if np.any(loud):
             ks, ls = np.nonzero(loud)
             violations.append(f"sensor {j} reports parameter {outside[ls[0]]} outside its "
@@ -744,11 +765,13 @@ def test_validate_scenario_matches_set_rules(seed):
 
 def index_sets_reference(images, tol=DEFAULT_TOL):
     """Ownership set by set: J_j holds the coordinates sensor j hears above
-    tol at some time, and I_j those whose loudest sensor is j (the smallest j
-    on ties).  Raises UncoverableIndexError for the coordinates in no J_j."""
+    tol times the loudest image at some time, and I_j those whose loudest
+    sensor is j (the smallest j on ties).  Raises UncoverableIndexError for
+    the coordinates in no J_j."""
     peak = np.max(np.abs(images), axis=1)  # (N, n)
     n_sensors, n = peak.shape
-    audible = tuple({i for i in range(n) if peak[j, i] > tol} for j in range(n_sensors))
+    floor = tol * np.max(np.abs(images))
+    audible = tuple({i for i in range(n) if peak[j, i] > floor} for j in range(n_sensors))
     silent = sorted(set(range(n)) - set().union(*audible))
     if silent:
         raise UncoverableIndexError(silent)
@@ -766,7 +789,8 @@ def test_owners_match_set_ownership(seed, tol):
     silent coordinates are reported as the sets report them."""
     rng = np.random.default_rng(seed)
     n_sensors, n_times, n = (int(x) for x in rng.integers(1, 6, size=3))
-    # Few distinct moduli make ties common; some sit at, just above or below tol.
+    # Few distinct moduli make ties common; some sit at, just above or below
+    # tol, the floor when the loudest image is 1.
     moduli = np.array([0.0, tol / 2, tol, tol * (1 + 1e-9), 2 * tol, 0.5, 1.0, 3.0])
     phases = np.array([1, -1, 1j, -1j])  # exact, so equal moduli stay equal
     images = moduli[rng.integers(0, moduli.size, (n_sensors, n_times, n))] \
@@ -786,18 +810,21 @@ def test_owners_match_set_ownership(seed, tol):
 
 
 def predicates_reference(gamma, alpha, tol):
-    """The per-coordinate rules: radiative, dominant, strongly dominant."""
+    """The per-coordinate rules: radiative, dominant, strongly dominant.  An
+    image gamma_j(i) * alpha_k(i) is audible above tol times the loudest one."""
     n_sensors, n = gamma.shape
-    rad = [bool(np.any(np.abs(alpha[:, i]) > tol)) for i in range(n)]
-    dom = [bool(np.any(np.abs(gamma[:, i]) > tol)) for i in range(n)]
+    images = np.abs(gamma[:, None, :] * alpha[None, :, :])  # (N, K, n)
+    floor = tol * np.max(np.abs(gamma)[:, None, :] * np.abs(alpha)[None, :, :])
+    audible = [[bool(np.any(images[j, :, i] > floor)) for i in range(n)] for j in range(n_sensors)]
+    rad = [any(audible[j][i] for j in range(n_sensors)) for i in range(n)]
     strong = []
     for i in range(n):
         mags = np.abs(gamma[:, i])
         strong.append(any(
-            mags[j] > tol and np.all(mags[j] > (n_sensors - 1) * np.delete(mags, j))
+            audible[j][i] and np.all(mags[j] > (n_sensors - 1) * np.delete(mags, j))
             for j in range(n_sensors)
         ))
-    return rad, dom, strong
+    return rad, rad, strong
 
 
 # Small exact values make ties, zeros and entries at the threshold common.
