@@ -13,6 +13,8 @@ the thresholds and ``{"config": <the resolved config>}`` as metadata.
 ``generate`` writes its datasets in one process per available CPU.  Its workers
 report only success or failure; after any failure it writes the plan again in
 one process, which reports the first failing dataset as a one-process run does.
+Each worker draws its noise once for its whole share, and formats each distinct
+``health.csv`` row once per group of datasets that differ only in failed sensors.
 
 Exit codes: 0 success, 1 domain violation (invalid scenario, or a demanded
 conclusion failed), 2 I/O or parse error or float64 overflow.
@@ -363,14 +365,20 @@ def _dataset_dir(root: Path, key: tuple) -> Path:
 
 
 def _write(plan: Plan, out: Path, indices) -> None:
-    """Generate and save the datasets at ``indices`` of ``plan.datasets``, in order.
-    The first that fails raises."""
+    """Generate and save the datasets at ``indices`` of ``plan.datasets``, in order,
+    from one noise draw.  The first that fails raises.
+
+    A group is the datasets whose run configs differ only in failed sensors.  Their
+    live rows are bit-identical, so each group has one row-text cache, which holds
+    that group's rows alone and lives until the share is written."""
     from . import turbine
 
-    for index in indices:
-        key, run_cfg, conditions = plan.datasets[index]
-        ds = turbine.generate_dataset(plan.fleet, plan.mixing, run_cfg, conditions)
-        turbine.save_dataset(ds, _dataset_dir(out, key))
+    runs = [plan.datasets[index][1:] for index in indices]
+    caches = {}
+    for index, (run_cfg, conditions), ds in zip(
+            indices, runs, turbine.generate_datasets(plan.fleet, plan.mixing, runs)):
+        texts = caches.setdefault((replace(run_cfg, failed_sensors=frozenset()), conditions), {})
+        turbine.save_dataset(ds, _dataset_dir(out, plan.datasets[index][0]), texts)
 
 
 def _fork(plan: Plan, out: Path, indices) -> int:

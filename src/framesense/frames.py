@@ -1,16 +1,24 @@
 """Finite frame theory over complex n-space.
 
-Analysis/synthesis/frame operators, optimal frame bounds, canonical duals,
-reconstruction, and multiplicative (coordinatewise-product) frame
-construction with certified bound intervals.  All sets are finite and all
-operations are pure functions of immutable inputs.
+Analysis and synthesis, optimal frame bounds, canonical duals,
+reconstruction, span certificates, and multiplicative (coordinatewise-product)
+frame construction with certified bound intervals.  All sets are finite and
+all operations are pure functions of immutable inputs.
+
+Every spectral quantity of a vector set, the span test, the frame bounds and
+the canonical dual alike, is read from one SVD of its stacked matrix
+(``_svd``), never from the frame operator, whose entries are the squares of
+the set's.  So no decision squares an entry, the dual of a frame scaled by
+1e-300 or 1e300 is still finite, and a frame bound whose square float64
+cannot hold is a ValueError, never nan, inf or a false 0.
 
 Every tol test here and in ``scenario`` and ``mappings``, for a tol that
 passes :func:`check_tol`, follows one of two rules, so that no verdict
 depends on the units of the readings:
 
-* span rule: a set spans when ``sigma_min > sqrt(tol) * sigma_max``, in
-  ratio form and never squared (equivalently frame bounds ``A > tol * B``);
+* span rule (:func:`span_rule`): a set spans when ``sigma_min > sqrt(tol) *
+  sigma_max``, in ratio form and never squared (equivalently frame bounds
+  ``A > tol * B``);
 * magnitude rule: a modulus x counts when ``x > tol * scale``, ``scale``
   being the largest modulus of its kind in the object under test.
 
@@ -51,7 +59,8 @@ class NotAFrameError(ValueError):
 
 
 class FrameBounds(NamedTuple):
-    """Optimal frame constants: the extreme eigenvalues of the frame operator."""
+    """Frame constants: the optimal ones are the extreme eigenvalues of the
+    frame operator, the squared extreme singular values of the set."""
 
     lower: float
     upper: float
@@ -132,34 +141,62 @@ def synthesis(coeffs, frame: VectorSet) -> np.ndarray:
     return frame.matrix.T @ coeffs
 
 
-def frame_operator(frame: VectorSet) -> np.ndarray:
-    """The n-by-n Hermitian PSD operator ``sum_h x_h x_h^*``.
+def _svd(vectors: VectorSet) -> tuple:
+    """``(u, sigma, vh)`` of the stacked matrix, ``sigma`` padded with zeros to
+    ``dim`` entries, largest first: the one factorization every spectral
+    decision here reads.
 
-    Explicitly symmetrized to suppress rounding drift before any
-    eigen-solve downstream.
-    """
-    op = frame.matrix.T @ frame.matrix.conj()
-    return 0.5 * (op + op.conj().T)
+    A wide set needs the full vh for a null-space row; for a tall set the thin
+    vh is already square, and its (count, count) U is never built."""
+    u, s, vh = np.linalg.svd(vectors.matrix, full_matrices=vectors.count < vectors.dim)
+    sigma = np.zeros(vectors.dim)
+    sigma[: s.shape[0]] = s
+    return u, sigma, vh
+
+
+def span_rule(smallest: float, largest: float, tol: float) -> bool:
+    """The span rule: a set with extreme singular values ``smallest`` and
+    ``largest`` spans when ``smallest > sqrt(tol) * largest``."""
+    return bool(smallest > np.sqrt(tol) * largest)
+
+
+def _product(*factors: float) -> float:
+    """The product of ``factors``, taken left to right.  One that overflows
+    float64, or is nonzero and rounds to 0, is a ValueError naming it."""
+    value = 1.0
+    for factor in factors:
+        value *= float(factor)
+    if value == np.inf or (value == 0 and all(factors)):
+        kind = "overflows" if value else "underflows to 0"
+        raise ValueError(f"{' * '.join(map(repr, map(float, factors)))} {kind} in float64")
+    return value
 
 
 def frame_bounds(frame: VectorSet) -> FrameBounds:
-    """Optimal constants: extreme eigenvalues of the frame operator."""
-    eigs = np.linalg.eigvalsh(frame_operator(frame))
-    return FrameBounds(float(max(eigs[0], 0.0)), float(eigs[-1]))
+    """Optimal constants ``(sigma_min**2, sigma_max**2)``, the extreme
+    eigenvalues of the frame operator; lower is 0 for a wide set.
+
+    A square that float64 cannot hold, one that overflows or a nonzero one
+    that rounds to 0, is a ValueError."""
+    _, sigma, _ = _svd(frame)
+    return FrameBounds(_product(sigma[-1], sigma[-1]), _product(sigma[0], sigma[0]))
 
 
 def canonical_dual(frame: VectorSet, tol: float = DEFAULT_TOL) -> VectorSet:
-    """The dual frame ``{F^-1 x_h}``; its bounds are (1/B, 1/A)."""
-    op = frame_operator(frame)
-    lower, upper = frame_bounds(frame)
-    if lower <= tol * upper:
+    """The dual frame ``{S^-1 x_h}``, S the frame operator; its bounds are (1/B, 1/A).
+
+    With ``M = U Sigma V^H`` the stacked frame, the dual's rows are those of
+    ``U Sigma^-1 V^H``.  A set that does not span by the span rule is a
+    NotAFrameError."""
+    check_tol(tol)
+    u, sigma, vh = _svd(frame)
+    if not span_rule(sigma[-1], sigma[0], tol):
         raise NotAFrameError("set does not span; frame operator is singular")
-    dual = np.linalg.solve(op, frame.matrix.T).T
-    return VectorSet(dual)
+    return VectorSet((u / sigma) @ vh)
 
 
 def reconstruct(x, frame: VectorSet, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Recover x as ``sum_h <x, x_h> F^-1 x_h``; equals x for any frame."""
+    """Recover x as ``sum_h <x, x_h> S^-1 x_h``; equals x for any frame."""
     coeffs = analysis(x, frame)
     return synthesis(coeffs, canonical_dual(frame, tol))
 
@@ -183,12 +220,17 @@ def mf_bound_certificate(
         [ A_Y * min(d),  B_Y * max(d) ]
 
     for Y with bounds ``y_bounds``.  It needs every coordinate heard by some
-    z_k, ``min(d) > tol * max(d)``, and refuses with ValueError otherwise.
+    z_k, ``min(d) > tol * max(d)`` for Z divided by its largest modulus, and
+    refuses with ValueError otherwise.  A bound that float64 cannot hold is a
+    ValueError, as in :func:`frame_bounds`.
     """
-    d = np.sum(np.abs(pair.Z.matrix) ** 2, axis=0)
-    if d.min() <= tol * d.max():
+    z = np.abs(pair.Z.matrix)
+    top = z.max()
+    d = np.sum((z / (top or 1.0)) ** 2, axis=0)
+    if not d.min() > tol * d.max():
         raise ValueError("some coordinate vanishes in every z_k; lower bound hypothesis fails")
-    return FrameBounds(y_bounds.lower * float(d.min()), y_bounds.upper * float(d.max()))
+    return FrameBounds(_product(y_bounds.lower, d.min(), top, top),
+                       _product(y_bounds.upper, d.max(), top, top))
 
 
 @dataclass(frozen=True)
@@ -208,17 +250,12 @@ class SpanCertificate:
 def span_certificate(vectors: VectorSet, tol: float = DEFAULT_TOL) -> SpanCertificate:
     """Certify that a set spans, or produce a unit vector orthogonal to all of it."""
     check_tol(tol)
-    # A wide set needs the full vh for a null-space row; for a tall set the
-    # thin vh is already square, and its (count, count) U is never built.
-    m = vectors.matrix
-    _, s, vh = np.linalg.svd(m, full_matrices=vectors.count < vectors.dim)
-    sigma = np.zeros(vectors.dim)
-    sigma[: s.shape[0]] = s
+    _, sigma, vh = _svd(vectors)
     smallest, largest = float(sigma[-1]), float(sigma[0])
-    if smallest > np.sqrt(tol) * largest:
+    if span_rule(smallest, largest, tol):
         return SpanCertificate(True, None, smallest, largest)
-    # conj(vh[-1]) spans the null space of m, so y = vh[-1] satisfies
-    # <y, w> = conj(m @ conj(y)) ~ 0 for every row w.
+    # conj(vh[-1]) spans the null space of m = vectors.matrix, so y = vh[-1]
+    # satisfies <y, w> = conj(m @ conj(y)) ~ 0 for every row w.
     witness = vh[-1] / np.linalg.norm(vh[-1])
     return SpanCertificate(False, witness, smallest, largest)
 

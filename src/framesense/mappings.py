@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import (
-    DEFAULT_TOL, SpanCertificate, VectorSet, check_tol, owner_vector, span_certificate,
+    DEFAULT_TOL, SpanCertificate, VectorSet, check_tol, owner_vector, span_certificate, span_rule,
 )
 from .scenario import (
     Factorization,
@@ -109,7 +109,7 @@ def _coordinate_span_diagnostics(norms: np.ndarray, loudest: np.ndarray, scale: 
     coordinate i is heard when ``loudest[i] > tol * scale``."""
     check_tol(tol)
     weakest = int(np.argmin(norms))  # smallest i on ties
-    spans = bool(norms[weakest] > np.sqrt(tol) * norms.max())  # span_certificate's test
+    spans = span_rule(norms[weakest], norms.max(), tol)
     return {
         "spans": spans,
         "smallest_singular_value": float(norms[weakest]),
@@ -218,13 +218,22 @@ def verify_strong_dominance_frame(
     ``dominance_ratio`` is (N - 1) * runner-up / top of its |gamma| column,
     which a per-coordinate gauge leaves unchanged and strong dominance needs
     below 1; it is None where the column is 0.
+
+    ``schur_interval`` holds the extreme singular values of ``Y' = |gamma| *
+    a_2``, the projective columns of the audibility table.  The images are
+    ``|gamma_j(i) alpha_k(i)| = Y'_j(i) Z'_k(i)`` with ``Z' = |alpha| / a_2``,
+    whose frame operator has a unit diagonal, so Schur's theorem on Hadamard
+    products puts every singular value of the image set in the interval.  It
+    is gauge-free, and None when the radiative hypothesis fails, which leaves
+    some ``a_2[i]`` at 0.
     """
     gamma, alpha = fac.gamma, fac.alpha
     n_sensors, n = gamma.shape
+    radiative = is_i_radiative(fac, tol)
     hyps = [
         _hypothesis("multiple_sensors", n_sensors > 1),
         _hypothesis("dimension_at_most_sensors", n <= n_sensors, note=f"n={n}, N={n_sensors}"),
-        _coordinate_check("radiative", is_i_radiative(fac, tol)),
+        _coordinate_check("radiative", radiative),
         _coordinate_check("strongly_dominant", is_strongly_i_dominant(fac, tol)),
     ]
     w_all = np.abs(gamma[:, None, :] * alpha[None, :, :])  # (N, K, n)
@@ -244,4 +253,10 @@ def verify_strong_dominance_frame(
     ]
     independent = span_certificate(VectorSet(candidate), tol).spans
     diag["candidate_basis_independent"] = independent
+    diag["schur_interval"] = None
+    if radiative.all():
+        g, _, a_2 = _audibility(fac, None)
+        y = span_certificate(VectorSet(g.T * a_2), tol)
+        diag["schur_interval"] = {"smallest_singular_value": y.smallest_singular_value,
+                                  "largest_singular_value": y.largest_singular_value}
     return _report("strong_dominance_frame", hyps, diag["spans"] and independent, diag)

@@ -26,6 +26,9 @@ the same normals at each (condition, sample), grid cells, sweep points and
 calibration alike, and one ``detect`` or ``sweep`` draws them once
 (``generate_datasets``).  Within a cell the rates are binomial, but cells
 are correlated.  A noise-free dataset takes the same draw at sigma = 0.
+So the datasets of one run config that differ only in failed sensors have
+bit-identical live rows, and ``generate`` saves each such group with one
+``save_dataset`` row-text cache, formatting each distinct row once.
 
 A saved dataset directory holds ``health.csv`` (the healths as shortest
 round-trip decimals, for people and other tools), ``health.npy`` (the same
@@ -424,25 +427,38 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def save_dataset(ds: Dataset, out_dir) -> Path:
+def save_dataset(ds: Dataset, out_dir, texts: dict | None = None) -> Path:
     """Persist a dataset directory: health.csv, health.npy, then manifest.json.
 
     ``health.csv`` has one row per (state, sample, sensor) holding the 28
     healths as shortest round-trip decimals; ``health.npy`` holds the same
     ``(conditions, samples, SENSORS, 28)`` ``<f8`` array.  The manifest is
     written last, with the sha256 of both under ``files.sha256``.
+
+    ``texts`` caches each row's decimals under the row's bytes, so a row
+    repeated in this dataset, or in an earlier one saved with the same dict
+    and healths of the same dtype, is formatted once; the caller holds it and
+    decides how long it lives.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_coords = ds.healths.shape[-1]
     header = "state,sample,sensor," + ",".join(f"m{i:02d}" for i in range(n_coords))
     keys = _row_keys(ds.conditions, ds.healths.shape[1])
-    rows = ds.healths.reshape(-1, n_coords).tolist()
-    lines = [header] + [key + ",".join(map(repr, row)) for key, row in zip(keys, rows)]
+    texts = {} if texts is None else texts
+    pieces = [header]
+    # Joined once at the end, so each cached text is referenced, not copied.
+    for key, row in zip(keys, ds.healths.reshape(-1, n_coords)):
+        raw = row.tobytes()
+        text = texts.get(raw)
+        if text is None:
+            text = texts[raw] = ",".join(map(repr, row.tolist()))
+        pieces += ("\n", key, text)
+    pieces.append("\n")
     npy = io.BytesIO()
     np.save(npy, np.ascontiguousarray(ds.healths, dtype="<f8"), allow_pickle=False)
     digests = {}
-    for name, data in zip(HEALTH_FILES, (("\n".join(lines) + "\n").encode(), npy.getvalue())):
+    for name, data in zip(HEALTH_FILES, ("".join(pieces).encode(), npy.getvalue())):
         (out / name).write_bytes(data)
         digests[name] = _sha256(data)
     manifest = {**_manifest(ds.fleet, ds.mixing, ds.cfg, ds.conditions),

@@ -13,7 +13,6 @@ from framesense.frames import (
     analysis,
     canonical_dual,
     frame_bounds,
-    frame_operator,
     mf_bound_certificate,
     multiplicative_product,
     parse_complex,
@@ -69,18 +68,12 @@ class TestAnalysisSynthesis:
         assert np.allclose(analysis(x, f), [-1j])
 
 
+def frame_operator(frame: VectorSet) -> np.ndarray:
+    """The n-by-n frame operator ``sum_h x_h x_h^*``, formed directly."""
+    return frame.matrix.T @ frame.matrix.conj()
+
+
 class TestFrameOperatorAndBounds:
-    def test_onb_gives_identity(self):
-        assert np.allclose(frame_operator(ONB2), np.eye(2))
-
-    def test_sum_of_outer_products(self):
-        assert np.allclose(frame_operator(SKEW3), [[11, 7], [7, 11]])
-
-    def test_operator_is_hermitian(self):
-        rng = np.random.default_rng(7)
-        op = frame_operator(random_frame(rng))
-        assert np.allclose(op, op.conj().T)
-
     def test_onb_bounds(self):
         assert frame_bounds(ONB2) == FrameBounds(1.0, 1.0)
 
@@ -105,6 +98,30 @@ class TestFrameOperatorAndBounds:
         hi = np.sum(np.abs(analysis(vecs[:, -1], f)) ** 2)
         assert abs(lo - a) <= 1e-6 * a
         assert abs(hi - b) <= 1e-6 * b
+
+    def test_bounds_are_the_frame_operator_eigenvalues(self):
+        # The frames of acceptance criterion 3, drawn in its order.
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            dim = int(rng.integers(2, 17))
+            count = dim * int(rng.integers(1, 5))
+            f = VectorSet(
+                rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim)))
+            rng.standard_normal(202 * dim)  # the criterion's test vectors
+            eigs = np.linalg.eigvalsh(frame_operator(f))
+            a, b = frame_bounds(f)
+            assert abs(a - eigs[0]) <= 1e-9 * b and abs(b - eigs[-1]) <= 1e-9 * b
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+    def test_a_square_float64_cannot_hold_is_refused(self, scale):
+        kind = "overflows" if scale > 1 else "underflows"
+        with pytest.raises(ValueError, match=kind):
+            frame_bounds(VectorSet(scale * SKEW3.matrix))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_bounds_scale_quadratically_while_representable(self, scale):
+        assert frame_bounds(VectorSet(scale * SKEW3.matrix)) == pytest.approx(
+            (4 * scale**2, 18 * scale**2), rel=1e-12)
 
 
 class TestClassification:
@@ -158,6 +175,26 @@ class TestDualAndReconstruction:
     def test_dual_of_non_frame_raises(self):
         with pytest.raises(NotAFrameError):
             canonical_dual(VectorSet([[1, 0], [2, 0]]))
+
+    def test_dual_matches_the_frame_operator_solve(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            f = random_frame(rng)
+            expected = np.linalg.solve(frame_operator(f), f.matrix.T).T
+            assert np.max(np.abs(canonical_dual(f).matrix - expected)) <= 1e-12 * np.max(
+                np.abs(expected))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+    def test_dual_at_extreme_scales(self, scale):
+        rng = np.random.default_rng(19)
+        for f in (ONB2, SKEW3, *(random_frame(rng) for _ in range(10))):
+            scaled = VectorSet(scale * f.matrix)
+            dual = canonical_dual(scaled)
+            assert np.all(np.isfinite(dual.matrix))
+            assert np.max(np.abs(dual.matrix * scale - canonical_dual(f).matrix)) <= 1e-12 * (
+                np.max(np.abs(canonical_dual(f).matrix)))
+            back = canonical_dual(dual).matrix
+            assert np.max(np.abs(back - scaled.matrix)) <= 1e-12 * np.max(np.abs(scaled.matrix))
 
     def test_reconstruct_onb_exact(self):
         x = np.array([0.25, -3.5 + 2j])
@@ -222,6 +259,22 @@ class TestMultiplicative:
         pair = MultiplicativeFactorPair(ONB2, VectorSet([[1, 0], [2, 0]]))
         with pytest.raises(ValueError):
             mf_bound_certificate(pair, frame_bounds(ONB2))
+
+    def test_hypothesis_does_not_depend_on_units(self):
+        # d = sum |z_k|**2 overflowed to inf at 1e200, and the identity was refused
+        # as "some coordinate vanishes"; now only the unrepresentable bound is.
+        z = np.array([[1.0, 1.0], [3.0, 0.0]])
+        for scale in (1e-100, 1.0, 1e100):
+            cert = mf_bound_certificate(MultiplicativeFactorPair(ONB2, VectorSet(scale * z)),
+                                        frame_bounds(ONB2))
+            assert tuple(cert) == pytest.approx((scale**2, 10 * scale**2), rel=1e-12)
+        for scale, kind in ((1e200, "overflows"), (1e-200, "underflows")):
+            pair = MultiplicativeFactorPair(ONB2, VectorSet([[scale, scale]]))
+            with pytest.raises(ValueError, match=kind):
+                mf_bound_certificate(pair, frame_bounds(ONB2))
+            with pytest.raises(ValueError, match="vanishes"):
+                mf_bound_certificate(MultiplicativeFactorPair(ONB2, VectorSet([[scale, 0]])),
+                                     frame_bounds(ONB2))
 
     def test_reversed_roles(self):
         # Z the frame, Y the nonvanishing factor: certify the swapped pair.
@@ -329,6 +382,32 @@ class TestSpanCertificate:
             )
             bounds = frame_bounds(vs)
             assert span_certificate(vs).spans == (bounds.lower > DEFAULT_TOL * bounds.upper)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    count=st.integers(1, 12),
+    dim=st.integers(1, 6),
+    rank=st.integers(0, 6),
+    tol=st.sampled_from([1e-9, 1e-6, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dual_refuses_exactly_the_sets_that_do_not_span(count, dim, rank, tol, seed):
+    # Random sets of a chosen rank, half of them with small full-rank noise added.
+    rng = np.random.default_rng(seed)
+    rank = min(rank, count, dim)
+    matrix = (rng.standard_normal((count, rank, 2)) @ [1, 1j]) @ (
+        rng.standard_normal((rank, dim, 2)) @ [1, 1j])
+    noise = rng.choice([0.0, 10.0 ** rng.uniform(-12, 0)])
+    matrix += noise * (rng.standard_normal((count, dim, 2)) @ [1, 1j])
+    vs = VectorSet(matrix)
+    spans = span_certificate(vs, tol).spans
+    try:
+        canonical_dual(vs, tol)
+    except NotAFrameError:
+        assert not spans
+    else:
+        assert spans
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +18,13 @@ from framesense.scenario import (
     build_index_sets,
     is_harmonious,
     is_j_harmonious,
+    scenario_from_json_dict,
     sensor_status,
     separate,
 )
 from tests.test_scenario import three_sensor_projection_scenario
+
+FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
 
 # Fixed worked example used throughout: two sensors whose images under the
 # identity health map on C^2 are their rows of STACK, sensor 0 owning
@@ -279,6 +283,34 @@ class TestVerifiers:
         ):
             assert not report["applicable"]
             assert report["conclusion"] is None
+        assert verify_strong_dominance_frame(fac)["diagnostics"]["schur_interval"] is None
+
+    @pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
+    def test_schur_interval_is_the_image_set_bounds_on_each_fixture(self, fixture):
+        fac = separate(scenario_from_json_dict(json.loads(fixture.read_text())))
+        diag = verify_strong_dominance_frame(fac)["diagnostics"]
+        assert diag["schur_interval"] == pytest.approx(
+            {key: diag[key] for key in ("smallest_singular_value", "largest_singular_value")},
+            rel=1e-12)
+
+    def test_schur_interval_contains_the_image_singular_values(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        for _ in range(1200):
+            n_sensors, times, n = (int(x) for x in rng.integers(1, 5, 3))
+            gamma, alpha = (rng.standard_normal((count, n, 2)) @ [1, 1j]
+                            for count in (n_sensors, times))
+            alpha[rng.random(alpha.shape) < 0.2] = 0
+            diag = verify_strong_dominance_frame(Factorization(gamma, alpha))["diagnostics"]
+            if not np.all(np.linalg.norm(alpha, axis=0)):
+                assert diag["schur_interval"] is None
+                continue
+            checked += 1
+            lo, hi = (diag["schur_interval"][key]
+                      for key in ("smallest_singular_value", "largest_singular_value"))
+            assert lo <= diag["smallest_singular_value"] * (1 + 1e-9)
+            assert diag["largest_singular_value"] <= hi * (1 + 1e-9)
+        assert checked >= 1000
 
     def test_reports_serialize_to_json(self):
         _, fac, owners = separated_fixture()
@@ -412,7 +444,9 @@ def gauge_view(report):
     diag = report["diagnostics"]
     exact = {key: report[key] for key in ("applicable", "conclusion", "hypotheses")}
     exact.update({key: diag.get(key) for key in ("spans", "missing_coordinates")})
-    numbers = [diag.get(key) for key in ("smallest_singular_value", "largest_singular_value")]
+    schur = diag.get("schur_interval") or {}
+    numbers = [source.get(key) for source in (diag, schur)
+               for key in ("smallest_singular_value", "largest_singular_value")]
     numbers += [b["magnitude"] for b in diag.get("per_coordinate_basis", [])]
     numbers += [m["dominance_ratio"] for m in diag.get("dominance_margins", [])]
     return exact, numbers
