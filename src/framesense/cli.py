@@ -10,11 +10,10 @@ Every report is the plain dict its file holds: ``theorems`` dumps each
 verifier's return value, and ``detect`` writes ``score_runs``' entries with
 the thresholds and ``{"config": <the resolved config>}`` as metadata.
 ``validate`` and ``theorems`` take ``--tol`` in ``0 < tol < 1``.
-``generate`` writes its datasets in one process per available CPU.  Its workers
-report only success or failure; after any failure it writes the plan again in
-one process, which reports the first failing dataset as a one-process run does.
-Each worker draws its noise once for its whole share, and formats each distinct
-``health.csv`` row once per group of datasets that differ only in failed sensors.
+``generate`` writes its datasets in one process, in plan order, from one
+noise draw, formatting each distinct ``health.csv`` row once per run; each
+``wrote`` line is printed once its dataset is saved, so a failure stops the
+run after the lines of the datasets before it.
 
 Exit codes: 0 success, 1 domain violation (invalid scenario, or a demanded
 conclusion failed), 2 I/O or parse error or float64 overflow.
@@ -31,10 +30,8 @@ import atexit
 import gc
 import json
 import math
-import os
 import re
 import sys
-import warnings
 from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
@@ -364,79 +361,20 @@ def _dataset_dir(root: Path, key: tuple) -> Path:
     return root / "datasets" / "_".join(key)
 
 
-def _write(plan: Plan, out: Path, indices) -> None:
-    """Generate and save the datasets at ``indices`` of ``plan.datasets``, in order,
-    from one noise draw.  The first that fails raises.
-
-    A group is the datasets whose run configs differ only in failed sensors.  Their
-    live rows are bit-identical, so each group has one row-text cache, which holds
-    that group's rows alone and lives until the share is written."""
+def cmd_generate(args) -> int:
     from . import turbine
 
-    runs = [plan.datasets[index][1:] for index in indices]
-    caches = {}
-    for index, (run_cfg, conditions), ds in zip(
-            indices, runs, turbine.generate_datasets(plan.fleet, plan.mixing, runs)):
-        texts = caches.setdefault((replace(run_cfg, failed_sensors=frozenset()), conditions), {})
-        turbine.save_dataset(ds, _dataset_dir(out, plan.datasets[index][0]), texts)
-
-
-def _fork(plan: Plan, out: Path, indices) -> int:
-    """Fork a child that runs ``_write`` on ``indices``; return its pid.  The child
-    reports by its exit status alone: 0 when it wrote them all, else 1."""
-    with warnings.catch_warnings():
-        # Python 3.12+ warns when a process with threads forks, and after
-        # ``import numpy`` OpenBLAS keeps a pool thread.  The child makes no
-        # BLAS call (``line_spectrum``, the Philox draw, ``np.save`` and
-        # sha256 are elementwise or I/O), and OpenBLAS resets its pool in a
-        # forked child.
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
-                                DeprecationWarning)
-        pid = os.fork()
-    if pid:
-        return pid
-    # The child prints nothing and always leaves through os._exit, so it never
-    # returns into main's caller nor runs the parent's atexit handlers.
-    code = 1
-    try:
-        _write(plan, out, indices)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def cmd_generate(args) -> int:
     plan = load_plan(args.config, args.seed)
     out = Path(args.out)
     echo_config(plan.cfg, out)
-    # One worker per CPU this process may run on, at most one per dataset.
-    # Dataset i is written by worker i % workers.  The parent is worker 0, and
-    # with one worker it forks nothing.  A dataset's bytes depend only on its
-    # run config, so every worker count writes the same files.
-    n = len(plan.datasets)
-    workers = min(len(os.sched_getaffinity(0)), n) if hasattr(os, "sched_getaffinity") else 1
-    shares = [range(worker, n, workers) for worker in range(workers)]
     (out / "datasets").mkdir(exist_ok=True)
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pids, ok = [], True
-    try:
-        for share in shares[1:]:
-            pids.append(_fork(plan, out, share))
-        try:
-            _write(plan, out, shares[0])
-        except Exception:  # the one-process rewrite below reports it
-            ok = False
-    finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    ok = ok and not any(statuses)
-    # After any failure, write the plan again in one process: the first dataset
-    # that fails in plan order then stops the run with one process's report.
-    # Datasets after it may have been written.
+    # One row-text cache for the run: equal row bytes give equal text, and the
+    # datasets that differ only in failed sensors have bit-identical live rows.
+    texts = {}
+    found = turbine.generate_datasets(plan.fleet, plan.mixing, [run[1:] for run in plan.datasets])
     total = 0
-    for index, (key, run_cfg, conditions) in enumerate(plan.datasets):
-        if not ok:
-            _write(plan, out, [index])
+    for (key, run_cfg, conditions), ds in zip(plan.datasets, found):
+        turbine.save_dataset(ds, _dataset_dir(out, key), texts)
         if key != CALIBRATION:
             samples = len(conditions) * run_cfg.samples_per_state
             total += samples

@@ -18,16 +18,15 @@ independent real and imaginary parts of variance sigma^2 N / 2.  Every
 command reads the 28 line bins alone, so only those bins are simulated.
 
 Dataset generation is deterministic: each sample's noise comes from a
-counter-based generator keyed on (seed, condition, sample), so parallel and
-serial runs agree byte for byte: ``cli.cmd_generate`` writes its datasets in
-one process per CPU, and every process count gives the same bytes.  The key
-ignores the SNR and the failed sensors, so every dataset of one seed reads
-the same normals at each (condition, sample), grid cells, sweep points and
-calibration alike, and one ``detect`` or ``sweep`` draws them once
-(``generate_datasets``).  Within a cell the rates are binomial, but cells
-are correlated.  A noise-free dataset takes the same draw at sigma = 0.
+counter-based generator keyed on (seed, condition, sample), so a dataset's
+bytes do not depend on which datasets are drawn with it or in what order.
+The key ignores the SNR and the failed sensors, so every dataset of one seed
+reads the same normals at each (condition, sample), grid cells, sweep points
+and calibration alike, and one ``generate``, ``detect`` or ``sweep`` draws
+them once (``generate_datasets``).  Within a cell the rates are binomial, but
+cells are correlated.  A noise-free dataset takes the same draw at sigma = 0.
 So the datasets of one run config that differ only in failed sensors have
-bit-identical live rows, and ``generate`` saves each such group with one
+bit-identical live rows, and ``generate`` saves all its datasets with one
 ``save_dataset`` row-text cache, formatting each distinct row once.
 
 A saved dataset directory holds ``health.csv`` (the healths as shortest
@@ -371,8 +370,9 @@ def generate_dataset(fleet, mixing, cfg: SimConfig, conditions) -> Dataset:
 
 
 def health_bound(fleet, cfg: SimConfig, conditions) -> float:
-    """A bound on every health ``generate_dataset`` gives here under any mixing (entries at most 1):
-    amplitude N/2 plus noise sigma sqrt(N/2) sqrt(2) STANDARD_NORMAL_MAX; inf past float64."""
+    """A bound on every health ``generate_datasets`` gives for the run ``(cfg, conditions)``
+    under any mixing (entries at most 1): amplitude N/2 plus noise
+    sigma sqrt(N/2) sqrt(2) STANDARD_NORMAL_MAX; inf past float64."""
     peak = max(float(st.amplitudes(m).max()) for _, sts in conditions for m, st in zip(fleet, sts))
     noise = resolve_sigma(cfg, fleet) * cfg.dft_size**0.5 * STANDARD_NORMAL_MAX
     return peak * cfg.dft_size / 2 + noise

@@ -1,5 +1,4 @@
 import atexit
-import errno
 import gc
 import hashlib
 import json
@@ -9,7 +8,6 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -1380,160 +1378,114 @@ class TestProcess:
         assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
-# The benchmark's generate config, and one with three noise levels: 7 datasets.
-BENCH_CONFIG = {"samples_per_state": 64, "rng_seed": 3, "dft_size": 8192,
-                "mixing_off_diagonal": 0.1}
-THREE_LEVELS = {"samples_per_state": 8,
-                "noise_levels": {"low": 18.0, "mid": 12.0, "high": 8.0}}
-
-
 def tree(root):
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
             if p.is_file()}
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+class TestOneProcessGenerate:
+    """``generate`` writes its datasets in one process, in plan order."""
 
-
-class TestParallelGenerate:
-    """``generate`` writes its datasets in one process per available CPU."""
-
-    def run(self, tmp_path, monkeypatch, capsys, workers, config, name, blocked=()):
-        """``generate`` in ``tmp_path/name`` with ``workers`` CPUs available, the
-        datasets ``blocked`` replaced by plain files: (exit code, stdout, stderr, files)."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
-        work = tmp_path / name
-        (work / "g" / "datasets").mkdir(parents=True)
+    def run(self, tmp_path, monkeypatch, capsys, config, blocked=()):
+        """``generate`` in ``tmp_path`` with the datasets ``blocked`` replaced by
+        plain files: (exit code, stdout, stderr, files)."""
+        (tmp_path / "g" / "datasets").mkdir(parents=True)
         for dataset in blocked:
-            (work / "g" / "datasets" / dataset).write_text("")
-        (work / "c.json").write_text(json.dumps(config))
-        monkeypatch.chdir(work)
+            (tmp_path / "g" / "datasets" / dataset).write_text("")
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        monkeypatch.chdir(tmp_path)
         code = cli.main(["generate", "--config", "c.json", "--seed", "11", "--out", "g"])
-        assert_no_children()
-        return (code, *capsys.readouterr(), tree(work / "g"))
+        return (code, *capsys.readouterr(), tree(tmp_path / "g"))
 
-    @pytest.mark.parametrize("config, datasets", [(BENCH_CONFIG, 5), (THREE_LEVELS, 7)])
-    def test_every_worker_count_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys,
-                                                       config, datasets):
-        # At 5 workers BENCH_CONFIG gives each worker one dataset, so no two share
-        # a row-text cache, while at 1 worker every failed-sensor dataset does.
-        runs = [self.run(tmp_path, monkeypatch, capsys, workers, config, f"w{workers}")
-                for workers in (1, 2, 3, 5)]
-        code, out, err, files = runs[0]
-        assert (code, err) == (0, "")
-        assert out.count("wrote ") == datasets - 1
-        assert len([name for name in files if name.endswith("manifest.json")]) == datasets
-        assert all(run == runs[0] for run in runs[1:])
-
-    @pytest.mark.parametrize("affinity", ["one_cpu", "absent"])
+    @pytest.mark.parametrize("affinity", ["one_cpu", "four_cpus", "absent"])
     def test_one_worker_never_forks(self, tmp_path, monkeypatch, capsys, affinity):
+        # However many CPUs this process may run on, generate writes in one process.
         def no_fork():
-            raise AssertionError("forked with one worker")
+            raise AssertionError("generate forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        if affinity == "one_cpu":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        if affinity == "absent":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
-            monkeypatch.delattr(os, "sched_getaffinity")
+            cpus = {"one_cpu": {0}, "four_cpus": {0, 1, 2, 3}}[affinity]
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        code, out, err, _ = self.run(tmp_path, monkeypatch, capsys, SMALL_CONFIG)
+        assert (code, err) == (0, "")
+        assert "total labeled samples: 48" in out
+
+    def test_one_generate_datasets_call_covers_the_plan(self, tmp_path, monkeypatch, capsys):
+        # One noise draw for the whole run, over every dataset in plan order.
+        generate, calls = turbine.generate_datasets, []
+
+        def counted(fleet, mixing, runs):
+            calls.append(list(runs))
+            return generate(fleet, mixing, calls[-1])
+
+        monkeypatch.setattr(turbine, "generate_datasets", counted)
         (tmp_path / "c.json").write_text(json.dumps(SMALL_CONFIG))
-        argv = ["generate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "g")]
-        assert cli.main(argv) == 0
-        assert "total labeled samples: 48" in capsys.readouterr().out
+        plan = cli.load_plan(str(tmp_path / "c.json"), 11)
+        assert self.run(tmp_path, monkeypatch, capsys, SMALL_CONFIG)[0] == 0
+        assert calls == [[run[1:] for run in plan.datasets]]
+
+    def test_every_dataset_is_saved_with_one_row_cache(self, tmp_path, monkeypatch, capsys):
+        save, caches = turbine.save_dataset, []
+
+        def noted(ds, out_dir, texts=None):
+            caches.append(texts)
+            return save(ds, out_dir, texts)
+
+        monkeypatch.setattr(turbine, "save_dataset", noted)
+        assert self.run(tmp_path, monkeypatch, capsys, SMALL_CONFIG)[0] == 0
+        assert len(caches) == 5 and isinstance(caches[0], dict) and caches[0]
+        assert all(texts is caches[0] for texts in caches)
+
+    def test_each_wrote_line_is_printed_once_its_dataset_is_saved(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # Each save sees on stdout exactly the wrote lines of the datasets before it.
+        save, seen = turbine.save_dataset, []
+
+        def noted(ds, out_dir, texts=None):
+            path = save(ds, out_dir, texts)
+            seen.append((Path(out_dir).name, capsys.readouterr().out))
+            return path
+
+        monkeypatch.setattr(turbine, "save_dataset", noted)
+        code, out, err, _ = self.run(tmp_path, monkeypatch, capsys, SMALL_CONFIG)
+        assert (code, err) == (0, "")
+        names = ["calibration", "good_low", "good_high", "s1_failed_low", "s1_failed_high"]
+        wrote = [f"wrote g/datasets/{name} (12 samples)\n" for name in names[1:]]
+        # After the first save, each save follows exactly the previous dataset's line.
+        assert [name for name, _ in seen] == names
+        assert [printed for _, printed in seen[1:]] == ["", *wrote[:-1]]
+        assert out == wrote[-1] + "total labeled samples: 48\n"
+
+    def test_runs_in_one_process_share_no_state(self, tmp_path, monkeypatch, capsys):
+        # The row-text cache lives for one run: a run after another with a
+        # different seed writes what it writes alone.
+        runs = {}
+        for name, seed in (("first", 11), ("other", 5), ("again", 11)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "c.json").write_text(json.dumps(SMALL_CONFIG))
+            monkeypatch.chdir(tmp_path / name)
+            argv = ["generate", "--config", "c.json", "--seed", str(seed), "--out", "g"]
+            runs[name] = (cli.main(argv), *capsys.readouterr(), tree(tmp_path / name / "g"))
+        assert runs["first"][0] == 0 and runs["first"][3]
+        assert runs["again"] == runs["first"]
+        assert runs["other"][3] != runs["first"][3]
 
     @pytest.mark.parametrize("blocked", [
         ["good_low"], ["s1_failed_low"], ["good_low", "good_high"],
     ])
     def test_failure_reads_as_the_serial_run(self, tmp_path, monkeypatch, capsys, blocked):
-        # With 2 workers good_low and s1_failed_low are the child's, good_high the
-        # parent's; the first blocked dataset in plan order is reported.
-        runs = [self.run(tmp_path, monkeypatch, capsys, workers, SMALL_CONFIG, f"w{workers}",
-                         blocked)
-                for workers in (1, 2, 3)]
-        code, out, err, _ = runs[0]
+        # The first blocked dataset in plan order is reported after the wrote
+        # lines of the datasets before it, and no dataset after it is written.
+        code, out, err, files = self.run(tmp_path, monkeypatch, capsys, SMALL_CONFIG, blocked)
         assert code == 2
         assert err == f"error: [Errno 17] File exists: 'g/datasets/{blocked[0]}'\n"
-        assert all(run[:3] == runs[0][:3] for run in runs)
-        if blocked == ["s1_failed_low"]:
-            assert out == ("wrote g/datasets/good_low (12 samples)\n"
-                           "wrote g/datasets/good_high (12 samples)\n")
-
-    @pytest.mark.parametrize("blocked", [(), ("good_high",)], ids=["alone", "good_high_blocked"])
-    def test_a_child_that_dies_is_replayed(self, tmp_path, monkeypatch, capsys, blocked):
-        # A worker that dies leaves its datasets unwritten, and the one-process
-        # rewrite writes them; with good_high blocked the parent's share fails too.
-        serial = self.run(tmp_path, monkeypatch, capsys, 1, SMALL_CONFIG, "w1", blocked)
-        parent = os.getpid()
-        write = cli._write
-
-        def dies_in_child(*args):
-            if os.getpid() != parent:
-                os._exit(3)
-            return write(*args)
-
-        monkeypatch.setattr(cli, "_write", dies_in_child)
-        assert self.run(tmp_path, monkeypatch, capsys, 2, SMALL_CONFIG, "w2", blocked) == serial
-
-    def test_a_failing_fork_is_an_io_error(self, tmp_path, monkeypatch, capsys):
-        # The second of two forks fails: the first child is still reaped, and
-        # nothing is reported written.
-        fork, forks = os.fork, []
-
-        def second_fork_fails():
-            forks.append(None)
-            if len(forks) == 2:
-                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-            return fork()
-
-        monkeypatch.setattr(os, "fork", second_fork_fails)
-        code, out, err, _ = self.run(tmp_path, monkeypatch, capsys, 3, SMALL_CONFIG, "w3")
-        assert (code, out, err) == (2, "", "error: [Errno 11] Resource temporarily unavailable\n")
-        assert len(forks) == 2
-
-    def test_only_the_fork_warning_is_ignored(self, tmp_path, monkeypatch, capsys):
-        # Python 3.12+ warns on forking a process with threads; tests run with
-        # warnings as errors, so an unfiltered warning would fail the fork.
-        fork = os.fork
-
-        def warning_fork(message):
-            def forks():
-                warnings.warn(message, DeprecationWarning, stacklevel=2)
-                return fork()
-            return forks
-
-        monkeypatch.setattr(os, "fork", warning_fork(
-            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead "
-            "to deadlocks in the child."))
-        assert self.run(tmp_path, monkeypatch, capsys, 2, SMALL_CONFIG, "a")[0] == 0
-        monkeypatch.setattr(os, "fork", warning_fork("another deprecation"))
-        with pytest.raises(DeprecationWarning, match="another deprecation"):
-            self.run(tmp_path, monkeypatch, capsys, 2, SMALL_CONFIG, "b")
-        assert_no_children()
-
-    def test_a_forked_child_never_returns_to_the_caller(self, tmp_path, monkeypatch, capsys):
-        # Without OPENBLAS_NUM_THREADS, OpenBLAS's pool thread is alive at the
-        # fork; unbuffered output is off, so "before" sits in the buffer then.
-        (tmp_path / "c.json").write_text(json.dumps(SMALL_CONFIG))
-        argv = ["generate", "--config", "../c.json", "--seed", "5", "--out", "g"]
-        code = ("from framesense.cli import main; print('before'); "
-                f"rc = main({argv!r}); print('after', rc)")
-        env = {key: value for key, value in os.environ.items()
-               if key not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
-        env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
-        (tmp_path / "process").mkdir()
-        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
-                              text=True, cwd=tmp_path / "process", env=env, timeout=120)
-        assert (proc.returncode, proc.stderr) == (0, "")
-        lines = proc.stdout.splitlines()
-        assert lines.count("before") == 1 and lines.count("after 0") == 1
-        assert lines[-1] == "after 0"
-        (tmp_path / "in_process").mkdir()
-        monkeypatch.chdir(tmp_path / "in_process")
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == "\n".join(lines[1:-1]) + "\n"
-        assert tree(tmp_path / "process" / "g") == tree(tmp_path / "in_process" / "g")
-        assert tree(tmp_path / "in_process" / "g")
+        written = ["good_low", "good_high"] if blocked == ["s1_failed_low"] else []
+        assert out == "".join(f"wrote g/datasets/{name} (12 samples)\n" for name in written)
+        saved = {name.split("/")[1] for name in files if name.endswith("manifest.json")}
+        assert saved == {"calibration", *written}
 
 
 def test_parse_snr_range_inclusive(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from framesense import turbine
+from framesense import cli, turbine
 from framesense.mappings import (
     verify_basis_mapping,
     verify_frame_mapping,
@@ -47,6 +47,11 @@ from framesense.turbine import (
 )
 from tests.test_scenario import dense
 
+# The benchmark's generate config, and one with three noise levels: 7 datasets.
+BENCH_CONFIG = {"samples_per_state": 64, "rng_seed": 3, "dft_size": 8192,
+                "mixing_off_diagonal": 0.1}
+THREE_LEVELS = {"samples_per_state": 8,
+                "noise_levels": {"low": 18.0, "mid": 12.0, "high": 8.0}}
 FLEET = default_fleet()
 CFG = SimConfig(samples_per_state=4)
 BINS = fleet_line_bins(FLEET, CFG)
@@ -619,6 +624,43 @@ class TestGeneration:
             save_dataset(ds, tmp_path / name)
         for name in ("health.csv", "health.npy", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("config, datasets", [(BENCH_CONFIG, 5), (THREE_LEVELS, 7)],
+                             ids=["bench", "three_levels"])
+    def test_shared_row_cache_writes_the_bytes_a_fresh_format_writes(self, tmp_path, config,
+                                                                      datasets):
+        # ``generate`` saves a plan's datasets with one row-text cache; saving
+        # each with a cache of its own must write the same bytes.
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        plan = cli.load_plan(str(tmp_path / "c.json"), None)
+        runs = [run[1:] for run in plan.datasets]
+        texts = {}
+        for name, shared in (("shared", texts), ("fresh", None)):
+            found = turbine.generate_datasets(plan.fleet, plan.mixing, runs)
+            for (key, _, _), ds in zip(plan.datasets, found):
+                save_dataset(ds, tmp_path / name / "_".join(key), shared)
+        trees = [{str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+                  if p.is_file()} for root in (tmp_path / "shared", tmp_path / "fresh")]
+        assert trees[0] == trees[1]
+        assert len([name for name in trees[0] if name.endswith("manifest.json")]) == datasets
+        # The shared cache was hit: fewer texts than rows saved.
+        assert len(texts) < sum(len(conditions) * cfg.samples_per_state * turbine.SENSORS
+                                for cfg, conditions in runs)
+
+    def test_row_cache_holds_each_rows_text_under_its_bytes(self, tmp_path):
+        # Every cached text is the row's own decimals, and health.csv holds
+        # exactly the cached text of each row after its state,sample,sensor prefix.
+        cfg = SimConfig(samples_per_state=3, failed_sensors=frozenset({1}))
+        ds = generate_dataset(FLEET, mixing_matrix(0.1), cfg, turbine.engine1_conditions())
+        texts = {}
+        path = save_dataset(ds, tmp_path / "d", texts)
+        assert texts
+        for raw, text in texts.items():
+            assert text == ",".join(map(repr, np.frombuffer(raw, dtype=ds.healths.dtype).tolist()))
+        rows = ds.healths.reshape(-1, ds.healths.shape[-1])
+        lines = (path / "health.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(rows)
+        assert [line.split(",", 3)[3] for line in lines] == [texts[row.tobytes()] for row in rows]
 
     def test_manifest_with_spectra_entry_loads(self, tmp_path):
         # Manifests written while generate could also write spectra files
